@@ -4,7 +4,7 @@ Configurations (determinants / permanents) are addressed combinadically,
 and one- and two-body operator strings act on state vectors by amplitude
 re-addressing with statistics prefactors; the operator matrix is never
 built.  Includes Krylov ground-state and propagation solvers, reduced
-density matrices, a deterministic term-parallel executor, and a dense
+density matrices, a deterministic row-block parallel executor, and a dense
 brute-force oracle for verification.
 """
 
@@ -32,8 +32,9 @@ from .errors import (
     StepFailureError,
     TableOverflowError,
     ValidationError,
+    WorkerCountError,
 )
-from .executor import parallel_apply, parallel_densities, resolve_workers, term_partition
+from .executor import parallel_apply, resolve_workers
 from .fockspace import (
     FermionConfig,
     SpaceDescriptor,

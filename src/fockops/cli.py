@@ -25,6 +25,7 @@ from .errors import (
     InvalidSpaceError,
     SizeError,
     StepFailureError,
+    WorkerCountError,
 )
 from .fockspace import (
     SpaceDescriptor,
@@ -236,20 +237,9 @@ def _emit(args, text: str) -> None:
 def cmd_gs(args) -> int:
     spec = load_integrals(args.file)
     workers = executor.resolve_workers(args.workers)
-    mapper = map
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-        mapper = pool.map
-    try:
-        result = solvers.ground_state(
-            spec, tol=args.tol, max_iter=args.max_iter, seed=args.seed, mapper=mapper
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    result = solvers.ground_state(
+        spec, tol=args.tol, max_iter=args.max_iter, seed=args.seed, workers=workers
+    )
     report = {
         "format": "fockops-gs-report/1",
         "energy": result.energy,
@@ -285,27 +275,16 @@ def cmd_prop(args) -> int:
     spec = load_integrals(args.file)
     workers = executor.resolve_workers(args.workers)
     psi0 = _resolve_initial(spec, args.initial)
-    mapper = map
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-        mapper = pool.map
-    try:
-        result = solvers.propagate(
-            spec,
-            psi0,
-            t_final=args.t_final,
-            dt=args.dt,
-            krylov_dim=args.krylov_dim,
-            err_tol=args.err_tol,
-            store_states=args.oracle,
-            mapper=mapper,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    result = solvers.propagate(
+        spec,
+        psi0,
+        t_final=args.t_final,
+        dt=args.dt,
+        krylov_dim=args.krylov_dim,
+        err_tol=args.err_tol,
+        store_states=args.oracle,
+        workers=workers,
+    )
     deviation = None
     if args.oracle:
         mat = oracle.build_dense(spec)
@@ -372,7 +351,7 @@ def main(argv=None) -> int:
         if args.command == "apply":
             return cmd_apply(args)
         parser.error(f"unknown command {args.command!r}")
-    except (InvalidSpaceError, InvalidConfigurationError, AddressError) as exc:
+    except (InvalidSpaceError, InvalidConfigurationError, AddressError, WorkerCountError) as exc:
         print(f"fockops: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

@@ -42,6 +42,10 @@ class IntegralFormatError(FockError):
         self.line = line
 
 
+class WorkerCountError(FockError, ValueError):
+    """A worker count (argument or FOCK_WORKERS) is not a positive integer."""
+
+
 class SizeError(FockError):
     """A dense-oracle request exceeds the configured dimension cap."""
 

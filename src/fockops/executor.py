@@ -1,23 +1,20 @@
-"""Deterministic term-parallel evaluation of operator applications.
+"""Worker-count resolution and the parallel entry point of H|psi>.
 
-Terms are bundled into a fixed set of chunks (independent of the worker
-count); workers evaluate whole chunks concurrently and the chunk partials
-are combined in a fixed pairwise tree, so the result is bitwise identical
-for any number of workers, and identical to the serial kernel, which uses
-the same accumulation order.  Worker count comes from the argument, else
-the FOCK_WORKERS environment variable, else 1.
+The kernels cut the output vector into fixed blocks of rows that do not
+depend on the worker count (see :func:`kernel.run_row_blocks`); workers only
+decide which thread computes which whole blocks, and no amplitude is ever
+summed across threads, so the result is bitwise identical for any number of
+workers and identical to the serial kernel.  Worker count comes from the
+argument, else the FOCK_WORKERS environment variable, else 1.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from . import kernel, mixtures, observables
-from .fockspace import StateVector, dot
-from .mixtures import MixtureHamiltonianSpec, MixtureStateVector
+from . import kernel, mixtures
+from .errors import WorkerCountError
+from .mixtures import MixtureHamiltonianSpec
 
 WORKERS_ENV = "FOCK_WORKERS"
 
@@ -26,109 +23,19 @@ def resolve_workers(workers: int | None = None) -> int:
     """Explicit argument wins over FOCK_WORKERS; default 1."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV)
-        workers = int(env) if env else 1
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            raise WorkerCountError(f"{WORKERS_ENV}={env!r} is not an integer") from None
     if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+        raise WorkerCountError(f"worker count must be >= 1, got {workers}")
     return workers
-
-
-def _terms_of(spec, skip_threshold):
-    if isinstance(spec, MixtureHamiltonianSpec):
-        return mixtures.mixture_terms(spec, skip_threshold)
-    return kernel.hamiltonian_terms(spec, skip_threshold)
-
-
-def term_partition(spec, workers: int | None = None,
-                   skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD) -> list[list]:
-    """Static assignment of term chunks to workers (round-robin by chunk id).
-
-    Groups are disjoint and jointly cover every non-skipped term; the
-    chunking itself never depends on the worker count.
-    """
-    workers = resolve_workers(workers)
-    terms = _terms_of(spec, skip_threshold)
-    if isinstance(spec, MixtureHamiltonianSpec):
-        out_bytes = spec.mspace.n_conf_total * 16
-    else:
-        out_bytes = spec.space.n_conf * 16
-    chunks = kernel.chunk_terms(terms, out_bytes)
-    groups = [[] for _ in range(min(workers, max(len(chunks), 1)))]
-    for i, chunk in enumerate(chunks):
-        groups[i % len(groups)].extend(chunk)
-    return groups
 
 
 def parallel_apply(spec, psi, workers: int | None = None,
                    skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD):
-    """H|psi> with chunks evaluated by a thread pool; bitwise equal to serial."""
+    """H|psi> with row blocks spread over ``workers`` threads; bitwise equal to serial."""
     workers = resolve_workers(workers)
-    if workers == 1:
-        if isinstance(spec, MixtureHamiltonianSpec):
-            return mixtures.apply_mixture_hamiltonian(spec, psi, skip_threshold)
-        return kernel.apply_hamiltonian(spec, psi, skip_threshold)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        if isinstance(spec, MixtureHamiltonianSpec):
-            return mixtures.apply_mixture_hamiltonian(
-                spec, psi, skip_threshold, mapper=pool.map
-            )
-        return kernel.apply_hamiltonian(spec, psi, skip_threshold, mapper=pool.map)
-
-
-def parallel_densities(spec, psi, workers: int | None = None):
-    """(rho, rho2, energy) with density elements computed on their owning worker.
-
-    Every (k, q) and (k, s, l, q) element is an independent dot-product of
-    the incoming and per-term resulting vectors, so the values are bitwise
-    identical to the serial observables no matter how elements are assigned.
-    The energy reuses :func:`parallel_apply` and its fixed reduction.
-    """
-    workers = resolve_workers(workers)
-    if isinstance(psi, MixtureStateVector):
-        raise NotImplementedError("species-resolved densities: use observables.mixture_densities")
-    space = psi.space
-    m = space.m
-    rho = np.empty((m, m), dtype=np.complex128)
-    rho2 = np.empty((m, m, m, m), dtype=np.complex128)
-    one_jobs = [(k, q) for k in range(1, m + 1) for q in range(1, m + 1)]
-    two_jobs = [
-        (k, s, l, q)
-        for k in range(1, m + 1)
-        for s in range(1, m + 1)
-        for l in range(1, m + 1)
-        for q in range(1, m + 1)
-    ]
-
-    def eval_one(job):
-        k, q = job
-        rho[k - 1, q - 1] = dot(psi, kernel.apply_one_body_term(k, q, psi))
-
-    def eval_two(job):
-        k, s, l, q = job
-        rho2[k - 1, s - 1, l - 1, q - 1] = dot(psi, kernel.apply_two_body_term(k, s, l, q, psi))
-
-    if workers == 1:
-        for job in one_jobs:
-            eval_one(job)
-        for job in two_jobs:
-            eval_two(job)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(eval_one, one_jobs))
-            list(pool.map(eval_two, two_jobs))
-    e = dot(psi, parallel_apply(spec, psi, workers=workers))
-    return rho, rho2, e
-
-
-def benchmark_apply(spec, psi, worker_counts=(1, 2, 4, 8), repeats: int = 3) -> dict:
-    """Wall-clock seconds of parallel_apply per worker count (best of repeats)."""
-    import time
-
-    report = {}
-    for w in worker_counts:
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            parallel_apply(spec, psi, workers=w)
-            best = min(best, time.perf_counter() - t0)
-        report[w] = best
-    return report
+    if isinstance(spec, MixtureHamiltonianSpec):
+        return mixtures.apply_mixture_hamiltonian(spec, psi, skip_threshold, workers=workers)
+    return kernel.apply_hamiltonian(spec, psi, skip_threshold, workers=workers)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -191,6 +192,7 @@ class SpaceTables:
         self.occ = occ
         self._gather_cache: dict = {}
         self._gather_cache_bytes = {"pair": 0, "other": 0}
+        self._gather_lock = threading.Lock()
 
     # gathers are pure; the cache only avoids recomputation.  One-body
     # (pair) gathers get their own budget because two-body gathers are
@@ -201,12 +203,17 @@ class SpaceTables:
         hit = self._gather_cache.get(key)
         if hit is not None:
             return hit
+        # built outside the lock: two-body builds look up one-body gathers
         val = build()
         pool = "pair" if len(key) == 2 else "other"
         size = sum(a.nbytes for a in val)
-        if self._gather_cache_bytes[pool] + size <= self._GATHER_CACHE_LIMIT:
-            self._gather_cache[key] = val
-            self._gather_cache_bytes[pool] += size
+        with self._gather_lock:  # threads that miss the same key insert and count it once
+            hit = self._gather_cache.get(key)
+            if hit is not None:
+                return hit
+            if self._gather_cache_bytes[pool] + size <= self._GATHER_CACHE_LIMIT:
+                self._gather_cache[key] = val
+                self._gather_cache_bytes[pool] += size
         return val
 
 
@@ -307,20 +314,33 @@ def save_state(psi: StateVector, path, fmt: str = "binary") -> None:
         raise ValueError(f"unknown vector format {fmt!r}")
 
 
+def read_exact(fh, size: int, path) -> bytes:
+    """``size`` bytes from a binary vector file, or FockError if it ends first."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise FockError(f"{path} is truncated: expected {size} more bytes, found {len(data)}")
+    return data
+
+
+def statistics_of_byte(stat_b: int) -> str:
+    """Statistics named by a vector-file header byte, or FockError if unknown."""
+    if stat_b not in _BYTE_STAT:
+        raise FockError(f"unknown statistics byte {stat_b}")
+    return _BYTE_STAT[stat_b]
+
+
 def load_state(path) -> StateVector:
     """Read a state vector written by :func:`save_state` (either format)."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if head == _VEC_MAGIC:
-            stat_b, n, m, n_conf = struct.unpack("<BQQQ", fh.read(25))
-            if stat_b not in _BYTE_STAT:
-                raise FockError(f"unknown statistics byte {stat_b}")
-            space = SpaceDescriptor(_BYTE_STAT[stat_b], n, m)
+            stat_b, n, m, n_conf = struct.unpack("<BQQQ", read_exact(fh, 25, path))
+            space = SpaceDescriptor(statistics_of_byte(stat_b), n, m)
             if space.n_conf != n_conf:
                 raise FockError(
                     f"header N_conf={n_conf} does not match space dimension {space.n_conf}"
                 )
-            raw = fh.read(16 * n_conf)
+            raw = read_exact(fh, 16 * n_conf, path)
             amps = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
             return StateVector(space, amps)
     try:

@@ -9,6 +9,7 @@ No symmetry is assumed or imposed on the stored tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -22,6 +23,12 @@ DENSE_TWO_BODY_LIMIT = 32  # orbitals; above this W is kept as a coordinate list
 HERMITICITY_TOL = 1e-12
 
 
+def require_finite(values, what: str) -> None:
+    """Raise ValidationError unless every coefficient in ``values`` is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{what} table has a non-finite coefficient")
+
+
 class OneBodyTable:
     """M x M complex matrix of one-body coefficients h_kq."""
 
@@ -31,6 +38,7 @@ class OneBodyTable:
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(f"one-body table must be square, got {matrix.shape}")
+        require_finite(matrix, "one-body")
         self.matrix = matrix
 
     @property
@@ -60,6 +68,9 @@ class TwoBodyTable:
     __slots__ = ("m", "dense", "indices", "values")
 
     def __init__(self, m: int, dense=None, indices=None, values=None):
+        for arr in (dense, values):
+            if arr is not None:
+                require_finite(arr, "two-body")
         self.m = int(m)
         self.dense = dense
         self.indices = indices
@@ -90,6 +101,7 @@ class TwoBodyTable:
             for k, s, q, l, v in entries:
                 tab._check(k, s, q, l)
                 tab.dense[k - 1, s - 1, q - 1, l - 1] += v
+            require_finite(tab.dense, "two-body")  # a sum keeps any nan or inf
             return tab
         acc: dict[tuple, complex] = {}
         for k, s, q, l, v in entries:
@@ -99,6 +111,7 @@ class TwoBodyTable:
         keys = sorted(acc)
         tab.indices = np.array(keys, dtype=np.int64).reshape(len(keys), 4)
         tab.values = np.array([acc[k] for k in keys], dtype=np.complex128)
+        require_finite(tab.values, "two-body")
         return tab
 
     def _check(self, k, s, q, l):
@@ -117,6 +130,7 @@ class TwoBodyTable:
         if self.dense is None:
             raise ValidationError("sparse two-body tables are immutable; rebuild via from_entries")
         self._check(k, s, q, l)
+        require_finite(value, "two-body")
         self.dense[k - 1, s - 1, q - 1, l - 1] = value
 
     def entries(self, threshold: float = 0.0) -> Iterator[tuple[int, int, int, int, complex]]:
@@ -402,6 +416,8 @@ def _value(toks: Sequence[str], no: int) -> complex:
         im = float(toks[1]) if len(toks) > 1 else 0.0
     except (ValueError, IndexError):
         raise IntegralFormatError(f"bad coefficient {' '.join(toks)!r}", no) from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise IntegralFormatError(f"non-finite coefficient {' '.join(toks)!r}", no)
     return complex(re, im)
 
 

@@ -17,11 +17,19 @@ and sqrt(n) weights exactly.  Two-body gathers with distinct create/
 annihilate pairs are composed from the cached one-body gathers, which is
 an exact operator identity (b†_k b†_s b_l b_q = b†_s b_l b†_k b_q for
 l != k).
+
+Sums of terms (the Hamiltonian) are partitioned by output rows, not by
+terms: one zeroed output buffer is cut into fixed blocks of rows, and each
+block applies every term in canonical order to its own rows.  No amplitude
+is summed across blocks, so there is no reduction; a worker count only
+decides which thread computes which whole blocks, and every amplitude is
+summed in the same order for any worker count (bitwise identical results).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -171,6 +179,26 @@ def _boson_gather(space, tb, ops):
     return np.arange(r, dtype=np.int64) + jdelta, pref, mask
 
 
+def apply_gather(gather, amps: np.ndarray, out: np.ndarray, coeff: complex = 1.0,
+                 lo: int = 0, hi: int | None = None, axis: int = -1) -> None:
+    """Add coeff * (gathered term) into ``out`` on output rows lo <= r < hi along ``axis``.
+
+    ``gather`` is a :func:`term_gather` tuple; ``hi=None`` means every row.
+    """
+    src, pref, _, act = gather
+    rows = act if hi is None else rows_in(act, lo, hi)
+    if rows.size:
+        amps_m = amps.swapaxes(axis, -1)
+        out_m = out.swapaxes(axis, -1)
+        out_m[..., rows] += coeff * (pref[rows] * amps_m[..., src[rows]])
+
+
+def rows_in(act: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The entries of the sorted row list ``act`` that lie in [lo, hi)."""
+    i, j = act.searchsorted((lo, hi))
+    return act[i:j]
+
+
 def apply_term_ops(
     space: SpaceDescriptor,
     ops: Ops,
@@ -180,13 +208,9 @@ def apply_term_ops(
     axis: int = -1,
 ) -> np.ndarray:
     """Accumulate coeff * (term acting on ``amps``) into ``out`` along ``axis``."""
-    src, pref, _, act = term_gather(space, ops)
     if out is None:
         out = np.zeros_like(amps, dtype=np.complex128)
-    if act.size:
-        amps_m = np.moveaxis(amps, axis, -1)
-        out_m = np.moveaxis(out, axis, -1)
-        out_m[..., act] += coeff * (pref[act] * amps_m[..., src[act]])
+    apply_gather(term_gather(space, ops), amps, out, coeff, axis=axis)
     return out
 
 
@@ -204,59 +228,33 @@ def apply_two_body_term(k: int, s: int, l: int, q: int, psi: StateVector) -> Sta
     return StateVector(psi.space, out)
 
 
-# -- deterministic term accumulation ----------------------------------------
-#
-# Terms are split into a fixed number of chunks (round-robin by term index,
-# independent of any worker count), each chunk is accumulated left-to-right
-# in term order, and the chunk partials are combined in a fixed pairwise
-# tree.  The serial kernel and the thread-pool executor share this exact
-# summation order, so results are bitwise reproducible for any worker count.
+# -- row blocks --------------------------------------------------------------
 
-_CHUNK_TARGET = 64
-_CHUNK_CAP_BYTES = 1 << 26
-
-
-def chunk_terms(terms: Sequence, out_bytes: int) -> list[Sequence]:
-    n = len(terms)
-    if n == 0:
-        return []
-    c = min(_CHUNK_TARGET, n)
-    while c > 1 and c * out_bytes > _CHUNK_CAP_BYTES:
-        c //= 2
-    return [terms[i::c] for i in range(c)]
+# Amplitudes per block: a constant, so blocks never depend on the worker
+# count.  Each (block, term) pair pays a few numpy calls of fixed overhead,
+# so blocks must be large: on a 2-core x86 VM, with the mixture-prop
+# benchmark input (55,440 amplitudes, 44 terms), 2^12 made a matvec 1.8x
+# slower than 2^14, while 2^14 and 2^16 timed alike.  2^14 is the smallest
+# size without that cost, so vectors above 16k amplitudes still split into
+# blocks that workers can share.
+BLOCK_AMPLITUDES = 1 << 14
 
 
-def tree_reduce(parts: list[np.ndarray]) -> np.ndarray:
-    while len(parts) > 1:
-        nxt = [parts[i] + parts[i + 1] for i in range(0, len(parts) - 1, 2)]
-        if len(parts) % 2:
-            nxt.append(parts[-1])
-        parts = nxt
-    return parts[0]
+def run_row_blocks(run_block: Callable[[int, int], None], n_rows: int,
+                   row_width: int = 1, workers: int = 1) -> None:
+    """Call ``run_block(lo, hi)`` on each fixed block of rows, on up to ``workers`` threads.
 
-
-def accumulate_chunks(
-    terms: Sequence,
-    eval_chunk: Callable,
-    make_zero: Callable[[], np.ndarray],
-    out_bytes: int,
-    mapper: Callable = map,
-) -> np.ndarray:
-    """Sum chunk contributions over ``terms`` in the canonical chunk order.
-
-    ``eval_chunk(chunk, out)`` adds a whole chunk into ``out``; ``mapper``
-    may run chunks concurrently without affecting the result.
+    A row holds ``row_width`` amplitudes; a block holds about
+    :data:`BLOCK_AMPLITUDES` of them and at least one row.
     """
-    chunks = chunk_terms(terms, out_bytes)
-    if not chunks:
-        return make_zero()
-
-    def run(chunk):
-        part = make_zero()
-        eval_chunk(chunk, part)
-        return part
-
-    return tree_reduce(list(mapper(run, chunks)))
+    step = max(1, BLOCK_AMPLITUDES // row_width)
+    blocks = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    if workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            list(pool.map(lambda block: run_block(*block), blocks))
+    else:
+        for lo, hi in blocks:
+            run_block(lo, hi)
 
 
 def hamiltonian_terms(spec, skip_threshold: float = DEFAULT_SKIP_THRESHOLD) -> list[tuple[Ops, complex]]:
@@ -272,32 +270,30 @@ def hamiltonian_terms(spec, skip_threshold: float = DEFAULT_SKIP_THRESHOLD) -> l
     return terms
 
 
-def _apply_term_list(space, terms, amps, mapper: Callable = map) -> np.ndarray:
-    def eval_chunk(chunk, out):
-        for ops, coeff in chunk:
-            apply_term_ops(space, ops, amps, out=out, coeff=coeff)
+def _apply_term_list(space, terms, amps, workers: int = 1) -> np.ndarray:
+    space.tables()  # built here, so block threads never race to build them
+    out = np.zeros(space.n_conf, dtype=np.complex128)
 
-    return accumulate_chunks(
-        terms,
-        eval_chunk,
-        lambda: np.zeros(space.n_conf, dtype=np.complex128),
-        out_bytes=space.n_conf * 16,
-        mapper=mapper,
-    )
+    def run_block(lo, hi):
+        for ops, coeff in terms:
+            apply_gather(term_gather(space, ops), amps, out, coeff, lo, hi)
+
+    run_row_blocks(run_block, space.n_conf, workers=workers)
+    return out
 
 
 def apply_hamiltonian(
     spec,
     psi: StateVector,
     skip_threshold: float = DEFAULT_SKIP_THRESHOLD,
-    mapper: Callable = map,
+    workers: int = 1,
 ) -> StateVector:
     """H|Psi> = sum_kq h_kq |Psi^{kq}> + (1/2) sum_ksql W_ksql |Psi^{kslq}>."""
     if spec.space != psi.space:
         raise SpaceMismatchError("Hamiltonian and state belong to different spaces")
     space = spec.space
     terms = hamiltonian_terms(spec, skip_threshold)
-    return StateVector(space, _apply_term_list(space, terms, psi.amplitudes, mapper))
+    return StateVector(space, _apply_term_list(space, terms, psi.amplitudes, workers))
 
 
 def apply_one_body_operator(

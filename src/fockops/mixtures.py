@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import kernel
 from .errors import AddressError, FockError, SpaceMismatchError, ValidationError
-from .fockspace import _BYTE_STAT, _STAT_BYTE, SpaceDescriptor
-from .hamiltonian import HamiltonianSpec
+from .fockspace import _STAT_BYTE, SpaceDescriptor, read_exact, statistics_of_byte
+from .hamiltonian import HamiltonianSpec, require_finite
 
 _MIX_MAGIC = b"FOCKMIX1"
 
@@ -77,6 +76,7 @@ class InterSpeciesTable:
         tensor = np.asarray(tensor, dtype=np.complex128)
         if tensor.ndim != 4 or tensor.shape[0] != tensor.shape[1] or tensor.shape[2] != tensor.shape[3]:
             raise ValidationError(f"inter-species table must be (MA,MA,MB,MB), got {tensor.shape}")
+        require_finite(tensor, "inter-species")
         self.tensor = tensor
 
     @property
@@ -181,57 +181,59 @@ def mixture_dot(u: MixtureStateVector, v: MixtureStateVector) -> complex:
 # -- term application --------------------------------------------------------
 
 
-def _apply_intra_term(side: str, ops, psi: MixtureStateVector, out: np.ndarray, coeff=1.0):
-    mat_in = psi.as_matrix()
-    mat_out = out.reshape(mat_in.shape)
-    if side == "A":
-        kernel.apply_term_ops(psi.mspace.space_a, ops, mat_in, out=mat_out, coeff=coeff, axis=0)
-    else:
-        kernel.apply_term_ops(psi.mspace.space_b, ops, mat_in, out=mat_out, coeff=coeff, axis=1)
+def _apply_terms(psi: MixtureStateVector, terms, workers: int = 1) -> MixtureStateVector:
+    """Sum of ``terms`` applied to ``psi``: one output buffer, J_A rows in fixed blocks.
 
-
-def _apply_inter_term(ops_a, ops_b, psi: MixtureStateVector, out: np.ndarray, coeff=1.0):
-    mspace = psi.mspace
-    src_a, pref_a, _, act_a = kernel.term_gather(mspace.space_a, ops_a)
-    src_b, pref_b, _, act_b = kernel.term_gather(mspace.space_b, ops_b)
-    if not act_a.size or not act_b.size:
-        return
+    A block applies intra-A terms to its own J_A rows, and intra-B and
+    inter-species terms to every J_B column of those rows.
+    """
+    space_a, space_b = psi.mspace.space_a, psi.mspace.space_b
+    space_a.tables()  # built here, so block threads never race to build them
+    space_b.tables()
     mat_in = psi.as_matrix()
-    mat_out = out.reshape(mat_in.shape)
-    gathered = mat_in[np.ix_(src_a[act_a], src_b[act_b])]
-    weight = pref_a[act_a][:, None] * pref_b[act_b][None, :]
-    mat_out[np.ix_(act_a, act_b)] += coeff * (weight * gathered)
+    mat_out = np.zeros_like(mat_in)
+
+    def run_block(lo, hi):
+        for side, ops, ops_b, coeff in terms:
+            if side == "A":
+                gather = kernel.term_gather(space_a, ops)
+                kernel.apply_gather(gather, mat_in, mat_out, coeff, lo, hi, axis=0)
+            elif side == "B":
+                gather = kernel.term_gather(space_b, ops)
+                kernel.apply_gather(gather, mat_in[lo:hi], mat_out[lo:hi], coeff, axis=1)
+            else:
+                src_a, pref_a, _, act_a = kernel.term_gather(space_a, ops)
+                src_b, pref_b, _, act_b = kernel.term_gather(space_b, ops_b)
+                rows = kernel.rows_in(act_a, lo, hi)
+                if rows.size and act_b.size:
+                    gathered = mat_in[np.ix_(src_a[rows], src_b[act_b])]
+                    weight = pref_a[rows][:, None] * pref_b[act_b][None, :]
+                    mat_out[np.ix_(rows, act_b)] += coeff * (weight * gathered)
+
+    kernel.run_row_blocks(run_block, space_a.n_conf, space_b.n_conf, workers)
+    return MixtureStateVector(psi.mspace, mat_out.ravel())
 
 
 def apply_one_body_term_a(k: int, q: int, psi: MixtureStateVector) -> MixtureStateVector:
-    out = np.zeros_like(psi.amplitudes)
-    _apply_intra_term("A", kernel.one_body_ops(k, q), psi, out)
-    return MixtureStateVector(psi.mspace, out)
+    return _apply_terms(psi, [("A", kernel.one_body_ops(k, q), None, 1.0)])
 
 
 def apply_one_body_term_b(k: int, q: int, psi: MixtureStateVector) -> MixtureStateVector:
-    out = np.zeros_like(psi.amplitudes)
-    _apply_intra_term("B", kernel.one_body_ops(k, q), psi, out)
-    return MixtureStateVector(psi.mspace, out)
+    return _apply_terms(psi, [("B", kernel.one_body_ops(k, q), None, 1.0)])
 
 
 def apply_two_body_term_a(k, s, l, q, psi: MixtureStateVector) -> MixtureStateVector:
-    out = np.zeros_like(psi.amplitudes)
-    _apply_intra_term("A", kernel.two_body_ops(k, s, l, q), psi, out)
-    return MixtureStateVector(psi.mspace, out)
+    return _apply_terms(psi, [("A", kernel.two_body_ops(k, s, l, q), None, 1.0)])
 
 
 def apply_two_body_term_b(k, s, l, q, psi: MixtureStateVector) -> MixtureStateVector:
-    out = np.zeros_like(psi.amplitudes)
-    _apply_intra_term("B", kernel.two_body_ops(k, s, l, q), psi, out)
-    return MixtureStateVector(psi.mspace, out)
+    return _apply_terms(psi, [("B", kernel.two_body_ops(k, s, l, q), None, 1.0)])
 
 
 def apply_inter_term(k: int, q: int, kp: int, qp: int, psi: MixtureStateVector) -> MixtureStateVector:
     """a†_k a_q b†_{k'} b_{q'} |Psi>."""
-    out = np.zeros_like(psi.amplitudes)
-    _apply_inter_term(kernel.one_body_ops(k, q), kernel.one_body_ops(kp, qp), psi, out)
-    return MixtureStateVector(psi.mspace, out)
+    term = ("X", kernel.one_body_ops(k, q), kernel.one_body_ops(kp, qp), 1.0)
+    return _apply_terms(psi, [term])
 
 
 def mixture_terms(mspec: MixtureHamiltonianSpec, skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD):
@@ -246,36 +248,13 @@ def mixture_terms(mspec: MixtureHamiltonianSpec, skip_threshold: float = kernel.
     return terms
 
 
-def eval_mixture_term(term, psi: MixtureStateVector, out: np.ndarray) -> None:
-    side, ops, ops_b, coeff = term
-    if side == "X":
-        _apply_inter_term(ops, ops_b, psi, out, coeff=coeff)
-    else:
-        _apply_intra_term(side, ops, psi, out, coeff=coeff)
-
-
-def _accumulate(psi: MixtureStateVector, terms, mapper: Callable = map) -> MixtureStateVector:
-    def eval_chunk(chunk, buf):
-        for t in chunk:
-            eval_mixture_term(t, psi, buf)
-
-    out = kernel.accumulate_chunks(
-        terms,
-        eval_chunk,
-        lambda: np.zeros(psi.mspace.n_conf_total, dtype=np.complex128),
-        out_bytes=psi.mspace.n_conf_total * 16,
-        mapper=mapper,
-    )
-    return MixtureStateVector(psi.mspace, out)
-
-
 def apply_intra_a(spec_a: HamiltonianSpec, psi: MixtureStateVector,
                   skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD) -> MixtureStateVector:
     """Apply the A-species Hamiltonian to the A index for every fixed J_B."""
     if spec_a.space != psi.mspace.space_a:
         raise SpaceMismatchError("A-species spec does not match the mixture space")
     terms = [("A", ops, None, c) for ops, c in kernel.hamiltonian_terms(spec_a, skip_threshold)]
-    return _accumulate(psi, terms)
+    return _apply_terms(psi, terms)
 
 
 def apply_intra_b(spec_b: HamiltonianSpec, psi: MixtureStateVector,
@@ -284,7 +263,7 @@ def apply_intra_b(spec_b: HamiltonianSpec, psi: MixtureStateVector,
     if spec_b.space != psi.mspace.space_b:
         raise SpaceMismatchError("B-species spec does not match the mixture space")
     terms = [("B", ops, None, c) for ops, c in kernel.hamiltonian_terms(spec_b, skip_threshold)]
-    return _accumulate(psi, terms)
+    return _apply_terms(psi, terms)
 
 
 def apply_inter(table: InterSpeciesTable, psi: MixtureStateVector,
@@ -296,19 +275,19 @@ def apply_inter(table: InterSpeciesTable, psi: MixtureStateVector,
         ("X", kernel.one_body_ops(k, q), kernel.one_body_ops(kp, qp), v)
         for k, q, kp, qp, v in table.entries(skip_threshold)
     ]
-    return _accumulate(psi, terms)
+    return _apply_terms(psi, terms)
 
 
 def apply_mixture_hamiltonian(
     mspec: MixtureHamiltonianSpec,
     psi: MixtureStateVector,
     skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD,
-    mapper: Callable = map,
+    workers: int = 1,
 ) -> MixtureStateVector:
     """H^{(A)}|Psi> + H^{(B)}|Psi> + W^{(AB)}|Psi> in one deterministic sweep."""
     if mspec.mspace != psi.mspace:
         raise SpaceMismatchError("mixture spec and state live in different spaces")
-    return _accumulate(psi, mixture_terms(mspec, skip_threshold), mapper=mapper)
+    return _apply_terms(psi, mixture_terms(mspec, skip_threshold), workers)
 
 
 def apply_mixture_parts(
@@ -348,12 +327,12 @@ def load_mixture_state(path) -> MixtureStateVector:
     with open(path, "rb") as fh:
         if fh.read(8) != _MIX_MAGIC:
             raise FockError(f"{path} is not a mixture vector file")
-        sa_b, sb_b, na, ma, nb, mb, total = struct.unpack("<BBQQQQQ", fh.read(42))
+        sa_b, sb_b, na, ma, nb, mb, total = struct.unpack("<BBQQQQQ", read_exact(fh, 42, path))
         mspace = MixtureSpace(
-            SpaceDescriptor(_BYTE_STAT[sa_b], na, ma),
-            SpaceDescriptor(_BYTE_STAT[sb_b], nb, mb),
+            SpaceDescriptor(statistics_of_byte(sa_b), na, ma),
+            SpaceDescriptor(statistics_of_byte(sb_b), nb, mb),
         )
         if mspace.n_conf_total != total:
             raise FockError("header dimension does not match the space")
-        amps = np.frombuffer(fh.read(16 * total), dtype="<c16").astype(np.complex128)
+        amps = np.frombuffer(read_exact(fh, 16 * total, path), dtype="<c16").astype(np.complex128)
     return MixtureStateVector(mspace, amps)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,21 +22,21 @@ from .mixtures import MixtureHamiltonianSpec, MixtureStateVector
 _BREAKDOWN_TOL = 1e-13
 
 
-def _operator(spec, mapper: Callable = map):
+def _operator(spec, workers: int = 1):
     """(matvec on raw arrays, wrap array -> state, dimension) for either spec kind."""
     if isinstance(spec, MixtureHamiltonianSpec):
         mspace = spec.mspace
 
         def matvec(arr):
             return mixtures.apply_mixture_hamiltonian(
-                spec, MixtureStateVector(mspace, arr), mapper=mapper
+                spec, MixtureStateVector(mspace, arr), workers=workers
             ).amplitudes
 
         return matvec, lambda arr: MixtureStateVector(mspace, arr), mspace.n_conf_total
     space = spec.space
 
     def matvec(arr):
-        return kernel.apply_hamiltonian(spec, StateVector(space, arr), mapper=mapper).amplitudes
+        return kernel.apply_hamiltonian(spec, StateVector(space, arr), workers=workers).amplitudes
 
     return matvec, lambda arr: StateVector(space, arr), space.n_conf
 
@@ -57,14 +57,14 @@ class GroundStateResult(NamedTuple):
 
 
 def ground_state(
-    spec, tol: float = 1e-10, max_iter: int = 300, seed: int = 0, mapper: Callable = map
+    spec, tol: float = 1e-10, max_iter: int = 300, seed: int = 0, workers: int = 1
 ) -> GroundStateResult:
     """Lowest eigenpair of H with residual ||H psi - E psi|| <= tol.
 
     Deterministic for a given seed.  Raises :class:`ConvergenceError` with
     the best residual if ``max_iter`` Krylov vectors do not suffice.
     """
-    matvec, wrap, dim = _operator(spec, mapper=mapper)
+    matvec, wrap, dim = _operator(spec, workers)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
@@ -198,7 +198,7 @@ def propagate(
     krylov_dim: int = 15,
     err_tol: float = 1e-9,
     store_states: bool = False,
-    mapper: Callable = map,
+    workers: int = 1,
 ) -> PropagationResult:
     """Propagate psi(t) = exp(-i H t) psi0 on the grid t = 0, dt, 2 dt, ..., t_final.
 
@@ -208,7 +208,7 @@ def propagate(
     """
     if dt <= 0 or t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
-    matvec, wrap, _ = _operator(spec, mapper=mapper)
+    matvec, wrap, _ = _operator(spec, workers)
     y = psi0.amplitudes.copy()
     n_steps = int(round(t_final / dt))
     times = [0.0]

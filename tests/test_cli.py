@@ -203,6 +203,23 @@ class TestProp:
         assert code == EXIT_OK
 
 
+    def test_prop_workers_give_identical_series_bytes(self, capsys, bose_hubbard_file, tmp_path,
+                                                      monkeypatch):
+        from fockops import kernel
+
+        monkeypatch.setattr(kernel, "BLOCK_AMPLITUDES", 2)  # several row blocks
+        outs = []
+        for w in ("1", "2"):
+            out_path = tmp_path / f"series{w}.csv"
+            code, _, _ = run_cli(
+                capsys, "prop", "--file", str(bose_hubbard_file), "--initial", "4,0",
+                "--t-final", "0.5", "--dt", "0.1", "--out", str(out_path), "--workers", w,
+            )
+            assert code == EXIT_OK
+            outs.append(out_path.read_bytes())
+        assert outs[0] == outs[1]
+
+
 class TestApply:
     def _write_vec(self, tmp_path, spec_text, literal):
         from fockops import basis_state, save_state
@@ -276,6 +293,66 @@ class TestApply:
             assert code == EXIT_OK
             outs.append(out_vec.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+def _one_line_error(err: str) -> bool:
+    return err.startswith("fockops: ") and err.count("\n") == 1
+
+
+class TestWorkerCountBoundary:
+    @pytest.mark.parametrize("flag", ["0", "-1"])
+    def test_flag_below_one(self, capsys, bose_hubbard_file, flag):
+        code, _, err = run_cli(capsys, "gs", "--file", str(bose_hubbard_file), "--workers", flag)
+        assert code == EXIT_USAGE
+        assert _one_line_error(err)
+
+    @pytest.mark.parametrize("env", ["abc", "0"])
+    def test_bad_environment_value(self, capsys, bose_hubbard_file, monkeypatch, env):
+        monkeypatch.setenv("FOCK_WORKERS", env)
+        code, _, err = run_cli(capsys, "gs", "--file", str(bose_hubbard_file))
+        assert code == EXIT_USAGE
+        assert _one_line_error(err)
+
+
+_MIX_INTS = "STATISTICS MIX FERMION BOSON\nNA 1\nMA 2\nNB 1\nMB 2\nHA 1 2 -1.0\nHA 2 1 -1.0\n"
+
+
+class TestVectorFileBoundary:
+    def _apply(self, capsys, tmp_path, ints_text, vec_bytes):
+        ints = tmp_path / "h.ints"
+        ints.write_text(ints_text)
+        vec = tmp_path / "in.vec"
+        vec.write_bytes(vec_bytes)
+        return run_cli(capsys, "apply", "--file", str(ints), "--in", str(vec))
+
+    def test_truncated_fockvec_header(self, capsys, tmp_path):
+        code, _, err = self._apply(capsys, tmp_path, "STATISTICS BOSON\nN 2\nM 2\n",
+                                   b"FOCKVEC1\x01" + b"\0" * 10)
+        assert code == EXIT_PARSE
+        assert _one_line_error(err)
+
+    def test_truncated_fockmix_header(self, capsys, tmp_path):
+        code, _, err = self._apply(capsys, tmp_path, _MIX_INTS, b"FOCKMIX1\x00\x01" + b"\0" * 7)
+        assert code == EXIT_PARSE
+        assert _one_line_error(err)
+
+    def test_unknown_mixture_statistics_byte(self, capsys, tmp_path):
+        import struct
+
+        header = b"FOCKMIX1" + struct.pack("<BBQQQQQ", 0, 7, 1, 2, 1, 2, 4)
+        code, _, err = self._apply(capsys, tmp_path, _MIX_INTS, header + b"\0" * 64)
+        assert code == EXIT_PARSE
+        assert _one_line_error(err)
+        assert "statistics byte 7" in err
+
+
+def test_non_finite_coefficient_is_parse_error(capsys, tmp_path):
+    bad = tmp_path / "nan.ints"
+    bad.write_text("STATISTICS BOSON\nN 2\nM 2\nH 1 2 nan\n")
+    code, _, err = run_cli(capsys, "gs", "--file", str(bad))
+    assert code == EXIT_PARSE
+    assert _one_line_error(err)
+    assert "line 4" in err
 
 
 def test_console_entry_point_runs():

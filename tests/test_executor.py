@@ -1,20 +1,25 @@
-"""Bitwise determinism of the term-parallel executor."""
+"""Bitwise determinism of the row-block executor."""
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from fockops import (
+    MixtureSpace,
     SpaceDescriptor,
     apply_hamiltonian,
-    energy,
+    build_dense,
+    fockspace,
+    kernel,
+    load_integrals,
     mixture_random_state,
-    one_body_density,
     parallel_apply,
-    parallel_densities,
     random_state,
     resolve_workers,
-    term_partition,
-    two_body_density,
+    save_integrals,
 )
 from fockops.executor import WORKERS_ENV
 from conftest import (
@@ -74,50 +79,85 @@ class TestBitwiseDeterminism:
         np.testing.assert_array_equal(a, b)
 
 
-class TestPartition:
-    @pytest.mark.parametrize("workers", [1, 2, 4, 8, 16])
-    def test_complete_and_disjoint(self, workers):
-        space = SpaceDescriptor.boson(3, 4)
-        spec = random_hermitian_spec(space, seed=7)
-        groups = term_partition(spec, workers=workers)
-        assert len(groups) <= workers
-        from fockops.kernel import hamiltonian_terms
-
-        all_terms = hamiltonian_terms(spec)
-        seen = [t for g in groups for t in g]
-        assert len(seen) == len(all_terms)
-        key = lambda t: (t[0], complex(t[1]).real, complex(t[1]).imag)
-        assert sorted(map(key, seen)) == sorted(map(key, all_terms))
-
-    def test_every_element_owned_once(self):
-        space = SpaceDescriptor.boson(2, 3)
-        spec = random_hermitian_spec(space, seed=8)
-        groups = term_partition(spec, workers=3)
-        ops_seen = [t[0] for g in groups for t in g]
-        assert len(ops_seen) == len(set(ops_seen))
+def _fresh_spec_and_state(tmp_path, space):
+    """A freshly parsed spec, whose spaces have no tables yet, and a state for it."""
+    path = tmp_path / "h.ints"
+    if isinstance(space, MixtureSpace):
+        save_integrals(random_mixture_spec(space, seed=13), path)
+        spec = load_integrals(path)
+        return spec, mixture_random_state(spec.mspace, seed=14), [spec.mspace.space_a, spec.mspace.space_b]
+    save_integrals(random_hermitian_spec(space, seed=13), path)
+    spec = load_integrals(path)
+    return spec, random_state(spec.space, seed=14), [spec.space]
 
 
-def test_benchmark_apply_reports_timings():
-    from fockops.executor import benchmark_apply
+class TestRowBlocks:
+    """Several blocks per vector: the block size is patched down to a few rows."""
 
-    space = SpaceDescriptor.boson(3, 3)
-    spec = random_hermitian_spec(space, seed=11)
-    psi = random_state(space, seed=12)
-    report = benchmark_apply(spec, psi, worker_counts=(1, 2), repeats=1)
-    assert set(report) == {1, 2}
-    assert all(t > 0 for t in report.values())
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernel, "BLOCK_AMPLITUDES", 7)
+
+    @pytest.mark.parametrize(
+        "space", [suite_single_spaces()[0], suite_single_spaces()[2], suite_mixture_spaces()[2]],
+        ids=str,
+    )
+    def test_workers_bitwise_identical_and_match_oracle(self, space):
+        if isinstance(space, MixtureSpace):
+            spec = random_mixture_spec(space, seed=21)
+            psi = mixture_random_state(space, seed=22)
+        else:
+            spec = random_hermitian_spec(space, seed=21)
+            psi = random_state(space, seed=22)
+        ref = parallel_apply(spec, psi, workers=1).amplitudes
+        for w in (2, 4):
+            np.testing.assert_array_equal(parallel_apply(spec, psi, workers=w).amplitudes, ref)
+        dense = build_dense(spec) @ psi.amplitudes
+        assert np.linalg.norm(ref - dense) / np.linalg.norm(dense) <= 1e-12
+
+    @pytest.mark.parametrize("space", [suite_single_spaces()[0], suite_mixture_spaces()[2]], ids=str)
+    def test_tables_built_once_per_space(self, tmp_path, monkeypatch, space):
+        built = []
+        init = fockspace.SpaceTables.__init__
+
+        def slow_init(self, space):
+            built.append(space)
+            time.sleep(0.05)  # widens the window in which a second thread could also build
+            init(self, space)
+
+        monkeypatch.setattr(fockspace.SpaceTables, "__init__", slow_init)
+        spec, psi, spaces = _fresh_spec_and_state(tmp_path, space)
+        parallel_apply(spec, psi, workers=2)
+        assert sorted(map(repr, built)) == sorted(map(repr, spaces))
 
 
-class TestParallelDensities:
-    def test_matches_serial_observables_bitwise(self):
-        space = SpaceDescriptor.fermion(2, 4)
-        spec = random_hermitian_spec(space, seed=9)
-        psi = random_state(space, seed=10)
-        rho_ref = one_body_density(psi)
-        rho2_ref = two_body_density(psi)
-        e_ref = energy(spec, psi)
-        for w in (1, 2, 4):
-            rho, rho2, e = parallel_densities(spec, psi, workers=w)
-            np.testing.assert_array_equal(rho, rho_ref)
-            np.testing.assert_array_equal(rho2, rho2_ref)
-            assert e == e_ref
+def test_gather_cache_accounting_under_threads():
+    """Threads that miss the same keys at once store and count each gather once."""
+    tables = SpaceDescriptor.boson(2, 3).tables()
+    keys = [(("a", p), ("c", p)) for p in range(1, 4)] + [(("a", 1), ("a", 2), ("c", 2), ("c", 1))]
+    barrier = threading.Barrier(8)
+
+    def build():
+        time.sleep(0.001)
+        return (np.zeros(5), np.ones(5), np.ones(5, dtype=bool), np.arange(5))
+
+    def worker():
+        barrier.wait(timeout=10)
+        for key in keys:
+            tables.cached_gather(key, build)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for pool, n_keys in (("pair", 3), ("other", 1)):
+        stored = [v for k, v in tables._gather_cache.items() if (len(k) == 2) == (pool == "pair")]
+        assert len(stored) == n_keys
+        assert tables._gather_cache_bytes[pool] == sum(a.nbytes for v in stored for a in v)

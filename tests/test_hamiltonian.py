@@ -118,6 +118,21 @@ class TestIntegralFile:
             load_integrals(path)
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("record", ["H 1 2 nan", "H 1 2 1.0 inf", "W 1 2 1 2 -inf"])
+    def test_non_finite_coefficient_rejected(self, tmp_path, record):
+        path = tmp_path / "nan.ints"
+        path.write_text(f"STATISTICS BOSON\nN 2\nM 2\nH 1 1 1.0\n{record}\n")
+        with pytest.raises(IntegralFormatError) as exc:
+            load_integrals(path)
+        assert exc.value.line == 5
+
+    def test_non_finite_mixture_coefficient_rejected(self, tmp_path):
+        path = tmp_path / "nan.ints"
+        path.write_text("STATISTICS MIX BOSON BOSON\nNA 1\nMA 2\nNB 1\nMB 2\nX 1 1 1 1 nan\n")
+        with pytest.raises(IntegralFormatError) as exc:
+            load_integrals(path)
+        assert exc.value.line == 6
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad4.ints"
         path.write_text("N 2\nM 2\n")
@@ -135,6 +150,29 @@ class TestIntegralFile:
         np.testing.assert_array_equal(back.spec_a.one_body.matrix, mspec.spec_a.one_body.matrix)
         np.testing.assert_array_equal(back.spec_b.two_body.to_dense(), mspec.spec_b.two_body.to_dense())
         np.testing.assert_array_equal(back.inter.tensor, mspec.inter.tensor)
+
+
+class TestNonFiniteTables:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_constructors_reject(self, bad):
+        from fockops import InterSpeciesTable
+
+        h = np.zeros((2, 2), dtype=np.complex128)
+        h[0, 1] = bad
+        with pytest.raises(ValidationError):
+            OneBodyTable(h)
+        w = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+        w[1, 0, 1, 0] = bad
+        with pytest.raises(ValidationError):
+            TwoBodyTable.from_dense(w)
+        with pytest.raises(ValidationError):
+            InterSpeciesTable(w)
+        with pytest.raises(ValidationError):
+            TwoBodyTable.from_entries(2, [(1, 2, 1, 2, bad)])
+        with pytest.raises(ValidationError):
+            TwoBodyTable.from_entries(40, [(1, 2, 1, 2, bad)])
+        with pytest.raises(ValidationError):
+            TwoBodyTable.zeros(2).set(1, 1, 1, 1, bad)
 
 
 class TestSparseTwoBody:
