@@ -25,6 +25,7 @@ from .errors import (
     InvalidSpaceError,
     SizeError,
     StepFailureError,
+    ValidationError,
     WorkerCountError,
 )
 from .fockspace import (
@@ -34,7 +35,7 @@ from .fockspace import (
     load_state,
     save_state,
 )
-from .hamiltonian import load_integrals
+from .hamiltonian import HERMITICITY_TOL, load_integrals, validate
 from .mixtures import (
     MixtureHamiltonianSpec,
     MixtureStateVector,
@@ -131,21 +132,11 @@ def cmd_enum(args) -> int:
         holes = _parse_csv_ints(args.holes)
         lines.append(str(cmb.fermion_rank(holes, space)))
     if args.occ is not None:
-        occ = _parse_csv_ints(args.occ)
-        if statistics == FERMION:
-            occ = cmb.validate_occupations(occ, space.n, space.m, fermionic=True)
-            lines.append(str(cmb.fermion_rank(cmb.occupations_to_holes(occ), space)))
-        else:
-            lines.append(str(cmb.boson_rank(occ, space)))
+        lines.append(str(_rank_occupations(space, _parse_csv_ints(args.occ))))
     if args.bits is not None:
         if any(c not in "01" for c in args.bits):
             raise InvalidConfigurationError(f"bit string must be 0/1, got {args.bits!r}")
-        occ = [int(c) for c in args.bits]
-        if statistics == FERMION:
-            occ = cmb.validate_occupations(occ, space.n, space.m, fermionic=True)
-            lines.append(str(cmb.fermion_rank(cmb.occupations_to_holes(occ), space)))
-        else:
-            lines.append(str(cmb.boson_rank(occ, space)))
+        lines.append(str(_rank_occupations(space, [int(c) for c in args.bits])))
     if args.J is not None:
         lines.append(f"{args.J} {_config_string(space, args.J)}")
     if args.all:
@@ -193,15 +184,7 @@ def _resolve_initial(spec, text: str):
     import os
 
     if os.path.exists(text):
-        if isinstance(spec, MixtureHamiltonianSpec):
-            psi = load_mixture_state(text)
-            if psi.mspace != spec.mspace:
-                raise FockError("initial vector does not match the integral file's space")
-        else:
-            psi = load_state(text)
-            if psi.space != spec.space:
-                raise FockError("initial vector does not match the integral file's space")
-        return psi
+        return _load_vector(spec, text)
     if isinstance(spec, MixtureHamiltonianSpec):
         parts = text.split(";")
         if len(parts) != 2:
@@ -214,14 +197,27 @@ def _resolve_initial(spec, text: str):
 
 def _literal_to_address(space: SpaceDescriptor, text: str) -> int:
     text = text.strip()
-    if "," in text:
-        occ = _parse_csv_ints(text)
-    else:
-        occ = [int(c) for c in text]
+    return _rank_occupations(space, _parse_csv_ints(text) if "," in text else [int(c) for c in text])
+
+
+def _rank_occupations(space: SpaceDescriptor, occ) -> int:
     if space.statistics == FERMION:
-        return cmb.fermion_rank(cmb.occupations_to_holes(
-            cmb.validate_occupations(occ, space.n, space.m, fermionic=True)), space)
+        occ = cmb.validate_occupations(occ, space.n, space.m, fermionic=True)
+        return cmb.fermion_rank(cmb.occupations_to_holes(occ), space)
     return cmb.boson_rank(occ, space)
+
+
+def _load_vector(spec, path):
+    """A vector file for ``spec``'s space (single species or mixture)."""
+    mix = isinstance(spec, MixtureHamiltonianSpec)
+    psi = load_mixture_state(path) if mix else load_state(path)
+    if psi.space != spec.space:
+        raise FockError(f"{path}: vector space does not match the integral file")
+    return psi
+
+
+def _save_vector(psi, path) -> None:
+    (save_mixture_state if isinstance(psi, MixtureStateVector) else save_state)(psi, path)
 
 
 def _emit(args, text: str) -> None:
@@ -234,8 +230,24 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _require_hermitian(spec) -> None:
+    """Refuse a Hamiltonian that is not self-adjoint before any solve (exit 2, one line)."""
+    mix = isinstance(spec, MixtureHamiltonianSpec)
+    checks = []
+    for label, part in [("A ", spec.spec_a), ("B ", spec.spec_b)] if mix else [("", spec)]:
+        report = validate(part)
+        checks.append((f"{label}one-body table h[k,q]", report.one_body_deviation, report.one_body_worst))
+        checks.append((f"{label}two-body table W[k,s,q,l]", report.two_body_deviation, report.two_body_worst))
+    if mix:
+        checks.append(("inter-species table X[k,q,k',q']", *spec.inter.hermiticity()))
+    for what, dev, worst in checks:
+        if dev > HERMITICITY_TOL:
+            raise ValidationError(f"{what} is not self-adjoint: deviation {dev:.3e} at index {worst}")
+
+
 def cmd_gs(args) -> int:
     spec = load_integrals(args.file)
+    _require_hermitian(spec)
     workers = executor.resolve_workers(args.workers)
     result = solvers.ground_state(
         spec, tol=args.tol, max_iter=args.max_iter, seed=args.seed, workers=workers
@@ -273,6 +285,7 @@ def cmd_gs(args) -> int:
 
 def cmd_prop(args) -> int:
     spec = load_integrals(args.file)
+    _require_hermitian(spec)
     workers = executor.resolve_workers(args.workers)
     psi0 = _resolve_initial(spec, args.initial)
     result = solvers.propagate(
@@ -297,30 +310,17 @@ def cmd_prop(args) -> int:
     else:
         solvers.write_series_csv(result, sys.stdout, oracle_deviation=deviation)
     if args.save_state:
-        if isinstance(result.final_state, MixtureStateVector):
-            save_mixture_state(result.final_state, args.save_state)
-        else:
-            save_state(result.final_state, args.save_state)
+        _save_vector(result.final_state, args.save_state)
     return EXIT_OK
 
 
 def cmd_apply(args) -> int:
     spec = load_integrals(args.file)
     workers = executor.resolve_workers(args.workers)
-    if isinstance(spec, MixtureHamiltonianSpec):
-        psi = load_mixture_state(args.infile)
-        if psi.mspace != spec.mspace:
-            raise FockError("vector space does not match the integral file")
-    else:
-        psi = load_state(args.infile)
-        if psi.space != spec.space:
-            raise FockError("vector space does not match the integral file")
+    psi = _load_vector(spec, args.infile)
     hpsi = executor.parallel_apply(spec, psi, workers=workers)
     if args.out:
-        if isinstance(hpsi, MixtureStateVector):
-            save_mixture_state(hpsi, args.out)
-        else:
-            save_state(hpsi, args.out)
+        _save_vector(hpsi, args.out)
     expectation = complex(np.vdot(psi.amplitudes, hpsi.amplitudes))
     report = {
         "format": "fockops-apply/1",

@@ -82,6 +82,13 @@ def space_dimension(statistics: str, n: int, m: int) -> int:
     return math.comb(n + m - 1, n)
 
 
+def table_bounds(statistics: str, n: int, m: int) -> tuple[int, int]:
+    """(a_max, b_max) of the binomial table a space's address bijection needs."""
+    if statistics == FERMION:
+        return m, max(m - n, 1)
+    return n + m, max(m - 1, 1)
+
+
 def _check_space(statistics: str, n: int, m: int) -> None:
     if statistics not in (FERMION, BOSON):
         raise InvalidSpaceError(f"unknown statistics {statistics!r}")

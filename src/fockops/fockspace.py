@@ -9,6 +9,7 @@ are dense complex arrays indexed by address J (array slot J - 1).
 from __future__ import annotations
 
 import json
+import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import combinadics as cmb
 from .combinadics import BOSON, FERMION, BinomialTable
-from .errors import AddressError, FockError, SpaceMismatchError
+from .errors import AddressError, FockError, InvalidSpaceError, SpaceMismatchError
 
 _VEC_MAGIC = b"FOCKVEC1"
 _STAT_BYTE = {FERMION: 0, BOSON: 1}
@@ -55,11 +56,7 @@ class SpaceDescriptor:
         self.n = int(n)
         self.m = int(m)
         self.n_conf = cmb.space_dimension(statistics, n, m)
-        if statistics == FERMION:
-            a_max, b_max = self.m, max(self.m - self.n, 1)
-        else:
-            a_max, b_max = self.n + self.m, max(self.m - 1, 1)
-        self.binomials = BinomialTable(a_max, b_max)
+        self.binomials = BinomialTable(*cmb.table_bounds(statistics, self.n, self.m))
         self._tables = None
 
     @classmethod
@@ -191,29 +188,25 @@ class SpaceTables:
                 self.addr_val = np.empty((r, 0), dtype=np.int64)
         self.occ = occ
         self._gather_cache: dict = {}
-        self._gather_cache_bytes = {"pair": 0, "other": 0}
+        self._gather_cache_bytes = 0
         self._gather_lock = threading.Lock()
 
-    # gathers are pure; the cache only avoids recomputation.  One-body
-    # (pair) gathers get their own budget because two-body gathers are
-    # composed from them.
+    # gathers are pure; the cache only avoids recomputation
     _GATHER_CACHE_LIMIT = 1 << 26
 
     def cached_gather(self, key, build):
         hit = self._gather_cache.get(key)
         if hit is not None:
             return hit
-        # built outside the lock: two-body builds look up one-body gathers
         val = build()
-        pool = "pair" if len(key) == 2 else "other"
         size = sum(a.nbytes for a in val)
         with self._gather_lock:  # threads that miss the same key insert and count it once
             hit = self._gather_cache.get(key)
             if hit is not None:
                 return hit
-            if self._gather_cache_bytes[pool] + size <= self._GATHER_CACHE_LIMIT:
+            if self._gather_cache_bytes + size <= self._GATHER_CACHE_LIMIT:
                 self._gather_cache[key] = val
-                self._gather_cache_bytes[pool] += size
+                self._gather_cache_bytes += size
         return val
 
 
@@ -329,17 +322,45 @@ def statistics_of_byte(stat_b: int) -> str:
     return _BYTE_STAT[stat_b]
 
 
+def check_payload(fh, n_amplitudes: int, path) -> None:
+    """FockError unless exactly ``n_amplitudes`` complex128 values remain in the open file."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if 16 * n_amplitudes != left:
+        raise FockError(f"{path}: header promises {n_amplitudes} amplitudes, file holds {left} bytes")
+
+
+MAX_HEADER_TABLE = 1 << 20  # binomial-table entries a file may ask for beyond its amplitude count
+
+
+def header_space(statistics, n, m, n_amplitudes: int, path, exact: bool = True) -> SpaceDescriptor:
+    """The space a vector file names, checked against the ``n_amplitudes`` it holds.
+
+    An invalid space, one whose binomial table would exceed both
+    ``n_amplitudes`` and :data:`MAX_HEADER_TABLE` entries, or (if ``exact``)
+    one of another dimension raises FockError before any table is built.
+    """
+    try:
+        cmb._check_space(statistics, n, m)
+    except InvalidSpaceError as exc:
+        raise FockError(f"{path}: {exc}") from None
+    a_max, b_max = cmb.table_bounds(statistics, n, m)
+    if (a_max + 1) * (b_max + 1) > max(n_amplitudes, MAX_HEADER_TABLE):
+        raise FockError(f"{path}: space N={n}, M={m} is too large for {n_amplitudes} amplitudes")
+    space = SpaceDescriptor(statistics, n, m)
+    if exact and space.n_conf != n_amplitudes:
+        raise FockError(f"{path}: {n_amplitudes} amplitudes for a space of N_conf={space.n_conf}")
+    return space
+
+
 def load_state(path) -> StateVector:
     """Read a state vector written by :func:`save_state` (either format)."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if head == _VEC_MAGIC:
             stat_b, n, m, n_conf = struct.unpack("<BQQQ", read_exact(fh, 25, path))
-            space = SpaceDescriptor(statistics_of_byte(stat_b), n, m)
-            if space.n_conf != n_conf:
-                raise FockError(
-                    f"header N_conf={n_conf} does not match space dimension {space.n_conf}"
-                )
+            statistics = statistics_of_byte(stat_b)
+            check_payload(fh, n_conf, path)
+            space = header_space(statistics, n, m, n_conf, path)
             raw = read_exact(fh, 16 * n_conf, path)
             amps = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
             return StateVector(space, amps)
@@ -348,8 +369,16 @@ def load_state(path) -> StateVector:
             doc = json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FockError(f"{path} is neither a FOCKVEC1 binary nor a JSON vector") from exc
-    if doc.get("format") != "fockvec/1":
+    if not isinstance(doc, dict) or doc.get("format") != "fockvec/1":
         raise FockError(f"unrecognized vector file {path}")
-    space = SpaceDescriptor(doc["statistics"], doc["N"], doc["M"])
-    amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    return StateVector(space, amps)
+    n, m, statistics, amps = (doc.get(key) for key in ("N", "M", "statistics", "amplitudes"))
+    if not (type(n) is int and type(m) is int and isinstance(statistics, str) and isinstance(amps, list)):
+        raise FockError(f"{path}: a fockvec/1 vector needs integer N and M, "
+                        f"a statistics name and an amplitude list")
+    try:
+        pairs = np.array(amps, dtype=np.float64)
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or pairs.shape != (len(amps), 2):
+        raise FockError(f"{path}: amplitudes must be [re, im] number pairs")
+    return StateVector(header_space(statistics, n, m, len(amps), path), pairs.view(np.complex128)[:, 0])

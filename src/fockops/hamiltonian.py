@@ -48,14 +48,15 @@ class OneBodyTable:
     def get(self, k: int, q: int) -> complex:
         return complex(self.matrix[k - 1, q - 1])
 
+    def kept(self, threshold: float = 0.0) -> np.ndarray:
+        """A copy of the matrix with the entries below ``threshold`` set to zero."""
+        return np.where(np.abs(self.matrix) >= threshold, self.matrix, 0)
+
     def entries(self, threshold: float = 0.0) -> Iterator[tuple[int, int, complex]]:
         """(k, q, value) for nonzero values with |value| >= threshold, row-major, 1-based."""
-        for k in range(1, self.m + 1):
-            row = self.matrix[k - 1]
-            for q in range(1, self.m + 1):
-                v = row[q - 1]
-                if v != 0 and abs(v) >= threshold:
-                    yield k, q, complex(v)
+        kept = self.kept(threshold)
+        for k0, q0 in np.argwhere(kept):
+            yield int(k0) + 1, int(q0) + 1, complex(kept[k0, q0])
 
 
 class TwoBodyTable:
@@ -133,23 +134,29 @@ class TwoBodyTable:
         require_finite(value, "two-body")
         self.dense[k - 1, s - 1, q - 1, l - 1] = value
 
-    def entries(self, threshold: float = 0.0) -> Iterator[tuple[int, int, int, int, complex]]:
-        """(k, s, q, l, value) in storage order, nonzero with |value| >= threshold."""
+    def kept(self, threshold: float = 0.0):
+        """0-based index arrays (k, s, q, l) and values of the nonzero entries with |value| >= threshold.
+
+        Entries come in storage order; no dense M^4 array is built for a coordinate list.
+        """
         if self.dense is not None:
             keep = (self.dense != 0) & (np.abs(self.dense) >= threshold)
-            for k0, s0, q0, l0 in np.argwhere(keep):
-                yield k0 + 1, s0 + 1, q0 + 1, l0 + 1, complex(self.dense[k0, s0, q0, l0])
-        else:
-            for (k0, s0, q0, l0), v in zip(self.indices, self.values):
-                if v != 0 and abs(v) >= threshold:
-                    yield int(k0) + 1, int(s0) + 1, int(q0) + 1, int(l0) + 1, complex(v)
+            return np.nonzero(keep), self.dense[keep]
+        keep = (self.values != 0) & (np.abs(self.values) >= threshold)
+        return tuple(self.indices[keep].T), self.values[keep]
+
+    def entries(self, threshold: float = 0.0) -> Iterator[tuple[int, int, int, int, complex]]:
+        """(k, s, q, l, value) in storage order, nonzero with |value| >= threshold."""
+        idx, values = self.kept(threshold)
+        for k0, s0, q0, l0, v in zip(*idx, values):
+            yield int(k0) + 1, int(s0) + 1, int(q0) + 1, int(l0) + 1, complex(v)
 
     def to_dense(self) -> np.ndarray:
         if self.dense is not None:
             return self.dense
         out = np.zeros((self.m,) * 4, dtype=np.complex128)
-        for k, s, q, l, v in self.entries():
-            out[k - 1, s - 1, q - 1, l - 1] = v
+        idx, values = self.kept()
+        out[idx] = values
         return out
 
 
@@ -185,30 +192,33 @@ class ValidationReport:
         return self.hermitian_one_body and self.self_adjoint_two_body
 
 
+def largest_deviation(dev: np.ndarray, coords) -> tuple[float, Optional[tuple[int, ...]]]:
+    """Largest entry of ``dev`` and its 1-based index taken from the arrays ``coords``."""
+    if not dev.size:
+        return 0.0, None
+    i = int(np.argmax(dev))
+    return float(dev[i]), tuple(int(c[i]) + 1 for c in coords)
+
+
 def validate(spec: HamiltonianSpec, tol: float = HERMITICITY_TOL) -> ValidationReport:
     """Report hermiticity of h and self-adjointness of the two-body sum.
 
     The two-body condition under the locked pairing is
-    W[k, s, q, l] = conj(W[q, l, k, s]).
+    W[k, s, q, l] = conj(W[q, l, k, s]); coordinate-list tables are checked
+    without forming the dense tensor.
     """
     h = spec.one_body.matrix
-    dev1 = np.abs(h - h.conj().T)
-    worst1 = None
-    max1 = 0.0
-    if dev1.size:
-        flat = int(np.argmax(dev1))
-        k0, q0 = np.unravel_index(flat, dev1.shape)
-        max1 = float(dev1[k0, q0])
-        worst1 = (int(k0) + 1, int(q0) + 1)
-    w = spec.two_body.to_dense()
-    dev2 = np.abs(w - np.conj(np.transpose(w, (2, 3, 0, 1))))
-    worst2 = None
-    max2 = 0.0
-    if dev2.size:
-        flat = int(np.argmax(dev2))
-        idx = np.unravel_index(flat, dev2.shape)
-        max2 = float(dev2[idx])
-        worst2 = tuple(int(i) + 1 for i in idx)
+    max1, worst1 = largest_deviation(np.abs(h - h.conj().T).ravel(), np.indices(h.shape).reshape(2, -1))
+    # each stored entry against conj of its partner, looked up among the stored
+    # coordinates; an absent partner deviates as much as the entry that names it
+    w = spec.two_body
+    (k, s, q, l), v = w.kept()
+    key = np.ravel_multi_index((k, s, q, l), (w.m,) * 4)
+    partner = np.ravel_multi_index((q, l, k, s), (w.m,) * 4)
+    order = np.argsort(key)
+    at = order[np.searchsorted(key, partner, sorter=order).clip(max=key.size - 1)]
+    mirror = np.where(key[at] == partner, v[at], 0)
+    max2, worst2 = largest_deviation(np.abs(v - np.conj(mirror)), (k, s, q, l))
     return ValidationReport(
         hermitian_one_body=max1 <= tol,
         one_body_deviation=max1,

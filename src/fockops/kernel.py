@@ -13,29 +13,37 @@ is obtained by shifting the combinadic rank terms of the affected orbitals.
 Index-coincidence cases (k = q, k = s, ...) are defined by this sequential
 elementary construction, which makes every term total; for pairwise
 distinct indices it reproduces the closed-form sign (-1)^{d} between-counts
-and sqrt(n) weights exactly.  Two-body gathers with distinct create/
-annihilate pairs are composed from the cached one-body gathers, which is
-an exact operator identity (b†_k b†_s b_l b_q = b†_s b_l b†_k b_q for
-l != k).
+and sqrt(n) weights exactly.
 
-Sums of terms (the Hamiltonian) are partitioned by output rows, not by
-terms: one zeroed output buffer is cut into fixed blocks of rows, and each
-block applies every term in canonical order to its own rows.  No amplitude
-is summed across blocks, so there is no reduction; a worker count only
-decides which thread computes which whole blocks, and every amplitude is
-summed in the same order for any worker count (bitwise identical results).
+H|psi> never loops over two-body terms.  With E_kq = b†_k b_q, the identity
+b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl (both statistics) gives the
+direct-CI factorization of Knowles & Handy (Chem. Phys. Lett. 111, 315,
+1984) and Olsen et al. (J. Chem. Phys. 89, 2185, 1988), formed on every
+call from the entries at or above the skip threshold (:func:`factor_species`):
+
+    H psi = d * psi + sum_p h'_p E_p psi + sum_r E_r chi_r,
+    chi = Wm[rows, cols] @ phi,   phi_c = E_c psi.
+
+Each one-body gather is fetched once per apply.  The output is cut into
+fixed blocks of rows that do not depend on the worker count: each block
+first computes phi and chi for its own rows, then sums d * psi and the
+sweeps into its own rows.  No amplitude is summed across blocks, so a
+worker count only decides which thread computes which whole blocks, and
+every amplitude is summed in the same order for any worker count (bitwise
+identical results).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .combinadics import FERMION
 from .errors import FockError, SpaceMismatchError
 from .fockspace import FermionConfig, SpaceDescriptor, StateVector
+from .hamiltonian import TwoBodyTable
 
 DEFAULT_SKIP_THRESHOLD = 1e-15
 
@@ -86,15 +94,7 @@ def term_gather(space: SpaceDescriptor, ops: Ops):
 
 
 def _build_gather(space, tb, ops):
-    if len(ops) == 4 and ops[1][1] != ops[3][1]:
-        # b†_s b_l applied after b†_k b_q equals the canonical order for l != k
-        (_, q), (_, l), (_, s), (_, k) = ops
-        src1, pref1, mask1, _ = term_gather(space, one_body_ops(k, q))
-        src2, pref2, mask2, _ = term_gather(space, one_body_ops(s, l))
-        src = src1[src2]
-        pref = pref2 * pref1[src2]
-        mask = mask2 & mask1[src2]
-    elif space.statistics == FERMION:
+    if space.statistics == FERMION:
         src, pref, mask = _fermion_gather(space, tb, ops)
     else:
         src, pref, mask = _boson_gather(space, tb, ops)
@@ -179,24 +179,24 @@ def _boson_gather(space, tb, ops):
     return np.arange(r, dtype=np.int64) + jdelta, pref, mask
 
 
-def apply_gather(gather, amps: np.ndarray, out: np.ndarray, coeff: complex = 1.0,
-                 lo: int = 0, hi: int | None = None, axis: int = -1) -> None:
-    """Add coeff * (gathered term) into ``out`` on output rows lo <= r < hi along ``axis``.
+def sweep(gather, axis: int, amps: np.ndarray, out: np.ndarray, lo: int, hi: int,
+          coeff: complex = 1.0) -> None:
+    """Add coeff * (term acting on ``amps``) rows lo..hi-1 into ``out``, which holds only those rows.
 
-    ``gather`` is a :func:`term_gather` tuple; ``hi=None`` means every row.
+    ``amps`` is an amplitude vector or matrix and ``gather`` a
+    :func:`term_gather` tuple acting along ``axis``: along axis 0 the term
+    reads source rows anywhere in ``amps``; along axis 1 (matrices only) it
+    re-addresses columns within the same rows.
     """
     src, pref, _, act = gather
-    rows = act if hi is None else rows_in(act, lo, hi)
-    if rows.size:
-        amps_m = amps.swapaxes(axis, -1)
-        out_m = out.swapaxes(axis, -1)
-        out_m[..., rows] += coeff * (pref[rows] * amps_m[..., src[rows]])
-
-
-def rows_in(act: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The entries of the sorted row list ``act`` that lie in [lo, hi)."""
-    i, j = act.searchsorted((lo, hi))
-    return act[i:j]
+    if axis == 0:
+        i, j = act.searchsorted((lo, hi))
+        rows = act[i:j]
+        if rows.size:
+            weight = (coeff * pref[rows]).reshape((-1,) + (1,) * (amps.ndim - 1))
+            out[rows - lo] += weight * amps[src[rows]]
+    elif act.size:
+        out[:, act] += (coeff * pref[act]) * amps[lo:hi, src[act]]
 
 
 def apply_term_ops(
@@ -210,7 +210,7 @@ def apply_term_ops(
     """Accumulate coeff * (term acting on ``amps``) into ``out`` along ``axis``."""
     if out is None:
         out = np.zeros_like(amps, dtype=np.complex128)
-    apply_gather(term_gather(space, ops), amps, out, coeff, axis=axis)
+    sweep(term_gather(space, ops), axis % amps.ndim, amps, out, 0, amps.shape[0], coeff)
     return out
 
 
@@ -270,15 +270,127 @@ def hamiltonian_terms(spec, skip_threshold: float = DEFAULT_SKIP_THRESHOLD) -> l
     return terms
 
 
-def _apply_term_list(space, terms, amps, workers: int = 1) -> np.ndarray:
-    space.tables()  # built here, so block threads never race to build them
-    out = np.zeros(space.n_conf, dtype=np.complex128)
+# -- factored H|psi> ---------------------------------------------------------
 
-    def run_block(lo, hi):
-        for ops, coeff in terms:
-            apply_gather(term_gather(space, ops), amps, out, coeff, lo, hi)
 
-    run_row_blocks(run_block, space.n_conf, workers=workers)
+def pair_gathers(space: SpaceDescriptor, pairs, fetched: dict) -> list:
+    """Gathers of E_kq = b†_k b_q for flat 0-based pairs k * M + q.
+
+    ``fetched`` maps each space to the gathers this apply already has, so
+    none is built twice even when the cache cannot hold it.
+    """
+    have = fetched.setdefault(space, {})
+    for p in pairs:
+        if p not in have:
+            have[p] = term_gather(space, one_body_ops(p // space.m + 1, p % space.m + 1))
+    return [have[p] for p in pairs]
+
+
+def split_pair_matrix(row_k, row_q, col_k, col_q, values, m_row: int, m_col: int):
+    """Split coordinates of a pair matrix P[(k, q), (k', q')] into ``(dd, rows, cols, mat)``.
+
+    ``dd[k, k']`` sums the entries with k = q and k' = q' (they multiply
+    n_k n_k'); the rest fill ``mat``, restricted to the flat pairs
+    ``rows`` and ``cols`` (k * M + q) that they touch.
+    """
+    on_diag = (row_k == row_q) & (col_k == col_q)
+    dd = np.zeros((m_row, m_col), dtype=np.complex128)
+    np.add.at(dd, (row_k[on_diag], col_k[on_diag]), values[on_diag])
+    off = ~on_diag
+    rows, r = np.unique(row_k[off] * m_row + row_q[off], return_inverse=True)
+    cols, c = np.unique(col_k[off] * m_col + col_q[off], return_inverse=True)
+    mat = np.zeros((rows.size, cols.size), dtype=np.complex128)
+    np.add.at(mat, (r, c), values[off])
+    return dd, rows, cols, mat
+
+
+def real_linear(f: Callable, *coeffs: np.ndarray) -> np.ndarray:
+    """f(*coeffs) for f real-linear in complex ``coeffs``, evaluated in real arithmetic.
+
+    The imaginary pass runs only when a coefficient has an imaginary part.
+    """
+    out = f(*(c.real for c in coeffs))
+    if any(c.imag.any() for c in coeffs):
+        out = out + 1j * f(*(c.imag for c in coeffs))
+    return out
+
+
+class Contraction(NamedTuple):
+    """sum_r E_r sum_c mat[r, c] E_c C: gathers of the pairs ``cols`` and ``rows``, each along its axis."""
+
+    cols: list
+    col_axis: int
+    mat: np.ndarray
+    rows: list
+    row_axis: int
+
+
+class Factored(NamedTuple):
+    """An operator on an amplitude matrix C: diag * C + hops (gather, axis, coefficient) + contractions."""
+
+    diag: np.ndarray
+    hops: list
+    contractions: list[Contraction]
+
+
+def factor_species(space: SpaceDescriptor, one_body, two_body, skip_threshold: float,
+                   axis: int = 0, fetched: dict | None = None) -> Factored:
+    """One species' Hamiltonian acting along ``axis`` of the amplitude matrix.
+
+    Entries below ``skip_threshold`` are dropped first; then
+    Wm[(k,q),(s,l)] = W[k,s,q,l] / 2 and h'_kl = h_kl - 1/2 sum_s W[k,s,s,l].
+    Number-operator products (k = q, s = l) and the diagonal of h' fold into
+    the diagonal d, read off the occupation table.
+    """
+    m, fetched = space.m, {} if fetched is None else fetched
+    h = one_body.kept(skip_threshold)
+    (k, s, q, l), v = two_body.kept(skip_threshold)
+    con = s == q
+    np.add.at(h, (k[con], l[con]), -0.5 * v[con])
+    wd, rows, cols, wm = split_pair_matrix(k, q, s, l, 0.5 * v, m, m)
+    occ = space.tables().occ.astype(np.float64)
+    diag = real_linear(lambda lin, quad: occ @ lin + np.einsum("nk,nk->n", occ @ quad, occ),
+                       h.diagonal(), wd)
+    hop_pairs = np.flatnonzero(~np.eye(m, dtype=bool) & (h != 0))
+    hops = [(g, axis, h.flat[p]) for p, g in zip(hop_pairs, pair_gathers(space, hop_pairs, fetched))]
+    contractions = []
+    if rows.size:
+        contractions.append(Contraction(pair_gathers(space, cols, fetched), axis, wm,
+                                        pair_gathers(space, rows, fetched), axis))
+    return Factored(diag, hops, contractions)
+
+
+def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarray:
+    """``op`` applied to the amplitude vector or matrix ``amps`` in fixed row blocks.
+
+    Each block first contracts the images E_c C of its own rows into chi
+    (one GEMM), then writes diag * C and every sweep into its own rows.
+    """
+    n_rows = amps.shape[0]
+    diag = np.broadcast_to(op.diag, amps.shape)
+    chis = [np.empty((len(c.rows),) + amps.shape, dtype=np.complex128) for c in op.contractions]
+    out = np.empty(amps.shape, dtype=np.complex128)
+
+    def contract(lo, hi):
+        for c, chi in zip(op.contractions, chis):
+            phi = np.zeros((len(c.cols), hi - lo) + amps.shape[1:], dtype=np.complex128)
+            for gather, image in zip(c.cols, phi):
+                sweep(gather, c.col_axis, amps, image, lo, hi)
+            chi[:, lo:hi] = (c.mat @ phi.reshape(len(c.cols), -1)).reshape((-1,) + phi.shape[1:])
+
+    def assemble(lo, hi):
+        block = out[lo:hi]
+        np.multiply(diag[lo:hi], amps[lo:hi], out=block)
+        for gather, axis, coeff in op.hops:
+            sweep(gather, axis, amps, block, lo, hi, coeff)
+        for c, chi in zip(op.contractions, chis):
+            for gather, part in zip(c.rows, chi):
+                sweep(gather, c.row_axis, part, block, lo, hi)
+
+    width = amps.size // n_rows
+    if chis:
+        run_row_blocks(contract, n_rows, width, workers)
+    run_row_blocks(assemble, n_rows, width, workers)
     return out
 
 
@@ -291,9 +403,8 @@ def apply_hamiltonian(
     """H|Psi> = sum_kq h_kq |Psi^{kq}> + (1/2) sum_ksql W_ksql |Psi^{kslq}>."""
     if spec.space != psi.space:
         raise SpaceMismatchError("Hamiltonian and state belong to different spaces")
-    space = spec.space
-    terms = hamiltonian_terms(spec, skip_threshold)
-    return StateVector(space, _apply_term_list(space, terms, psi.amplitudes, workers))
+    op = factor_species(spec.space, spec.one_body, spec.two_body, skip_threshold)
+    return StateVector(spec.space, apply_factored(op, psi.amplitudes, workers))
 
 
 def apply_one_body_operator(
@@ -303,5 +414,7 @@ def apply_one_body_operator(
     space = psi.space
     if h.m != space.m:
         raise SpaceMismatchError(f"one-body table for M={h.m} applied in M={space.m} space")
-    terms = [(one_body_ops(k, q), v) for k, q, v in h.entries(skip_threshold)]
-    return StateVector(space, _apply_term_list(space, terms, psi.amplitudes))
+    no_w = TwoBodyTable(h.m, indices=np.empty((0, 4), dtype=np.int64),
+                        values=np.empty(0, dtype=np.complex128))
+    op = factor_species(space, h, no_w, skip_threshold)
+    return StateVector(space, apply_factored(op, psi.amplitudes))

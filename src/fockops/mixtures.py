@@ -17,8 +17,15 @@ import numpy as np
 
 from . import kernel
 from .errors import AddressError, FockError, SpaceMismatchError, ValidationError
-from .fockspace import _STAT_BYTE, SpaceDescriptor, read_exact, statistics_of_byte
-from .hamiltonian import HamiltonianSpec, require_finite
+from .fockspace import (
+    _STAT_BYTE,
+    SpaceDescriptor,
+    check_payload,
+    header_space,
+    read_exact,
+    statistics_of_byte,
+)
+from .hamiltonian import HamiltonianSpec, largest_deviation, require_finite
 
 _MIX_MAGIC = b"FOCKMIX1"
 
@@ -87,11 +94,22 @@ class InterSpeciesTable:
     def m_b(self) -> int:
         return self.tensor.shape[2]
 
+    def kept(self, threshold: float = 0.0):
+        """0-based index arrays (k, q, k', q') and values of the nonzero entries with |value| >= threshold."""
+        keep = (self.tensor != 0) & (np.abs(self.tensor) >= threshold)
+        return np.nonzero(keep), self.tensor[keep]
+
     def entries(self, threshold: float = 0.0):
         """(k, q, k', q', value) in storage order, nonzero with |value| >= threshold."""
-        keep = (self.tensor != 0) & (np.abs(self.tensor) >= threshold)
-        for k0, q0, kp0, qp0 in np.argwhere(keep):
-            yield k0 + 1, q0 + 1, kp0 + 1, qp0 + 1, complex(self.tensor[k0, q0, kp0, qp0])
+        idx, values = self.kept(threshold)
+        for k0, q0, kp0, qp0, v in zip(*idx, values):
+            yield int(k0) + 1, int(q0) + 1, int(kp0) + 1, int(qp0) + 1, complex(v)
+
+    def hermiticity(self) -> tuple[float, tuple | None]:
+        """Largest |X[k,q,k',q'] - conj(X[q,k,q',k'])| and its 1-based index (k, q, k', q')."""
+        x = self.tensor
+        dev = np.abs(x - np.conj(np.transpose(x, (1, 0, 3, 2))))
+        return largest_deviation(dev.ravel(), np.indices(x.shape).reshape(4, -1))
 
 
 @dataclass
@@ -181,59 +199,32 @@ def mixture_dot(u: MixtureStateVector, v: MixtureStateVector) -> complex:
 # -- term application --------------------------------------------------------
 
 
-def _apply_terms(psi: MixtureStateVector, terms, workers: int = 1) -> MixtureStateVector:
-    """Sum of ``terms`` applied to ``psi``: one output buffer, J_A rows in fixed blocks.
-
-    A block applies intra-A terms to its own J_A rows, and intra-B and
-    inter-species terms to every J_B column of those rows.
-    """
-    space_a, space_b = psi.mspace.space_a, psi.mspace.space_b
-    space_a.tables()  # built here, so block threads never race to build them
-    space_b.tables()
-    mat_in = psi.as_matrix()
-    mat_out = np.zeros_like(mat_in)
-
-    def run_block(lo, hi):
-        for side, ops, ops_b, coeff in terms:
-            if side == "A":
-                gather = kernel.term_gather(space_a, ops)
-                kernel.apply_gather(gather, mat_in, mat_out, coeff, lo, hi, axis=0)
-            elif side == "B":
-                gather = kernel.term_gather(space_b, ops)
-                kernel.apply_gather(gather, mat_in[lo:hi], mat_out[lo:hi], coeff, axis=1)
-            else:
-                src_a, pref_a, _, act_a = kernel.term_gather(space_a, ops)
-                src_b, pref_b, _, act_b = kernel.term_gather(space_b, ops_b)
-                rows = kernel.rows_in(act_a, lo, hi)
-                if rows.size and act_b.size:
-                    gathered = mat_in[np.ix_(src_a[rows], src_b[act_b])]
-                    weight = pref_a[rows][:, None] * pref_b[act_b][None, :]
-                    mat_out[np.ix_(rows, act_b)] += coeff * (weight * gathered)
-
-    kernel.run_row_blocks(run_block, space_a.n_conf, space_b.n_conf, workers)
-    return MixtureStateVector(psi.mspace, mat_out.ravel())
+def _species_term(psi: MixtureStateVector, side: str, ops, mat=None) -> np.ndarray:
+    """A term of species ``side`` ("A" acts along axis 0, "B" along axis 1) on the amplitude matrix."""
+    space, axis = (psi.mspace.space_a, 0) if side == "A" else (psi.mspace.space_b, 1)
+    return kernel.apply_term_ops(space, ops, psi.as_matrix() if mat is None else mat, axis=axis)
 
 
 def apply_one_body_term_a(k: int, q: int, psi: MixtureStateVector) -> MixtureStateVector:
-    return _apply_terms(psi, [("A", kernel.one_body_ops(k, q), None, 1.0)])
+    return MixtureStateVector(psi.mspace, _species_term(psi, "A", kernel.one_body_ops(k, q)).ravel())
 
 
 def apply_one_body_term_b(k: int, q: int, psi: MixtureStateVector) -> MixtureStateVector:
-    return _apply_terms(psi, [("B", kernel.one_body_ops(k, q), None, 1.0)])
+    return MixtureStateVector(psi.mspace, _species_term(psi, "B", kernel.one_body_ops(k, q)).ravel())
 
 
 def apply_two_body_term_a(k, s, l, q, psi: MixtureStateVector) -> MixtureStateVector:
-    return _apply_terms(psi, [("A", kernel.two_body_ops(k, s, l, q), None, 1.0)])
+    return MixtureStateVector(psi.mspace, _species_term(psi, "A", kernel.two_body_ops(k, s, l, q)).ravel())
 
 
 def apply_two_body_term_b(k, s, l, q, psi: MixtureStateVector) -> MixtureStateVector:
-    return _apply_terms(psi, [("B", kernel.two_body_ops(k, s, l, q), None, 1.0)])
+    return MixtureStateVector(psi.mspace, _species_term(psi, "B", kernel.two_body_ops(k, s, l, q)).ravel())
 
 
 def apply_inter_term(k: int, q: int, kp: int, qp: int, psi: MixtureStateVector) -> MixtureStateVector:
     """a†_k a_q b†_{k'} b_{q'} |Psi>."""
-    term = ("X", kernel.one_body_ops(k, q), kernel.one_body_ops(kp, qp), 1.0)
-    return _apply_terms(psi, [term])
+    mat = _species_term(psi, "B", kernel.one_body_ops(kp, qp))
+    return MixtureStateVector(psi.mspace, _species_term(psi, "A", kernel.one_body_ops(k, q), mat).ravel())
 
 
 def mixture_terms(mspec: MixtureHamiltonianSpec, skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD):
@@ -248,13 +239,45 @@ def mixture_terms(mspec: MixtureHamiltonianSpec, skip_threshold: float = kernel.
     return terms
 
 
+def _factor_species(spec: HamiltonianSpec, skip_threshold: float, axis: int,
+                    fetched: dict | None = None) -> kernel.Factored:
+    op = kernel.factor_species(spec.space, spec.one_body, spec.two_body, skip_threshold, axis, fetched)
+    return op._replace(diag=op.diag[:, None] if axis == 0 else op.diag[None, :])
+
+
+def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace, skip_threshold: float,
+                 fetched: dict | None = None) -> kernel.Factored:
+    """W^{AB} as a (M_A², M_B²) pair matrix: E^B sweeps, one contraction, then E^A sweeps.
+
+    The block k = q, k' = q' multiplies n^A_k n^B_k' and becomes the diagonal
+    occ_A @ X_dd @ occ_B^T.  ``fetched`` is as in :func:`kernel.pair_gathers`.
+    """
+    fetched = {} if fetched is None else fetched
+    (k, q, kp, qp), v = table.kept(skip_threshold)
+    xd, rows, cols, xm = kernel.split_pair_matrix(k, q, kp, qp, v, table.m_a, table.m_b)
+    space_a, space_b = mspace.space_a, mspace.space_b
+    occ_a, occ_b = (s.tables().occ.astype(np.float64) for s in (space_a, space_b))
+    diag = kernel.real_linear(lambda x: occ_a @ x @ occ_b.T, xd)
+    contractions = []
+    if rows.size:
+        contractions.append(kernel.Contraction(kernel.pair_gathers(space_b, cols, fetched), 1, xm,
+                                               kernel.pair_gathers(space_a, rows, fetched), 0))
+    return kernel.Factored(diag, [], contractions)
+
+
+def _apply_parts(psi: MixtureStateVector, parts, workers: int = 1) -> MixtureStateVector:
+    """Sum of factored parts on ``psi``: one output buffer, J_A rows in fixed blocks."""
+    op = kernel.Factored(sum(p.diag for p in parts), [h for p in parts for h in p.hops],
+                         [c for p in parts for c in p.contractions])
+    return MixtureStateVector(psi.mspace, kernel.apply_factored(op, psi.as_matrix(), workers).ravel())
+
+
 def apply_intra_a(spec_a: HamiltonianSpec, psi: MixtureStateVector,
                   skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD) -> MixtureStateVector:
     """Apply the A-species Hamiltonian to the A index for every fixed J_B."""
     if spec_a.space != psi.mspace.space_a:
         raise SpaceMismatchError("A-species spec does not match the mixture space")
-    terms = [("A", ops, None, c) for ops, c in kernel.hamiltonian_terms(spec_a, skip_threshold)]
-    return _apply_terms(psi, terms)
+    return _apply_parts(psi, [_factor_species(spec_a, skip_threshold, 0)])
 
 
 def apply_intra_b(spec_b: HamiltonianSpec, psi: MixtureStateVector,
@@ -262,8 +285,7 @@ def apply_intra_b(spec_b: HamiltonianSpec, psi: MixtureStateVector,
     """Mirror of :func:`apply_intra_a` for the B species."""
     if spec_b.space != psi.mspace.space_b:
         raise SpaceMismatchError("B-species spec does not match the mixture space")
-    terms = [("B", ops, None, c) for ops, c in kernel.hamiltonian_terms(spec_b, skip_threshold)]
-    return _apply_terms(psi, terms)
+    return _apply_parts(psi, [_factor_species(spec_b, skip_threshold, 1)])
 
 
 def apply_inter(table: InterSpeciesTable, psi: MixtureStateVector,
@@ -271,11 +293,7 @@ def apply_inter(table: InterSpeciesTable, psi: MixtureStateVector,
     """sum W^{AB}_{kk'qq'} a†_k a_q b†_{k'} b_{q'} |Psi>."""
     if table.m_a != psi.mspace.space_a.m or table.m_b != psi.mspace.space_b.m:
         raise SpaceMismatchError("inter-species table does not match the mixture space")
-    terms = [
-        ("X", kernel.one_body_ops(k, q), kernel.one_body_ops(kp, qp), v)
-        for k, q, kp, qp, v in table.entries(skip_threshold)
-    ]
-    return _apply_terms(psi, terms)
+    return _apply_parts(psi, [factor_inter(table, psi.mspace, skip_threshold)])
 
 
 def apply_mixture_hamiltonian(
@@ -287,7 +305,13 @@ def apply_mixture_hamiltonian(
     """H^{(A)}|Psi> + H^{(B)}|Psi> + W^{(AB)}|Psi> in one deterministic sweep."""
     if mspec.mspace != psi.mspace:
         raise SpaceMismatchError("mixture spec and state live in different spaces")
-    return _apply_terms(psi, mixture_terms(mspec, skip_threshold), workers)
+    fetched: dict = {}
+    parts = [
+        _factor_species(mspec.spec_a, skip_threshold, 0, fetched),
+        _factor_species(mspec.spec_b, skip_threshold, 1, fetched),
+        factor_inter(mspec.inter, mspec.mspace, skip_threshold, fetched),
+    ]
+    return _apply_parts(psi, parts, workers)
 
 
 def apply_mixture_parts(
@@ -328,10 +352,10 @@ def load_mixture_state(path) -> MixtureStateVector:
         if fh.read(8) != _MIX_MAGIC:
             raise FockError(f"{path} is not a mixture vector file")
         sa_b, sb_b, na, ma, nb, mb, total = struct.unpack("<BBQQQQQ", read_exact(fh, 42, path))
-        mspace = MixtureSpace(
-            SpaceDescriptor(statistics_of_byte(sa_b), na, ma),
-            SpaceDescriptor(statistics_of_byte(sb_b), nb, mb),
-        )
+        stat_a, stat_b = statistics_of_byte(sa_b), statistics_of_byte(sb_b)
+        check_payload(fh, total, path)
+        mspace = MixtureSpace(header_space(stat_a, na, ma, total, path, exact=False),
+                              header_space(stat_b, nb, mb, total, path, exact=False))
         if mspace.n_conf_total != total:
             raise FockError("header dimension does not match the space")
         amps = np.frombuffer(read_exact(fh, 16 * total, path), dtype="<c16").astype(np.complex128)

@@ -1,9 +1,9 @@
 """Reduced density matrices and expectation values.
 
-Every element is a dot-product of the incoming state with a resulting
-state produced by the kernel: rho_kq = <Psi|Psi^{kq}> and
-rho_kslq = <Psi|Psi^{kslq}>.  The same term applications (and hence the
-same sign conventions) used by the Hamiltonian kernel are reused here.
+Every element comes from the one-body images phi_kq = E_kq |Psi>
+(E_kq = b†_k b_q) that the Hamiltonian kernel also sweeps, with the same
+sign conventions: rho_kq = <Psi|phi_kq>, and the two-body density is one
+Gram product of the images, rho_kslq = <phi_qk|phi_sl> - δ_qs rho_kl.
 """
 
 from __future__ import annotations
@@ -27,30 +27,38 @@ def _warn_if_unnormalized(psi) -> None:
         warnings.warn(f"state norm {nrm:.3e} differs from 1; densities scale with it")
 
 
+def _pair_images(space, mat: np.ndarray, axis: int):
+    """phi_kq = E_kq psi along ``axis`` of the amplitude matrix, for every pair, row-major."""
+    for k in range(1, space.m + 1):
+        for q in range(1, space.m + 1):
+            yield kernel.apply_term_ops(space, kernel.one_body_ops(k, q), mat, axis=axis)
+
+
+def _one_body(space, mat: np.ndarray, axis: int) -> np.ndarray:
+    """rho[k-1, q-1] = <Psi|E_kq Psi> along ``axis``; each image is dropped once used."""
+    rho = [np.vdot(mat, phi) for phi in _pair_images(space, mat, axis)]
+    return np.array(rho, dtype=np.complex128).reshape(space.m, space.m)
+
+
 def one_body_density(psi: StateVector) -> np.ndarray:
     """rho[k-1, q-1] = <Psi| b†_k b_q |Psi> (M x M complex)."""
     _warn_if_unnormalized(psi)
-    m = psi.space.m
-    rho = np.empty((m, m), dtype=np.complex128)
-    for k in range(1, m + 1):
-        for q in range(1, m + 1):
-            rho[k - 1, q - 1] = dot(psi, kernel.apply_one_body_term(k, q, psi))
-    return rho
+    return _one_body(psi.space, psi.amplitudes, 0)
 
 
 def two_body_density(psi: StateVector) -> np.ndarray:
-    """rho2[k-1, s-1, l-1, q-1] = <Psi| b†_k b†_s b_l b_q |Psi> (M^4 complex)."""
+    """rho2[k-1, s-1, l-1, q-1] = <Psi| b†_k b†_s b_l b_q |Psi> (M^4 complex).
+
+    b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl, so
+    rho2[k, s, l, q] = <E_qk Psi|E_sl Psi> - δ_qs rho[k, l]: one Gram product
+    of the M^2 images phi_kq = E_kq Psi.
+    """
     _warn_if_unnormalized(psi)
     m = psi.space.m
-    rho2 = np.empty((m, m, m, m), dtype=np.complex128)
-    for k in range(1, m + 1):
-        for s in range(1, m + 1):
-            for l in range(1, m + 1):
-                for q in range(1, m + 1):
-                    rho2[k - 1, s - 1, l - 1, q - 1] = dot(
-                        psi, kernel.apply_two_body_term(k, s, l, q, psi)
-                    )
-    return rho2
+    phi = np.array(list(_pair_images(psi.space, psi.amplitudes, 0)))
+    rho = (phi @ psi.amplitudes.conj()).reshape(m, m)
+    gram = (phi.conj() @ phi.T).reshape(m, m, m, m)  # [q, k, s, l] = <E_qk Psi|E_sl Psi>
+    return np.transpose(gram, (1, 2, 3, 0)) - np.einsum("kl,sq->kslq", rho, np.eye(m))
 
 
 def reorder_two_body(rho2: np.ndarray, convention: str) -> np.ndarray:
@@ -87,21 +95,8 @@ def energy(spec, psi) -> complex:
 def mixture_densities(psi: mixtures.MixtureStateVector) -> tuple[np.ndarray, np.ndarray]:
     """Species-resolved one-body densities (rho_A, rho_B); traces N_A and N_B."""
     _warn_if_unnormalized(psi)
-    m_a = psi.mspace.space_a.m
-    m_b = psi.mspace.space_b.m
-    rho_a = np.empty((m_a, m_a), dtype=np.complex128)
-    rho_b = np.empty((m_b, m_b), dtype=np.complex128)
-    for k in range(1, m_a + 1):
-        for q in range(1, m_a + 1):
-            rho_a[k - 1, q - 1] = mixtures.mixture_dot(
-                psi, mixtures.apply_one_body_term_a(k, q, psi)
-            )
-    for k in range(1, m_b + 1):
-        for q in range(1, m_b + 1):
-            rho_b[k - 1, q - 1] = mixtures.mixture_dot(
-                psi, mixtures.apply_one_body_term_b(k, q, psi)
-            )
-    return rho_a, rho_b
+    mat = psi.as_matrix()
+    return _one_body(psi.mspace.space_a, mat, 0), _one_body(psi.mspace.space_b, mat, 1)
 
 
 def site_densities(psi) -> np.ndarray:

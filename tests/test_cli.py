@@ -364,3 +364,95 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "65"
+
+
+class TestJsonVectorBoundary:
+    GOOD = {"format": "fockvec/1", "statistics": "boson", "N": 2, "M": 2,
+            "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+
+    @pytest.mark.parametrize("change", [
+        {"N": None}, {"M": None}, {"statistics": None}, {"amplitudes": None},
+        {"N": "2"}, {"M": 2.0}, {"N": True}, {"statistics": 1}, {"statistics": "anyon"},
+        {"amplitudes": [[1.0, 0.0]]}, {"amplitudes": [1.0, 0.0, 0.0]},
+        {"amplitudes": [[1.0, "x"], [0.0, 0.0], [0.0, 0.0]]},
+    ], ids=str)
+    def test_bad_field_is_parse_error(self, capsys, tmp_path, change):
+        doc = {k: v for k, v in {**self.GOOD, **change}.items() if v is not None}
+        vec = tmp_path / "in.json"
+        vec.write_text(json.dumps(doc))
+        ints = tmp_path / "h.ints"
+        ints.write_text("STATISTICS BOSON\nN 2\nM 2\nH 1 2 -1.0\nH 2 1 -1.0\n")
+        code, _, err = run_cli(capsys, "apply", "--file", str(ints), "--in", str(vec))
+        assert code == EXIT_PARSE
+        assert _one_line_error(err)
+
+    def test_good_document_loads(self, tmp_path):
+        vec = tmp_path / "in.json"
+        vec.write_text(json.dumps(self.GOOD))
+        assert load_state(vec).amplitudes.tolist() == [1.0, 0.0, 0.0]
+
+
+class TestHugeHeaderSizes:
+    """Header sizes are checked against the file before any table is built for them."""
+
+    @pytest.mark.parametrize("stat,n,m,n_conf", [
+        (1, 1, 2**62, 2**62),   # boson: N_conf = M, payload far short of it
+        (1, 1, 2**62, 1),       # boson: header N_conf disagrees with the space
+        (0, 2**40, 2**40, 1),   # fermion N = M: one configuration, but a 2^40-row table
+        (1, 2**40, 1, 1),       # boson M = 1: one configuration, but a 2^40-row table
+        (0, 40, 2**50, 1),      # fermion: a dimension far beyond 64 bits
+    ])
+    def test_single_species(self, capsys, tmp_path, stat, n, m, n_conf):
+        import struct
+
+        vec = tmp_path / "in.vec"
+        vec.write_bytes(b"FOCKVEC1" + struct.pack("<BQQQ", stat, n, m, n_conf) + b"\0" * 16)
+        ints = tmp_path / "h.ints"
+        ints.write_text("STATISTICS BOSON\nN 1\nM 1\n")
+        code, _, err = run_cli(capsys, "apply", "--file", str(ints), "--in", str(vec))
+        assert code == EXIT_PARSE
+        assert _one_line_error(err)
+
+    def test_mixture(self, capsys, tmp_path):
+        import struct
+
+        header = b"FOCKMIX1" + struct.pack("<BBQQQQQ", 0, 1, 1, 2, 2**40, 1, 2)
+        vec = tmp_path / "in.vec"
+        vec.write_bytes(header + b"\0" * 32)
+        ints = tmp_path / "h.ints"
+        ints.write_text(_MIX_INTS)
+        code, _, err = run_cli(capsys, "apply", "--file", str(ints), "--in", str(vec))
+        assert code == EXIT_PARSE
+        assert _one_line_error(err)
+
+
+class TestNonHermitianInput:
+    """A table that is not self-adjoint is refused before the solver runs."""
+
+    def _ints(self, tmp_path, text):
+        path = tmp_path / "h.ints"
+        path.write_text(text)
+        return str(path)
+
+    def test_gs_one_body(self, capsys, tmp_path):
+        path = self._ints(tmp_path, "STATISTICS BOSON\nN 2\nM 3\nH 1 2 -1.0\nH 2 1 -1.0\nH 2 3 0.5\n")
+        code, _, err = run_cli(capsys, "gs", "--file", path)
+        assert code == EXIT_PARSE
+        assert _one_line_error(err)
+        assert "(2, 3)" in err or "(3, 2)" in err
+
+    def test_prop_two_body(self, capsys, tmp_path):
+        path = self._ints(tmp_path, "STATISTICS FERMION\nN 2\nM 4\nW 1 2 3 4 0.5\n")
+        code, _, err = run_cli(capsys, "prop", "--file", path, "--initial", "1100",
+                               "--t-final", "1.0", "--dt", "0.1")
+        assert code == EXIT_PARSE
+        assert _one_line_error(err)
+        assert "(1, 2, 3, 4)" in err or "(3, 4, 1, 2)" in err
+
+    def test_gs_inter_species(self, capsys, tmp_path):
+        path = self._ints(tmp_path, _MIX_INTS + "X 1 2 1 1 0.25\n")
+        code, _, err = run_cli(capsys, "gs", "--file", path)
+        assert code == EXIT_PARSE
+        assert _one_line_error(err)
+        assert "inter-species" in err
+        assert "(1, 2, 1, 1)" in err or "(2, 1, 1, 1)" in err

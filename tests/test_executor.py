@@ -157,7 +157,6 @@ def test_gather_cache_accounting_under_threads():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    for pool, n_keys in (("pair", 3), ("other", 1)):
-        stored = [v for k, v in tables._gather_cache.items() if (len(k) == 2) == (pool == "pair")]
-        assert len(stored) == n_keys
-        assert tables._gather_cache_bytes[pool] == sum(a.nbytes for v in stored for a in v)
+    stored = list(tables._gather_cache.values())
+    assert len(stored) == len(keys)
+    assert tables._gather_cache_bytes == sum(a.nbytes for v in stored for a in v)

@@ -1,0 +1,196 @@
+"""The factored H|psi> against the dense oracle, and the elementary-step gather against the occupation algebra."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fockops import (
+    HamiltonianSpec,
+    InterSpeciesTable,
+    MixtureHamiltonianSpec,
+    MixtureSpace,
+    OneBodyTable,
+    SpaceDescriptor,
+    TwoBodyTable,
+    apply_hamiltonian,
+    apply_mixture_hamiltonian,
+    build_dense,
+    fockspace,
+    kernel,
+    mixture_random_state,
+    parallel_apply,
+    random_state,
+)
+from conftest import random_hermitian_spec, random_mixture_spec, suite_mixture_spaces, suite_single_spaces
+
+TOL = 1e-12
+
+
+@st.composite
+def spaces(draw, max_conf=40):
+    statistics = draw(st.sampled_from(["fermion", "boson"]))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(0, m if statistics == "fermion" else 4))
+    space = SpaceDescriptor(statistics, n, m)
+    if space.n_conf > max_conf:
+        space = SpaceDescriptor(statistics, min(n, 1), m)
+    return space
+
+
+def _complex(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+@st.composite
+def species_tables(draw, m, layout=None):
+    """Random non-Hermitian complex h and W with a drawn sparsity pattern.
+
+    "diagonal" keeps only number-operator products (k = q, s = l), "coincident"
+    draws every index from two orbitals, "mixed" draws indices freely.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pattern = draw(st.sampled_from(["diagonal", "coincident", "mixed"]))
+    count = draw(st.integers(0, 12))
+    idx = rng.integers(0, m, size=(count, 4))
+    if pattern == "diagonal":
+        idx[:, 2], idx[:, 3] = idx[:, 0], idx[:, 1]
+    elif pattern == "coincident":
+        idx = rng.choice(np.unique(rng.integers(0, m, size=2)), size=(count, 4))
+    keys = sorted({tuple(map(int, row)) for row in idx})
+    values = _complex(rng, len(keys))
+    h = _complex(rng, (m, m)) * (rng.random((m, m)) < 0.5)
+    if pattern == "diagonal":
+        h = np.diag(np.diag(h))
+    if layout is None:
+        layout = draw(st.sampled_from(["dense", "coordinates"]))
+    if layout == "dense":
+        w = TwoBodyTable.from_entries(m, [(k + 1, s + 1, q + 1, l + 1, v)
+                                          for (k, s, q, l), v in zip(keys, values)])
+    else:  # the coordinate-list layout used above M = 32, exercised on a small M
+        w = TwoBodyTable(m, indices=np.array(keys, dtype=np.int64).reshape(-1, 4), values=values)
+    return OneBodyTable(h), w
+
+
+def _assert_matches(got, mat, amps):
+    ref = mat @ amps
+    assert np.linalg.norm(got - ref) <= TOL * max(1.0, np.linalg.norm(ref))
+
+
+@given(spaces(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_balanced_strings_match_occupation_algebra(space, data):
+    """Any balanced string through the elementary-step gather equals the oracle's forward algebra."""
+    length = data.draw(st.integers(1, 3))
+    sites = st.integers(1, space.m)
+    ops = [("a", data.draw(sites)) for _ in range(length)] + [("c", data.draw(sites)) for _ in range(length)]
+    ops = tuple(data.draw(st.permutations(ops)))
+    psi = random_state(space, seed=data.draw(st.integers(0, 100)))
+    got = kernel.apply_term_ops(space, ops, psi.amplitudes)
+    _assert_matches(got, build_dense(ops, space), psi.amplitudes)
+
+
+@given(spaces(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_factored_apply_matches_oracle(space, data):
+    h, w = data.draw(species_tables(space.m))
+    spec = HamiltonianSpec(space, h, w)
+    psi = random_state(space, seed=data.draw(st.integers(0, 100)))
+    _assert_matches(apply_hamiltonian(spec, psi).amplitudes, build_dense(spec), psi.amplitudes)
+
+
+@given(spaces(max_conf=12), spaces(max_conf=12), st.data())
+@settings(max_examples=50, deadline=None)
+def test_factored_mixture_apply_matches_oracle(space_a, space_b, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ha, wa = data.draw(species_tables(space_a.m, "dense"))
+    hb, wb = data.draw(species_tables(space_b.m, "dense"))
+    shape = (space_a.m, space_a.m, space_b.m, space_b.m)
+    x = _complex(rng, shape) * (rng.random(shape) < data.draw(st.sampled_from([0.0, 0.2, 1.0])))
+    if data.draw(st.booleans()):  # the density-density block only: a†_k a_k b†_k' b_k'
+        ka, kb = np.arange(space_a.m), np.arange(space_b.m)
+        keep = np.zeros(shape, dtype=bool)
+        keep[ka[:, None], ka[:, None], kb[None, :], kb[None, :]] = True
+        x = x * keep
+    mspace = MixtureSpace(space_a, space_b)
+    mspec = MixtureHamiltonianSpec(mspace, HamiltonianSpec(space_a, ha, wa),
+                                   HamiltonianSpec(space_b, hb, wb), InterSpeciesTable(x))
+    psi = mixture_random_state(mspace, seed=data.draw(st.integers(0, 100)))
+    _assert_matches(apply_mixture_hamiltonian(mspec, psi).amplitudes, build_dense(mspec), psi.amplitudes)
+
+
+@given(spaces(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_skip_threshold_drops_stored_entries_before_folding(space, data):
+    """Entries below the threshold vanish from h, W and from W's share of h' alike."""
+    m, threshold = space.m, 1e-2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = lambda size: np.where(rng.random(size) < 0.5, 1e-3, 1.0)  # noqa: E731
+    h = _complex(rng, (m, m)) * scale((m, m))
+    w = _complex(rng, (m,) * 4) * scale((m,) * 4)
+    spec = HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.from_dense(w))
+    big = lambda a: np.where(np.abs(a) >= threshold, a, 0)  # noqa: E731
+    kept = HamiltonianSpec(space, OneBodyTable(big(h)), TwoBodyTable.from_dense(big(w)))
+    psi = random_state(space, seed=1)
+    got = apply_hamiltonian(spec, psi, skip_threshold=threshold).amplitudes
+    _assert_matches(got, build_dense(kept), psi.amplitudes)
+
+
+class TestRowBlocks:
+    """Several blocks per vector through the contraction path: the block size is patched down."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernel, "BLOCK_AMPLITUDES", 5)
+
+    @pytest.mark.parametrize("space", [suite_single_spaces()[0], suite_mixture_spaces()[2]], ids=str)
+    def test_workers_bitwise_equal_through_the_contraction(self, space):
+        if isinstance(space, MixtureSpace):
+            spec, psi = random_mixture_spec(space, seed=8), mixture_random_state(space, seed=9)
+            assert kernel.factor_species(space.space_a, spec.spec_a.one_body, spec.spec_a.two_body,
+                                         kernel.DEFAULT_SKIP_THRESHOLD).contractions
+        else:
+            spec, psi = random_hermitian_spec(space, seed=8), random_state(space, seed=9)
+            assert kernel.factor_species(space, spec.one_body, spec.two_body,
+                                         kernel.DEFAULT_SKIP_THRESHOLD).contractions
+        ref = parallel_apply(spec, psi, workers=1).amplitudes
+        for workers in (2, 4):
+            np.testing.assert_array_equal(parallel_apply(spec, psi, workers=workers).amplitudes, ref)
+
+    def _count_builds(self, monkeypatch):
+        built = []
+        build = kernel._build_gather
+
+        def counting(space, tb, ops):
+            built.append((space, ops))
+            return build(space, tb, ops)
+
+        monkeypatch.setattr(kernel, "_build_gather", counting)
+        return built
+
+    @pytest.mark.parametrize("cache_limit", [1 << 26, 0], ids=["cached", "nothing-cached"])
+    @pytest.mark.parametrize("mixture", [False, True], ids=["single", "mixture"])
+    def test_cold_apply_builds_each_pair_gather_once(self, monkeypatch, cache_limit, mixture):
+        monkeypatch.setattr(fockspace.SpaceTables, "_GATHER_CACHE_LIMIT", cache_limit)
+        if mixture:
+            space = MixtureSpace(SpaceDescriptor.boson(2, 3), SpaceDescriptor.fermion(2, 4))
+            spec, psi = random_mixture_spec(space, seed=10), mixture_random_state(space, seed=11)
+            n_pairs, n_rows, width = 3 ** 2 + 4 ** 2, space.space_a.n_conf, space.space_b.n_conf
+        else:
+            space = SpaceDescriptor.boson(3, 4)
+            spec, psi = random_hermitian_spec(space, seed=10), random_state(space, seed=11)
+            n_pairs, n_rows, width = 4 ** 2, space.n_conf, 1
+        built = self._count_builds(monkeypatch)
+        parallel_apply(spec, psi, workers=2)
+        assert n_rows >= 4 * max(1, kernel.BLOCK_AMPLITUDES // width)  # four row blocks or more
+        assert len(built) == len(set(built)) <= n_pairs
+        assert all(len(ops) == 2 for _, ops in built)
+
+    def test_warm_apply_builds_none(self, monkeypatch):
+        space = SpaceDescriptor.fermion(3, 6)
+        spec = random_hermitian_spec(space, seed=12)
+        psi = random_state(space, seed=13)
+        parallel_apply(spec, psi, workers=2)
+        built = self._count_builds(monkeypatch)
+        parallel_apply(spec, psi, workers=2)
+        assert built == []

@@ -289,27 +289,6 @@ class TestOneBodyOperator:
         np.testing.assert_allclose(got, mat @ psi.amplitudes, atol=1e-13)
 
 
-def test_composed_gather_equals_backward_walk():
-    """The pair-composition fast path must match the elementary walk exactly."""
-    from fockops import kernel
-
-    for space in (SpaceDescriptor.fermion(2, 5), SpaceDescriptor.boson(3, 4)):
-        tb = space.tables()
-        m = space.m
-        for k, s, l, q in itertools.product(range(1, m + 1), repeat=4):
-            if l == k:
-                continue  # composition precondition; walk handles these
-            ops = kernel.two_body_ops(k, s, l, q)
-            if space.statistics == "fermion":
-                src_w, pref_w, mask_w = kernel._fermion_gather(space, tb, ops)
-            else:
-                src_w, pref_w, mask_w = kernel._boson_gather(space, tb, ops)
-            src_c, pref_c, mask_c, act_c = kernel._build_gather(space, tb, ops)
-            np.testing.assert_array_equal(mask_c, mask_w)
-            np.testing.assert_array_equal(src_c[act_c], np.clip(src_w, 0, space.n_conf - 1)[act_c])
-            np.testing.assert_allclose(pref_c[act_c], pref_w[act_c], rtol=1e-15)
-
-
 def test_closed_form_equivalence_suite_spaces():
     """Pairwise-distinct two-body terms: sequential == closed form, N_conf <= 200."""
     spaces = [
