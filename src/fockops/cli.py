@@ -31,8 +31,8 @@ from .errors import (
 from .fockspace import (
     SpaceDescriptor,
     basis_state,
-    iterate_configurations,
     load_state,
+    occupation_table,
     save_state,
 )
 from .hamiltonian import HERMITICITY_TOL, load_integrals, validate
@@ -113,11 +113,15 @@ def _parse_csv_ints(text: str) -> list[int]:
         raise InvalidConfigurationError(f"bad integer list {text!r}") from None
 
 
-def _config_string(space: SpaceDescriptor, j: int) -> str:
-    occ = space.occupations_at(j)
-    if space.statistics == FERMION:
-        return "|" + "".join(str(v) for v in occ) + ">"
-    return "|" + ",".join(str(v) for v in occ) + ">"
+def _config_string(space: SpaceDescriptor, occ) -> str:
+    sep = "" if space.statistics == FERMION else ","
+    return "|" + sep.join(str(v) for v in occ) + ">"
+
+
+def _config_strings(space: SpaceDescriptor) -> list[str]:
+    """Every configuration of ``space`` as printed, in address order."""
+    occ, _ = occupation_table(space.statistics, space.n, space.m)
+    return [_config_string(space, row) for row in occ.tolist()]
 
 
 def cmd_enum(args) -> int:
@@ -138,10 +142,9 @@ def cmd_enum(args) -> int:
             raise InvalidConfigurationError(f"bit string must be 0/1, got {args.bits!r}")
         lines.append(str(_rank_occupations(space, [int(c) for c in args.bits])))
     if args.J is not None:
-        lines.append(f"{args.J} {_config_string(space, args.J)}")
+        lines.append(f"{args.J} {_config_string(space, space.occupations_at(args.J))}")
     if args.all:
-        for j, _ in iterate_configurations(space):
-            lines.append(f"{j} {_config_string(space, j)}")
+        lines += [f"{j} {text}" for j, text in enumerate(_config_strings(space), start=1)]
     if not lines:
         lines.append(f"N_conf {space.n_conf}")
     print("\n".join(lines))
@@ -161,18 +164,14 @@ def _cmd_enum_mix(args) -> int:
     lines = []
     if args.J is not None:
         j_a, j_b = mspace.split(args.J)
-        lines.append(
-            f"{args.J} {j_a} {j_b} "
-            f"{_config_string(mspace.space_a, j_a)} {_config_string(mspace.space_b, j_b)}"
-        )
+        text_a = _config_string(mspace.space_a, mspace.space_a.occupations_at(j_a))
+        text_b = _config_string(mspace.space_b, mspace.space_b.occupations_at(j_b))
+        lines.append(f"{args.J} {j_a} {j_b} {text_a} {text_b}")
     if args.all:
-        for j_a in range(1, mspace.space_a.n_conf + 1):
-            for j_b in range(1, mspace.space_b.n_conf + 1):
-                j = mspace.address(j_a, j_b)
-                lines.append(
-                    f"{j} {j_a} {j_b} "
-                    f"{_config_string(mspace.space_a, j_a)} {_config_string(mspace.space_b, j_b)}"
-                )
+        texts_b = _config_strings(mspace.space_b)
+        for j_a, text_a in enumerate(_config_strings(mspace.space_a), start=1):
+            for j_b, text_b in enumerate(texts_b, start=1):
+                lines.append(f"{mspace.address(j_a, j_b)} {j_a} {j_b} {text_a} {text_b}")
     if not lines:
         lines.append(f"N_conf_total {mspace.n_conf_total}")
     print("\n".join(lines))

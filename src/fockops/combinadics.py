@@ -136,13 +136,6 @@ def validate_occupations(
     return occ
 
 
-def holes_to_occupations(holes: Sequence[int], m: int) -> tuple[int, ...]:
-    occ = [1] * m
-    for i in holes:
-        occ[i - 1] = 0
-    return tuple(occ)
-
-
 def occupations_to_holes(occ: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i, v in enumerate(occ) if v == 0)
 

@@ -111,82 +111,80 @@ class SpaceDescriptor:
         return self._tables
 
 
+def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every occupation vector of a space, one row each in address order, and its rank terms.
+
+    Both statistics list occupation vectors in descending lexicographic
+    order; fermions are the case of at most ``cap`` = 1 particle per orbital
+    (bosons: ``cap`` = N).  The rows are built from the last orbital
+    backwards: the occupations of the last j orbitals holding r particles
+    are, for each first value v from the largest down, v followed by the
+    occupations of the last j - 1 orbitals holding r - v.  Only the counts r
+    that the first M - j orbitals can still complete to N are kept, so no
+    level holds more rows than the finished table.
+
+    With count_j(r) the number of rows of level j, the rank terms are
+    T[p-1, R, v] = sum_{u=v+1}^{min(cap,R)} count_{M-p}(R - u): how many
+    configurations with the same occupations in orbitals 1..p-1 come before
+    one whose orbitals p..M hold R particles, v of them in orbital p.  Hence,
+    with S_p the particles in orbitals 1..p,
+    J = 1 + sum_{p<M} T[p-1, N - S_{p-1}, n_p].
+    """
+    cap = 1 if statistics == FERMION else n
+    counts = np.zeros((m + 1, n + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    level = {0: np.zeros((1, 0), dtype=np.int64)}
+    for j in range(1, m + 1):
+        below, level = level, {}
+        for r in range(max(0, n - cap * (m - j)), min(n, cap * j) + 1):
+            values = range(min(cap, r), max(0, r - cap * (j - 1)) - 1, -1)
+            rows = np.empty((sum(len(below[r - v]) for v in values), j), dtype=np.int64)
+            start = 0
+            for v in values:
+                tail = below[r - v]
+                rows[start:start + len(tail), 0] = v
+                rows[start:start + len(tail), 1:] = tail
+                start += len(tail)
+            level[r] = rows
+            counts[j, r] = len(rows)
+    total, first = np.arange(n + 1)[:, None], np.arange(cap + 1)
+    skipped = np.where(first <= total, counts[m - 1:0:-1, np.maximum(total - first, 0)], 0)
+    terms = np.zeros_like(skipped)
+    terms[..., :-1] = np.cumsum(skipped[..., :0:-1], axis=-1)[..., ::-1]
+    return level[n], terms
+
+
 def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
     """Yield (J, configuration) for every configuration in increasing J order.
 
-    Fermions yield :class:`FermionConfig`, bosons occupation tuples.  The
-    fermionic stream runs nested hole loops from high positions to low,
-    which is exactly ascending address order.
+    Fermions yield :class:`FermionConfig`, bosons occupation tuples, both
+    from the rows of :func:`occupation_table`.
     """
+    occ, _ = occupation_table(space.statistics, space.n, space.m)
     if space.statistics == FERMION:
-        m_v = space.m - space.n
-        j = 0
-
-        def rec(holes, next_max):
-            nonlocal j
-            k = len(holes)
-            if k == m_v:
-                j += 1
-                yield j, FermionConfig.from_holes(holes, space.m)
-                return
-            lo = holes[-1] + 1 if holes else 1
-            hi = next_max
-            for i in range(hi, lo - 1, -1):
-                yield from rec(holes + (i,), hi + 1)
-
-        # the k-th hole may sit at most at M - (M_v - k) so deeper levels fit
-        yield from rec((), space.m - m_v + 1)
+        holes = np.nonzero(occ == 0)[1].reshape(len(occ), space.m - space.n) + 1
+        for j, row in enumerate(holes.tolist(), start=1):
+            yield j, FermionConfig.from_holes(row, space.m)
     else:
-
-        def rec_b(prefix, remaining, slots):
-            if slots == 1:
-                yield prefix + (remaining,)
-                return
-            for v in range(remaining, -1, -1):
-                yield from rec_b(prefix + (v,), remaining - v, slots - 1)
-
-        for j, occ in enumerate(rec_b((), space.n, space.m), start=1):
-            yield j, occ
+        for j, row in enumerate(occ.tolist(), start=1):
+            yield j, tuple(row)
 
 
 class SpaceTables:
-    """Dense arrays over all configurations, in J order.
+    """Arrays over all configurations, in J order, and the rank terms that re-address them.
 
-    occ      (N_conf, M)     occupation numbers
-    prefix   (N_conf, M+1)   fermions: prefix[:, p] = sum of occ[:, :p]
-    addr_arg (N_conf, M-1)   bosons: binomial arguments of the rank formula
-    addr_val (N_conf, M-1)   bosons: the corresponding binomial values
-    holes    (N_conf, M_v)   fermions: hole positions
+    occ         (N_conf, M)          occupation numbers
+    prefix      (N_conf, M+1)        prefix[:, p] = sum of occ[:, :p]
+    rank_terms  (M-1, N+1, cap+1)    T of :func:`occupation_table`:
+                J = 1 + sum_{p<M} T[p-1, N - prefix[:, p-1], occ[:, p-1]]
     """
 
     def __init__(self, space: SpaceDescriptor):
         self.space = space
-        r, m = space.n_conf, space.m
-        occ = np.empty((r, m), dtype=np.int64)
-        if space.statistics == FERMION:
-            m_v = m - space.n
-            holes = np.empty((r, m_v), dtype=np.int64)
-            for j, cfg in iterate_configurations(space):
-                holes[j - 1] = cfg.holes
-                occ[j - 1] = cfg.occupations(m)
-            self.holes = holes
-            prefix = np.zeros((r, m + 1), dtype=np.int64)
-            np.cumsum(occ, axis=1, out=prefix[:, 1:])
-            self.prefix = prefix
-        else:
-            for j, conf in iterate_configurations(space):
-                occ[j - 1] = conf
-            csum = np.cumsum(occ, axis=1)
-            if m > 1:
-                ks = np.arange(1, m, dtype=np.int64)
-                self.addr_arg = space.n + m - 1 - ks[None, :] - csum[:, :-1]
-                tbl = space.binomials.array
-                cols = (m - ks)[None, :]
-                self.addr_val = tbl[self.addr_arg, np.broadcast_to(cols, self.addr_arg.shape)]
-            else:
-                self.addr_arg = np.empty((r, 0), dtype=np.int64)
-                self.addr_val = np.empty((r, 0), dtype=np.int64)
-        self.occ = occ
+        self.occ, self.rank_terms = occupation_table(space.statistics, space.n, space.m)
+        prefix = np.zeros((space.n_conf, space.m + 1), dtype=np.int64)
+        np.cumsum(self.occ, axis=1, out=prefix[:, 1:])
+        self.prefix = prefix
         self._gather_cache: dict = {}
         self._gather_cache_bytes = 0
         self._gather_lock = threading.Lock()

@@ -7,8 +7,11 @@ kernel computes each output amplitude by *gathering* from its uniquely
 determined source address: the elementary steps are undone one by one on
 the output configuration (vectorized over all addresses at once),
 accumulating the fermionic parity from prefix occupation counts or the
-bosonic sqrt factors from the running occupations, while the source address
-is obtained by shifting the combinadic rank terms of the affected orbitals.
+bosonic sqrt factors from the running occupations.  Both statistics share
+one address table, the lexical addressing of Knowles & Handy (below): an
+address is 1 plus one rank term per orbital, so the source address of each
+acting row is its own address shifted by the differing rank terms of the
+orbitals between the lowest and the highest changed one.
 
 Index-coincidence cases (k = q, k = s, ...) are defined by this sequential
 elementary construction, which makes every term total; for pairwise
@@ -84,30 +87,30 @@ def _check_orbitals(space: SpaceDescriptor, orbitals: Iterable[int]) -> None:
 
 
 def term_gather(space: SpaceDescriptor, ops: Ops):
-    """(source row, prefactor, mask, acting rows) for a term, cached per space.
+    """(source rows, prefactors, mask, acting rows) for a term, cached per space.
 
-    ``src`` and ``pref`` are full-length (garbage outside the mask); ``act``
-    lists the 0-based output rows on which the term acts.
+    ``act`` lists the 0-based output rows on which the term acts (where
+    ``mask`` is set); ``src`` and ``pref`` hold the source row and the
+    prefactor of each of them, in the order of ``act``.
     """
     tb = space.tables()
     return tb.cached_gather(ops, lambda: _build_gather(space, tb, ops))
 
 
 def _build_gather(space, tb, ops):
-    if space.statistics == FERMION:
-        src, pref, mask = _fermion_gather(space, tb, ops)
-    else:
-        src, pref, mask = _boson_gather(space, tb, ops)
+    weights = _fermion_weights if space.statistics == FERMION else _boson_weights
+    pref, mask, net = weights(tb, ops)
     act = np.flatnonzero(mask)
-    np.clip(src, 0, space.n_conf - 1, out=src)
-    for arr in (src, pref, mask, act):
+    gather = (_source_rows(space, tb, act, net), pref[act], mask, act)
+    for arr in gather:
         arr.flags.writeable = False
-    return src, pref, mask, act
+    return gather
 
 
-def _fermion_gather(space, tb, ops):
+def _fermion_weights(tb, ops):
+    """(prefactor, mask, net occupation change from output to source) of a term on every row."""
     occ, prefix = tb.occ, tb.prefix
-    r = space.n_conf
+    r = occ.shape[0]
     mask = np.ones(r, dtype=bool)
     expo = np.zeros(r, dtype=np.int64)
     flips: dict[int, int] = {}
@@ -122,29 +125,13 @@ def _fermion_gather(space, tb, ops):
             flips[p] = flips.get(p, 0) + 1
         # phase of the forward step is the occupancy below p at that moment
         expo += prefix[:, p - 1] + corr
-    pref = np.where((expo & 1).astype(bool), -1.0, 1.0)
-    net = {p: f for p, f in flips.items() if f != 0}
-    if not net:
-        return np.arange(r, dtype=np.int64), pref, mask
-    m, n = space.m, space.n
-    m_v = m - n
-    tbl = space.binomials.array
-    bmax = tbl.shape[1] - 1
-    jsrc = np.ones(r, dtype=np.int64)
-    for p in range(1, m + 1):
-        occ_src = occ[:, p - 1] + net.get(p, 0)
-        pcorr = sum(f for c, f in net.items() if c <= p)
-        b = m_v + 1 - p + prefix[:, p] + pcorr
-        hole = occ_src == 0
-        valid = hole & (b >= 0) & (b <= bmax)
-        bb = np.where(valid, b, 0)
-        jsrc += np.where(valid, tbl[m - p, bb], 0)
-    return jsrc - 1, pref, mask
+    return np.where((expo & 1).astype(bool), -1.0, 1.0), mask, flips
 
 
-def _boson_gather(space, tb, ops):
+def _boson_weights(tb, ops):
+    """(prefactor, mask, net occupation change from output to source) of a term on every row."""
     occ = tb.occ
-    r, m = occ.shape
+    r = occ.shape[0]
     mask = np.ones(r, dtype=bool)
     # exact integer product of the sqrt arguments; one rounding at the end
     # keeps diagonal weights like n_k (n_k - 1) exact
@@ -159,24 +146,31 @@ def _boson_gather(space, tb, ops):
         else:
             prod *= np.maximum(cur + 1, 0)
             deltas[p] = deltas.get(p, 0) + 1
-    pref = np.sqrt(prod.astype(np.float64))
-    net = {p: d for p, d in deltas.items() if d != 0}
-    if not net:
-        return np.arange(r, dtype=np.int64), pref, mask
-    arg, val = tb.addr_arg, tb.addr_val
-    tbl = space.binomials.array
-    amax = tbl.shape[0] - 1
-    jdelta = np.zeros(r, dtype=np.int64)
-    lo, hi = min(net), max(net)
-    for col in range(lo, hi):  # rank-sum columns whose cumulative count shifts
-        shift = sum(d for c, d in net.items() if c <= col)
-        if shift == 0:
-            continue
-        a_src = arg[:, col - 1] - shift
-        valid = (a_src >= 0) & (a_src <= amax)
-        aa = np.where(valid, a_src, 0)
-        jdelta += np.where(valid, tbl[aa, m - col], 0) - val[:, col - 1]
-    return np.arange(r, dtype=np.int64) + jdelta, pref, mask
+    return np.sqrt(prod.astype(np.float64)), mask, deltas
+
+
+def _source_rows(space, tb, act, net):
+    """0-based addresses of the sources of the output rows ``act``, whose occupations differ by ``net``.
+
+    J - 1 is a sum of rank terms over orbitals (:func:`fockspace.occupation_table`);
+    source and output share every term outside the orbitals lo..hi between
+    the lowest and the highest changed one, and the last orbital has none.
+    """
+    src = act.copy()
+    moved = sorted(p for p, d in net.items() if d)
+    if not moved:
+        return src
+    terms = tb.rank_terms
+    flat, per_count = terms.ravel(), terms.shape[2]
+    per_orbital = terms.shape[1] * per_count
+    shift = 0  # particles the source holds beyond the output in orbitals lo..p-1
+    for p in range(moved[0], min(moved[-1], space.m - 1) + 1):
+        d = net.get(p, 0)
+        if shift or d:
+            at = (p - 1) * per_orbital + (space.n - tb.prefix[act, p - 1]) * per_count + tb.occ[act, p - 1]
+            src += flat[at + d - shift * per_count] - flat[at]
+        shift += d
+    return src
 
 
 def sweep(gather, axis: int, amps: np.ndarray, out: np.ndarray, lo: int, hi: int,
@@ -191,12 +185,11 @@ def sweep(gather, axis: int, amps: np.ndarray, out: np.ndarray, lo: int, hi: int
     src, pref, _, act = gather
     if axis == 0:
         i, j = act.searchsorted((lo, hi))
-        rows = act[i:j]
-        if rows.size:
-            weight = (coeff * pref[rows]).reshape((-1,) + (1,) * (amps.ndim - 1))
-            out[rows - lo] += weight * amps[src[rows]]
+        if j > i:
+            weight = (coeff * pref[i:j]).reshape((-1,) + (1,) * (amps.ndim - 1))
+            out[act[i:j] - lo] += weight * amps[src[i:j]]
     elif act.size:
-        out[:, act] += (coeff * pref[act]) * amps[lo:hi, src[act]]
+        out[:, act] += (coeff * pref) * amps[lo:hi, src]
 
 
 def apply_term_ops(

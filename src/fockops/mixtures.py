@@ -209,18 +209,6 @@ def apply_one_body_term_a(k: int, q: int, psi: MixtureStateVector) -> MixtureSta
     return MixtureStateVector(psi.mspace, _species_term(psi, "A", kernel.one_body_ops(k, q)).ravel())
 
 
-def apply_one_body_term_b(k: int, q: int, psi: MixtureStateVector) -> MixtureStateVector:
-    return MixtureStateVector(psi.mspace, _species_term(psi, "B", kernel.one_body_ops(k, q)).ravel())
-
-
-def apply_two_body_term_a(k, s, l, q, psi: MixtureStateVector) -> MixtureStateVector:
-    return MixtureStateVector(psi.mspace, _species_term(psi, "A", kernel.two_body_ops(k, s, l, q)).ravel())
-
-
-def apply_two_body_term_b(k, s, l, q, psi: MixtureStateVector) -> MixtureStateVector:
-    return MixtureStateVector(psi.mspace, _species_term(psi, "B", kernel.two_body_ops(k, s, l, q)).ravel())
-
-
 def apply_inter_term(k: int, q: int, kp: int, qp: int, psi: MixtureStateVector) -> MixtureStateVector:
     """a†_k a_q b†_{k'} b_{q'} |Psi>."""
     mat = _species_term(psi, "B", kernel.one_body_ops(kp, qp))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fockops import cli, load_state
+from fockops import SpaceDescriptor, cli, load_state
 from fockops.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_PARSE, EXIT_STEP, EXIT_USAGE
 
 
@@ -32,6 +32,28 @@ class TestEnum:
         assert len(lines) == 3
         assert lines[0] == "1 |2,0>"
         assert lines[2] == "3 |0,2>"
+
+    @staticmethod
+    def _unranked(space, j):
+        sep = "" if space.statistics == "fermion" else ","
+        return "|" + sep.join(str(v) for v in space.occupations_at(j)) + ">"
+
+    @pytest.mark.parametrize("stat,n,m", [("fermion", 3, 6), ("boson", 3, 4)])
+    def test_all_lines_match_unrank(self, capsys, stat, n, m):
+        code, out, _ = run_cli(capsys, "enum", f"--{stat}", "-N", str(n), "-M", str(m), "--all")
+        space = SpaceDescriptor(stat, n, m)
+        assert code == EXIT_OK
+        assert out.splitlines() == [f"{j} {self._unranked(space, j)}" for j in range(1, space.n_conf + 1)]
+
+    def test_mix_all_lines_match_unrank(self, capsys):
+        code, out, _ = run_cli(capsys, "enum", "--mix", "-N", "2", "-M", "3", "-NB", "2", "-MB", "4",
+                               "--mix-stats", "boson,fermion", "--all")
+        space_a, space_b = SpaceDescriptor.boson(2, 3), SpaceDescriptor.fermion(2, 4)
+        expect = [f"{(j_a - 1) * space_b.n_conf + j_b} {j_a} {j_b} "
+                  f"{self._unranked(space_a, j_a)} {self._unranked(space_b, j_b)}"
+                  for j_a in range(1, space_a.n_conf + 1) for j_b in range(1, space_b.n_conf + 1)]
+        assert code == EXIT_OK
+        assert out.splitlines() == expect
 
     def test_unrank_first_fermion_configuration(self, capsys):
         code, out, _ = run_cli(capsys, "enum", "--fermion", "-N", "2", "-M", "4", "-J", "1")
@@ -424,6 +446,21 @@ class TestHugeHeaderSizes:
         code, _, err = run_cli(capsys, "apply", "--file", str(ints), "--in", str(vec))
         assert code == EXIT_PARSE
         assert _one_line_error(err)
+
+    @pytest.mark.parametrize("header", [
+        "STATISTICS FERMION\nN 100000000\nM 100000000\n",
+        "STATISTICS BOSON\nN 100000000\nM 100000000\n",
+        "STATISTICS MIX FERMION BOSON\nNA 1\nMA 2\nNB 100000000\nMB 100000000\n",
+    ], ids=["fermion", "boson", "mixture"])
+    def test_integral_header(self, tmp_path, header):
+        """In a subprocess with a timeout: a table built for such a header would never finish."""
+        ints = tmp_path / "h.ints"
+        ints.write_text(header)
+        proc = subprocess.run([sys.executable, "-m", "fockops.cli", "gs", "--file", str(ints)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_PARSE
+        assert _one_line_error(proc.stderr)
+        assert "too large" in proc.stderr
 
 
 class TestNonHermitianInput:

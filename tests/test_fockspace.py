@@ -1,6 +1,7 @@
 """State vectors, configuration iteration, and vector serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fockops import (
     save_state,
     zero_state,
 )
-from fockops.fockspace import FermionConfig
+from fockops.fockspace import FermionConfig, occupation_table
 
 
 class TestIteration:
@@ -187,7 +188,19 @@ def test_tables_match_iteration():
         for j, cfg in iterate_configurations(space):
             occ = cfg.occupations(space.m) if isinstance(cfg, FermionConfig) else cfg
             np.testing.assert_array_equal(tb.occ[j - 1], occ)
-        if space.statistics == "boson":
-            # rank identity: 1 + sum of cached binomial terms recovers J
-            j_from_table = 1 + tb.addr_val.sum(axis=1)
-            np.testing.assert_array_equal(j_from_table, np.arange(1, space.n_conf + 1))
+        # rank identity: 1 + one rank term per orbital but the last recovers J
+        remaining = space.n - tb.prefix[:, :-2]
+        j_from_table = 1 + tb.rank_terms[np.arange(space.m - 1), remaining, tb.occ[:, :-1]].sum(axis=1)
+        np.testing.assert_array_equal(j_from_table, np.arange(1, space.n_conf + 1))
+
+
+def test_table_build_keeps_only_completable_counts():
+    """fermion(46, 48) has 1,128 rows; keeping every particle count at every level would need 2^47 rows."""
+    tracemalloc.start()
+    try:
+        occ, _ = occupation_table("fermion", 46, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert occ.shape == (1128, 48)
+    assert peak < 4 * occ.nbytes
