@@ -120,7 +120,7 @@ def _config_string(space: SpaceDescriptor, occ) -> str:
 
 def _config_strings(space: SpaceDescriptor) -> list[str]:
     """Every configuration of ``space`` as printed, in address order."""
-    occ, _ = occupation_table(space.statistics, space.n, space.m)
+    occ = occupation_table(space.statistics, space.n, space.m)[0]
     return [_config_string(space, row) for row in occ.tolist()]
 
 

@@ -111,8 +111,8 @@ class SpaceDescriptor:
         return self._tables
 
 
-def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every occupation vector of a space, one row each in address order, and its rank terms.
+def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every occupation vector of a space, one row each in address order, and its rank tables.
 
     Both statistics list occupation vectors in descending lexicographic
     order; fermions are the case of at most ``cap`` = 1 particle per orbital
@@ -123,35 +123,36 @@ def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.nd
     that the first M - j orbitals can still complete to N are kept, so no
     level holds more rows than the finished table.
 
-    With count_j(r) the number of rows of level j, the rank terms are
-    T[p-1, R, v] = sum_{u=v+1}^{min(cap,R)} count_{M-p}(R - u): how many
-    configurations with the same occupations in orbitals 1..p-1 come before
-    one whose orbitals p..M hold R particles, v of them in orbital p.  Hence,
-    with S_p the particles in orbitals 1..p,
-    J = 1 + sum_{p<M} T[p-1, N - S_{p-1}, n_p].
+    With count_j(r) the number of rows of level j, the rank counts
+    C[p-1, x] = sum_{r<x} count_{M-p}(r), shape (M-1, N+2), and the rank
+    floors F[p-1, R] = C[p-1, R - min(cap, R)], shape (M-1, N+1), give
+    T(p, R, v) = sum_{u=v+1}^{min(cap,R)} count_{M-p}(R - u) = C[p-1, R - v] - F[p-1, R]:
+    how many configurations with the same occupations in orbitals 1..p-1
+    come before one whose orbitals p..M hold R particles, v of them in
+    orbital p.  Hence, with S_p the particles in orbitals 1..p,
+    J = 1 + sum_{p<M} T(p, N - S_{p-1}, n_p).  Both tables take O(M N) memory.
     """
     cap = 1 if statistics == FERMION else n
     counts = np.zeros((m + 1, n + 1), dtype=np.int64)
     counts[0, 0] = 1
-    level = {0: np.zeros((1, 0), dtype=np.int64)}
+    occ, totals = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
     for j in range(1, m + 1):
-        below, level = level, {}
-        for r in range(max(0, n - cap * (m - j)), min(n, cap * j) + 1):
-            values = range(min(cap, r), max(0, r - cap * (j - 1)) - 1, -1)
-            rows = np.empty((sum(len(below[r - v]) for v in values), j), dtype=np.int64)
-            start = 0
-            for v in values:
-                tail = below[r - v]
-                rows[start:start + len(tail), 0] = v
-                rows[start:start + len(tail), 1:] = tail
-                start += len(tail)
-            level[r] = rows
-            counts[j, r] = len(rows)
-    total, first = np.arange(n + 1)[:, None], np.arange(cap + 1)
-    skipped = np.where(first <= total, counts[m - 1:0:-1, np.maximum(total - first, 0)], 0)
-    terms = np.zeros_like(skipped)
-    terms[..., :-1] = np.cumsum(skipped[..., :0:-1], axis=-1)[..., ::-1]
-    return level[n], terms
+        # rows of level j - 1 are ordered by total, so the tails of the rows
+        # holding r particles (first value from min(cap, r) down) are one slice
+        r = np.arange(max(0, n - cap * (m - j)), min(n, cap * j) + 1)
+        starts = np.concatenate(([0], np.cumsum(counts[j - 1])))
+        begin, end = starts[np.maximum(r - cap, 0)], starts[np.minimum(r, cap * (j - 1)) + 1]
+        counts[j, r] = sizes = end - begin
+        tail = np.arange(sizes.sum()) + np.repeat(begin + sizes - np.cumsum(sizes), sizes)
+        owner = np.repeat(r, sizes)
+        rows = np.empty((len(tail), j), dtype=np.int64)
+        rows[:, 0] = owner - totals[tail]
+        rows[:, 1:] = occ[tail]
+        occ, totals = rows, owner
+    rank_counts = np.zeros((m - 1, n + 2), dtype=np.int64)
+    np.cumsum(counts[m - 1:0:-1], axis=1, out=rank_counts[:, 1:])
+    remaining = np.arange(n + 1)
+    return occ, rank_counts, rank_counts[:, remaining - np.minimum(remaining, cap)]
 
 
 def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
@@ -160,7 +161,7 @@ def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
     Fermions yield :class:`FermionConfig`, bosons occupation tuples, both
     from the rows of :func:`occupation_table`.
     """
-    occ, _ = occupation_table(space.statistics, space.n, space.m)
+    occ = occupation_table(space.statistics, space.n, space.m)[0]
     if space.statistics == FERMION:
         holes = np.nonzero(occ == 0)[1].reshape(len(occ), space.m - space.n) + 1
         for j, row in enumerate(holes.tolist(), start=1):
@@ -173,15 +174,15 @@ def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
 class SpaceTables:
     """Arrays over all configurations, in J order, and the rank terms that re-address them.
 
-    occ         (N_conf, M)          occupation numbers
-    prefix      (N_conf, M+1)        prefix[:, p] = sum of occ[:, :p]
-    rank_terms  (M-1, N+1, cap+1)    T of :func:`occupation_table`:
-                J = 1 + sum_{p<M} T[p-1, N - prefix[:, p-1], occ[:, p-1]]
+    occ          (N_conf, M)     occupation numbers
+    prefix       (N_conf, M+1)   prefix[:, p] = sum of occ[:, :p]
+    rank_counts  (M-1, N+2)      C of :func:`occupation_table`
+    rank_floor   (M-1, N+1)      F of :func:`occupation_table`
     """
 
     def __init__(self, space: SpaceDescriptor):
         self.space = space
-        self.occ, self.rank_terms = occupation_table(space.statistics, space.n, space.m)
+        self.occ, self.rank_counts, self.rank_floor = occupation_table(space.statistics, space.n, space.m)
         prefix = np.zeros((space.n_conf, space.m + 1), dtype=np.int64)
         np.cumsum(self.occ, axis=1, out=prefix[:, 1:])
         self.prefix = prefix
@@ -327,25 +328,37 @@ def check_payload(fh, n_amplitudes: int, path) -> None:
         raise FockError(f"{path}: header promises {n_amplitudes} amplitudes, file holds {left} bytes")
 
 
-MAX_HEADER_TABLE = 1 << 20  # binomial-table entries a file may ask for beyond its amplitude count
+MAX_HEADER_TABLE = 1 << 20  # binomial-table entries any header may ask for
+MAX_SPACE_TABLE = 1 << 26  # entries beyond which only amplitudes in the file vouch for a table
 
 
-def header_space(statistics, n, m, n_amplitudes: int, path, exact: bool = True) -> SpaceDescriptor:
-    """The space a vector file names, checked against the ``n_amplitudes`` it holds.
+def header_space(statistics, n, m, n_amplitudes, path, exact: bool = True) -> SpaceDescriptor:
+    """The space a file header names, checked before its binomial table is built.
 
-    An invalid space, one whose binomial table would exceed both
-    ``n_amplitudes`` and :data:`MAX_HEADER_TABLE` entries, or (if ``exact``)
-    one of another dimension raises FockError before any table is built.
+    ``n_amplitudes`` is the number of amplitudes the file holds, or None for
+    a file that holds none (an integral file).  A binomial table beyond
+    :data:`MAX_HEADER_TABLE` entries must be vouched for: by as many
+    amplitudes in the file, or, up to :data:`MAX_SPACE_TABLE` entries, by
+    the space, if it is no larger than the occupation and prefix tables,
+    N_conf (2M + 1) entries, that working in the space needs anyway (N_conf
+    counted no higher than ``n_amplitudes``).  FockError is raised for an
+    invalid space, a table nothing vouches for, or (if ``exact``) a
+    dimension other than ``n_amplitudes``.
     """
     try:
         cmb._check_space(statistics, n, m)
     except InvalidSpaceError as exc:
         raise FockError(f"{path}: {exc}") from None
     a_max, b_max = cmb.table_bounds(statistics, n, m)
-    if (a_max + 1) * (b_max + 1) > max(n_amplitudes, MAX_HEADER_TABLE):
-        raise FockError(f"{path}: space N={n}, M={m} is too large for {n_amplitudes} amplitudes")
+    entries = (a_max + 1) * (b_max + 1)
+    if entries > max(MAX_HEADER_TABLE, n_amplitudes or 0):
+        # beyond MAX_SPACE_TABLE the space vouches for nothing, and N_conf may be costly to compute
+        n_conf = 0 if entries > MAX_SPACE_TABLE else cmb.space_dimension(statistics, n, m)
+        if entries > (2 * m + 1) * (n_conf if n_amplitudes is None else min(n_conf, n_amplitudes)):
+            raise FockError(f"{path}: space N={n}, M={m} is too large: its binomial table "
+                            f"would hold {entries} entries")
     space = SpaceDescriptor(statistics, n, m)
-    if exact and space.n_conf != n_amplitudes:
+    if exact and n_amplitudes is not None and space.n_conf != n_amplitudes:
         raise FockError(f"{path}: {n_amplitudes} amplitudes for a space of N_conf={space.n_conf}")
     return space
 

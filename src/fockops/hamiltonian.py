@@ -15,10 +15,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import combinadics as cmb
 from .combinadics import BOSON, FERMION
-from .errors import IntegralFormatError, ValidationError
-from .fockspace import MAX_HEADER_TABLE, SpaceDescriptor
+from .errors import FockError, IntegralFormatError, ValidationError
+from .fockspace import SpaceDescriptor, header_space
 
 DENSE_TWO_BODY_LIMIT = 32  # orbitals; above this W is kept as a coordinate list
 HERMITICITY_TOL = 1e-12
@@ -275,19 +274,12 @@ def build_bose_hubbard(
 #   X k q k' q' re [im]      (A pair k<->q, B pair k'<->q')
 
 
-def _header_space(statistics: str, n: int, m: int) -> SpaceDescriptor:
-    """The space an integral header names.
-
-    An integral file holds no amplitudes to vouch for its size, so a space
-    whose binomial table would exceed :data:`fockspace.MAX_HEADER_TABLE`
-    entries is refused before that table is built.
-    """
-    cmb._check_space(statistics, n, m)
-    a_max, b_max = cmb.table_bounds(statistics, n, m)
-    if (a_max + 1) * (b_max + 1) > MAX_HEADER_TABLE:
-        raise IntegralFormatError(f"space N={n}, M={m} is too large: its binomial table "
-                                  f"would exceed {MAX_HEADER_TABLE} entries")
-    return SpaceDescriptor(statistics, n, m)
+def _header_space(statistics: str, n: int, m: int, path) -> SpaceDescriptor:
+    """The space an integral header names, checked by :func:`fockspace.header_space`."""
+    try:
+        return header_space(statistics, n, m, None, path)
+    except FockError as exc:
+        raise IntegralFormatError(str(exc)) from None
 
 
 def load_integrals(path):
@@ -309,7 +301,7 @@ def load_integrals(path):
     if head[0].upper() != "STATISTICS":
         raise IntegralFormatError("first line must declare STATISTICS", no)
     if len(head) >= 2 and head[1].upper() == "MIX":
-        return _load_mixture(toks)
+        return _load_mixture(toks, path)
     if len(head) != 2 or head[1].upper() not in ("FERMION", "BOSON"):
         raise IntegralFormatError(f"bad statistics declaration {' '.join(head)!r}", no)
     statistics = FERMION if head[1].upper() == "FERMION" else BOSON
@@ -323,7 +315,7 @@ def load_integrals(path):
             break
     if "N" not in sizes or "M" not in sizes:
         raise IntegralFormatError("header must provide N and M lines")
-    space = _header_space(statistics, sizes["N"], sizes["M"])
+    space = _header_space(statistics, sizes["N"], sizes["M"], path)
     m = space.m
     h = np.zeros((m, m), dtype=np.complex128)
     w_entries = []
@@ -340,7 +332,7 @@ def load_integrals(path):
     return HamiltonianSpec(space, OneBodyTable(h), wtab)
 
 
-def _load_mixture(toks):
+def _load_mixture(toks, path):
     from .mixtures import InterSpeciesTable, MixtureHamiltonianSpec, MixtureSpace
 
     no, head = toks[0]
@@ -359,8 +351,8 @@ def _load_mixture(toks):
     missing = {"NA", "MA", "NB", "MB"} - set(sizes)
     if missing:
         raise IntegralFormatError(f"missing size lines: {sorted(missing)}")
-    space_a = _header_space(stat_a, sizes["NA"], sizes["MA"])
-    space_b = _header_space(stat_b, sizes["NB"], sizes["MB"])
+    space_a = _header_space(stat_a, sizes["NA"], sizes["MA"], path)
+    space_b = _header_space(stat_b, sizes["NB"], sizes["MB"], path)
     ma, mb = space_a.m, space_b.m
     ha = np.zeros((ma, ma), dtype=np.complex128)
     hb = np.zeros((mb, mb), dtype=np.complex128)

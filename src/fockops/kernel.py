@@ -152,24 +152,29 @@ def _boson_weights(tb, ops):
 def _source_rows(space, tb, act, net):
     """0-based addresses of the sources of the output rows ``act``, whose occupations differ by ``net``.
 
-    J - 1 is a sum of rank terms over orbitals (:func:`fockspace.occupation_table`);
-    source and output share every term outside the orbitals lo..hi between
-    the lowest and the highest changed one, and the last orbital has none.
+    J - 1 is a sum of rank terms T(p, R, v) = C[p-1, R - v] - F[p-1, R] over
+    orbitals (:func:`fockspace.occupation_table`); source and output share
+    every term outside the orbitals lo..hi between the lowest and the highest
+    changed one, the last orbital has none, and F cancels where the source
+    holds as many particles in orbitals p..M as the output.
     """
     src = act.copy()
     moved = sorted(p for p, d in net.items() if d)
     if not moved:
         return src
-    terms = tb.rank_terms
-    flat, per_count = terms.ravel(), terms.shape[2]
-    per_orbital = terms.shape[1] * per_count
+    lo, hi = moved[0], min(moved[-1], space.m - 1)
+    remaining = space.n - tb.prefix[act, lo - 1]  # particles the output holds in orbitals p..M
     shift = 0  # particles the source holds beyond the output in orbitals lo..p-1
-    for p in range(moved[0], min(moved[-1], space.m - 1) + 1):
+    for p, occupied in zip(range(lo, hi + 1), tb.occ[act, lo - 1:hi].T):
         d = net.get(p, 0)
+        rest = remaining - occupied
         if shift or d:
-            at = (p - 1) * per_orbital + (space.n - tb.prefix[act, p - 1]) * per_count + tb.occ[act, p - 1]
-            src += flat[at + d - shift * per_count] - flat[at]
-        shift += d
+            counts = tb.rank_counts[p - 1]
+            src += counts[rest - shift - d] - counts[rest]
+            if shift:
+                floor = tb.rank_floor[p - 1]
+                src -= floor[remaining - shift] - floor[remaining]
+        remaining, shift = rest, shift + d
     return src
 
 

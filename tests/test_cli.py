@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, determinism."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -359,8 +360,6 @@ class TestVectorFileBoundary:
         assert _one_line_error(err)
 
     def test_unknown_mixture_statistics_byte(self, capsys, tmp_path):
-        import struct
-
         header = b"FOCKMIX1" + struct.pack("<BBQQQQQ", 0, 7, 1, 2, 1, 2, 4)
         code, _, err = self._apply(capsys, tmp_path, _MIX_INTS, header + b"\0" * 64)
         assert code == EXIT_PARSE
@@ -425,8 +424,6 @@ class TestHugeHeaderSizes:
         (0, 40, 2**50, 1),      # fermion: a dimension far beyond 64 bits
     ])
     def test_single_species(self, capsys, tmp_path, stat, n, m, n_conf):
-        import struct
-
         vec = tmp_path / "in.vec"
         vec.write_bytes(b"FOCKVEC1" + struct.pack("<BQQQ", stat, n, m, n_conf) + b"\0" * 16)
         ints = tmp_path / "h.ints"
@@ -436,8 +433,6 @@ class TestHugeHeaderSizes:
         assert _one_line_error(err)
 
     def test_mixture(self, capsys, tmp_path):
-        import struct
-
         header = b"FOCKMIX1" + struct.pack("<BBQQQQQ", 0, 1, 1, 2, 2**40, 1, 2)
         vec = tmp_path / "in.vec"
         vec.write_bytes(header + b"\0" * 32)
@@ -451,7 +446,8 @@ class TestHugeHeaderSizes:
         "STATISTICS FERMION\nN 100000000\nM 100000000\n",
         "STATISTICS BOSON\nN 100000000\nM 100000000\n",
         "STATISTICS MIX FERMION BOSON\nNA 1\nMA 2\nNB 100000000\nMB 100000000\n",
-    ], ids=["fermion", "boson", "mixture"])
+        "STATISTICS BOSON\nN 100000000\nM 2\n",
+    ], ids=["fermion", "boson", "mixture", "two-orbitals"])
     def test_integral_header(self, tmp_path, header):
         """In a subprocess with a timeout: a table built for such a header would never finish."""
         ints = tmp_path / "h.ints"
@@ -461,6 +457,28 @@ class TestHugeHeaderSizes:
         assert proc.returncode == EXIT_PARSE
         assert _one_line_error(proc.stderr)
         assert "too large" in proc.stderr
+
+    def test_invalid_integral_header_space(self, capsys, tmp_path):
+        """A header naming an impossible space is a bad file, like a bad vector header."""
+        ints = tmp_path / "h.ints"
+        ints.write_text("STATISTICS FERMION\nN 3\nM 2\n")
+        code, _, err = run_cli(capsys, "gs", "--file", str(ints))
+        assert code == EXIT_PARSE
+        assert _one_line_error(err)
+        assert "M >= N" in err
+
+    def test_many_bosons_on_two_sites_apply(self, capsys, tmp_path):
+        """boson(600000, 2): a 1.2M-entry binomial table, fewer entries than the space's own tables."""
+        ints = tmp_path / "h.ints"
+        ints.write_text("STATISTICS BOSON\nN 600000\nM 2\nH 1 1 1.0\n")
+        vec, out_vec = tmp_path / "in.fvec", tmp_path / "out.fvec"
+        amps = np.zeros(600001, dtype="<c16")
+        amps[0] = 1.0
+        vec.write_bytes(b"FOCKVEC1" + struct.pack("<BQQQ", 1, 600000, 2, 600001) + amps.tobytes())
+        code, out, _ = run_cli(capsys, "apply", "--file", str(ints), "--in", str(vec), "--out", str(out_vec))
+        assert code == EXIT_OK
+        assert json.loads(out)["expectation"] == [600000.0, 0.0]
+        assert np.flatnonzero(np.frombuffer(out_vec.read_bytes()[33:], dtype="<c16")).tolist() == [0]
 
 
 class TestNonHermitianInput:

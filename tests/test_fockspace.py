@@ -19,7 +19,7 @@ from fockops import (
     save_state,
     zero_state,
 )
-from fockops.fockspace import FermionConfig, occupation_table
+from fockops.fockspace import FermionConfig, header_space, occupation_table
 
 
 class TestIteration:
@@ -190,7 +190,9 @@ def test_tables_match_iteration():
             np.testing.assert_array_equal(tb.occ[j - 1], occ)
         # rank identity: 1 + one rank term per orbital but the last recovers J
         remaining = space.n - tb.prefix[:, :-2]
-        j_from_table = 1 + tb.rank_terms[np.arange(space.m - 1), remaining, tb.occ[:, :-1]].sum(axis=1)
+        orbitals = np.arange(space.m - 1)
+        terms = tb.rank_counts[orbitals, remaining - tb.occ[:, :-1]] - tb.rank_floor[orbitals, remaining]
+        j_from_table = 1 + terms.sum(axis=1)
         np.testing.assert_array_equal(j_from_table, np.arange(1, space.n_conf + 1))
 
 
@@ -198,9 +200,38 @@ def test_table_build_keeps_only_completable_counts():
     """fermion(46, 48) has 1,128 rows; keeping every particle count at every level would need 2^47 rows."""
     tracemalloc.start()
     try:
-        occ, _ = occupation_table("fermion", 46, 48)
+        occ = occupation_table("fermion", 46, 48)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert occ.shape == (1128, 48)
     assert peak < 4 * occ.nbytes
+
+
+def test_rank_counts_grow_with_particles_not_their_square():
+    """boson(20000, 2): a rank table over (particles left, occupation) pairs would need 3.2 GB."""
+    tracemalloc.start()
+    try:
+        occ, rank_counts, rank_floor = occupation_table("boson", 20000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert occ.shape == (20001, 2)
+    assert rank_counts.shape == (1, 20002) and rank_floor.shape == (1, 20001)
+    assert peak < 8 * occ.nbytes
+
+
+@pytest.mark.parametrize("statistics,n,m,n_amplitudes,loads", [
+    ("boson", 600000, 2, None, True),         # 1.2M entries, fewer than N_conf (2M + 1)
+    ("boson", 600000, 2, 600001, True),
+    ("boson", 600000, 2, 1, False),           # the file holds one amplitude, not N_conf
+    ("fermion", 2**20, 2**20, None, False),   # one configuration, a 2M + 2 entry table
+    ("boson", 2**25, 2, None, False),         # beyond MAX_SPACE_TABLE, however large N_conf
+])
+def test_header_table_allowance(statistics, n, m, n_amplitudes, loads):
+    """A binomial table over 2^20 entries is built only if the space's own tables are larger."""
+    if loads:
+        assert header_space(statistics, n, m, n_amplitudes, "f", exact=False).n == n
+    else:
+        with pytest.raises(FockError, match="too large"):
+            header_space(statistics, n, m, n_amplitudes, "f", exact=False)
