@@ -198,7 +198,7 @@ class SpaceTables:
         if hit is not None:
             return hit
         val = build()
-        size = sum(a.nbytes for a in val)
+        size = sum(a.nbytes for a in val if a is not None)
         with self._gather_lock:  # threads that miss the same key insert and count it once
             hit = self._gather_cache.get(key)
             if hit is not None:

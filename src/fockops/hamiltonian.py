@@ -17,7 +17,7 @@ import numpy as np
 
 from .combinadics import BOSON, FERMION
 from .errors import FockError, IntegralFormatError, ValidationError
-from .fockspace import SpaceDescriptor, header_space
+from .fockspace import MAX_SPACE_TABLE, SpaceDescriptor, header_space
 
 DENSE_TWO_BODY_LIMIT = 32  # orbitals; above this W is kept as a coordinate list
 HERMITICITY_TOL = 1e-12
@@ -282,6 +282,13 @@ def _header_space(statistics: str, n: int, m: int, path) -> SpaceDescriptor:
         raise IntegralFormatError(str(exc)) from None
 
 
+def _check_table(entries: int, what: str, path) -> None:
+    """Refuse a dense table sized by the header before it is allocated."""
+    if entries > MAX_SPACE_TABLE:
+        raise IntegralFormatError(f"{path}: header sizes are too large: the {what} table "
+                                  f"would hold {entries} entries")
+
+
 def load_integrals(path):
     """Parse an integral file into a Hamiltonian spec (single species or mixture).
 
@@ -317,6 +324,7 @@ def load_integrals(path):
         raise IntegralFormatError("header must provide N and M lines")
     space = _header_space(statistics, sizes["N"], sizes["M"], path)
     m = space.m
+    _check_table(m * m, "one-body", path)
     h = np.zeros((m, m), dtype=np.complex128)
     w_entries = []
     for no, tok in toks[body_start:]:
@@ -354,6 +362,7 @@ def _load_mixture(toks, path):
     space_a = _header_space(stat_a, sizes["NA"], sizes["MA"], path)
     space_b = _header_space(stat_b, sizes["NB"], sizes["MB"], path)
     ma, mb = space_a.m, space_b.m
+    _check_table((ma * mb) ** 2, "inter-species", path)
     ha = np.zeros((ma, ma), dtype=np.complex128)
     hb = np.zeros((mb, mb), dtype=np.complex128)
     wa_entries, wb_entries = [], []

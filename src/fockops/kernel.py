@@ -87,11 +87,12 @@ def _check_orbitals(space: SpaceDescriptor, orbitals: Iterable[int]) -> None:
 
 
 def term_gather(space: SpaceDescriptor, ops: Ops):
-    """(source rows, prefactors, mask, acting rows) for a term, cached per space.
+    """(source rows, prefactors, None, acting rows) for a term, cached per space.
 
-    ``act`` lists the 0-based output rows on which the term acts (where
-    ``mask`` is set); ``src`` and ``pref`` hold the source row and the
-    prefactor of each of them, in the order of ``act``.
+    ``act`` lists the 0-based output rows on which the term acts; ``src``
+    and ``pref`` hold the source row and the prefactor of each of them, in
+    the order of ``act``.  The third slot is None; the tuple keeps four
+    slots because callers read ``act`` at index 3.
     """
     tb = space.tables()
     return tb.cached_gather(ops, lambda: _build_gather(space, tb, ops))
@@ -101,10 +102,10 @@ def _build_gather(space, tb, ops):
     weights = _fermion_weights if space.statistics == FERMION else _boson_weights
     pref, mask, net = weights(tb, ops)
     act = np.flatnonzero(mask)
-    gather = (_source_rows(space, tb, act, net), pref[act], mask, act)
-    for arr in gather:
+    src, pref = _source_rows(space, tb, act, net), pref[act]
+    for arr in (src, pref, act):
         arr.flags.writeable = False
-    return gather
+    return src, pref, None, act
 
 
 def _fermion_weights(tb, ops):

@@ -1,9 +1,14 @@
-"""Krylov solvers built solely on the matrix-free apply, dot, and axpy.
+"""Krylov solvers built solely on the matrix-free apply.
 
 Ground states come from a Lanczos iteration with full reorthogonalization;
 time propagation uses short iterative Lanczos (SIL): each step spans a fresh
 Krylov subspace of the current state and applies exp(-i T dt) in it, so loss
-of orthogonality cannot accumulate across steps.
+of orthogonality cannot accumulate across steps.  The basis is kept as rows
+of contiguous blocks, so each reorthogonalization pass (classical
+Gram-Schmidt: two passes in Lanczos, one in SIL), Ritz vector and SIL result
+is one BLAS-2 call per block.  Lanczos grows the basis by
+:data:`BASIS_BLOCK_ROWS` rows; ``propagate`` reuses one ``krylov_dim``-row
+block in every step, and retries a rejected substep on the same space.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .fockspace import StateVector
 from .mixtures import MixtureHamiltonianSpec, MixtureStateVector
 
 _BREAKDOWN_TOL = 1e-13
+BASIS_BLOCK_ROWS = 16  # rows per block of a growing Lanczos basis
 
 
 def _operator(spec, workers: int = 1):
@@ -39,6 +45,62 @@ def _operator(spec, workers: int = 1):
         return kernel.apply_hamiltonian(spec, StateVector(space, arr), workers=workers).amplitudes
 
     return matvec, lambda arr: StateVector(space, arr), space.n_conf
+
+
+class _Lanczos:
+    """Lanczos recurrence whose orthonormal basis rows live in contiguous blocks.
+
+    Blocks of ``block_rows`` complex128 rows are allocated as the basis
+    grows and reused by :meth:`start`; rows beyond ``size`` are never read.
+    """
+
+    def __init__(self, matvec, dim: int, block_rows: int):
+        self.matvec, self.dim, self.block_rows = matvec, dim, block_rows
+        self.blocks: list[np.ndarray] = []
+
+    def start(self, v: np.ndarray, nrm: float) -> None:
+        self.size, self.alphas, self.betas = 0, [], []
+        self._append(v, nrm)
+
+    def row(self, i: int) -> np.ndarray:
+        return self.blocks[i // self.block_rows][i % self.block_rows]
+
+    def step(self, passes: int):
+        """(w, ||w||) for w = H times the last row, orthogonalized against every row; appends alpha.
+
+        Each pass is classical Gram-Schmidt, w -= V (V^H w): two GEMVs per
+        block, blocks in turn.
+        """
+        v = self.row(self.size - 1)
+        w = self.matvec(v)
+        self.alphas.append(float(np.vdot(v, w).real))
+        w -= self.alphas[-1] * v
+        if self.betas:
+            w -= self.betas[-1] * self.row(self.size - 2)
+        for _ in range(passes):
+            for rows in self._filled():
+                w -= np.conjugate(rows @ np.conjugate(w)) @ rows
+        return w, float(np.linalg.norm(w))
+
+    def push(self, w: np.ndarray, beta: float) -> None:
+        """Extend the basis by w / beta."""
+        self.betas.append(beta)
+        self._append(w, beta)
+
+    def combine(self, coef) -> np.ndarray:
+        """sum_j coef[j] * row j: one GEMV per block."""
+        k = self.block_rows
+        return sum(coef[b * k : (b + 1) * k] @ rows for b, rows in enumerate(self._filled()))
+
+    def _append(self, w, scale) -> None:
+        if self.size == len(self.blocks) * self.block_rows:
+            self.blocks.append(np.empty((self.block_rows, self.dim), dtype=np.complex128))
+        np.divide(w, scale, out=self.row(self.size))
+        self.size += 1
+
+    def _filled(self) -> list[np.ndarray]:
+        k = self.block_rows
+        return [blk[: self.size - b * k] for b, blk in enumerate(self.blocks[: -(-self.size // k)])]
 
 
 def _tridiagonal(alphas, betas) -> np.ndarray:
@@ -67,33 +129,21 @@ def ground_state(
     matvec, wrap, dim = _operator(spec, workers)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    basis = [v]
-    alphas: list[float] = []
-    betas: list[float] = []
+    m_cap = max(1, min(max_iter, dim))
+    lz = _Lanczos(matvec, dim, BASIS_BLOCK_ROWS)
+    lz.start(v, np.linalg.norm(v))
+    del v  # the basis holds its own copy
     best_res = np.inf
     best_est = np.inf
-    m_cap = max(1, min(max_iter, dim))
     for it in range(1, m_cap + 1):
-        w = matvec(basis[-1])
-        alpha = float(np.vdot(basis[-1], w).real)
-        alphas.append(alpha)
-        w = w - alpha * basis[-1]
-        if len(basis) > 1:
-            w -= betas[-1] * basis[-2]
-        for _ in range(2):  # full reorthogonalization, twice for safety
-            for b in basis:
-                w -= np.vdot(b, w) * b
-        beta = float(np.linalg.norm(w))
-        evals, evecs = np.linalg.eigh(_tridiagonal(alphas, betas))
+        w, beta = lz.step(passes=2)  # full reorthogonalization, twice (CGS2)
+        evals, evecs = np.linalg.eigh(_tridiagonal(lz.alphas, lz.betas))
         theta, y = float(evals[0]), evecs[:, 0]
         res_est = beta * abs(y[-1])
         best_est = min(best_est, res_est)
         breakdown = beta <= _BREAKDOWN_TOL * max(1.0, abs(theta))
         if res_est <= tol or breakdown or it == dim:
-            x = np.zeros(dim, dtype=np.complex128)
-            for coef, b in zip(y, basis):
-                x += coef * b
+            x = lz.combine(y)
             x /= np.linalg.norm(x)
             hx = matvec(x)
             energy = float(np.vdot(x, hx).real)
@@ -106,9 +156,8 @@ def ground_state(
                         best_residual=res,
                     )
                 return GroundStateResult(energy, wrap(x), res, it)
-        # non-breakdown guarantees beta well above zero here
-        betas.append(beta)
-        basis.append(w / beta)
+        if it < m_cap:  # non-breakdown guarantees beta well above zero here
+            lz.push(w, beta)
     best = best_res if np.isfinite(best_res) else best_est
     raise ConvergenceError(
         f"no convergence to {tol:.1e} within {m_cap} iterations; best residual {best:.3e}",
@@ -118,7 +167,11 @@ def ground_state(
 
 @dataclass
 class PropagationResult:
-    """Time grid, recorded observables, and per-step error estimates."""
+    """Time grid, recorded observables, and per-step error estimates.
+
+    ``substeps`` and ``rejections`` count, per grid step, the SIL substeps
+    accepted and those the error estimate rejected (0 at t = 0).
+    """
 
     times: np.ndarray
     norms: np.ndarray
@@ -127,6 +180,8 @@ class PropagationResult:
     error_estimates: np.ndarray
     final_state: StateVector | MixtureStateVector
     states: list | None = None
+    substeps: np.ndarray | None = None
+    rejections: np.ndarray | None = None
 
     @property
     def norm_drift(self) -> float:
@@ -137,8 +192,8 @@ class PropagationResult:
         return float(np.max(np.abs(self.energies - self.energies[0])))
 
 
-def _sil_step(matvec, y: np.ndarray, dt: float, m_max: int):
-    """One exp(-i H dt) application in a fresh Krylov subspace.
+def _sil_space(lz: _Lanczos, y: np.ndarray, m_max: int):
+    """Build the Krylov space of y in ``lz`` once; return dt -> (exp(-i H dt) y, error estimate).
 
     The error estimate is the 2-norm difference between the propagated
     coefficients at subspace dimensions m and m-1 (weighted by the state
@@ -146,43 +201,32 @@ def _sil_step(matvec, y: np.ndarray, dt: float, m_max: int):
     """
     nrm = float(np.linalg.norm(y))
     if nrm == 0.0:
-        return y.copy(), 0.0
-    dim = y.shape[0]
-    m_max = max(1, min(m_max, dim))
-    basis = [y / nrm]
-    alphas: list[float] = []
-    betas: list[float] = []
+        return lambda dt: (y.copy(), 0.0)
+    lz.start(y, nrm)
     breakdown = False
-    for _ in range(m_max):
-        w = matvec(basis[-1])
-        alpha = float(np.vdot(basis[-1], w).real)
-        alphas.append(alpha)
-        w = w - alpha * basis[-1]
-        if len(basis) > 1:
-            w -= betas[-1] * basis[-2]
-        for b in basis:  # reorthogonalize within the step
-            w -= np.vdot(b, w) * b
-        beta = float(np.linalg.norm(w))
-        if len(alphas) == m_max:
+    while True:
+        w, beta = lz.step(passes=1)  # reorthogonalize within the step
+        if len(lz.alphas) == m_max:
             break
-        if beta <= _BREAKDOWN_TOL * max(1.0, abs(alpha)):
+        if beta <= _BREAKDOWN_TOL * max(1.0, abs(lz.alphas[-1])):
             breakdown = True
             break
-        betas.append(beta)
-        basis.append(w / beta)
+        lz.push(w, beta)
+    alphas, betas = lz.alphas, lz.betas
     m = len(alphas)
-    u = _expm_tridiag(alphas, betas, dt)
-    if breakdown or m >= dim:
-        err = 0.0  # the Krylov space is invariant (or complete): exact step
-    elif m == 1:
-        err = nrm * beta * abs(dt)  # leakage amplitude toward the first neglected vector
-    else:
-        u_small = _expm_tridiag(alphas[:-1], betas[:-1], dt)
-        err = nrm * float(np.linalg.norm(u - np.concatenate([u_small, [0.0]])))
-    out = np.zeros(dim, dtype=np.complex128)
-    for coef, b in zip(u, basis):
-        out += coef * b
-    return nrm * out, err
+
+    def step(dt):
+        u = _expm_tridiag(alphas, betas, dt)
+        if breakdown or m >= lz.dim:
+            err = 0.0  # the Krylov space is invariant (or complete): exact step
+        elif m == 1:
+            err = nrm * beta * abs(dt)  # leakage amplitude toward the first neglected vector
+        else:
+            u_small = _expm_tridiag(alphas[:-1], betas[:-1], dt)
+            err = nrm * float(np.linalg.norm(u - np.concatenate([u_small, [0.0]])))
+        return nrm * lz.combine(u), err
+
+    return step
 
 
 def _expm_tridiag(alphas, betas, dt: float) -> np.ndarray:
@@ -203,12 +247,15 @@ def propagate(
     """Propagate psi(t) = exp(-i H t) psi0 on the grid t = 0, dt, 2 dt, ..., t_final.
 
     Each grid step is internally subdivided whenever the SIL error estimate
-    exceeds its share of ``err_tol``; if halving reaches dt / 2^30 a
+    exceeds its share of ``err_tol``; a rejected substep is retried on the
+    same Krylov space.  If halving reaches dt / 2^30 a
     :class:`StepFailureError` is raised.
     """
     if dt <= 0 or t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
-    matvec, wrap, _ = _operator(spec, workers)
+    matvec, wrap, dim = _operator(spec, workers)
+    m_max = max(1, min(krylov_dim, dim))
+    lz = _Lanczos(matvec, dim, m_max)
     y = psi0.amplitudes.copy()
     n_steps = int(round(t_final / dt))
     times = [0.0]
@@ -216,6 +263,7 @@ def propagate(
     energies = [float(np.vdot(y, matvec(y)).real)]
     dens = [observables.site_densities(wrap(y))]
     errs = [0.0]
+    substeps, rejections = [0], [0]
     states = [wrap(y.copy())] if store_states else None
     h_min = dt / 2**30
     eps_floor = 64 * np.finfo(np.float64).eps
@@ -223,9 +271,13 @@ def propagate(
         remaining = dt
         h = dt
         acc_err = 0.0
+        accepted = rejected = 0
+        sil = None
         while remaining > 1e-12 * dt:
             h = min(h, remaining)
-            y_try, err = _sil_step(matvec, y, h, krylov_dim)
+            if sil is None:
+                sil = _sil_space(lz, y, m_max)
+            y_try, err = sil(h)
             # subdividing cannot push the estimate below roundoff noise
             budget = max(err_tol * (h / dt), eps_floor * max(1.0, float(np.linalg.norm(y))))
             if err > budget:
@@ -234,15 +286,19 @@ def propagate(
                         f"error estimate {err:.3e} above tolerance at minimal substep {h:.3e}"
                     )
                 h /= 2
+                rejected += 1
                 continue
-            y = y_try
+            y, sil = y_try, None
             acc_err += err
+            accepted += 1
             remaining -= h
         times.append(step * dt)
         norms.append(float(np.linalg.norm(y)))
         energies.append(float(np.vdot(y, matvec(y)).real))
         dens.append(observables.site_densities(wrap(y)))
         errs.append(acc_err)
+        substeps.append(accepted)
+        rejections.append(rejected)
         if store_states:
             states.append(wrap(y.copy()))
     return PropagationResult(
@@ -253,6 +309,8 @@ def propagate(
         error_estimates=np.array(errs),
         final_state=wrap(y),
         states=states,
+        substeps=np.array(substeps),
+        rejections=np.array(rejections),
     )
 
 

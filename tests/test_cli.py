@@ -447,9 +447,15 @@ class TestHugeHeaderSizes:
         "STATISTICS BOSON\nN 100000000\nM 100000000\n",
         "STATISTICS MIX FERMION BOSON\nNA 1\nMA 2\nNB 100000000\nMB 100000000\n",
         "STATISTICS BOSON\nN 100000000\nM 2\n",
-    ], ids=["fermion", "boson", "mixture", "two-orbitals"])
+        "STATISTICS FERMION\nN 524287\nM 524287\n",
+        "STATISTICS MIX FERMION FERMION\nNA 1000\nMA 1000\nNB 1000\nMB 1000\n",
+    ], ids=["fermion", "boson", "mixture", "two-orbitals", "one-body-table", "inter-species-table"])
     def test_integral_header(self, tmp_path, header):
-        """In a subprocess with a timeout: a table built for such a header would never finish."""
+        """In a subprocess with a timeout: a table built for such a header would never finish.
+
+        The last two pass the binomial-table check, but their dense one-body
+        (4 TiB) or inter-species (16 TB) table does not fit in memory.
+        """
         ints = tmp_path / "h.ints"
         ints.write_text(header)
         proc = subprocess.run([sys.executable, "-m", "fockops.cli", "gs", "--file", str(ints)],

@@ -100,7 +100,7 @@ def _species_spaces():
 
 @pytest.mark.parametrize("space", _species_spaces(), ids=str)
 def test_gathers_equal_the_forward_algebra(space):
-    """act, src, pref and mask of every one-body gather and of sampled two-body gathers, exactly.
+    """act, src and pref of every one-body gather and of sampled two-body gathers, exactly.
 
     The reference applies each term forward to every configuration with the
     oracle's occupation algebra and labels the result through unrank; a
@@ -122,9 +122,9 @@ def test_gathers_equal_the_forward_algebra(space):
                     coeff = np.sqrt(float(round(coeff ** 2)))
                 ref[row_of[tuple(tgt)]] = (row, coeff)
         act = sorted(ref)
-        src, pref, mask, got_act = kernel.term_gather(space, ops)
+        src, pref, empty, got_act = kernel.term_gather(space, ops)
         np.testing.assert_array_equal(got_act, act)
-        np.testing.assert_array_equal(mask, np.isin(np.arange(space.n_conf), act))
+        assert empty is None
         np.testing.assert_array_equal(src, [ref[row][0] for row in act])
         np.testing.assert_array_equal(pref, [ref[row][1] for row in act])
 

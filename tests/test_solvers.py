@@ -1,5 +1,7 @@
 """Lanczos ground states and SIL propagation against dense references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fockops import (
     SpaceDescriptor,
     StepFailureError,
     TwoBodyTable,
+    apply_hamiltonian,
     basis_state,
     boson_rank,
     build_bose_hubbard,
@@ -20,7 +23,8 @@ from fockops import (
     propagate,
     random_state,
 )
-from fockops.solvers import write_series_csv
+from fockops import kernel, solvers
+from fockops.solvers import BASIS_BLOCK_ROWS, write_series_csv
 from conftest import random_hermitian_spec, random_mixture_spec, suite_mixture_spaces
 
 
@@ -75,14 +79,107 @@ class TestGroundState:
         assert abs(result.energy - evals[0]) <= 1e-9
 
     def test_residual_definition(self):
-        from fockops import apply_hamiltonian
-
         space = SpaceDescriptor.boson(3, 4)
         spec = random_hermitian_spec(space, seed=6)
         result = ground_state(spec, tol=1e-11)
         hpsi = apply_hamiltonian(spec, result.state).amplitudes
         res = np.linalg.norm(hpsi - result.energy * result.state.amplitudes)
         assert res <= 1e-10
+
+
+def _spectrum_spec(lam, seed):
+    """One particle on len(lam) orbitals with one-body table U diag(lam) U^H: H has spectrum lam."""
+    m = len(lam)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    h = (u * np.asarray(lam)) @ u.conj().T
+    return HamiltonianSpec(SpaceDescriptor.fermion(1, m), OneBodyTable(0.5 * (h + h.conj().T)),
+                           TwoBodyTable.zeros(m))
+
+
+def _peak_bytes(fn) -> int:
+    """Peak of the memory fn allocates beyond what was live when it started (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLanczosBasis:
+    """The blocked Krylov basis: orthogonality, block boundaries and the memory it holds."""
+
+    @pytest.mark.parametrize("low", [[0.0, 1e-3, 2e-3, 3e-3], [0.0, 0.0, 0.0, 1e-4]],
+                             ids=["clustered", "degenerate"])
+    @pytest.mark.parametrize("krylov", [BASIS_BLOCK_ROWS - 1, BASIS_BLOCK_ROWS, BASIS_BLOCK_ROWS + 1,
+                                        2 * BASIS_BLOCK_ROWS])
+    def test_clustered_low_spectrum_exhausts_the_krylov_space(self, low, krylov):
+        """A cluster 1e-3 wide under levels up to 1000 is resolved only by the whole Krylov space.
+
+        Its dimension is the number of distinct levels, ``krylov``: the
+        clustered spectrum ends at it == dim, the degenerate one in a
+        breakdown, on both sides of block boundaries.  Without
+        reorthogonalization the exhausted space misses the ground state.
+        """
+        lam = np.concatenate([low, np.geomspace(1.0, 1000.0, krylov - len(set(low)))])
+        spec = _spectrum_spec(lam, seed=krylov)
+        result = ground_state(spec, tol=1e-10, seed=1)
+        assert result.iterations == krylov
+        assert abs(result.energy - dense_eig(build_dense(spec))[0][0]) <= 1e-10
+        hpsi = apply_hamiltonian(spec, result.state).amplitudes
+        assert np.linalg.norm(hpsi - result.energy * result.state.amplitudes) <= 1e-10
+
+    @pytest.mark.parametrize("max_iter", [BASIS_BLOCK_ROWS - 1, BASIS_BLOCK_ROWS, BASIS_BLOCK_ROWS + 1,
+                                          2 * BASIS_BLOCK_ROWS])
+    def test_nonconvergence_at_block_boundaries(self, max_iter, monkeypatch):
+        """The basis ends with the last iteration's vector: no row, and no block, past it."""
+        made = []
+
+        class Recorded(solvers._Lanczos):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(solvers, "_Lanczos", Recorded)
+        lam = np.concatenate([[0.0, 1e-3], np.geomspace(1.0, 1000.0, 2 * BASIS_BLOCK_ROWS + 2)])
+        with pytest.raises(ConvergenceError, match=f"within {max_iter} iterations") as exc:
+            ground_state(_spectrum_spec(lam, seed=0), tol=1e-10, max_iter=max_iter)
+        assert 0 < exc.value.best_residual < np.inf
+        (lz,) = made
+        assert lz.size == max_iter
+        assert len(lz.blocks) == -(-max_iter // BASIS_BLOCK_ROWS)
+
+    @pytest.mark.parametrize("max_iter,tol", [(300, 1e-10), (BASIS_BLOCK_ROWS, 0.0)],
+                             ids=["converges-in-4", "stops-on-a-block-boundary"])
+    def test_basis_memory_stays_within_one_block_of_the_vectors_used(self, max_iter, tol):
+        """tracemalloc peak of ground_state <= one matvec's peak + the blocks its vectors fill + 6 vectors.
+
+        n_1 + 2 n_2 has four distinct levels, so Lanczos breaks down after
+        four iterations; a random one-body table with tol = 0 runs to
+        ``max_iter``, which ends a block.  Reserving rows for ``max_iter``
+        vectors up front, or a block past the last vector, exceeds the bound.
+        """
+        space = SpaceDescriptor.fermion(4, 24)
+        a = np.random.default_rng(3).standard_normal((24, 24))
+        h = np.diag([1.0, 2.0] + [0.0] * 22) if tol else a + a.T
+        spec = HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.zeros(24))
+        psi = random_state(space, seed=4)
+        apply_hamiltonian(spec, psi)  # tables and gathers are cached before tracing
+        matvec_peak = _peak_bytes(lambda: apply_hamiltonian(spec, psi))
+        runs = []
+
+        def solve():
+            try:
+                runs.append(ground_state(spec, tol=tol, max_iter=max_iter).iterations)
+            except ConvergenceError:
+                runs.append(max_iter)
+
+        peak = _peak_bytes(solve)
+        iterations = runs[0]
+        assert iterations == (4 if tol else max_iter)
+        block_rows = -(-iterations // BASIS_BLOCK_ROWS) * BASIS_BLOCK_ROWS
+        assert peak <= matvec_peak + (block_rows + 6) * space.n_conf * 16
 
 
 class TestPropagation:
@@ -129,6 +226,47 @@ class TestPropagation:
         result = propagate(spec, psi0, t_final=1.0, dt=0.25, krylov_dim=6)
         assert result.error_estimates.shape == result.times.shape
         assert np.all(result.error_estimates >= 0)
+
+    def test_substeps_and_rejections_per_grid_step(self):
+        benign = propagate(build_bose_hubbard(2, 3, hopping=1.0, interaction=0.3),
+                           basis_state(SpaceDescriptor.boson(2, 3), 1), t_final=2.0, dt=0.25, krylov_dim=8)
+        np.testing.assert_array_equal(benign.substeps, [0] + [1] * 8)
+        np.testing.assert_array_equal(benign.rejections, [0] * 9)
+        spec = build_bose_hubbard(3, 4, hopping=1.0, interaction=2.0)
+        halving = propagate(spec, basis_state(spec.space, 1), t_final=2.0, dt=1.0, krylov_dim=4, err_tol=1e-3)
+        assert halving.substeps.shape == halving.rejections.shape == halving.times.shape
+        assert halving.substeps[0] == halving.rejections[0] == 0
+        assert np.all(halving.rejections[1:] > 0)
+        assert np.all(halving.substeps[1:] > 1)
+
+    def test_rejected_substeps_reuse_their_krylov_space(self, monkeypatch):
+        """A rejected substep is retried on the Krylov space it was built on.
+
+        Rebuilding the space for every trial step instead must give the same
+        bits and cost ``krylov_dim`` more matvecs per rejection.
+        """
+        spec = build_bose_hubbard(3, 4, hopping=1.0, interaction=2.0)
+        psi0 = basis_state(spec.space, 1)
+        matvecs = []
+        apply = kernel.apply_hamiltonian
+        monkeypatch.setattr(kernel, "apply_hamiltonian", lambda *a, **k: matvecs.append(1) or apply(*a, **k))
+
+        def run():
+            matvecs.clear()
+            result = propagate(spec, psi0, t_final=2.0, dt=1.0, krylov_dim=4, err_tol=1e-3)
+            return result, len(matvecs)
+
+        reused, n_reused = run()
+        sil_space = solvers._sil_space
+        monkeypatch.setattr(solvers, "_sil_space", lambda lz, y, m: lambda dt: sil_space(lz, y, m)(dt))
+        rebuilt, n_rebuilt = run()
+        grid_steps = len(reused.times) - 1
+        assert reused.rejections.sum() > 0
+        assert n_reused == 1 + grid_steps + 4 * reused.substeps.sum()
+        assert n_rebuilt == n_reused + 4 * reused.rejections.sum()
+        for name in ("norms", "energies", "site_densities", "error_estimates", "substeps", "rejections"):
+            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(reused, name))
+        np.testing.assert_array_equal(rebuilt.final_state.amplitudes, reused.final_state.amplitudes)
 
     def test_step_failure_when_subdividing_cannot_help(self):
         # at krylov_dim = 2 the estimate scales linearly with the substep, so
