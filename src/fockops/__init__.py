@@ -11,7 +11,6 @@ brute-force oracle for verification.
 from .combinadics import (
     BOSON,
     FERMION,
-    BinomialTable,
     boson_rank,
     boson_to_fermion,
     boson_unrank,
@@ -30,7 +29,6 @@ from .errors import (
     SizeError,
     SpaceMismatchError,
     StepFailureError,
-    TableOverflowError,
     ValidationError,
     WorkerCountError,
 )
@@ -75,7 +73,6 @@ from .mixtures import (
     apply_intra_a,
     apply_intra_b,
     apply_mixture_hamiltonian,
-    apply_mixture_parts,
     load_mixture_state,
     mixture_address,
     mixture_basis_state,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     WorkerCountError,
 )
 from .fockspace import (
+    MAX_SPACE_TABLE,
     SpaceDescriptor,
     basis_state,
     load_state,
@@ -124,6 +126,13 @@ def _config_strings(space: SpaceDescriptor) -> list[str]:
     return [_config_string(space, row) for row in occ.tolist()]
 
 
+def _check_listing(*spaces: SpaceDescriptor) -> None:
+    """Refuse ``--all`` when an occupation table (N_conf M entries) or the listing exceeds MAX_SPACE_TABLE."""
+    lines = math.prod(space.n_conf for space in spaces)
+    if lines > MAX_SPACE_TABLE or any(space.n_conf * space.m > MAX_SPACE_TABLE for space in spaces):
+        raise InvalidSpaceError(f"--all would list {lines} configurations: the listing is too large")
+
+
 def cmd_enum(args) -> int:
     if args.mix:
         return _cmd_enum_mix(args)
@@ -144,6 +153,7 @@ def cmd_enum(args) -> int:
     if args.J is not None:
         lines.append(f"{args.J} {_config_string(space, space.occupations_at(args.J))}")
     if args.all:
+        _check_listing(space)
         lines += [f"{j} {text}" for j, text in enumerate(_config_strings(space), start=1)]
     if not lines:
         lines.append(f"N_conf {space.n_conf}")
@@ -168,6 +178,7 @@ def _cmd_enum_mix(args) -> int:
         text_b = _config_string(mspace.space_b, mspace.space_b.occupations_at(j_b))
         lines.append(f"{args.J} {j_a} {j_b} {text_a} {text_b}")
     if args.all:
+        _check_listing(mspace.space_a, mspace.space_b)
         texts_b = _config_strings(mspace.space_b)
         for j_a, text_a in enumerate(_config_strings(mspace.space_a), start=1):
             for j_b, text_b in enumerate(texts_b, start=1):

@@ -13,7 +13,10 @@ the isomorphism with N fermions in N + M - 1 orbitals, which collapses to
     J(n_1, ..., n_M) = 1 + sum_{k=1}^{M-1} C(N + M - 1 - k - S_k, M - k),
 
 with S_k the cumulative occupation.  Hole positions are counted from the
-left; J = 1 is the all-particles-leftmost configuration.
+left; J = 1 is the all-particles-leftmost configuration.  This is the
+lexical addressing of Knowles & Handy.  Every binomial is an exact Python
+integer from ``math.comb``, so addresses have no width limit; the kernel's
+integer rank tables are checked against these closed forms.
 """
 
 from __future__ import annotations
@@ -21,54 +24,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
-from .errors import (
-    AddressError,
-    InvalidConfigurationError,
-    InvalidSpaceError,
-    TableOverflowError,
-)
+from .errors import AddressError, InvalidConfigurationError, InvalidSpaceError
 
 FERMION = "fermion"
 BOSON = "boson"
-
-_INT64_MAX = 2**63 - 1
-
-
-class BinomialTable:
-    """Exact table of binomial coefficients C(a, b), a <= a_max, b <= b_max.
-
-    Entries are stored as int64 for vectorized lookups; construction fails
-    with :class:`TableOverflowError` if any entry would exceed the 64-bit
-    range (silent wraparound is never allowed).  C(a, b) = 0 for b > a.
-    """
-
-    __slots__ = ("a_max", "b_max", "array")
-
-    def __init__(self, a_max: int, b_max: int):
-        if a_max < 0 or b_max < 0:
-            raise ValueError("table bounds must be non-negative")
-        self.a_max = a_max
-        self.b_max = b_max
-        rows = []
-        for a in range(a_max + 1):
-            row = [math.comb(a, b) for b in range(b_max + 1)]
-            if max(row) > _INT64_MAX:
-                raise TableOverflowError(
-                    f"C({a}, b) exceeds 64-bit range for b <= {b_max}"
-                )
-            rows.append(row)
-        self.array = np.array(rows, dtype=np.int64)
-        self.array.flags.writeable = False
-
-    def get(self, a: int, b: int) -> int:
-        """C(a, b) as a Python int; 0 outside the stored triangle."""
-        if b < 0 or a < 0:
-            return 0
-        if a > self.a_max or b > self.b_max:
-            raise IndexError(f"C({a}, {b}) outside table ({self.a_max}, {self.b_max})")
-        return int(self.array[a, b])
 
 
 def space_dimension(statistics: str, n: int, m: int) -> int:
@@ -82,11 +41,22 @@ def space_dimension(statistics: str, n: int, m: int) -> int:
     return math.comb(n + m - 1, n)
 
 
-def table_bounds(statistics: str, n: int, m: int) -> tuple[int, int]:
-    """(a_max, b_max) of the binomial table a space's address bijection needs."""
-    if statistics == FERMION:
-        return m, max(m - n, 1)
-    return n + m, max(m - 1, 1)
+def capped_dimension(statistics: str, n: int, m: int, cap: int) -> int:
+    """The number of configurations of a valid space, or ``cap`` + 1 if it exceeds ``cap``.
+
+    C(a, b) is built as the products C(a - b + i, i), i = 1..min(b, a - b),
+    which never decrease, so the count stops at the first one above ``cap``:
+    C(a - b + i, i) >= 2^i, so after at most log2(cap) + 1 steps, and
+    without forming a large integer.
+    """
+    a, b = (m, n) if statistics == FERMION else (n + m - 1, n)
+    b = min(b, a - b)
+    count = 1
+    for i in range(1, b + 1):
+        count = count * (a - b + i) // i
+        if count > cap:
+            return cap + 1
+    return count
 
 
 def _check_space(statistics: str, n: int, m: int) -> None:
@@ -143,52 +113,46 @@ def occupations_to_holes(occ: Sequence[int]) -> tuple[int, ...]:
 def fermion_rank(holes: Sequence[int], space) -> int:
     """Address J of the fermionic configuration with the given hole positions."""
     holes = validate_holes(holes, space.n, space.m)
-    tbl = space.binomials
-    n, m_v = space.n, space.m - space.n
-    j = 1
-    for k, i in enumerate(holes, start=1):
-        j += tbl.get(n + m_v - i, m_v + 1 - k)
-    return j
+    m, m_v = space.m, space.m - space.n
+    return 1 + sum(math.comb(m - i, m_v + 1 - k) for k, i in enumerate(holes, start=1))
 
 
-def fermion_unrank(j: int, space) -> tuple[int, ...]:
-    """Hole positions of the fermionic configuration with address J.
+def _unrank_holes(j: int, n_conf: int, n: int, m: int) -> tuple[int, ...]:
+    """Hole positions of the configuration of n fermions in m orbitals with address J.
 
     Greedy digit extraction in the combinatorial number system: the k-th
     hole takes the largest admissible binomial not exceeding the remainder.
     """
-    n_conf = space.n_conf
     if not 1 <= j <= n_conf:
         raise AddressError(f"address {j} outside [1, {n_conf}]")
-    tbl = space.binomials
-    m, n = space.m, space.n
-    m_v = m - n
     rem = j - 1
     holes = []
-    prev = 0
-    for k in range(1, m_v + 1):
+    i = 0
+    for b in range(m - n, 0, -1):
         # smallest admissible i gives the largest binomial; scan i upward
-        # until C(M - i, M_v + 1 - k) fits in the remainder.
-        b = m_v + 1 - k
-        i = prev + 1
-        while tbl.get(m - i, b) > rem:
+        # until C(M - i, b) fits in the remainder.
+        i += 1
+        while (c := math.comb(m - i, b)) > rem:
             i += 1
-        rem -= tbl.get(m - i, b)
+        rem -= c
         holes.append(i)
-        prev = i
     return tuple(holes)
+
+
+def fermion_unrank(j: int, space) -> tuple[int, ...]:
+    """Hole positions of the fermionic configuration with address J."""
+    return _unrank_holes(j, space.n_conf, space.n, space.m)
 
 
 def boson_rank(occ: Sequence[int], space) -> int:
     """Address J of the bosonic configuration with the given occupations."""
     occ = validate_occupations(occ, space.n, space.m)
-    tbl = space.binomials
     n, m = space.n, space.m
     j = 1
     s = 0
     for k in range(1, m):
         s += occ[k - 1]
-        j += tbl.get(n + m - 1 - k - s, m - k)
+        j += math.comb(n + m - 1 - k - s, m - k)
     return j
 
 
@@ -198,15 +162,8 @@ def boson_unrank(j: int, space) -> tuple[int, ...]:
     Inverts the rank through the isomorphic fermion space of N particles
     in N + M - 1 orbitals.
     """
-    n_conf = space.n_conf
-    if not 1 <= j <= n_conf:
-        raise AddressError(f"address {j} outside [1, {n_conf}]")
-    n, m = space.n, space.m
-    if m == 1:
-        return (n,)
-    iso = _IsoFermionSpace(n, n + m - 1, space.binomials, n_conf)
-    holes = fermion_unrank(j, iso)
-    return fermion_to_boson(holes, n)
+    n = space.n
+    return fermion_to_boson(_unrank_holes(j, space.n_conf, n, n + space.m - 1), n)
 
 
 def boson_to_fermion(occ: Sequence[int]) -> tuple[int, ...]:
@@ -243,15 +200,3 @@ def fermion_to_boson(holes: Sequence[int], n: int) -> tuple[int, ...]:
     occ.append(n + len(holes) - prev)  # n_M closes the particle count
     return tuple(occ)
 
-
-class _IsoFermionSpace:
-    """Minimal space stand-in for unranking through the boson isomorphism."""
-
-    __slots__ = ("statistics", "n", "m", "binomials", "n_conf")
-
-    def __init__(self, n, m, binomials, n_conf):
-        self.statistics = FERMION
-        self.n = n
-        self.m = m
-        self.binomials = binomials
-        self.n_conf = n_conf

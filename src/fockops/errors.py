@@ -21,10 +21,6 @@ class SpaceMismatchError(FockError):
     """Two objects refer to different Fock spaces."""
 
 
-class TableOverflowError(FockError):
-    """A binomial table entry would exceed the 64-bit index width."""
-
-
 class ValidationError(FockError):
     """A coefficient table violates a structural constraint."""
 

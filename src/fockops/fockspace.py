@@ -1,9 +1,10 @@
 """Space descriptors, state vectors, and configuration iteration.
 
-A :class:`SpaceDescriptor` fixes (statistics, N, M), caches the exact
-binomial table used by the address bijection, and lazily builds the dense
-per-configuration tables the operator kernel gathers from.  State vectors
-are dense complex arrays indexed by address J (array slot J - 1).
+A :class:`SpaceDescriptor` fixes (statistics, N, M), ranks and unranks
+configurations by the exact closed forms of :mod:`combinadics`, and lazily
+builds the dense per-configuration tables the operator kernel gathers
+from.  State vectors are dense complex arrays indexed by address J (array
+slot J - 1).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from . import combinadics as cmb
-from .combinadics import BOSON, FERMION, BinomialTable
+from .combinadics import BOSON, FERMION
 from .errors import AddressError, FockError, InvalidSpaceError, SpaceMismatchError
 
 _VEC_MAGIC = b"FOCKVEC1"
@@ -56,7 +57,6 @@ class SpaceDescriptor:
         self.n = int(n)
         self.m = int(m)
         self.n_conf = cmb.space_dimension(statistics, n, m)
-        self.binomials = BinomialTable(*cmb.table_bounds(statistics, self.n, self.m))
         self._tables = None
 
     @classmethod
@@ -328,39 +328,31 @@ def check_payload(fh, n_amplitudes: int, path) -> None:
         raise FockError(f"{path}: header promises {n_amplitudes} amplitudes, file holds {left} bytes")
 
 
-MAX_HEADER_TABLE = 1 << 20  # binomial-table entries any header may ask for
-MAX_SPACE_TABLE = 1 << 26  # entries beyond which only amplitudes in the file vouch for a table
+MAX_SPACE_TABLE = 1 << 26  # entries of any table sized by an integral header
 
 
 def header_space(statistics, n, m, n_amplitudes, path, exact: bool = True) -> SpaceDescriptor:
-    """The space a file header names, checked before its binomial table is built.
+    """The space a file header names, checked before anything is sized by it.
 
     ``n_amplitudes`` is the number of amplitudes the file holds, or None for
-    a file that holds none (an integral file).  A binomial table beyond
-    :data:`MAX_HEADER_TABLE` entries must be vouched for: by as many
-    amplitudes in the file, or, up to :data:`MAX_SPACE_TABLE` entries, by
-    the space, if it is no larger than the occupation and prefix tables,
-    N_conf (2M + 1) entries, that working in the space needs anyway (N_conf
-    counted no higher than ``n_amplitudes``).  FockError is raised for an
-    invalid space, a table nothing vouches for, or (if ``exact``) a
-    dimension other than ``n_amplitudes``.
+    a file that holds none (an integral file).  N_conf may not exceed a cap:
+    ``n_amplitudes``, or for an integral file the largest N_conf whose
+    occupation and prefix tables, N_conf (2M + 1) entries, fit in
+    :data:`MAX_SPACE_TABLE`.  N_conf is counted no higher than the cap.
+    FockError is raised for an invalid space, a space beyond the cap, or (if
+    ``exact``) a dimension other than ``n_amplitudes``.
     """
     try:
         cmb._check_space(statistics, n, m)
     except InvalidSpaceError as exc:
         raise FockError(f"{path}: {exc}") from None
-    a_max, b_max = cmb.table_bounds(statistics, n, m)
-    entries = (a_max + 1) * (b_max + 1)
-    if entries > max(MAX_HEADER_TABLE, n_amplitudes or 0):
-        # beyond MAX_SPACE_TABLE the space vouches for nothing, and N_conf may be costly to compute
-        n_conf = 0 if entries > MAX_SPACE_TABLE else cmb.space_dimension(statistics, n, m)
-        if entries > (2 * m + 1) * (n_conf if n_amplitudes is None else min(n_conf, n_amplitudes)):
-            raise FockError(f"{path}: space N={n}, M={m} is too large: its binomial table "
-                            f"would hold {entries} entries")
-    space = SpaceDescriptor(statistics, n, m)
-    if exact and n_amplitudes is not None and space.n_conf != n_amplitudes:
-        raise FockError(f"{path}: {n_amplitudes} amplitudes for a space of N_conf={space.n_conf}")
-    return space
+    cap = MAX_SPACE_TABLE // (2 * m + 1) if n_amplitudes is None else n_amplitudes
+    n_conf = cmb.capped_dimension(statistics, n, m, cap)
+    if n_conf > cap:
+        raise FockError(f"{path}: space N={n}, M={m} is too large: it has more than {cap} configurations")
+    if exact and n_amplitudes is not None and n_conf != n_amplitudes:
+        raise FockError(f"{path}: {n_amplitudes} amplitudes for a space of N_conf={n_conf}")
+    return SpaceDescriptor(statistics, n, m)  # N_conf <= cap: its exact math.comb is as short as the count
 
 
 def load_state(path) -> StateVector:

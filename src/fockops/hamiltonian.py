@@ -283,9 +283,9 @@ def _header_space(statistics: str, n: int, m: int, path) -> SpaceDescriptor:
 
 
 def _check_table(entries: int, what: str, path) -> None:
-    """Refuse a dense table sized by the header before it is allocated."""
+    """Refuse a dense array sized by the header before it is allocated."""
     if entries > MAX_SPACE_TABLE:
-        raise IntegralFormatError(f"{path}: header sizes are too large: the {what} table "
+        raise IntegralFormatError(f"{path}: header sizes are too large: the {what} "
                                   f"would hold {entries} entries")
 
 
@@ -324,7 +324,7 @@ def load_integrals(path):
         raise IntegralFormatError("header must provide N and M lines")
     space = _header_space(statistics, sizes["N"], sizes["M"], path)
     m = space.m
-    _check_table(m * m, "one-body", path)
+    _check_table(m * m, "one-body table", path)
     h = np.zeros((m, m), dtype=np.complex128)
     w_entries = []
     for no, tok in toks[body_start:]:
@@ -361,8 +361,9 @@ def _load_mixture(toks, path):
         raise IntegralFormatError(f"missing size lines: {sorted(missing)}")
     space_a = _header_space(stat_a, sizes["NA"], sizes["MA"], path)
     space_b = _header_space(stat_b, sizes["NB"], sizes["MB"], path)
+    _check_table(space_a.n_conf * space_b.n_conf, "mixture state vector", path)
     ma, mb = space_a.m, space_b.m
-    _check_table((ma * mb) ** 2, "inter-species", path)
+    _check_table((ma * mb) ** 2, "inter-species table", path)
     ha = np.zeros((ma, ma), dtype=np.complex128)
     hb = np.zeros((mb, mb), dtype=np.complex128)
     wa_entries, wb_entries = [], []

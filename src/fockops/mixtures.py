@@ -302,18 +302,6 @@ def apply_mixture_hamiltonian(
     return _apply_parts(psi, parts, workers)
 
 
-def apply_mixture_parts(
-    spec_a: HamiltonianSpec,
-    spec_b: HamiltonianSpec,
-    inter: InterSpeciesTable,
-    psi: MixtureStateVector,
-    skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD,
-) -> MixtureStateVector:
-    """Same action from the three parts without a pre-bundled spec."""
-    mspec = MixtureHamiltonianSpec(psi.mspace, spec_a, spec_b, inter)
-    return apply_mixture_hamiltonian(mspec, psi, skip_threshold)
-
-
 # -- serialization -----------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, determinism."""
 
 import json
+import resource
 import struct
 import subprocess
 import sys
@@ -71,6 +72,25 @@ class TestEnum:
         code, _, err = run_cli(capsys, "enum", "--fermion", "-N", "5", "-M", "3", "--all")
         assert code == EXIT_USAGE
         assert "M >= N" in err
+
+    def test_dimension_beyond_64_bit_binomials(self, capsys):
+        code, out, _ = run_cli(capsys, "enum", "--fermion", "-N", "1", "-M", "67")
+        assert code == EXIT_OK
+        assert out.strip() == "N_conf 67"
+
+    @pytest.mark.parametrize("argv", [
+        ["--fermion", "-N", "20", "-M", "40"],
+        ["--mix", "-N", "10", "-M", "20", "-NB", "10", "-MB", "20", "--mix-stats", "fermion,fermion"],
+    ], ids=["single", "mixture"])
+    def test_all_refuses_a_listing_too_large(self, argv):
+        """In a subprocess with 1 GiB of address space and a timeout, so a listing that is built fails fast."""
+        limit = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockops.cli", "enum", *argv, "--all"], capture_output=True, text=True,
+            timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == EXIT_USAGE
+        assert _one_line_error(proc.stderr)
+        assert "too large" in proc.stderr
 
     def test_mix_enum(self, capsys):
         code, out, _ = run_cli(
@@ -449,12 +469,17 @@ class TestHugeHeaderSizes:
         "STATISTICS BOSON\nN 100000000\nM 2\n",
         "STATISTICS FERMION\nN 524287\nM 524287\n",
         "STATISTICS MIX FERMION FERMION\nNA 1000\nMA 1000\nNB 1000\nMB 1000\n",
-    ], ids=["fermion", "boson", "mixture", "two-orbitals", "one-body-table", "inter-species-table"])
+        "STATISTICS FERMION\nN 20\nM 40\n",
+        "STATISTICS MIX FERMION FERMION\nNA 10\nMA 20\nNB 10\nMB 20\n",
+    ], ids=["fermion", "boson", "mixture", "two-orbitals", "one-body-table", "inter-species-table",
+            "space-tables", "mixture-vector"])
     def test_integral_header(self, tmp_path, header):
         """In a subprocess with a timeout: a table built for such a header would never finish.
 
-        The last two pass the binomial-table check, but their dense one-body
-        (4 TiB) or inter-species (16 TB) table does not fit in memory.
+        "one-body-table" and "inter-species-table" pass the space check, but
+        their dense one-body (4 TiB) or inter-species (16 TB) table does not
+        fit in memory.  "mixture-vector" passes it for each species, but its
+        3.4e10 amplitudes take 254 GiB per vector.
         """
         ints = tmp_path / "h.ints"
         ints.write_text(header)
@@ -474,7 +499,7 @@ class TestHugeHeaderSizes:
         assert "M >= N" in err
 
     def test_many_bosons_on_two_sites_apply(self, capsys, tmp_path):
-        """boson(600000, 2): a 1.2M-entry binomial table, fewer entries than the space's own tables."""
+        """boson(600000, 2): 600001 configurations, well within the header cap of an integral file."""
         ints = tmp_path / "h.ints"
         ints.write_text("STATISTICS BOSON\nN 600000\nM 2\nH 1 1 1.0\n")
         vec, out_vec = tmp_path / "in.fvec", tmp_path / "out.fvec"

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from fockops import (
     AddressError,
-    BinomialTable,
     InvalidConfigurationError,
     InvalidSpaceError,
     SpaceDescriptor,
-    TableOverflowError,
     boson_rank,
     boson_to_fermion,
     boson_unrank,
@@ -22,6 +20,7 @@ from fockops import (
     fermion_unrank,
     space_dimension,
 )
+from fockops.combinadics import capped_dimension
 
 
 def all_hole_vectors(n, m):
@@ -39,22 +38,17 @@ def all_occupation_vectors(n, m):
             yield (first,) + rest
 
 
-class TestBinomialTable:
-    def test_pascal_identity(self):
-        tbl = BinomialTable(12, 6)
-        for a in range(1, 13):
-            for b in range(1, 7):
-                assert tbl.get(a, b) == tbl.get(a - 1, b - 1) + tbl.get(a - 1, b)
+class TestExactAddressing:
+    """Binomials beyond 64 bits are exact: C(67, 33) and C(130, 65) exceed 2^63."""
 
-    def test_zero_above_diagonal(self):
-        tbl = BinomialTable(6, 6)
-        assert tbl.get(3, 5) == 0
-        assert tbl.get(0, 1) == 0
-        assert tbl.get(4, 0) == 1
-
-    def test_overflow_is_an_error(self):
-        with pytest.raises(TableOverflowError):
-            BinomialTable(130, 65)
+    @pytest.mark.parametrize("space", [
+        SpaceDescriptor.fermion(1, 67),
+        SpaceDescriptor.boson(1, 66),
+        SpaceDescriptor.fermion(65, 130),  # N_conf = C(130, 65), about 9.5e37
+    ], ids=repr)
+    def test_rank_inverts_unrank(self, space):
+        for j in (1, 2, space.n_conf // 2, space.n_conf):
+            assert space.rank(space.unrank(j)) == j
 
 
 class TestFermionRank:
@@ -247,3 +241,11 @@ def test_dimension_cross_check_against_math_comb():
             assert space_dimension("fermion", n, m) == math.comb(m, n)
         for m in range(1, 9):
             assert space_dimension("boson", n, m) == math.comb(n + m - 1, n)
+
+
+def test_capped_dimension_matches_math_comb_below_the_cap():
+    for statistics, n, m, exact in [("fermion", 7, 10, 120), ("boson", 5, 4, 56), ("fermion", 0, 3, 1),
+                                    ("fermion", 2**40, 2**40, 1), ("boson", 2**40, 1, 1)]:
+        for cap in (0, 1, exact - 1, exact, 10**6):
+            assert capped_dimension(statistics, n, m, cap) == min(exact, cap + 1)
+    assert capped_dimension("fermion", 40, 2**50, 10**6) == 10**6 + 1

@@ -222,14 +222,17 @@ def test_rank_counts_grow_with_particles_not_their_square():
 
 
 @pytest.mark.parametrize("statistics,n,m,n_amplitudes,loads", [
-    ("boson", 600000, 2, None, True),         # 1.2M entries, fewer than N_conf (2M + 1)
+    ("boson", 600000, 2, None, True),         # 600001 configurations, tables of 3.0M entries
     ("boson", 600000, 2, 600001, True),
     ("boson", 600000, 2, 1, False),           # the file holds one amplitude, not N_conf
-    ("fermion", 2**20, 2**20, None, False),   # one configuration, a 2M + 2 entry table
-    ("boson", 2**25, 2, None, False),         # beyond MAX_SPACE_TABLE, however large N_conf
+    # one configuration, so 2M + 1 table entries: the space loads; load_integrals refuses its M^2 one-body table
+    ("fermion", 2**20, 2**20, None, True),
+    ("boson", 2**25, 2, None, False),         # tables of (2^25 + 1) 5 entries, beyond MAX_SPACE_TABLE
+    ("fermion", 20, 40, None, False),         # 1.4e11 configurations
+    ("fermion", 1, 2**21, 2**21, True),       # N_conf = M = 2^21, vouched for by the amplitudes
 ])
 def test_header_table_allowance(statistics, n, m, n_amplitudes, loads):
-    """A binomial table over 2^20 entries is built only if the space's own tables are larger."""
+    """N_conf may not exceed the amplitudes in the file, or for an integral file MAX_SPACE_TABLE / (2M + 1)."""
     if loads:
         assert header_space(statistics, n, m, n_amplitudes, "f", exact=False).n == n
     else:

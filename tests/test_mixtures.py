@@ -218,17 +218,6 @@ class TestTensorConsistency:
             np.testing.assert_array_equal(got.amplitudes, ref.amplitudes)
 
 
-def test_apply_mixture_parts_matches_bundled_spec():
-    from fockops import apply_mixture_parts
-
-    mspace = suite_mixture_spaces()[1]
-    mspec = random_mixture_spec(mspace, seed=50)
-    psi = mixture_random_state(mspace, seed=51)
-    via_parts = apply_mixture_parts(mspec.spec_a, mspec.spec_b, mspec.inter, psi)
-    via_spec = apply_mixture_hamiltonian(mspec, psi)
-    np.testing.assert_array_equal(via_parts.amplitudes, via_spec.amplitudes)
-
-
 def test_mixture_vector_serialization_roundtrip(tmp_path):
     mspace = suite_mixture_spaces()[2]
     psi = mixture_random_state(mspace, seed=40)
