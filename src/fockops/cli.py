@@ -133,6 +133,16 @@ def _check_listing(*spaces: SpaceDescriptor) -> None:
         raise InvalidSpaceError(f"--all would list {lines} configurations: the listing is too large")
 
 
+def _decimal(value: int) -> str:
+    """``value`` in decimal, refused (exit 1) beyond Python's integer-to-string digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InvalidSpaceError(
+            f"a number of more than {sys.get_int_max_str_digits()} decimal digits cannot be printed"
+        ) from None
+
+
 def cmd_enum(args) -> int:
     if args.mix:
         return _cmd_enum_mix(args)
@@ -143,20 +153,20 @@ def cmd_enum(args) -> int:
         if statistics != FERMION:
             raise InvalidConfigurationError("--holes labels fermionic configurations only")
         holes = _parse_csv_ints(args.holes)
-        lines.append(str(cmb.fermion_rank(holes, space)))
+        lines.append(_decimal(cmb.fermion_rank(holes, space)))
     if args.occ is not None:
-        lines.append(str(_rank_occupations(space, _parse_csv_ints(args.occ))))
+        lines.append(_decimal(_rank_occupations(space, _parse_csv_ints(args.occ))))
     if args.bits is not None:
         if any(c not in "01" for c in args.bits):
             raise InvalidConfigurationError(f"bit string must be 0/1, got {args.bits!r}")
-        lines.append(str(_rank_occupations(space, [int(c) for c in args.bits])))
+        lines.append(_decimal(_rank_occupations(space, [int(c) for c in args.bits])))
     if args.J is not None:
         lines.append(f"{args.J} {_config_string(space, space.occupations_at(args.J))}")
     if args.all:
         _check_listing(space)
         lines += [f"{j} {text}" for j, text in enumerate(_config_strings(space), start=1)]
     if not lines:
-        lines.append(f"N_conf {space.n_conf}")
+        lines.append(f"N_conf {_decimal(space.n_conf)}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -184,7 +194,7 @@ def _cmd_enum_mix(args) -> int:
             for j_b, text_b in enumerate(texts_b, start=1):
                 lines.append(f"{mspace.address(j_a, j_b)} {j_a} {j_b} {text_a} {text_b}")
     if not lines:
-        lines.append(f"N_conf_total {mspace.n_conf_total}")
+        lines.append(f"N_conf_total {_decimal(mspace.n_conf_total)}")
     print("\n".join(lines))
     return EXIT_OK
 

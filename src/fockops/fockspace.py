@@ -9,6 +9,7 @@ slot J - 1).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -178,6 +179,7 @@ class SpaceTables:
     prefix       (N_conf, M+1)   prefix[:, p] = sum of occ[:, :p]
     rank_counts  (M-1, N+2)      C of :func:`occupation_table`
     rank_floor   (M-1, N+1)      F of :func:`occupation_table`
+    occ_float    (N_conf, M)     occ as float64, built on first use
     """
 
     def __init__(self, space: SpaceDescriptor):
@@ -189,6 +191,11 @@ class SpaceTables:
         self._gather_cache: dict = {}
         self._gather_cache_bytes = 0
         self._gather_lock = threading.Lock()
+
+    @functools.cached_property
+    def occ_float(self) -> np.ndarray:
+        """The occupation numbers as float64, for the diagonal of H; built once, on first use."""
+        return self.occ.astype(np.float64)
 
     # gathers are pure; the cache only avoids recomputation
     _GATHER_CACHE_LIMIT = 1 << 26
@@ -210,15 +217,17 @@ class SpaceTables:
 
 
 class StateVector:
-    """Dense complex amplitudes over a complete Fock subspace.
+    """Dense amplitudes over a complete Fock subspace.
 
     Slot J - 1 stores the coefficient of the configuration with address J.
+    A float64 array is kept as it is (real arithmetic for real
+    Hamiltonians); anything else becomes complex128.
     """
 
     __slots__ = ("space", "amplitudes")
 
     def __init__(self, space: SpaceDescriptor, amplitudes: np.ndarray):
-        amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+        amplitudes = amplitude_array(amplitudes)
         if amplitudes.shape != (space.n_conf,):
             raise FockError(
                 f"amplitude array of shape {amplitudes.shape} does not match N_conf={space.n_conf}"
@@ -234,6 +243,13 @@ class StateVector:
 
     def __len__(self):
         return self.space.n_conf
+
+
+def amplitude_array(amplitudes) -> np.ndarray:
+    """``amplitudes`` itself if it is a float64 array, else as a complex128 array."""
+    if isinstance(amplitudes, np.ndarray) and amplitudes.dtype == np.float64:
+        return amplitudes
+    return np.asarray(amplitudes, dtype=np.complex128)
 
 
 def zero_state(space: SpaceDescriptor) -> StateVector:

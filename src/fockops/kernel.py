@@ -27,6 +27,11 @@ call from the entries at or above the skip threshold (:func:`factor_species`):
     H psi = d * psi + sum_p h'_p E_p psi + sum_r E_r chi_r,
     chi = Wm[rows, cols] @ phi,   phi_c = E_c psi.
 
+When every kept entry is real, h', Wm and d are float64, and a float64
+vector stays float64 throughout: the apply computes in the common dtype of
+the vector and the operator, so a real Hamiltonian moves half the bytes
+on a real vector and is unchanged on a complex one.
+
 Each one-body gather is fetched once per apply.  The output is cut into
 fixed blocks of rows that do not depend on the worker count: each block
 first computes phi and chi for its own rows, then sums d * psi and the
@@ -290,17 +295,23 @@ def split_pair_matrix(row_k, row_q, col_k, col_q, values, m_row: int, m_col: int
 
     ``dd[k, k']`` sums the entries with k = q and k' = q' (they multiply
     n_k n_k'); the rest fill ``mat``, restricted to the flat pairs
-    ``rows`` and ``cols`` (k * M + q) that they touch.
+    ``rows`` and ``cols`` (k * M + q) that they touch.  Both have the
+    dtype of ``values``.
     """
     on_diag = (row_k == row_q) & (col_k == col_q)
-    dd = np.zeros((m_row, m_col), dtype=np.complex128)
+    dd = np.zeros((m_row, m_col), dtype=values.dtype)
     np.add.at(dd, (row_k[on_diag], col_k[on_diag]), values[on_diag])
     off = ~on_diag
     rows, r = np.unique(row_k[off] * m_row + row_q[off], return_inverse=True)
     cols, c = np.unique(col_k[off] * m_col + col_q[off], return_inverse=True)
-    mat = np.zeros((rows.size, cols.size), dtype=np.complex128)
+    mat = np.zeros((rows.size, cols.size), dtype=values.dtype)
     np.add.at(mat, (r, c), values[off])
     return dd, rows, cols, mat
+
+
+def all_real(*coeffs: np.ndarray) -> bool:
+    """True when no coefficient has an imaginary part: the operator then maps real vectors to real ones."""
+    return not any(np.iscomplexobj(c) and c.imag.any() for c in coeffs)
 
 
 def real_linear(f: Callable, *coeffs: np.ndarray) -> np.ndarray:
@@ -309,7 +320,7 @@ def real_linear(f: Callable, *coeffs: np.ndarray) -> np.ndarray:
     The imaginary pass runs only when a coefficient has an imaginary part.
     """
     out = f(*(c.real for c in coeffs))
-    if any(c.imag.any() for c in coeffs):
+    if not all_real(*coeffs):
         out = out + 1j * f(*(c.imag for c in coeffs))
     return out
 
@@ -339,15 +350,18 @@ def factor_species(space: SpaceDescriptor, one_body, two_body, skip_threshold: f
     Entries below ``skip_threshold`` are dropped first; then
     Wm[(k,q),(s,l)] = W[k,s,q,l] / 2 and h'_kl = h_kl - 1/2 sum_s W[k,s,s,l].
     Number-operator products (k = q, s = l) and the diagonal of h' fold into
-    the diagonal d, read off the occupation table.
+    the diagonal d, read off the occupation table.  When every kept entry
+    is real (:func:`all_real`) the whole operator is float64.
     """
     m, fetched = space.m, {} if fetched is None else fetched
     h = one_body.kept(skip_threshold)
     (k, s, q, l), v = two_body.kept(skip_threshold)
+    if all_real(h, v):
+        h, v = h.real, v.real
     con = s == q
     np.add.at(h, (k[con], l[con]), -0.5 * v[con])
     wd, rows, cols, wm = split_pair_matrix(k, q, s, l, 0.5 * v, m, m)
-    occ = space.tables().occ.astype(np.float64)
+    occ = space.tables().occ_float
     diag = real_linear(lambda lin, quad: occ @ lin + np.einsum("nk,nk->n", occ @ quad, occ),
                        h.diagonal(), wd)
     hop_pairs = np.flatnonzero(~np.eye(m, dtype=bool) & (h != 0))
@@ -364,15 +378,19 @@ def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarr
 
     Each block first contracts the images E_c C of its own rows into chi
     (one GEMM), then writes diag * C and every sweep into its own rows.
+    Every buffer takes the common dtype of ``amps`` and ``op``: a real
+    operator on a real vector computes in float64.
     """
     n_rows = amps.shape[0]
     diag = np.broadcast_to(op.diag, amps.shape)
-    chis = [np.empty((len(c.rows),) + amps.shape, dtype=np.complex128) for c in op.contractions]
-    out = np.empty(amps.shape, dtype=np.complex128)
+    dtype = np.result_type(amps, op.diag, np.array([coeff for _, _, coeff in op.hops]),
+                           *(c.mat for c in op.contractions))
+    chis = [np.empty((len(c.rows),) + amps.shape, dtype=dtype) for c in op.contractions]
+    out = np.empty(amps.shape, dtype=dtype)
 
     def contract(lo, hi):
         for c, chi in zip(op.contractions, chis):
-            phi = np.zeros((len(c.cols), hi - lo) + amps.shape[1:], dtype=np.complex128)
+            phi = np.zeros((len(c.cols), hi - lo) + amps.shape[1:], dtype=dtype)
             for gather, image in zip(c.cols, phi):
                 sweep(gather, c.col_axis, amps, image, lo, hi)
             chi[:, lo:hi] = (c.mat @ phi.reshape(len(c.cols), -1)).reshape((-1,) + phi.shape[1:])

@@ -20,6 +20,7 @@ from .errors import AddressError, FockError, SpaceMismatchError, ValidationError
 from .fockspace import (
     _STAT_BYTE,
     SpaceDescriptor,
+    amplitude_array,
     check_payload,
     header_space,
     read_exact,
@@ -133,12 +134,12 @@ class MixtureHamiltonianSpec:
 
 
 class MixtureStateVector:
-    """Dense amplitudes C_{J_A J_B} over a mixture space (J_B fastest)."""
+    """Dense amplitudes C_{J_A J_B} over a mixture space (J_B fastest), float64 or complex128 as in :class:`StateVector`."""
 
     __slots__ = ("mspace", "amplitudes")
 
     def __init__(self, mspace: MixtureSpace, amplitudes):
-        amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+        amplitudes = amplitude_array(amplitudes)
         if amplitudes.shape != (mspace.n_conf_total,):
             raise FockError(
                 f"amplitude array of shape {amplitudes.shape} does not match "
@@ -239,12 +240,15 @@ def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace, skip_threshold:
 
     The block k = q, k' = q' multiplies n^A_k n^B_k' and becomes the diagonal
     occ_A @ X_dd @ occ_B^T.  ``fetched`` is as in :func:`kernel.pair_gathers`.
+    A table whose kept entries are all real gives a float64 operator.
     """
     fetched = {} if fetched is None else fetched
     (k, q, kp, qp), v = table.kept(skip_threshold)
+    if kernel.all_real(v):
+        v = v.real
     xd, rows, cols, xm = kernel.split_pair_matrix(k, q, kp, qp, v, table.m_a, table.m_b)
     space_a, space_b = mspace.space_a, mspace.space_b
-    occ_a, occ_b = (s.tables().occ.astype(np.float64) for s in (space_a, space_b))
+    occ_a, occ_b = (s.tables().occ_float for s in (space_a, space_b))
     diag = kernel.real_linear(lambda x: occ_a @ x @ occ_b.T, xd)
     contractions = []
     if rows.size:

@@ -5,10 +5,16 @@ time propagation uses short iterative Lanczos (SIL): each step spans a fresh
 Krylov subspace of the current state and applies exp(-i T dt) in it, so loss
 of orthogonality cannot accumulate across steps.  The basis is kept as rows
 of contiguous blocks, so each reorthogonalization pass (classical
-Gram-Schmidt: two passes in Lanczos, one in SIL), Ritz vector and SIL result
-is one BLAS-2 call per block.  Lanczos grows the basis by
+Gram-Schmidt), Ritz vector and SIL result is one BLAS-2 call per block.
+Lanczos runs a second pass only when the first one cancels most of the new
+vector (the DGKS criterion); SIL runs one.  Lanczos grows the basis by
 :data:`BASIS_BLOCK_ROWS` rows; ``propagate`` reuses one ``krylov_dim``-row
 block in every step, and retries a rejected substep on the same space.
+
+When every coefficient the kernel keeps is real, H maps real vectors to
+real vectors, so ``ground_state`` runs in float64: start vector, basis and
+matvecs, at half the memory traffic of complex128.  ``propagate`` is
+always complex.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .fockspace import StateVector
 from .mixtures import MixtureHamiltonianSpec, MixtureStateVector
 
 _BREAKDOWN_TOL = 1e-13
+_DGKS_RATIO = 2**-0.5  # a pass that keeps less than this share of ||w|| is repeated
 BASIS_BLOCK_ROWS = 16  # rows per block of a growing Lanczos basis
 
 
@@ -47,15 +54,29 @@ def _operator(spec, workers: int = 1):
     return matvec, lambda arr: StateVector(space, arr), space.n_conf
 
 
+def _real_coefficients(spec) -> bool:
+    """Whether every coefficient the kernel keeps from ``spec`` (either kind) is real.
+
+    The factoring reads the same ``kept`` entries, so the matvec then maps
+    float64 vectors to float64 vectors.
+    """
+    t = kernel.DEFAULT_SKIP_THRESHOLD
+    mix = isinstance(spec, MixtureHamiltonianSpec)
+    values = [spec.inter.kept(t)[1]] if mix else []
+    for part in (spec.spec_a, spec.spec_b) if mix else (spec,):
+        values += [part.one_body.kept(t), part.two_body.kept(t)[1]]
+    return kernel.all_real(*values)
+
+
 class _Lanczos:
     """Lanczos recurrence whose orthonormal basis rows live in contiguous blocks.
 
-    Blocks of ``block_rows`` complex128 rows are allocated as the basis
+    Blocks of ``block_rows`` rows of ``dtype`` are allocated as the basis
     grows and reused by :meth:`start`; rows beyond ``size`` are never read.
     """
 
-    def __init__(self, matvec, dim: int, block_rows: int):
-        self.matvec, self.dim, self.block_rows = matvec, dim, block_rows
+    def __init__(self, matvec, dim: int, block_rows: int, dtype=np.complex128):
+        self.matvec, self.dim, self.block_rows, self.dtype = matvec, dim, block_rows, dtype
         self.blocks: list[np.ndarray] = []
 
     def start(self, v: np.ndarray, nrm: float) -> None:
@@ -65,11 +86,13 @@ class _Lanczos:
     def row(self, i: int) -> np.ndarray:
         return self.blocks[i // self.block_rows][i % self.block_rows]
 
-    def step(self, passes: int):
+    def step(self, dgks: bool):
         """(w, ||w||) for w = H times the last row, orthogonalized against every row; appends alpha.
 
-        Each pass is classical Gram-Schmidt, w -= V (V^H w): two GEMVs per
-        block, blocks in turn.
+        One classical Gram-Schmidt pass always runs.  With ``dgks`` a second
+        one follows when the first shrinks ||w|| below ||w|| / sqrt(2)
+        (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976): only
+        then has cancellation left w far from orthogonal to the basis.
         """
         v = self.row(self.size - 1)
         w = self.matvec(v)
@@ -77,10 +100,18 @@ class _Lanczos:
         w -= self.alphas[-1] * v
         if self.betas:
             w -= self.betas[-1] * self.row(self.size - 2)
-        for _ in range(passes):
-            for rows in self._filled():
-                w -= np.conjugate(rows @ np.conjugate(w)) @ rows
-        return w, float(np.linalg.norm(w))
+        before = np.linalg.norm(w) if dgks else 0.0
+        self._orthogonalize(w)
+        nrm = float(np.linalg.norm(w))
+        if dgks and nrm < _DGKS_RATIO * before:
+            self._orthogonalize(w)
+            nrm = float(np.linalg.norm(w))
+        return w, nrm
+
+    def _orthogonalize(self, w: np.ndarray) -> None:
+        """One classical Gram-Schmidt pass in place, w -= V (V^H w): two GEMVs per block."""
+        for rows in self._filled():
+            w -= (rows @ w.conj()).conj() @ rows
 
     def push(self, w: np.ndarray, beta: float) -> None:
         """Extend the basis by w / beta."""
@@ -94,7 +125,7 @@ class _Lanczos:
 
     def _append(self, w, scale) -> None:
         if self.size == len(self.blocks) * self.block_rows:
-            self.blocks.append(np.empty((self.block_rows, self.dim), dtype=np.complex128))
+            self.blocks.append(np.empty((self.block_rows, self.dim), dtype=self.dtype))
         np.divide(w, scale, out=self.row(self.size))
         self.size += 1
 
@@ -124,19 +155,22 @@ def ground_state(
     """Lowest eigenpair of H with residual ||H psi - E psi|| <= tol.
 
     Deterministic for a given seed.  Raises :class:`ConvergenceError` with
-    the best residual if ``max_iter`` Krylov vectors do not suffice.
+    the best residual if ``max_iter`` Krylov vectors do not suffice.  The
+    solve runs in float64 when every kept coefficient is real; the state is
+    returned as complex128 either way.
     """
     matvec, wrap, dim = _operator(spec, workers)
+    real = _real_coefficients(spec)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = rng.standard_normal(dim) if real else rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     m_cap = max(1, min(max_iter, dim))
-    lz = _Lanczos(matvec, dim, BASIS_BLOCK_ROWS)
+    lz = _Lanczos(matvec, dim, BASIS_BLOCK_ROWS, v.dtype)
     lz.start(v, np.linalg.norm(v))
     del v  # the basis holds its own copy
     best_res = np.inf
     best_est = np.inf
     for it in range(1, m_cap + 1):
-        w, beta = lz.step(passes=2)  # full reorthogonalization, twice (CGS2)
+        w, beta = lz.step(dgks=True)  # full reorthogonalization
         evals, evecs = np.linalg.eigh(_tridiagonal(lz.alphas, lz.betas))
         theta, y = float(evals[0]), evecs[:, 0]
         res_est = beta * abs(y[-1])
@@ -155,7 +189,7 @@ def ground_state(
                         f"Krylov space exhausted at dimension {it} with residual {res:.3e}",
                         best_residual=res,
                     )
-                return GroundStateResult(energy, wrap(x), res, it)
+                return GroundStateResult(energy, wrap(x.astype(np.complex128, copy=False)), res, it)
         if it < m_cap:  # non-breakdown guarantees beta well above zero here
             lz.push(w, beta)
     best = best_res if np.isfinite(best_res) else best_est
@@ -205,7 +239,7 @@ def _sil_space(lz: _Lanczos, y: np.ndarray, m_max: int):
     lz.start(y, nrm)
     breakdown = False
     while True:
-        w, beta = lz.step(passes=1)  # reorthogonalize within the step
+        w, beta = lz.step(dgks=False)  # one pass: the space is rebuilt every step
         if len(lz.alphas) == m_max:
             break
         if beta <= _BREAKDOWN_TOL * max(1.0, abs(lz.alphas[-1])):
@@ -256,7 +290,7 @@ def propagate(
     matvec, wrap, dim = _operator(spec, workers)
     m_max = max(1, min(krylov_dim, dim))
     lz = _Lanczos(matvec, dim, m_max)
-    y = psi0.amplitudes.copy()
+    y = psi0.amplitudes.astype(np.complex128)  # a copy, complex even for a real psi0
     n_steps = int(round(t_final / dt))
     times = [0.0]
     norms = [float(np.linalg.norm(y))]

@@ -14,30 +14,35 @@ from fockops import (
 )
 
 
-def random_hermitian_spec(space: SpaceDescriptor, seed: int) -> HamiltonianSpec:
-    """Dense random tables hermitized so the operator is self-adjoint."""
+def _part(x, real: bool):
+    """The real part of a hermitized table is hermitized too."""
+    return x.real if real else x
+
+
+def random_hermitian_spec(space: SpaceDescriptor, seed: int, real: bool = False) -> HamiltonianSpec:
+    """Dense random tables hermitized so the operator is self-adjoint; ``real`` keeps their real parts."""
     rng = np.random.default_rng(seed)
     m = space.m
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     h = 0.5 * (a + a.conj().T)
     t = rng.standard_normal((m,) * 4) + 1j * rng.standard_normal((m,) * 4)
     w = 0.5 * (t + np.conj(np.transpose(t, (2, 3, 0, 1))))
-    return HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.from_dense(w))
+    return HamiltonianSpec(space, OneBodyTable(_part(h, real)), TwoBodyTable.from_dense(_part(w, real)))
 
 
-def random_inter_table(m_a: int, m_b: int, seed: int) -> InterSpeciesTable:
+def random_inter_table(m_a: int, m_b: int, seed: int, real: bool = False) -> InterSpeciesTable:
     """Hermitized inter-species tensor: (a†_k a_q b†_k' b_q')† swaps k<->q, k'<->q'."""
     rng = np.random.default_rng(seed)
     t = rng.standard_normal((m_a, m_a, m_b, m_b)) + 1j * rng.standard_normal((m_a, m_a, m_b, m_b))
-    return InterSpeciesTable(0.5 * (t + np.conj(np.transpose(t, (1, 0, 3, 2)))))
+    return InterSpeciesTable(_part(0.5 * (t + np.conj(np.transpose(t, (1, 0, 3, 2)))), real))
 
 
-def random_mixture_spec(mspace: MixtureSpace, seed: int) -> MixtureHamiltonianSpec:
+def random_mixture_spec(mspace: MixtureSpace, seed: int, real: bool = False) -> MixtureHamiltonianSpec:
     return MixtureHamiltonianSpec(
         mspace,
-        random_hermitian_spec(mspace.space_a, seed),
-        random_hermitian_spec(mspace.space_b, seed + 1),
-        random_inter_table(mspace.space_a.m, mspace.space_b.m, seed + 2),
+        random_hermitian_spec(mspace.space_a, seed, real),
+        random_hermitian_spec(mspace.space_b, seed + 1, real),
+        random_inter_table(mspace.space_a.m, mspace.space_b.m, seed + 2, real),
     )
 
 

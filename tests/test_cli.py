@@ -79,6 +79,18 @@ class TestEnum:
         assert out.strip() == "N_conf 67"
 
     @pytest.mark.parametrize("argv", [
+        ["--fermion", "-N", "10000", "-M", "20000"],
+        ["--mix", "-N", "10000", "-M", "20000", "-NB", "1", "-MB", "2", "--mix-stats", "fermion,boson"],
+    ], ids=["single", "mixture"])
+    def test_dimension_beyond_the_printable_digits(self, capsys, argv):
+        """N_conf of C(20000, 10000) has 6,019 digits, more than Python prints: one line, exit 1."""
+        code, out, err = run_cli(capsys, "enum", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert _one_line_error(err)
+        assert "decimal digits" in err
+
+    @pytest.mark.parametrize("argv", [
         ["--fermion", "-N", "20", "-M", "40"],
         ["--mix", "-N", "10", "-M", "20", "-NB", "10", "-MB", "20", "--mix-stats", "fermion,fermion"],
     ], ids=["single", "mixture"])
@@ -140,6 +152,24 @@ class TestGs:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_workers_give_identical_reports(self, capsys, tmp_path):
+        """A real Bose-Hubbard chain of 19,448 amplitudes, more than one row block: only ``workers`` differs."""
+        from fockops import build_bose_hubbard, kernel
+        from fockops.hamiltonian import save_integrals
+
+        spec = build_bose_hubbard(7, 11, hopping=1.0, interaction=2.0)
+        assert spec.space.n_conf > kernel.BLOCK_AMPLITUDES
+        path = tmp_path / "chain.ints"
+        save_integrals(spec, path)
+        outs = []
+        for w in ("1", "2"):
+            out_path = tmp_path / f"gs{w}.json"
+            code, _, _ = run_cli(capsys, "gs", "--file", str(path), "--workers", w, "--out", str(out_path))
+            assert code == EXIT_OK
+            outs.append(out_path.read_bytes())
+        assert json.loads(outs[1])["workers"] == 2
+        assert outs[0] == outs[1].replace(b'"workers": 2', b'"workers": 1')
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.ints"

@@ -196,6 +196,24 @@ class TestRowBlocks:
         for workers in (2, 4):
             np.testing.assert_array_equal(parallel_apply(spec, psi, workers=workers).amplitudes, ref)
 
+    @pytest.mark.parametrize("space", [suite_single_spaces()[0], suite_mixture_spaces()[2]], ids=str)
+    def test_real_operator_keeps_a_real_vector_real(self, space):
+        """A real spec on a float64 vector computes in float64, agrees with the complex path, and is bitwise stable."""
+        if isinstance(space, MixtureSpace):
+            spec, psi = random_mixture_spec(space, seed=8, real=True), mixture_random_state(space, seed=9)
+        else:
+            spec, psi = random_hermitian_spec(space, seed=8, real=True), random_state(space, seed=9)
+        real = type(psi)(space, psi.amplitudes.real.copy())
+        complex_path = type(psi)(space, real.amplitudes.astype(np.complex128))
+        ref = parallel_apply(spec, real, workers=1).amplitudes
+        assert ref.dtype == np.float64
+        for workers in (2, 4):
+            np.testing.assert_array_equal(parallel_apply(spec, real, workers=workers).amplitudes, ref)
+        _assert_matches(ref, build_dense(spec), real.amplitudes)
+        full = parallel_apply(spec, complex_path, workers=1).amplitudes
+        assert full.dtype == np.complex128
+        assert np.linalg.norm(full - ref) <= TOL * np.linalg.norm(full)
+
     def _count_builds(self, monkeypatch):
         built = []
         build = kernel._build_gather

@@ -8,8 +8,10 @@ import pytest
 from fockops import (
     ConvergenceError,
     HamiltonianSpec,
+    MixtureSpace,
     OneBodyTable,
     SpaceDescriptor,
+    StateVector,
     StepFailureError,
     TwoBodyTable,
     apply_hamiltonian,
@@ -25,7 +27,12 @@ from fockops import (
 )
 from fockops import kernel, solvers
 from fockops.solvers import BASIS_BLOCK_ROWS, write_series_csv
-from conftest import random_hermitian_spec, random_mixture_spec, suite_mixture_spaces
+from conftest import (
+    random_hermitian_spec,
+    random_mixture_spec,
+    suite_mixture_spaces,
+    suite_single_spaces,
+)
 
 
 class TestGroundState:
@@ -180,6 +187,102 @@ class TestLanczosBasis:
         assert iterations == (4 if tol else max_iter)
         block_rows = -(-iterations // BASIS_BLOCK_ROWS) * BASIS_BLOCK_ROWS
         assert peak <= matvec_peak + (block_rows + 6) * space.n_conf * 16
+
+
+@pytest.fixture
+def lanczos_made(monkeypatch):
+    """Every _Lanczos the solvers create, in order."""
+    made = []
+
+    class Recorded(solvers._Lanczos):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(solvers, "_Lanczos", Recorded)
+    return made
+
+
+_SPECTRA = [(low, krylov) for low in ([0.0, 1e-3, 2e-3, 3e-3], [0.0, 0.0, 0.0, 1e-4])
+            for krylov in (BASIS_BLOCK_ROWS - 1, BASIS_BLOCK_ROWS, BASIS_BLOCK_ROWS + 1, 2 * BASIS_BLOCK_ROWS)]
+
+
+class TestReorthogonalization:
+    """The second Gram-Schmidt pass runs only when the first cancels most of the vector (DGKS)."""
+
+    @pytest.mark.parametrize("case", _SPECTRA + ["bose-hubbard"],
+                             ids=[f"{'degenerate' if low[1] == 0 else 'clustered'}-{k}" for low, k in _SPECTRA]
+                             + ["bose-hubbard"])
+    def test_basis_is_orthonormal_after_the_solve(self, case, lanczos_made):
+        """max|V^H V - I| <= 1e-12 on the TestLanczosBasis spectra and on Bose-Hubbard boson(4,5)."""
+        if case == "bose-hubbard":
+            spec = build_bose_hubbard(4, 5, hopping=1.0, interaction=2.0)
+        else:
+            low, krylov = case
+            lam = np.concatenate([low, np.geomspace(1.0, 1000.0, krylov - len(set(low)))])
+            spec = _spectrum_spec(lam, seed=krylov)
+        ground_state(spec, tol=1e-10, seed=1)
+        (lz,) = lanczos_made
+        v = np.array([lz.row(i) for i in range(lz.size)])
+        assert np.abs(v.conj() @ v.T - np.eye(lz.size)).max() <= 1e-12
+
+    def test_second_pass_is_skipped_when_not_needed(self, monkeypatch):
+        passes = []
+        orthogonalize = solvers._Lanczos._orthogonalize
+        monkeypatch.setattr(solvers._Lanczos, "_orthogonalize",
+                            lambda self, w: passes.append(1) or orthogonalize(self, w))
+        result = ground_state(build_bose_hubbard(4, 5, hopping=1.0, interaction=2.0), tol=1e-10, seed=1)
+        second_passes = len(passes) - result.iterations  # one first pass per iteration
+        assert 0 <= second_passes < result.iterations
+
+
+class TestRealArithmetic:
+    """A spec whose kept coefficients are all real is solved in float64."""
+
+    @pytest.mark.parametrize("case", ["bose-hubbard", "real-mixture", "complex", "complex-mixture"])
+    def test_basis_dtype_follows_the_coefficients(self, case, lanczos_made):
+        mspace = suite_mixture_spaces()[2]
+        spec = {
+            "bose-hubbard": lambda: build_bose_hubbard(3, 4, hopping=1.0, interaction=2.0),
+            "real-mixture": lambda: random_mixture_spec(mspace, seed=5, real=True),
+            "complex": lambda: random_hermitian_spec(SpaceDescriptor.boson(3, 3), seed=5),
+            "complex-mixture": lambda: random_mixture_spec(mspace, seed=5),
+        }[case]()
+        result = ground_state(spec, tol=1e-10)
+        (lz,) = lanczos_made
+        assert lz.blocks[0].dtype == (np.complex128 if case.startswith("complex") else np.float64)
+        assert result.state.amplitudes.dtype == np.complex128
+
+    @pytest.mark.parametrize("space", suite_single_spaces() + suite_mixture_spaces(), ids=str)
+    def test_energies_match_the_dense_oracle(self, space):
+        build = random_mixture_spec if isinstance(space, MixtureSpace) else random_hermitian_spec
+        spec = build(space, seed=17, real=True)
+        assert solvers._real_coefficients(spec)
+        result = ground_state(spec, tol=1e-11)
+        assert abs(result.energy - dense_eig(build_dense(spec))[0][0]) <= 1e-10
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "forced-complex"])
+    def test_real_basis_memory(self, real, monkeypatch):
+        """tracemalloc peak <= one float64 matvec's peak + (block_rows + 6) float64 vectors.
+
+        The same solve forced into complex128 holds twice the basis bytes
+        and exceeds the bound.
+        """
+        space = SpaceDescriptor.fermion(4, 24)
+        a = np.random.default_rng(3).standard_normal((24, 24))
+        spec = HamiltonianSpec(space, OneBodyTable(a + a.T), TwoBodyTable.zeros(24))
+        psi = StateVector(space, random_state(space, seed=4).amplitudes.real.copy())
+        apply_hamiltonian(spec, psi)  # tables and gathers are cached before tracing
+        matvec_peak = _peak_bytes(lambda: apply_hamiltonian(spec, psi))
+        if not real:
+            monkeypatch.setattr(solvers, "_real_coefficients", lambda spec: False)
+
+        def solve():
+            with pytest.raises(ConvergenceError):
+                ground_state(spec, tol=0.0, max_iter=BASIS_BLOCK_ROWS)
+
+        peak = _peak_bytes(solve)
+        assert (peak <= matvec_peak + (BASIS_BLOCK_ROWS + 6) * space.n_conf * 8) == real
 
 
 class TestPropagation:
