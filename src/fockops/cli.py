@@ -143,10 +143,21 @@ def _decimal(value: int) -> str:
         ) from None
 
 
+def _check_printable_count(*spaces: tuple[str, int, int]) -> None:
+    """Refuse, as :func:`_decimal` would, a count of (statistics, N, M) ``spaces`` counted only up to the limit."""
+    cap = 10 ** sys.get_int_max_str_digits() - 1  # 0 when there is no limit
+    for statistics, n, m in spaces:
+        cmb._check_space(statistics, n, m)
+        if cap and cmb.capped_dimension(statistics, n, m, cap) > cap:
+            _decimal(cap + 1)  # one digit past the limit: raises
+
+
 def cmd_enum(args) -> int:
     if args.mix:
         return _cmd_enum_mix(args)
     statistics = FERMION if args.fermion else BOSON
+    if all(v is None for v in (args.holes, args.occ, args.bits, args.J)) and not args.all:
+        _check_printable_count((statistics, args.N, args.M))
     space = SpaceDescriptor(statistics, args.N, args.M)
     lines = []
     if args.holes is not None:
@@ -177,6 +188,8 @@ def _cmd_enum_mix(args) -> int:
         raise InvalidSpaceError(f"bad --mix-stats {args.mix_stats!r}")
     if args.NB is None or args.MB is None:
         raise InvalidSpaceError("--mix requires -NB and -MB")
+    if args.J is None and not args.all:
+        _check_printable_count((stats[0], args.N, args.M), (stats[1], args.NB, args.MB))
     mspace = mixtures.MixtureSpace(
         SpaceDescriptor(stats[0], args.N, args.M),
         SpaceDescriptor(stats[1], args.NB, args.MB),

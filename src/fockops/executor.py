@@ -32,10 +32,9 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def parallel_apply(spec, psi, workers: int | None = None,
-                   skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD):
+def parallel_apply(spec, psi, workers: int | None = None):
     """H|psi> with row blocks spread over ``workers`` threads; bitwise equal to serial."""
     workers = resolve_workers(workers)
     if isinstance(spec, MixtureHamiltonianSpec):
-        return mixtures.apply_mixture_hamiltonian(spec, psi, skip_threshold, workers=workers)
-    return kernel.apply_hamiltonian(spec, psi, skip_threshold, workers=workers)
+        return mixtures.apply_mixture_hamiltonian(spec, psi, workers=workers)
+    return kernel.apply_hamiltonian(spec, psi, workers=workers)

@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -180,6 +179,8 @@ class SpaceTables:
     rank_counts  (M-1, N+2)      C of :func:`occupation_table`
     rank_floor   (M-1, N+1)      F of :func:`occupation_table`
     occ_float    (N_conf, M)     occ as float64, built on first use
+
+    It also holds the space's one gather pool (:meth:`cached_gather`).
     """
 
     def __init__(self, space: SpaceDescriptor):
@@ -189,31 +190,22 @@ class SpaceTables:
         np.cumsum(self.occ, axis=1, out=prefix[:, 1:])
         self.prefix = prefix
         self._gather_cache: dict = {}
-        self._gather_cache_bytes = 0
-        self._gather_lock = threading.Lock()
 
     @functools.cached_property
     def occ_float(self) -> np.ndarray:
         """The occupation numbers as float64, for the diagonal of H; built once, on first use."""
         return self.occ.astype(np.float64)
 
-    # gathers are pure; the cache only avoids recomputation
-    _GATHER_CACHE_LIMIT = 1 << 26
-
     def cached_gather(self, key, build):
+        """The gather stored under ``key``, built by ``build()`` and kept on first use.
+
+        Gathers are pure, so the pool only avoids recomputation.  The kernel
+        stores two-operator strings only (its own are the M^2 one-body
+        pairs), so the pool needs no budget.  Threads that miss the same key
+        at once may each build it; ``dict.setdefault`` keeps the first for all.
+        """
         hit = self._gather_cache.get(key)
-        if hit is not None:
-            return hit
-        val = build()
-        size = sum(a.nbytes for a in val if a is not None)
-        with self._gather_lock:  # threads that miss the same key insert and count it once
-            hit = self._gather_cache.get(key)
-            if hit is not None:
-                return hit
-            if self._gather_cache_bytes + size <= self._GATHER_CACHE_LIMIT:
-                self._gather_cache[key] = val
-                self._gather_cache_bytes += size
-        return val
+        return hit if hit is not None else self._gather_cache.setdefault(key, build())
 
 
 class StateVector:

@@ -295,8 +295,11 @@ def load_integrals(path):
     Unlisted entries are zero.  Raises :class:`IntegralFormatError` with the
     offending line number on malformed input.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise IntegralFormatError(f"{path} is not UTF-8 text") from None
     toks: list[tuple[int, list[str]]] = []
     for no, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0].strip()

@@ -22,7 +22,7 @@ H|psi> never loops over two-body terms.  With E_kq = b†_k b_q, the identity
 b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl (both statistics) gives the
 direct-CI factorization of Knowles & Handy (Chem. Phys. Lett. 111, 315,
 1984) and Olsen et al. (J. Chem. Phys. 89, 2185, 1988), formed on every
-call from the entries at or above the skip threshold (:func:`factor_species`):
+call from the entries at or above :data:`SKIP_THRESHOLD` (:func:`factor_species`):
 
     H psi = d * psi + sum_p h'_p E_p psi + sum_r E_r chi_r,
     chi = Wm[rows, cols] @ phi,   phi_c = E_c psi.
@@ -32,11 +32,13 @@ vector stays float64 throughout: the apply computes in the common dtype of
 the vector and the operator, so a real Hamiltonian moves half the bytes
 on a real vector and is unchanged on a complex one.
 
-Each one-body gather is fetched once per apply.  The output is cut into
-fixed blocks of rows that do not depend on the worker count: each block
-first computes phi and chi for its own rows, then sums d * psi and the
-sweeps into its own rows.  No amplitude is summed across blocks, so a
-worker count only decides which thread computes which whole blocks, and
+The gathers of the one-body pairs, M^2 per space, are kept in the space's
+gather pool (:meth:`fockspace.SpaceTables.cached_gather`), so each is built
+once per space; longer strings are built per call and not kept.  The output
+is cut into fixed blocks of rows that do not depend on the worker count:
+each block first computes phi and chi for its own rows, then sums d * psi
+and the sweeps into its own rows.  No amplitude is summed across blocks, so
+a worker count only decides which thread computes which whole blocks, and
 every amplitude is summed in the same order for any worker count (bitwise
 identical results).
 """
@@ -53,7 +55,9 @@ from .errors import FockError, SpaceMismatchError
 from .fockspace import FermionConfig, SpaceDescriptor, StateVector
 from .hamiltonian import TwoBodyTable
 
-DEFAULT_SKIP_THRESHOLD = 1e-15
+# Stored entries with |value| below this are dropped before an operator is
+# formed; read at call time by every apply, term list and factoring.
+SKIP_THRESHOLD = 1e-15
 
 # An elementary op is ("a", p) or ("c", p); a term is a tuple of them in
 # application order (rightmost operator of the string first).
@@ -92,14 +96,19 @@ def _check_orbitals(space: SpaceDescriptor, orbitals: Iterable[int]) -> None:
 
 
 def term_gather(space: SpaceDescriptor, ops: Ops):
-    """(source rows, prefactors, None, acting rows) for a term, cached per space.
+    """(source rows, prefactors, None, acting rows) for a term.
 
     ``act`` lists the 0-based output rows on which the term acts; ``src``
     and ``pref`` hold the source row and the prefactor of each of them, in
     the order of ``act``.  The third slot is None; the tuple keeps four
-    slots because callers read ``act`` at index 3.
+    slots because callers read ``act`` at index 3.  Only two-operator
+    strings (the library forms them as one-body pairs) are kept in the
+    space's pool, which is therefore bounded by construction; longer
+    strings are built per call.
     """
     tb = space.tables()
+    if len(ops) != 2:
+        return _build_gather(space, tb, ops)
     return tb.cached_gather(ops, lambda: _build_gather(space, tb, ops))
 
 
@@ -203,18 +212,10 @@ def sweep(gather, axis: int, amps: np.ndarray, out: np.ndarray, lo: int, hi: int
         out[:, act] += (coeff * pref) * amps[lo:hi, src]
 
 
-def apply_term_ops(
-    space: SpaceDescriptor,
-    ops: Ops,
-    amps: np.ndarray,
-    out: np.ndarray | None = None,
-    coeff: complex = 1.0,
-    axis: int = -1,
-) -> np.ndarray:
-    """Accumulate coeff * (term acting on ``amps``) into ``out`` along ``axis``."""
-    if out is None:
-        out = np.zeros_like(amps, dtype=np.complex128)
-    sweep(term_gather(space, ops), axis % amps.ndim, amps, out, 0, amps.shape[0], coeff)
+def apply_term_ops(space: SpaceDescriptor, ops: Ops, amps: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The term acting on ``amps`` along ``axis``, as a new complex array."""
+    out = np.zeros_like(amps, dtype=np.complex128)
+    sweep(term_gather(space, ops), axis % amps.ndim, amps, out, 0, amps.shape[0])
     return out
 
 
@@ -261,15 +262,15 @@ def run_row_blocks(run_block: Callable[[int, int], None], n_rows: int,
             run_block(lo, hi)
 
 
-def hamiltonian_terms(spec, skip_threshold: float = DEFAULT_SKIP_THRESHOLD) -> list[tuple[Ops, complex]]:
+def hamiltonian_terms(spec) -> list[tuple[Ops, complex]]:
     """Canonical term list: one-body row-major, then two-body in storage order.
 
     Two-body coefficients already carry the global 1/2.
     """
     terms: list[tuple[Ops, complex]] = []
-    for k, q, v in spec.one_body.entries(skip_threshold):
+    for k, q, v in spec.one_body.entries(SKIP_THRESHOLD):
         terms.append((one_body_ops(k, q), v))
-    for k, s, q, l, v in spec.two_body.entries(skip_threshold):
+    for k, s, q, l, v in spec.two_body.entries(SKIP_THRESHOLD):
         terms.append((two_body_ops(k, s, l, q), 0.5 * v))
     return terms
 
@@ -277,17 +278,9 @@ def hamiltonian_terms(spec, skip_threshold: float = DEFAULT_SKIP_THRESHOLD) -> l
 # -- factored H|psi> ---------------------------------------------------------
 
 
-def pair_gathers(space: SpaceDescriptor, pairs, fetched: dict) -> list:
-    """Gathers of E_kq = b†_k b_q for flat 0-based pairs k * M + q.
-
-    ``fetched`` maps each space to the gathers this apply already has, so
-    none is built twice even when the cache cannot hold it.
-    """
-    have = fetched.setdefault(space, {})
-    for p in pairs:
-        if p not in have:
-            have[p] = term_gather(space, one_body_ops(p // space.m + 1, p % space.m + 1))
-    return [have[p] for p in pairs]
+def pair_gathers(space: SpaceDescriptor, pairs) -> list:
+    """Gathers of E_kq = b†_k b_q for flat 0-based pairs k * M + q."""
+    return [term_gather(space, one_body_ops(p // space.m + 1, p % space.m + 1)) for p in pairs]
 
 
 def split_pair_matrix(row_k, row_q, col_k, col_q, values, m_row: int, m_col: int):
@@ -343,19 +336,18 @@ class Factored(NamedTuple):
     contractions: list[Contraction]
 
 
-def factor_species(space: SpaceDescriptor, one_body, two_body, skip_threshold: float,
-                   axis: int = 0, fetched: dict | None = None) -> Factored:
+def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) -> Factored:
     """One species' Hamiltonian acting along ``axis`` of the amplitude matrix.
 
-    Entries below ``skip_threshold`` are dropped first; then
+    Entries below :data:`SKIP_THRESHOLD` are dropped first; then
     Wm[(k,q),(s,l)] = W[k,s,q,l] / 2 and h'_kl = h_kl - 1/2 sum_s W[k,s,s,l].
     Number-operator products (k = q, s = l) and the diagonal of h' fold into
     the diagonal d, read off the occupation table.  When every kept entry
     is real (:func:`all_real`) the whole operator is float64.
     """
-    m, fetched = space.m, {} if fetched is None else fetched
-    h = one_body.kept(skip_threshold)
-    (k, s, q, l), v = two_body.kept(skip_threshold)
+    m = space.m
+    h = one_body.kept(SKIP_THRESHOLD)
+    (k, s, q, l), v = two_body.kept(SKIP_THRESHOLD)
     if all_real(h, v):
         h, v = h.real, v.real
     con = s == q
@@ -365,11 +357,10 @@ def factor_species(space: SpaceDescriptor, one_body, two_body, skip_threshold: f
     diag = real_linear(lambda lin, quad: occ @ lin + np.einsum("nk,nk->n", occ @ quad, occ),
                        h.diagonal(), wd)
     hop_pairs = np.flatnonzero(~np.eye(m, dtype=bool) & (h != 0))
-    hops = [(g, axis, h.flat[p]) for p, g in zip(hop_pairs, pair_gathers(space, hop_pairs, fetched))]
+    hops = [(g, axis, h.flat[p]) for p, g in zip(hop_pairs, pair_gathers(space, hop_pairs))]
     contractions = []
     if rows.size:
-        contractions.append(Contraction(pair_gathers(space, cols, fetched), axis, wm,
-                                        pair_gathers(space, rows, fetched), axis))
+        contractions.append(Contraction(pair_gathers(space, cols), axis, wm, pair_gathers(space, rows), axis))
     return Factored(diag, hops, contractions)
 
 
@@ -411,27 +402,20 @@ def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarr
     return out
 
 
-def apply_hamiltonian(
-    spec,
-    psi: StateVector,
-    skip_threshold: float = DEFAULT_SKIP_THRESHOLD,
-    workers: int = 1,
-) -> StateVector:
+def apply_hamiltonian(spec, psi: StateVector, workers: int = 1) -> StateVector:
     """H|Psi> = sum_kq h_kq |Psi^{kq}> + (1/2) sum_ksql W_ksql |Psi^{kslq}>."""
     if spec.space != psi.space:
         raise SpaceMismatchError("Hamiltonian and state belong to different spaces")
-    op = factor_species(spec.space, spec.one_body, spec.two_body, skip_threshold)
+    op = factor_species(spec.space, spec.one_body, spec.two_body)
     return StateVector(spec.space, apply_factored(op, psi.amplitudes, workers))
 
 
-def apply_one_body_operator(
-    h, psi: StateVector, skip_threshold: float = DEFAULT_SKIP_THRESHOLD
-) -> StateVector:
+def apply_one_body_operator(h, psi: StateVector) -> StateVector:
     """Total action of all one-body terms, sum_kq h_kq b†_k b_q |Psi>."""
     space = psi.space
     if h.m != space.m:
         raise SpaceMismatchError(f"one-body table for M={h.m} applied in M={space.m} space")
     no_w = TwoBodyTable(h.m, indices=np.empty((0, 4), dtype=np.int64),
                         values=np.empty(0, dtype=np.complex128))
-    op = factor_species(space, h, no_w, skip_threshold)
+    op = factor_species(space, h, no_w)
     return StateVector(space, apply_factored(op, psi.amplitudes))

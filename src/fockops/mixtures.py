@@ -216,34 +216,31 @@ def apply_inter_term(k: int, q: int, kp: int, qp: int, psi: MixtureStateVector) 
     return MixtureStateVector(psi.mspace, _species_term(psi, "A", kernel.one_body_ops(k, q), mat).ravel())
 
 
-def mixture_terms(mspec: MixtureHamiltonianSpec, skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD):
+def mixture_terms(mspec: MixtureHamiltonianSpec):
     """Canonical term list: A one-/two-body, B one-/two-body, then inter-species."""
     terms = []
-    for ops, coeff in kernel.hamiltonian_terms(mspec.spec_a, skip_threshold):
+    for ops, coeff in kernel.hamiltonian_terms(mspec.spec_a):
         terms.append(("A", ops, None, coeff))
-    for ops, coeff in kernel.hamiltonian_terms(mspec.spec_b, skip_threshold):
+    for ops, coeff in kernel.hamiltonian_terms(mspec.spec_b):
         terms.append(("B", ops, None, coeff))
-    for k, q, kp, qp, v in mspec.inter.entries(skip_threshold):
+    for k, q, kp, qp, v in mspec.inter.entries(kernel.SKIP_THRESHOLD):
         terms.append(("X", kernel.one_body_ops(k, q), kernel.one_body_ops(kp, qp), v))
     return terms
 
 
-def _factor_species(spec: HamiltonianSpec, skip_threshold: float, axis: int,
-                    fetched: dict | None = None) -> kernel.Factored:
-    op = kernel.factor_species(spec.space, spec.one_body, spec.two_body, skip_threshold, axis, fetched)
+def _factor_species(spec: HamiltonianSpec, axis: int) -> kernel.Factored:
+    op = kernel.factor_species(spec.space, spec.one_body, spec.two_body, axis)
     return op._replace(diag=op.diag[:, None] if axis == 0 else op.diag[None, :])
 
 
-def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace, skip_threshold: float,
-                 fetched: dict | None = None) -> kernel.Factored:
+def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace) -> kernel.Factored:
     """W^{AB} as a (M_A², M_B²) pair matrix: E^B sweeps, one contraction, then E^A sweeps.
 
     The block k = q, k' = q' multiplies n^A_k n^B_k' and becomes the diagonal
-    occ_A @ X_dd @ occ_B^T.  ``fetched`` is as in :func:`kernel.pair_gathers`.
-    A table whose kept entries are all real gives a float64 operator.
+    occ_A @ X_dd @ occ_B^T.  Entries below :data:`kernel.SKIP_THRESHOLD` are
+    dropped; a table whose kept entries are all real gives a float64 operator.
     """
-    fetched = {} if fetched is None else fetched
-    (k, q, kp, qp), v = table.kept(skip_threshold)
+    (k, q, kp, qp), v = table.kept(kernel.SKIP_THRESHOLD)
     if kernel.all_real(v):
         v = v.real
     xd, rows, cols, xm = kernel.split_pair_matrix(k, q, kp, qp, v, table.m_a, table.m_b)
@@ -252,8 +249,8 @@ def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace, skip_threshold:
     diag = kernel.real_linear(lambda x: occ_a @ x @ occ_b.T, xd)
     contractions = []
     if rows.size:
-        contractions.append(kernel.Contraction(kernel.pair_gathers(space_b, cols, fetched), 1, xm,
-                                               kernel.pair_gathers(space_a, rows, fetched), 0))
+        contractions.append(kernel.Contraction(kernel.pair_gathers(space_b, cols), 1, xm,
+                                               kernel.pair_gathers(space_a, rows), 0))
     return kernel.Factored(diag, [], contractions)
 
 
@@ -264,45 +261,34 @@ def _apply_parts(psi: MixtureStateVector, parts, workers: int = 1) -> MixtureSta
     return MixtureStateVector(psi.mspace, kernel.apply_factored(op, psi.as_matrix(), workers).ravel())
 
 
-def apply_intra_a(spec_a: HamiltonianSpec, psi: MixtureStateVector,
-                  skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD) -> MixtureStateVector:
+def apply_intra_a(spec_a: HamiltonianSpec, psi: MixtureStateVector) -> MixtureStateVector:
     """Apply the A-species Hamiltonian to the A index for every fixed J_B."""
     if spec_a.space != psi.mspace.space_a:
         raise SpaceMismatchError("A-species spec does not match the mixture space")
-    return _apply_parts(psi, [_factor_species(spec_a, skip_threshold, 0)])
+    return _apply_parts(psi, [_factor_species(spec_a, 0)])
 
 
-def apply_intra_b(spec_b: HamiltonianSpec, psi: MixtureStateVector,
-                  skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD) -> MixtureStateVector:
+def apply_intra_b(spec_b: HamiltonianSpec, psi: MixtureStateVector) -> MixtureStateVector:
     """Mirror of :func:`apply_intra_a` for the B species."""
     if spec_b.space != psi.mspace.space_b:
         raise SpaceMismatchError("B-species spec does not match the mixture space")
-    return _apply_parts(psi, [_factor_species(spec_b, skip_threshold, 1)])
+    return _apply_parts(psi, [_factor_species(spec_b, 1)])
 
 
-def apply_inter(table: InterSpeciesTable, psi: MixtureStateVector,
-                skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD) -> MixtureStateVector:
+def apply_inter(table: InterSpeciesTable, psi: MixtureStateVector) -> MixtureStateVector:
     """sum W^{AB}_{kk'qq'} a†_k a_q b†_{k'} b_{q'} |Psi>."""
     if table.m_a != psi.mspace.space_a.m or table.m_b != psi.mspace.space_b.m:
         raise SpaceMismatchError("inter-species table does not match the mixture space")
-    return _apply_parts(psi, [factor_inter(table, psi.mspace, skip_threshold)])
+    return _apply_parts(psi, [factor_inter(table, psi.mspace)])
 
 
-def apply_mixture_hamiltonian(
-    mspec: MixtureHamiltonianSpec,
-    psi: MixtureStateVector,
-    skip_threshold: float = kernel.DEFAULT_SKIP_THRESHOLD,
-    workers: int = 1,
-) -> MixtureStateVector:
+def apply_mixture_hamiltonian(mspec: MixtureHamiltonianSpec, psi: MixtureStateVector,
+                              workers: int = 1) -> MixtureStateVector:
     """H^{(A)}|Psi> + H^{(B)}|Psi> + W^{(AB)}|Psi> in one deterministic sweep."""
     if mspec.mspace != psi.mspace:
         raise SpaceMismatchError("mixture spec and state live in different spaces")
-    fetched: dict = {}
-    parts = [
-        _factor_species(mspec.spec_a, skip_threshold, 0, fetched),
-        _factor_species(mspec.spec_b, skip_threshold, 1, fetched),
-        factor_inter(mspec.inter, mspec.mspace, skip_threshold, fetched),
-    ]
+    parts = [_factor_species(mspec.spec_a, 0), _factor_species(mspec.spec_b, 1),
+             factor_inter(mspec.inter, mspec.mspace)]
     return _apply_parts(psi, parts, workers)
 
 

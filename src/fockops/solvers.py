@@ -60,7 +60,7 @@ def _real_coefficients(spec) -> bool:
     The factoring reads the same ``kept`` entries, so the matvec then maps
     float64 vectors to float64 vectors.
     """
-    t = kernel.DEFAULT_SKIP_THRESHOLD
+    t = kernel.SKIP_THRESHOLD
     mix = isinstance(spec, MixtureHamiltonianSpec)
     values = [spec.inter.kept(t)[1]] if mix else []
     for part in (spec.spec_a, spec.spec_b) if mix else (spec,):

@@ -5,6 +5,7 @@ import resource
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +86,20 @@ class TestEnum:
     def test_dimension_beyond_the_printable_digits(self, capsys, argv):
         """N_conf of C(20000, 10000) has 6,019 digits, more than Python prints: one line, exit 1."""
         code, out, err = run_cli(capsys, "enum", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert _one_line_error(err)
+        assert "decimal digits" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--fermion", "-N", "500000", "-M", "1000000"],
+        ["--mix", "-N", "1", "-M", "2", "-NB", "500000", "-MB", "1000000", "--mix-stats", "boson,fermion"],
+    ], ids=["single", "mixture"])
+    def test_huge_count_refused_before_it_is_counted(self, capsys, argv):
+        """C(10^6, 5 10^5) has about 301,000 digits: refused from a capped count, not after the exact one."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "enum", *argv)
+        assert time.perf_counter() - start < 2.0
         assert code == EXIT_USAGE
         assert out == ""
         assert _one_line_error(err)
@@ -424,6 +439,25 @@ def test_non_finite_coefficient_is_parse_error(capsys, tmp_path):
     assert code == EXIT_PARSE
     assert _one_line_error(err)
     assert "line 4" in err
+
+
+class TestNonUtf8IntegralFile:
+    """A byte that is not UTF-8 in an integral file is a parse error, not a decoding traceback."""
+
+    @pytest.mark.parametrize("text", [
+        b"STATISTICS BOSON\nN 2\nM 2\nH 1 2 -1.0\xff\n",
+        b"STATISTICS MIX FERMION BOSON\nNA 1\nMA 2\nNB 1\nMB 2\nHA 1 2 -1.0\xff\n",
+    ], ids=["single", "mixture"])
+    @pytest.mark.parametrize("command", ["gs", "apply"])
+    def test_parse_error(self, capsys, tmp_path, command, text):
+        bad = tmp_path / "bad.ints"
+        bad.write_bytes(text)
+        extra = ["--in", str(tmp_path / "in.vec")] if command == "apply" else []
+        code, out, err = run_cli(capsys, command, "--file", str(bad), *extra)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert _one_line_error(err)
+        assert "not UTF-8 text" in err
 
 
 def test_console_entry_point_runs():

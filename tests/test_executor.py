@@ -132,7 +132,7 @@ class TestRowBlocks:
 
 
 def test_gather_cache_accounting_under_threads():
-    """Threads that miss the same keys at once store and count each gather once."""
+    """Threads that miss the same keys at once store each gather once, and all get the stored one."""
     tables = SpaceDescriptor.boson(2, 3).tables()
     keys = [(("a", p), ("c", p)) for p in range(1, 4)] + [(("a", 1), ("a", 2), ("c", 2), ("c", 1))]
     barrier = threading.Barrier(8)
@@ -141,10 +141,12 @@ def test_gather_cache_accounting_under_threads():
         time.sleep(0.001)
         return (np.zeros(5), np.ones(5), np.ones(5, dtype=bool), np.arange(5))
 
+    got = []
+
     def worker():
         barrier.wait(timeout=10)
         for key in keys:
-            tables.cached_gather(key, build)
+            got.append((key, tables.cached_gather(key, build)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -157,6 +159,6 @@ def test_gather_cache_accounting_under_threads():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    stored = list(tables._gather_cache.values())
-    assert len(stored) == len(keys)
-    assert tables._gather_cache_bytes == sum(a.nbytes for v in stored for a in v)
+    assert len(tables._gather_cache) == len(keys)
+    assert len(got) == 8 * len(keys)
+    assert all(val is tables._gather_cache[key] for key, val in got)

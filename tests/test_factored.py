@@ -12,16 +12,20 @@ from fockops import (
     MixtureSpace,
     OneBodyTable,
     SpaceDescriptor,
+    StateVector,
     TwoBodyTable,
     apply_hamiltonian,
     apply_mixture_hamiltonian,
+    apply_two_body_term,
     build_dense,
-    fockspace,
+    ground_state,
     kernel,
     mixture_random_state,
+    one_body_density,
     oracle,
     parallel_apply,
     random_state,
+    two_body_density,
 )
 from conftest import random_hermitian_spec, random_mixture_spec, suite_mixture_spaces, suite_single_spaces
 
@@ -171,8 +175,23 @@ def test_skip_threshold_drops_stored_entries_before_folding(space, data):
     big = lambda a: np.where(np.abs(a) >= threshold, a, 0)  # noqa: E731
     kept = HamiltonianSpec(space, OneBodyTable(big(h)), TwoBodyTable.from_dense(big(w)))
     psi = random_state(space, seed=1)
-    got = apply_hamiltonian(spec, psi, skip_threshold=threshold).amplitudes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "SKIP_THRESHOLD", threshold)
+        got = apply_hamiltonian(spec, psi).amplitudes
     _assert_matches(got, build_dense(kept), psi.amplitudes)
+
+
+def _count_builds(monkeypatch) -> list:
+    """(space, ops) of every gather built from here on."""
+    built = []
+    build = kernel._build_gather
+
+    def counting(space, tb, ops):
+        built.append((space, ops))
+        return build(space, tb, ops)
+
+    monkeypatch.setattr(kernel, "_build_gather", counting)
+    return built
 
 
 class TestRowBlocks:
@@ -186,12 +205,10 @@ class TestRowBlocks:
     def test_workers_bitwise_equal_through_the_contraction(self, space):
         if isinstance(space, MixtureSpace):
             spec, psi = random_mixture_spec(space, seed=8), mixture_random_state(space, seed=9)
-            assert kernel.factor_species(space.space_a, spec.spec_a.one_body, spec.spec_a.two_body,
-                                         kernel.DEFAULT_SKIP_THRESHOLD).contractions
+            assert kernel.factor_species(space.space_a, spec.spec_a.one_body, spec.spec_a.two_body).contractions
         else:
             spec, psi = random_hermitian_spec(space, seed=8), random_state(space, seed=9)
-            assert kernel.factor_species(space, spec.one_body, spec.two_body,
-                                         kernel.DEFAULT_SKIP_THRESHOLD).contractions
+            assert kernel.factor_species(space, spec.one_body, spec.two_body).contractions
         ref = parallel_apply(spec, psi, workers=1).amplitudes
         for workers in (2, 4):
             np.testing.assert_array_equal(parallel_apply(spec, psi, workers=workers).amplitudes, ref)
@@ -214,21 +231,8 @@ class TestRowBlocks:
         assert full.dtype == np.complex128
         assert np.linalg.norm(full - ref) <= TOL * np.linalg.norm(full)
 
-    def _count_builds(self, monkeypatch):
-        built = []
-        build = kernel._build_gather
-
-        def counting(space, tb, ops):
-            built.append((space, ops))
-            return build(space, tb, ops)
-
-        monkeypatch.setattr(kernel, "_build_gather", counting)
-        return built
-
-    @pytest.mark.parametrize("cache_limit", [1 << 26, 0], ids=["cached", "nothing-cached"])
-    @pytest.mark.parametrize("mixture", [False, True], ids=["single", "mixture"])
-    def test_cold_apply_builds_each_pair_gather_once(self, monkeypatch, cache_limit, mixture):
-        monkeypatch.setattr(fockspace.SpaceTables, "_GATHER_CACHE_LIMIT", cache_limit)
+    @pytest.mark.parametrize("mixture", [False, True], ids=["single-cached", "mixture-cached"])
+    def test_cold_apply_builds_each_pair_gather_once(self, monkeypatch, mixture):
         if mixture:
             space = MixtureSpace(SpaceDescriptor.boson(2, 3), SpaceDescriptor.fermion(2, 4))
             spec, psi = random_mixture_spec(space, seed=10), mixture_random_state(space, seed=11)
@@ -237,7 +241,7 @@ class TestRowBlocks:
             space = SpaceDescriptor.boson(3, 4)
             spec, psi = random_hermitian_spec(space, seed=10), random_state(space, seed=11)
             n_pairs, n_rows, width = 4 ** 2, space.n_conf, 1
-        built = self._count_builds(monkeypatch)
+        built = _count_builds(monkeypatch)
         parallel_apply(spec, psi, workers=2)
         assert n_rows >= 4 * max(1, kernel.BLOCK_AMPLITUDES // width)  # four row blocks or more
         assert len(built) == len(set(built)) <= n_pairs
@@ -248,6 +252,36 @@ class TestRowBlocks:
         spec = random_hermitian_spec(space, seed=12)
         psi = random_state(space, seed=13)
         parallel_apply(spec, psi, workers=2)
-        built = self._count_builds(monkeypatch)
+        built = _count_builds(monkeypatch)
         parallel_apply(spec, psi, workers=2)
+        assert built == []
+
+
+class TestGatherPool:
+    """A space keeps the gathers of its one-body pairs, and nothing else, in one pool."""
+
+    @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4)], ids=str)
+    def test_pool_holds_only_pair_gathers(self, space):
+        spec = random_hermitian_spec(space, seed=14)
+        psi = ground_state(spec, seed=1).state
+        one_body_density(psi)
+        two_body_density(psi)
+        pool = space.tables()._gather_cache
+        assert psi.space.tables() is space.tables()
+        pairs = {kernel.one_body_ops(k, q) for k in range(1, space.m + 1) for q in range(1, space.m + 1)}
+        assert pool.keys() <= pairs
+        keys = set(pool)
+        apply_two_body_term(1, 2, 2, 1, psi)
+        assert set(pool) == keys
+
+    def test_warm_dense_one_body_apply_builds_none(self, monkeypatch):
+        """boson(10,10) with a dense real h: 90 pair gathers of 92,378 rows, every one kept."""
+        space = SpaceDescriptor.boson(10, 10)
+        rng = np.random.default_rng(15)
+        h = rng.standard_normal((10, 10))
+        spec = HamiltonianSpec(space, OneBodyTable(h + h.T), TwoBodyTable.zeros(10))
+        psi = StateVector(space, rng.standard_normal(space.n_conf))
+        apply_hamiltonian(spec, psi)
+        built = _count_builds(monkeypatch)
+        apply_hamiltonian(spec, psi)
         assert built == []

@@ -20,6 +20,7 @@ from fockops import (
     dot,
     fermion_sign_count,
     iterate_configurations,
+    kernel,
     random_state,
 )
 from fockops.fockspace import FermionConfig
@@ -252,13 +253,14 @@ class TestApplyHamiltonian:
         with pytest.raises(SpaceMismatchError):
             apply_hamiltonian(spec, psi)
 
-    def test_skip_threshold(self):
+    def test_skip_threshold(self, monkeypatch):
         space = SpaceDescriptor.boson(2, 2)
         h = np.array([[0.0, 1e-16], [1e-16, 0.0]])
         spec = HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.zeros(2))
         psi = random_state(space, seed=1)
         assert np.all(apply_hamiltonian(spec, psi).amplitudes == 0)
-        kept = apply_hamiltonian(spec, psi, skip_threshold=1e-17)
+        monkeypatch.setattr(kernel, "SKIP_THRESHOLD", 1e-17)
+        kept = apply_hamiltonian(spec, psi)
         assert np.any(kept.amplitudes != 0)
 
 
