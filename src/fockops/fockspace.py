@@ -199,10 +199,10 @@ class SpaceTables:
     def cached_gather(self, key, build):
         """The gather stored under ``key``, built by ``build()`` and kept on first use.
 
-        Gathers are pure, so the pool only avoids recomputation.  The kernel
-        stores two-operator strings only (its own are the M^2 one-body
-        pairs), so the pool needs no budget.  Threads that miss the same key
-        at once may each build it; ``dict.setdefault`` keeps the first for all.
+        Gathers are pure, so the pool only avoids recomputation.  Only the
+        factored apply stores gathers here, those of H's one-body pairs (at
+        most M^2), so the pool needs no budget.  Threads that miss the same
+        key at once may each build it; ``dict.setdefault`` keeps the first.
         """
         hit = self._gather_cache.get(key)
         return hit if hit is not None else self._gather_cache.setdefault(key, build())

@@ -32,10 +32,10 @@ vector stays float64 throughout: the apply computes in the common dtype of
 the vector and the operator, so a real Hamiltonian moves half the bytes
 on a real vector and is unchanged on a complex one.
 
-The gathers of the one-body pairs, M^2 per space, are kept in the space's
-gather pool (:meth:`fockspace.SpaceTables.cached_gather`), so each is built
-once per space; longer strings are built per call and not kept.  The output
-is cut into fixed blocks of rows that do not depend on the worker count:
+The gathers of H's one-body pairs, at most M^2 per space, are kept in the
+space's gather pool (:meth:`fockspace.SpaceTables.cached_gather`), so each is
+built once per space; single terms reuse them or build theirs per call.  The
+output is cut into fixed blocks of rows that do not depend on the worker count:
 each block first computes phi and chi for its own rows, then sums d * psi
 and the sweeps into its own rows.  No amplitude is summed across blocks, so
 a worker count only decides which thread computes which whole blocks, and
@@ -101,15 +101,13 @@ def term_gather(space: SpaceDescriptor, ops: Ops):
     ``act`` lists the 0-based output rows on which the term acts; ``src``
     and ``pref`` hold the source row and the prefactor of each of them, in
     the order of ``act``.  The third slot is None; the tuple keeps four
-    slots because callers read ``act`` at index 3.  Only two-operator
-    strings (the library forms them as one-body pairs) are kept in the
-    space's pool, which is therefore bounded by construction; longer
-    strings are built per call.
+    slots because callers read ``act`` at index 3.  The gather the space's
+    pool holds for ``ops`` is reused; any other is built for this call and
+    not kept (only :func:`pair_gathers` fills the pool).
     """
     tb = space.tables()
-    if len(ops) != 2:
-        return _build_gather(space, tb, ops)
-    return tb.cached_gather(ops, lambda: _build_gather(space, tb, ops))
+    hit = tb._gather_cache.get(ops)
+    return hit if hit is not None else _build_gather(space, tb, ops)
 
 
 def _build_gather(space, tb, ops):
@@ -279,8 +277,10 @@ def hamiltonian_terms(spec) -> list[tuple[Ops, complex]]:
 
 
 def pair_gathers(space: SpaceDescriptor, pairs) -> list:
-    """Gathers of E_kq = b†_k b_q for flat 0-based pairs k * M + q."""
-    return [term_gather(space, one_body_ops(p // space.m + 1, p % space.m + 1)) for p in pairs]
+    """Gathers of E_kq = b†_k b_q for flat 0-based pairs k * M + q, kept in the space's pool."""
+    tb = space.tables()
+    ops = [one_body_ops(p // space.m + 1, p % space.m + 1) for p in pairs]
+    return [tb.cached_gather(o, lambda o=o: _build_gather(space, tb, o)) for o in ops]
 
 
 def split_pair_matrix(row_k, row_q, col_k, col_q, values, m_row: int, m_col: int):

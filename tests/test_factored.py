@@ -20,6 +20,7 @@ from fockops import (
     build_dense,
     ground_state,
     kernel,
+    mixture_densities,
     mixture_random_state,
     one_body_density,
     oracle,
@@ -258,21 +259,32 @@ class TestRowBlocks:
 
 
 class TestGatherPool:
-    """A space keeps the gathers of its one-body pairs, and nothing else, in one pool."""
+    """A space keeps the gathers of H's one-body pairs, and nothing else, in one pool."""
 
     @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4)], ids=str)
     def test_pool_holds_only_pair_gathers(self, space):
+        """Densities and single terms keep nothing; the factored apply keeps at most its M^2 pairs."""
         spec = random_hermitian_spec(space, seed=14)
-        psi = ground_state(spec, seed=1).state
+        pool = space.tables()._gather_cache
+        psi = random_state(space, seed=15)
         one_body_density(psi)
         two_body_density(psi)
-        pool = space.tables()._gather_cache
+        apply_two_body_term(1, 2, 2, 1, psi)
+        assert pool == {}
+        psi = ground_state(spec, seed=1).state
         assert psi.space.tables() is space.tables()
         pairs = {kernel.one_body_ops(k, q) for k in range(1, space.m + 1) for q in range(1, space.m + 1)}
-        assert pool.keys() <= pairs
+        assert pool and pool.keys() <= pairs
         keys = set(pool)
+        one_body_density(psi)
+        two_body_density(psi)
         apply_two_body_term(1, 2, 2, 1, psi)
         assert set(pool) == keys
+
+    def test_mixture_densities_keep_nothing(self):
+        space = suite_mixture_spaces()[2]
+        mixture_densities(mixture_random_state(space, seed=16))
+        assert space.space_a.tables()._gather_cache == space.space_b.tables()._gather_cache == {}
 
     def test_warm_dense_one_body_apply_builds_none(self, monkeypatch):
         """boson(10,10) with a dense real h: 90 pair gathers of 92,378 rows, every one kept."""
