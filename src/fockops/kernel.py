@@ -21,13 +21,15 @@ and sqrt(n) weights exactly.
 H|psi> never loops over two-body terms.  With E_kq = b†_k b_q, the identity
 b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl (both statistics) gives the
 direct-CI factorization of Knowles & Handy (Chem. Phys. Lett. 111, 315,
-1984) and Olsen et al. (J. Chem. Phys. 89, 2185, 1988), formed on every
-call from the entries at or above :data:`SKIP_THRESHOLD` (:func:`factor_species`):
+1984) and Olsen et al. (J. Chem. Phys. 89, 2185, 1988), formed from the
+entries at or above :data:`SKIP_THRESHOLD` (:func:`factor_species`):
 
     H psi = d * psi + sum_p h'_p E_p psi + sum_r E_r chi_r,
     chi = Wm[rows, cols] @ phi,   phi_c = E_c psi.
 
-When every kept entry is real, h', Wm and d are float64, and a float64
+The solvers factor once per solve (:func:`prepare`); a spec passed to
+:func:`apply_hamiltonian` is factored on every call.  When every kept entry
+is real, h', Wm, d and the operator's dtype are float64, and a float64
 vector stays float64 throughout: the apply computes in the common dtype of
 the vector and the operator, so a real Hamiltonian moves half the bytes
 on a real vector and is unchanged on a complex one.
@@ -329,11 +331,23 @@ class Contraction(NamedTuple):
 
 
 class Factored(NamedTuple):
-    """An operator on an amplitude matrix C: diag * C + hops (gather, axis, coefficient) + contractions."""
+    """diag * C + hops (gather, axis, coefficient) + contractions on an amplitude matrix C, in ``dtype``."""
 
     diag: np.ndarray
     hops: list
     contractions: list[Contraction]
+    dtype: np.dtype
+
+
+class Prepared(NamedTuple):
+    """H factored once over ``space``, a snapshot of its tables; the apply entry points take it for a spec."""
+
+    space: object
+    op: Factored
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.op.dtype
 
 
 def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) -> Factored:
@@ -343,7 +357,7 @@ def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) ->
     Wm[(k,q),(s,l)] = W[k,s,q,l] / 2 and h'_kl = h_kl - 1/2 sum_s W[k,s,s,l].
     Number-operator products (k = q, s = l) and the diagonal of h' fold into
     the diagonal d, read off the occupation table.  When every kept entry
-    is real (:func:`all_real`) the whole operator is float64.
+    is real (:func:`all_real`) the whole operator, and its ``dtype``, is float64.
     """
     m = space.m
     h = one_body.kept(SKIP_THRESHOLD)
@@ -361,7 +375,12 @@ def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) ->
     contractions = []
     if rows.size:
         contractions.append(Contraction(pair_gathers(space, cols), axis, wm, pair_gathers(space, rows), axis))
-    return Factored(diag, hops, contractions)
+    return Factored(diag, hops, contractions, np.result_type(h, v))
+
+
+def prepare(spec) -> Prepared:
+    """``spec``'s Hamiltonian factored once, to apply many times."""
+    return Prepared(spec.space, factor_species(spec.space, spec.one_body, spec.two_body))
 
 
 def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarray:
@@ -374,8 +393,7 @@ def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarr
     """
     n_rows = amps.shape[0]
     diag = np.broadcast_to(op.diag, amps.shape)
-    dtype = np.result_type(amps, op.diag, np.array([coeff for _, _, coeff in op.hops]),
-                           *(c.mat for c in op.contractions))
+    dtype = np.result_type(amps, op.dtype)
     chis = [np.empty((len(c.rows),) + amps.shape, dtype=dtype) for c in op.contractions]
     out = np.empty(amps.shape, dtype=dtype)
 
@@ -403,11 +421,11 @@ def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarr
 
 
 def apply_hamiltonian(spec, psi: StateVector, workers: int = 1) -> StateVector:
-    """H|Psi> = sum_kq h_kq |Psi^{kq}> + (1/2) sum_ksql W_ksql |Psi^{kslq}>."""
+    """H|Psi> = sum_kq h_kq |Psi^{kq}> + (1/2) sum_ksql W_ksql |Psi^{kslq}>, H a spec or :class:`Prepared`."""
     if spec.space != psi.space:
         raise SpaceMismatchError("Hamiltonian and state belong to different spaces")
-    op = factor_species(spec.space, spec.one_body, spec.two_body)
-    return StateVector(spec.space, apply_factored(op, psi.amplitudes, workers))
+    prep = spec if isinstance(spec, Prepared) else prepare(spec)
+    return StateVector(prep.space, apply_factored(prep.op, psi.amplitudes, workers))
 
 
 def apply_one_body_operator(h, psi: StateVector) -> StateVector:

@@ -251,45 +251,46 @@ def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace) -> kernel.Facto
     if rows.size:
         contractions.append(kernel.Contraction(kernel.pair_gathers(space_b, cols), 1, xm,
                                                kernel.pair_gathers(space_a, rows), 0))
-    return kernel.Factored(diag, [], contractions)
+    return kernel.Factored(diag, [], contractions, v.dtype)
 
 
-def _apply_parts(psi: MixtureStateVector, parts, workers: int = 1) -> MixtureStateVector:
-    """Sum of factored parts on ``psi``: one output buffer, J_A rows in fixed blocks."""
+def prepare(mspec: MixtureHamiltonianSpec) -> kernel.Prepared:
+    """H^{(A)} + H^{(B)} + W^{(AB)} factored once into one operator on the J_A x J_B amplitude matrix."""
+    parts = [_factor_species(mspec.spec_a, 0), _factor_species(mspec.spec_b, 1),
+             factor_inter(mspec.inter, mspec.mspace)]
     op = kernel.Factored(sum(p.diag for p in parts), [h for p in parts for h in p.hops],
-                         [c for p in parts for c in p.contractions])
-    return MixtureStateVector(psi.mspace, kernel.apply_factored(op, psi.as_matrix(), workers).ravel())
+                         [c for p in parts for c in p.contractions],
+                         np.result_type(*[p.dtype for p in parts]))
+    return kernel.Prepared(mspec.mspace, op)
 
 
 def apply_intra_a(spec_a: HamiltonianSpec, psi: MixtureStateVector) -> MixtureStateVector:
     """Apply the A-species Hamiltonian to the A index for every fixed J_B."""
     if spec_a.space != psi.mspace.space_a:
         raise SpaceMismatchError("A-species spec does not match the mixture space")
-    return _apply_parts(psi, [_factor_species(spec_a, 0)])
+    return apply_mixture_hamiltonian(kernel.Prepared(psi.mspace, _factor_species(spec_a, 0)), psi)
 
 
 def apply_intra_b(spec_b: HamiltonianSpec, psi: MixtureStateVector) -> MixtureStateVector:
     """Mirror of :func:`apply_intra_a` for the B species."""
     if spec_b.space != psi.mspace.space_b:
         raise SpaceMismatchError("B-species spec does not match the mixture space")
-    return _apply_parts(psi, [_factor_species(spec_b, 1)])
+    return apply_mixture_hamiltonian(kernel.Prepared(psi.mspace, _factor_species(spec_b, 1)), psi)
 
 
 def apply_inter(table: InterSpeciesTable, psi: MixtureStateVector) -> MixtureStateVector:
     """sum W^{AB}_{kk'qq'} a†_k a_q b†_{k'} b_{q'} |Psi>."""
     if table.m_a != psi.mspace.space_a.m or table.m_b != psi.mspace.space_b.m:
         raise SpaceMismatchError("inter-species table does not match the mixture space")
-    return _apply_parts(psi, [factor_inter(table, psi.mspace)])
+    return apply_mixture_hamiltonian(kernel.Prepared(psi.mspace, factor_inter(table, psi.mspace)), psi)
 
 
-def apply_mixture_hamiltonian(mspec: MixtureHamiltonianSpec, psi: MixtureStateVector,
-                              workers: int = 1) -> MixtureStateVector:
-    """H^{(A)}|Psi> + H^{(B)}|Psi> + W^{(AB)}|Psi> in one deterministic sweep."""
-    if mspec.mspace != psi.mspace:
+def apply_mixture_hamiltonian(mspec, psi: MixtureStateVector, workers: int = 1) -> MixtureStateVector:
+    """H^{(A)}|Psi> + H^{(B)}|Psi> + W^{(AB)}|Psi> in J_A row blocks; ``mspec`` is a spec or :func:`prepare`d."""
+    if mspec.space != psi.mspace:
         raise SpaceMismatchError("mixture spec and state live in different spaces")
-    parts = [_factor_species(mspec.spec_a, 0), _factor_species(mspec.spec_b, 1),
-             factor_inter(mspec.inter, mspec.mspace)]
-    return _apply_parts(psi, parts, workers)
+    prep = mspec if isinstance(mspec, kernel.Prepared) else prepare(mspec)
+    return MixtureStateVector(psi.mspace, kernel.apply_factored(prep.op, psi.as_matrix(), workers).ravel())
 
 
 # -- serialization -----------------------------------------------------------

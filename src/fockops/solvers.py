@@ -11,9 +11,11 @@ vector (the DGKS criterion); SIL runs one.  Lanczos grows the basis by
 :data:`BASIS_BLOCK_ROWS` rows; ``propagate`` reuses one ``krylov_dim``-row
 block in every step, and retries a rejected substep on the same space.
 
-When every coefficient the kernel keeps is real, H maps real vectors to
-real vectors, so ``ground_state`` runs in float64: start vector, basis and
-matvecs, at half the memory traffic of complex128.  ``propagate`` is
+Each solve factors H once (:func:`kernel.prepare`, :func:`mixtures.prepare`)
+and passes the prepared operator to every matvec.  When its dtype is
+float64 (every coefficient the kernel keeps is real), H maps real vectors
+to real vectors, so ``ground_state`` runs in float64: start vector, basis
+and matvecs, at half the memory traffic of complex128.  ``propagate`` is
 always complex.
 """
 
@@ -36,36 +38,23 @@ BASIS_BLOCK_ROWS = 16  # rows per block of a growing Lanczos basis
 
 
 def _operator(spec, workers: int = 1):
-    """(matvec on raw arrays, wrap array -> state, dimension) for either spec kind."""
-    if isinstance(spec, MixtureHamiltonianSpec):
-        mspace = spec.mspace
+    """(matvec on raw arrays, wrap array -> state, dimension, dtype) of H prepared once, for either spec kind.
 
-        def matvec(arr):
-            return mixtures.apply_mixture_hamiltonian(
-                spec, MixtureStateVector(mspace, arr), workers=workers
-            ).amplitudes
-
-        return matvec, lambda arr: MixtureStateVector(mspace, arr), mspace.n_conf_total
-    space = spec.space
-
-    def matvec(arr):
-        return kernel.apply_hamiltonian(spec, StateVector(space, arr), workers=workers).amplitudes
-
-    return matvec, lambda arr: StateVector(space, arr), space.n_conf
-
-
-def _real_coefficients(spec) -> bool:
-    """Whether every coefficient the kernel keeps from ``spec`` (either kind) is real.
-
-    The factoring reads the same ``kept`` entries, so the matvec then maps
-    float64 vectors to float64 vectors.
+    The matvec passes the prepared operator to the module's apply entry
+    point; ``dtype`` is float64 when every coefficient the kernel keeps is real.
     """
-    t = kernel.SKIP_THRESHOLD
     mix = isinstance(spec, MixtureHamiltonianSpec)
-    values = [spec.inter.kept(t)[1]] if mix else []
-    for part in (spec.spec_a, spec.spec_b) if mix else (spec,):
-        values += [part.one_body.kept(t), part.two_body.kept(t)[1]]
-    return kernel.all_real(*values)
+    op = (mixtures if mix else kernel).prepare(spec)
+    state = MixtureStateVector if mix else StateVector
+
+    def wrap(arr):
+        return state(op.space, arr)
+
+    def matvec(arr):  # looked up per call, so a wrapper set on the module attribute sees every matvec
+        apply = mixtures.apply_mixture_hamiltonian if mix else kernel.apply_hamiltonian
+        return apply(op, wrap(arr), workers=workers).amplitudes
+
+    return matvec, wrap, op.space.n_conf_total if mix else op.space.n_conf, op.dtype
 
 
 class _Lanczos:
@@ -159,8 +148,8 @@ def ground_state(
     solve runs in float64 when every kept coefficient is real; the state is
     returned as complex128 either way.
     """
-    matvec, wrap, dim = _operator(spec, workers)
-    real = _real_coefficients(spec)
+    matvec, wrap, dim, dtype = _operator(spec, workers)
+    real = dtype == np.float64
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) if real else rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     m_cap = max(1, min(max_iter, dim))
@@ -287,7 +276,7 @@ def propagate(
     """
     if dt <= 0 or t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
-    matvec, wrap, dim = _operator(spec, workers)
+    matvec, wrap, dim, _ = _operator(spec, workers)
     m_max = max(1, min(krylov_dim, dim))
     lz = _Lanczos(matvec, dim, m_max)
     y = psi0.amplitudes.astype(np.complex128)  # a copy, complex even for a real psi0

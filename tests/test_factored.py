@@ -12,6 +12,7 @@ from fockops import (
     MixtureSpace,
     OneBodyTable,
     SpaceDescriptor,
+    SpaceMismatchError,
     StateVector,
     TwoBodyTable,
     apply_hamiltonian,
@@ -21,6 +22,7 @@ from fockops import (
     ground_state,
     kernel,
     mixture_densities,
+    mixtures,
     mixture_random_state,
     one_body_density,
     oracle,
@@ -248,6 +250,28 @@ class TestRowBlocks:
         assert len(built) == len(set(built)) <= n_pairs
         assert all(len(ops) == 2 for _, ops in built)
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("space", [suite_single_spaces()[0], suite_mixture_spaces()[2]], ids=str)
+    def test_prepared_apply_is_bitwise_the_spec_apply(self, space, real):
+        """H prepared once gives the bits of a spec factored per call, for 1, 2 and 4 workers; no two results alias."""
+        if isinstance(space, MixtureSpace):
+            spec, psi = random_mixture_spec(space, seed=8, real=real), mixture_random_state(space, seed=9)
+            prepare, apply = mixtures.prepare, apply_mixture_hamiltonian
+        else:
+            spec, psi = random_hermitian_spec(space, seed=8, real=real), random_state(space, seed=9)
+            prepare, apply = kernel.prepare, apply_hamiltonian
+        if real:
+            psi = type(psi)(space, psi.amplitudes.real.copy())
+        op = prepare(spec)
+        assert op.dtype == (np.float64 if real else np.complex128)
+        for workers in (1, 2, 4):
+            ref = apply(spec, psi, workers=workers).amplitudes
+            first, second = (apply(op, psi, workers=workers).amplitudes for _ in range(2))
+            assert first.dtype == ref.dtype == psi.amplitudes.dtype
+            np.testing.assert_array_equal(first, ref)
+            np.testing.assert_array_equal(second, ref)
+            assert not np.shares_memory(first, second)
+
     def test_warm_apply_builds_none(self, monkeypatch):
         space = SpaceDescriptor.fermion(3, 6)
         spec = random_hermitian_spec(space, seed=12)
@@ -256,6 +280,33 @@ class TestRowBlocks:
         built = _count_builds(monkeypatch)
         parallel_apply(spec, psi, workers=2)
         assert built == []
+
+
+def test_prepared_operator_rejects_a_state_of_another_space():
+    """fermion(3,6) and boson(3,4) both hold 20 configurations; a mixture operator fits no single state."""
+    space, mspace = SpaceDescriptor.fermion(3, 6), suite_mixture_spaces()[2]
+    op = kernel.prepare(random_hermitian_spec(space, seed=1))
+    mop = mixtures.prepare(random_mixture_spec(mspace, seed=2))
+    with pytest.raises(SpaceMismatchError):
+        apply_hamiltonian(op, random_state(SpaceDescriptor.boson(3, 4), seed=3))
+    with pytest.raises(SpaceMismatchError):
+        apply_hamiltonian(mop, random_state(space, seed=3))
+    with pytest.raises(SpaceMismatchError):
+        apply_mixture_hamiltonian(mop, mixture_random_state(suite_mixture_spaces()[1], seed=3))
+    with pytest.raises(SpaceMismatchError):
+        apply_mixture_hamiltonian(op, mixture_random_state(mspace, seed=3))
+
+
+def test_prepared_operator_is_a_snapshot_of_the_tables():
+    """A table changed after prepare changes the next spec apply, not the prepared operator."""
+    space = SpaceDescriptor.fermion(3, 6)
+    spec, psi = random_hermitian_spec(space, seed=1), random_state(space, seed=2)
+    op = kernel.prepare(spec)
+    before = apply_hamiltonian(spec, psi).amplitudes
+    spec.one_body.matrix[0, 1] += 1.0
+    spec.one_body.matrix[1, 0] += 1.0
+    np.testing.assert_array_equal(apply_hamiltonian(op, psi).amplitudes, before)
+    assert not np.allclose(apply_hamiltonian(spec, psi).amplitudes, before)
 
 
 class TestGatherPool:

@@ -22,10 +22,11 @@ from fockops import (
     dense_eig,
     dense_expm_apply,
     ground_state,
+    mixture_random_state,
     propagate,
     random_state,
 )
-from fockops import kernel, solvers
+from fockops import kernel, mixtures, solvers
 from fockops.solvers import BASIS_BLOCK_ROWS, write_series_csv
 from conftest import (
     random_hermitian_spec,
@@ -257,25 +258,26 @@ class TestRealArithmetic:
     def test_energies_match_the_dense_oracle(self, space):
         build = random_mixture_spec if isinstance(space, MixtureSpace) else random_hermitian_spec
         spec = build(space, seed=17, real=True)
-        assert solvers._real_coefficients(spec)
+        assert (mixtures if isinstance(space, MixtureSpace) else kernel).prepare(spec).dtype == np.float64
         result = ground_state(spec, tol=1e-11)
         assert abs(result.energy - dense_eig(build_dense(spec))[0][0]) <= 1e-10
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "forced-complex"])
     def test_real_basis_memory(self, real, monkeypatch):
-        """tracemalloc peak <= one float64 matvec's peak + (block_rows + 6) float64 vectors.
+        """tracemalloc peak <= one float64 prepared matvec's peak + (block_rows + 6) float64 vectors.
 
-        The same solve forced into complex128 holds twice the basis bytes
-        and exceeds the bound.
+        H is prepared before tracing.  The same solve forced into complex128
+        holds twice the basis bytes and exceeds the bound.
         """
         space = SpaceDescriptor.fermion(4, 24)
         a = np.random.default_rng(3).standard_normal((24, 24))
         spec = HamiltonianSpec(space, OneBodyTable(a + a.T), TwoBodyTable.zeros(24))
         psi = StateVector(space, random_state(space, seed=4).amplitudes.real.copy())
-        apply_hamiltonian(spec, psi)  # tables and gathers are cached before tracing
-        matvec_peak = _peak_bytes(lambda: apply_hamiltonian(spec, psi))
+        op = kernel.prepare(spec)  # tables and gathers are cached before tracing
+        matvec_peak = _peak_bytes(lambda: apply_hamiltonian(op, psi))
         if not real:
-            monkeypatch.setattr(solvers, "_real_coefficients", lambda spec: False)
+            op = op._replace(op=op.op._replace(dtype=np.dtype(np.complex128)))
+        monkeypatch.setattr(kernel, "prepare", lambda spec: op)
 
         def solve():
             with pytest.raises(ConvergenceError):
@@ -283,6 +285,28 @@ class TestRealArithmetic:
 
         peak = _peak_bytes(solve)
         assert (peak <= matvec_peak + (BASIS_BLOCK_ROWS + 6) * space.n_conf * 8) == real
+
+
+@pytest.mark.parametrize("mixture", [False, True], ids=["single", "mixture"])
+def test_factoring_runs_once_per_solve(mixture, monkeypatch):
+    """ground_state and propagate each factor every species and the inter-species table once."""
+    calls = []
+    for owner, name in ((kernel, "factor_species"), (mixtures, "factor_inter")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    if mixture:
+        mspace = suite_mixture_spaces()[2]
+        spec, psi0 = random_mixture_spec(mspace, seed=5), mixture_random_state(mspace, seed=6)
+        once = ["factor_species", "factor_species", "factor_inter"]
+    else:
+        spec = build_bose_hubbard(3, 4, hopping=1.0, interaction=2.0)
+        psi0 = basis_state(spec.space, 1)
+        once = ["factor_species"]
+    assert ground_state(spec, tol=1e-10).iterations > 1
+    assert calls == once
+    calls.clear()
+    assert propagate(spec, psi0, t_final=1.0, dt=0.5, krylov_dim=6).substeps.sum() >= 2
+    assert calls == once
 
 
 class TestPropagation:
