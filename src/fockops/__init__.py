@@ -27,6 +27,7 @@ from .errors import (
     InvalidConfigurationError,
     InvalidSpaceError,
     SizeError,
+    SolverArgumentError,
     SpaceMismatchError,
     StepFailureError,
     ValidationError,

@@ -25,6 +25,7 @@ from .errors import (
     InvalidConfigurationError,
     InvalidSpaceError,
     SizeError,
+    SolverArgumentError,
     StepFailureError,
     ValidationError,
     WorkerCountError,
@@ -99,8 +100,12 @@ def _build_parser() -> _Parser:
                       help="configuration literal (occupations/bits, ';' between species) or vector file")
     prop.add_argument("--t-final", type=float, required=True)
     prop.add_argument("--dt", type=float, required=True)
-    prop.add_argument("--krylov-dim", type=int, default=15)
-    prop.add_argument("--err-tol", type=float, default=1e-9)
+    prop.add_argument("--krylov-dim", type=int, default=15,
+                      help="largest Krylov dimension per substep; each space stops as soon as its "
+                           "error estimate meets the substep's share of --err-tol")
+    prop.add_argument("--err-tol", type=float, default=1e-9,
+                      help="error budget per grid step; it sets the accuracy, and with it the "
+                           "Krylov dimension and the substeps each step uses")
     prop.add_argument("--save-state", help="write the final state vector here")
 
     app = sub.add_parser("apply", help="apply H to a vector file", parents=[common])
@@ -384,7 +389,8 @@ def main(argv=None) -> int:
         if args.command == "apply":
             return cmd_apply(args)
         parser.error(f"unknown command {args.command!r}")
-    except (InvalidSpaceError, InvalidConfigurationError, AddressError, WorkerCountError) as exc:
+    except (InvalidSpaceError, InvalidConfigurationError, AddressError, WorkerCountError,
+            SolverArgumentError) as exc:
         print(f"fockops: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

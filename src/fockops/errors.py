@@ -42,6 +42,10 @@ class WorkerCountError(FockError, ValueError):
     """A worker count (argument or FOCK_WORKERS) is not a positive integer."""
 
 
+class SolverArgumentError(FockError, ValueError):
+    """A solver argument (tolerance, step, iteration or Krylov bound) is out of range or not finite."""
+
+
 class SizeError(FockError):
     """A dense-oracle request exceeds the configured dimension cap."""
 

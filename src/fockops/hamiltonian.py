@@ -137,11 +137,15 @@ class TwoBodyTable:
     def kept(self, threshold: float = 0.0):
         """0-based index arrays (k, s, q, l) and values of the nonzero entries with |value| >= threshold.
 
-        Entries come in storage order; no dense M^4 array is built for a coordinate list.
+        Entries come in storage order.  No M^4 temporary is built: the
+        threshold is applied to the nonzero entries only.
         """
         if self.dense is not None:
-            keep = (self.dense != 0) & (np.abs(self.dense) >= threshold)
-            return np.nonzero(keep), self.dense[keep]
+            flat_dense = self.dense.ravel()
+            flat = np.flatnonzero(flat_dense)
+            values = flat_dense[flat]
+            keep = np.abs(values) >= threshold
+            return np.unravel_index(flat[keep], self.dense.shape), values[keep]
         keep = (self.values != 0) & (np.abs(self.values) >= threshold)
         return tuple(self.indices[keep].T), self.values[keep]
 

@@ -9,7 +9,11 @@ Gram-Schmidt), Ritz vector and SIL result is one BLAS-2 call per block.
 Lanczos runs a second pass only when the first one cancels most of the new
 vector (the DGKS criterion); SIL runs one.  Lanczos grows the basis by
 :data:`BASIS_BLOCK_ROWS` rows; ``propagate`` reuses one ``krylov_dim``-row
-block in every step, and retries a rejected substep on the same space.
+block in every step.  Each SIL space grows one vector at a time and stops at
+the first dimension whose error estimate meets the substep's budget, so
+``krylov_dim`` is only a cap; a rejected substep (possible only once the
+space is full) is retried on the same space.  The matvec that gives each
+grid point's energy is also the first Krylov product of the next step.
 
 Each solve factors H once (:func:`kernel.prepare`, :func:`mixtures.prepare`)
 and passes the prepared operator to every matvec.  When its dtype is
@@ -22,19 +26,27 @@ always complex.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernel, mixtures, observables
-from .errors import ConvergenceError, StepFailureError
+from .errors import ConvergenceError, SolverArgumentError, StepFailureError
 from .fockspace import StateVector
 from .mixtures import MixtureHamiltonianSpec, MixtureStateVector
 
 _BREAKDOWN_TOL = 1e-13
 _DGKS_RATIO = 2**-0.5  # a pass that keeps less than this share of ||w|| is repeated
 BASIS_BLOCK_ROWS = 16  # rows per block of a growing Lanczos basis
+
+
+def _check_arguments(*rules) -> None:
+    """Raise :class:`SolverArgumentError` for the first (name, value, holds, requirement) that does not hold."""
+    for name, value, holds, requirement in rules:
+        if not holds:
+            raise SolverArgumentError(f"{name} must be {requirement}, got {value!r}")
 
 
 def _operator(spec, workers: int = 1):
@@ -75,16 +87,18 @@ class _Lanczos:
     def row(self, i: int) -> np.ndarray:
         return self.blocks[i // self.block_rows][i % self.block_rows]
 
-    def step(self, dgks: bool):
+    def step(self, dgks: bool, hv: np.ndarray | None = None):
         """(w, ||w||) for w = H times the last row, orthogonalized against every row; appends alpha.
 
-        One classical Gram-Schmidt pass always runs.  With ``dgks`` a second
-        one follows when the first shrinks ||w|| below ||w|| / sqrt(2)
-        (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976): only
-        then has cancellation left w far from orthogonal to the basis.
+        ``hv``, if given, is that product already computed; it becomes w and
+        is modified in place.  One classical Gram-Schmidt pass always runs.
+        With ``dgks`` a second one follows when the first shrinks ||w||
+        below ||w|| / sqrt(2) (Daniel, Gragg, Kaufman & Stewart, Math.
+        Comp. 30, 1976): only then has cancellation left w far from
+        orthogonal to the basis.
         """
         v = self.row(self.size - 1)
-        w = self.matvec(v)
+        w = self.matvec(v) if hv is None else hv
         self.alphas.append(float(np.vdot(v, w).real))
         w -= self.alphas[-1] * v
         if self.betas:
@@ -146,13 +160,18 @@ def ground_state(
     Deterministic for a given seed.  Raises :class:`ConvergenceError` with
     the best residual if ``max_iter`` Krylov vectors do not suffice.  The
     solve runs in float64 when every kept coefficient is real; the state is
-    returned as complex128 either way.
+    returned as complex128 either way.  A ``tol`` that is negative or not
+    finite, or a ``max_iter`` below 1, raises :class:`SolverArgumentError`.
     """
+    _check_arguments(
+        ("tol", tol, math.isfinite(tol) and tol >= 0, "finite and >= 0"),
+        ("max_iter", max_iter, max_iter >= 1, ">= 1"),
+    )
     matvec, wrap, dim, dtype = _operator(spec, workers)
     real = dtype == np.float64
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) if real else rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    m_cap = max(1, min(max_iter, dim))
+    m_cap = min(max_iter, dim)
     lz = _Lanczos(matvec, dim, BASIS_BLOCK_ROWS, v.dtype)
     lz.start(v, np.linalg.norm(v))
     del v  # the basis holds its own copy
@@ -193,7 +212,9 @@ class PropagationResult:
     """Time grid, recorded observables, and per-step error estimates.
 
     ``substeps`` and ``rejections`` count, per grid step, the SIL substeps
-    accepted and those the error estimate rejected (0 at t = 0).
+    accepted and those the error estimate rejected, and ``krylov_dims`` the
+    Lanczos vectors built for them (all 0 at t = 0).  A propagation of a
+    nonzero state makes ``1 + krylov_dims.sum()`` matvecs.
     """
 
     times: np.ndarray
@@ -205,6 +226,7 @@ class PropagationResult:
     states: list | None = None
     substeps: np.ndarray | None = None
     rejections: np.ndarray | None = None
+    krylov_dims: np.ndarray | None = None
 
     @property
     def norm_drift(self) -> float:
@@ -215,39 +237,46 @@ class PropagationResult:
         return float(np.max(np.abs(self.energies - self.energies[0])))
 
 
-def _sil_space(lz: _Lanczos, y: np.ndarray, m_max: int):
-    """Build the Krylov space of y in ``lz`` once; return dt -> (exp(-i H dt) y, error estimate).
+def _sil_space(lz: _Lanczos, y: np.ndarray, m_max: int, hy: np.ndarray | None = None):
+    """Start the Krylov space of y in ``lz``; return (dt, budget) -> (exp(-i H dt) y, error estimate, dimension).
 
-    The error estimate is the 2-norm difference between the propagated
-    coefficients at subspace dimensions m and m-1 (weighted by the state
-    norm); a breakdown makes the step exact and the estimate zero.
+    Each call adds Lanczos vectors one at a time until the error estimate
+    is at most ``budget``, the space breaks down or it holds ``m_max``
+    vectors; a retry with a shorter dt reuses every vector already built.
+    The estimate (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997) is the
+    2-norm difference between the propagated coefficients at subspace
+    dimensions m and m-1, weighted by the state norm, or the leakage
+    ``nrm beta |dt|`` toward the first neglected vector at m = 1; a
+    breakdown makes the step exact and the estimate zero.  ``hy``, if given,
+    is H y and saves the first matvec.
     """
     nrm = float(np.linalg.norm(y))
     if nrm == 0.0:
-        return lambda dt: (y.copy(), 0.0)
+        return lambda dt, budget: (y.copy(), 0.0, 0)
     lz.start(y, nrm)
-    breakdown = False
-    while True:
-        w, beta = lz.step(dgks=False)  # one pass: the space is rebuilt every step
-        if len(lz.alphas) == m_max:
-            break
-        if beta <= _BREAKDOWN_TOL * max(1.0, abs(lz.alphas[-1])):
-            breakdown = True
-            break
-        lz.push(w, beta)
-    alphas, betas = lz.alphas, lz.betas
-    m = len(alphas)
+    # one Gram-Schmidt pass: the space is rebuilt every step
+    w, beta = lz.step(dgks=False, hv=None if hy is None else hy / nrm)
 
-    def step(dt):
-        u = _expm_tridiag(alphas, betas, dt)
-        if breakdown or m >= lz.dim:
-            err = 0.0  # the Krylov space is invariant (or complete): exact step
-        elif m == 1:
-            err = nrm * beta * abs(dt)  # leakage amplitude toward the first neglected vector
-        else:
-            u_small = _expm_tridiag(alphas[:-1], betas[:-1], dt)
-            err = nrm * float(np.linalg.norm(u - np.concatenate([u_small, [0.0]])))
-        return nrm * lz.combine(u), err
+    def step(dt, budget):
+        nonlocal w, beta
+        u_small = None  # coefficients at dimension m - 1 for this dt, once known
+        while True:
+            alphas, betas = lz.alphas, lz.betas
+            m = len(alphas)
+            u = _expm_tridiag(alphas, betas, dt)
+            if m >= lz.dim or beta <= _BREAKDOWN_TOL * max(1.0, abs(alphas[-1])):
+                err = 0.0  # the Krylov space is invariant (or complete): exact step
+            elif m == 1:
+                err = nrm * beta * abs(dt)  # leakage amplitude toward the first neglected vector
+            else:
+                if u_small is None:
+                    u_small = _expm_tridiag(alphas[:-1], betas[:-1], dt)
+                err = nrm * float(np.linalg.norm(u - np.concatenate([u_small, [0.0]])))
+            if err <= budget or m == m_max:
+                return nrm * lz.combine(u), err, m
+            lz.push(w, beta)
+            w, beta = lz.step(dgks=False)
+            u_small = u
 
     return step
 
@@ -269,24 +298,33 @@ def propagate(
 ) -> PropagationResult:
     """Propagate psi(t) = exp(-i H t) psi0 on the grid t = 0, dt, 2 dt, ..., t_final.
 
-    Each grid step is internally subdivided whenever the SIL error estimate
-    exceeds its share of ``err_tol``; a rejected substep is retried on the
-    same Krylov space.  If halving reaches dt / 2^30 a
-    :class:`StepFailureError` is raised.
+    Each substep's Krylov space stops growing at the first dimension, at
+    most ``krylov_dim``, whose SIL error estimate is within the substep's
+    share of ``err_tol``.  A grid step is subdivided whenever the full space
+    still exceeds it; a rejected substep is retried on the same Krylov
+    space.  If halving reaches dt / 2^30 a :class:`StepFailureError` is
+    raised.  ``dt`` must be finite and > 0, ``t_final`` and ``err_tol``
+    finite and >= 0, and ``krylov_dim`` >= 1, or
+    :class:`SolverArgumentError` is raised.
     """
-    if dt <= 0 or t_final < 0:
-        raise ValueError("need dt > 0 and t_final >= 0")
+    _check_arguments(
+        ("dt", dt, math.isfinite(dt) and dt > 0, "finite and > 0"),
+        ("t_final", t_final, math.isfinite(t_final) and t_final >= 0, "finite and >= 0"),
+        ("krylov_dim", krylov_dim, krylov_dim >= 1, ">= 1"),
+        ("err_tol", err_tol, math.isfinite(err_tol) and err_tol >= 0, "finite and >= 0"),
+    )
     matvec, wrap, dim, _ = _operator(spec, workers)
-    m_max = max(1, min(krylov_dim, dim))
+    m_max = min(krylov_dim, dim)
     lz = _Lanczos(matvec, dim, m_max)
     y = psi0.amplitudes.astype(np.complex128)  # a copy, complex even for a real psi0
     n_steps = int(round(t_final / dt))
     times = [0.0]
     norms = [float(np.linalg.norm(y))]
-    energies = [float(np.vdot(y, matvec(y)).real)]
+    hy = matvec(y)  # H y: gives the energy, then starts the next step's first Krylov space
+    energies = [float(np.vdot(y, hy).real)]
     dens = [observables.site_densities(wrap(y))]
     errs = [0.0]
-    substeps, rejections = [0], [0]
+    substeps, rejections, krylov_dims = [0], [0], [0]
     states = [wrap(y.copy())] if store_states else None
     h_min = dt / 2**30
     eps_floor = 64 * np.finfo(np.float64).eps
@@ -294,15 +332,16 @@ def propagate(
         remaining = dt
         h = dt
         acc_err = 0.0
-        accepted = rejected = 0
+        accepted = rejected = built = 0
         sil = None
         while remaining > 1e-12 * dt:
             h = min(h, remaining)
             if sil is None:
-                sil = _sil_space(lz, y, m_max)
-            y_try, err = sil(h)
-            # subdividing cannot push the estimate below roundoff noise
-            budget = max(err_tol * (h / dt), eps_floor * max(1.0, float(np.linalg.norm(y))))
+                sil, hy = _sil_space(lz, y, m_max, hy), None
+                # subdividing cannot push the estimate below roundoff noise
+                floor = eps_floor * max(1.0, float(np.linalg.norm(y)))
+            budget = max(err_tol * (h / dt), floor)
+            y_try, err, m = sil(h, budget)
             if err > budget:
                 if h / 2 < h_min:
                     raise StepFailureError(
@@ -314,14 +353,17 @@ def propagate(
             y, sil = y_try, None
             acc_err += err
             accepted += 1
+            built += m
             remaining -= h
         times.append(step * dt)
         norms.append(float(np.linalg.norm(y)))
-        energies.append(float(np.vdot(y, matvec(y)).real))
+        hy = matvec(y)
+        energies.append(float(np.vdot(y, hy).real))
         dens.append(observables.site_densities(wrap(y)))
         errs.append(acc_err)
         substeps.append(accepted)
         rejections.append(rejected)
+        krylov_dims.append(built)
         if store_states:
             states.append(wrap(y.copy()))
     return PropagationResult(
@@ -334,6 +376,7 @@ def propagate(
         states=states,
         substeps=np.array(substeps),
         rejections=np.array(rejections),
+        krylov_dims=np.array(krylov_dims),
     )
 
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fockops import SpaceDescriptor, cli, load_state
+from fockops import SpaceDescriptor, cli, fockspace, load_state
 from fockops.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_PARSE, EXIT_STEP, EXIT_USAGE
 
 
@@ -400,6 +400,30 @@ class TestWorkerCountBoundary:
         code, _, err = run_cli(capsys, "gs", "--file", str(bose_hubbard_file))
         assert code == EXIT_USAGE
         assert _one_line_error(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["prop", "--dt", "0"], ["prop", "--dt", "-1"], ["prop", "--dt", "nan"],
+    ["prop", "--t-final", "-1"], ["prop", "--t-final", "nan"], ["prop", "--t-final", "inf"],
+    ["prop", "--krylov-dim", "0"], ["prop", "--krylov-dim", "-3"],
+    ["prop", "--err-tol", "nan"], ["prop", "--err-tol", "inf"], ["prop", "--err-tol", "-1"],
+    ["gs", "--tol", "nan"], ["gs", "--tol", "inf"], ["gs", "--tol", "-1"], ["gs", "--max-iter", "0"],
+], ids=" ".join)
+def test_bad_solver_argument_is_usage_error(capsys, bose_hubbard_file, monkeypatch, argv):
+    """Each bad solver argument exits 1 with one line, before any occupation table is built."""
+    def no_table(*args):
+        raise AssertionError("an occupation table was built")
+
+    monkeypatch.setattr(fockspace, "occupation_table", no_table)
+    command, flag, value = argv
+    args = {"--t-final": "1.0", "--dt": "0.5"} if command == "prop" else {}
+    args[flag] = value
+    extra = ["--initial", "4,0"] if command == "prop" else []
+    code, out, err = run_cli(capsys, command, "--file", str(bose_hubbard_file), *extra,
+                             *(x for item in args.items() for x in item))
+    assert code == EXIT_USAGE
+    assert _one_line_error(err) and flag.lstrip("-").replace("-", "_") in err
+    assert out == ""
 
 
 _MIX_INTS = "STATISTICS MIX FERMION BOSON\nNA 1\nMA 2\nNB 1\nMB 2\nHA 1 2 -1.0\nHA 2 1 -1.0\n"

@@ -1,5 +1,7 @@
 """Coefficient tables, validation, the integral file format, and builders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,33 @@ class TestSparseTwoBody:
     def test_duplicate_entries_accumulate(self):
         tab = TwoBodyTable.from_entries(3, [(1, 1, 1, 1, 1.0), (1, 1, 1, 1, 0.5)])
         assert tab.get(1, 1, 1, 1) == 1.5
+
+
+class TestDenseKept:
+    def test_no_m4_temporary(self):
+        tab = TwoBodyTable.zeros(24)
+        tracemalloc.start()
+        try:
+            idx, values = tab.kept(1e-15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.size == 0 and all(i.size == 0 for i in idx)
+        assert peak < 100_000  # the table itself holds 24^4 * 16 = 5.3 MB
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_same_entries_as_a_dense_mask(self, threshold, layout):
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((6,) * 4) + 1j * rng.standard_normal((6,) * 4)
+        dense[rng.random(dense.shape) < 0.4] = 0.0
+        if layout == "transposed":
+            dense = dense.transpose(2, 0, 3, 1)
+        idx, values = TwoBodyTable(6, dense=dense).kept(threshold)
+        keep = (dense != 0) & (np.abs(dense) >= threshold)
+        for got, want in zip(idx, np.nonzero(keep)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(values, dense[keep])
 
 
 class TestBoseHubbard:

@@ -370,7 +370,7 @@ class TestPropagation:
         """A rejected substep is retried on the Krylov space it was built on.
 
         Rebuilding the space for every trial step instead must give the same
-        bits and cost ``krylov_dim`` more matvecs per rejection.
+        bits and cost more matvecs.
         """
         spec = build_bose_hubbard(3, 4, hopping=1.0, interaction=2.0)
         psi0 = basis_state(spec.space, 1)
@@ -385,12 +385,12 @@ class TestPropagation:
 
         reused, n_reused = run()
         sil_space = solvers._sil_space
-        monkeypatch.setattr(solvers, "_sil_space", lambda lz, y, m: lambda dt: sil_space(lz, y, m)(dt))
+        monkeypatch.setattr(solvers, "_sil_space",
+                            lambda lz, y, m, *a: lambda dt, budget: sil_space(lz, y, m, *a)(dt, budget))
         rebuilt, n_rebuilt = run()
-        grid_steps = len(reused.times) - 1
         assert reused.rejections.sum() > 0
-        assert n_reused == 1 + grid_steps + 4 * reused.substeps.sum()
-        assert n_rebuilt == n_reused + 4 * reused.rejections.sum()
+        assert n_reused == 1 + reused.krylov_dims.sum()
+        assert n_rebuilt > n_reused
         for name in ("norms", "energies", "site_densities", "error_estimates", "substeps", "rejections"):
             np.testing.assert_array_equal(getattr(rebuilt, name), getattr(reused, name))
         np.testing.assert_array_equal(rebuilt.final_state.amplitudes, reused.final_state.amplitudes)
@@ -421,6 +421,106 @@ class TestPropagation:
         psi0 = basis_state(spec.space, 1)
         with pytest.raises(ValueError):
             propagate(spec, psi0, t_final=1.0, dt=0.0)
+
+
+def _count_matvecs(monkeypatch) -> list:
+    """Patch both apply entry points to append 1 per matvec to the returned list."""
+    calls = []
+    for owner, name in ((kernel, "apply_hamiltonian"), (mixtures, "apply_mixture_hamiltonian")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+def _record_sil_calls(monkeypatch) -> list:
+    """Patch ``_sil_space`` so every trial substep appends (estimate, budget, dimension)."""
+    calls = []
+    sil_space = solvers._sil_space
+
+    def recorded(*args):
+        sil = sil_space(*args)
+
+        def step(dt, budget):
+            out = sil(dt, budget)
+            calls.append((out[1], budget, out[2]))
+            return out
+
+        return step
+
+    monkeypatch.setattr(solvers, "_sil_space", recorded)
+    return calls
+
+
+class TestAdaptiveKrylov:
+    """Each SIL space stops at the first dimension whose error estimate meets the substep's budget."""
+
+    @pytest.mark.parametrize("mixture", [False, True], ids=["single", "mixture"])
+    def test_matvecs_are_one_plus_the_krylov_dimensions(self, mixture, monkeypatch):
+        """Each grid point's energy matvec is the next step's first Krylov product, so no matvec is repeated."""
+        if mixture:
+            mspace = suite_mixture_spaces()[2]
+            spec, psi0 = random_mixture_spec(mspace, seed=5), mixture_random_state(mspace, seed=6)
+        else:
+            spec = random_hermitian_spec(SpaceDescriptor.boson(3, 4), seed=7)
+            psi0 = random_state(spec.space, seed=8)
+        matvecs = _count_matvecs(monkeypatch)
+        result = propagate(spec, psi0, t_final=1.0, dt=0.25, krylov_dim=8)
+        assert result.krylov_dims.shape == result.times.shape and result.krylov_dims[0] == 0
+        assert len(matvecs) == 1 + result.krylov_dims.sum()
+
+    def test_benign_input_stops_below_the_cap(self, monkeypatch):
+        spec = build_bose_hubbard(4, 4, hopping=1.0, interaction=1.0)
+        psi0 = basis_state(spec.space, 1)
+        calls = _record_sil_calls(monkeypatch)
+        result = propagate(spec, psi0, t_final=1.0, dt=0.1, krylov_dim=12)
+        np.testing.assert_array_equal(result.substeps, [0] + [1] * 10)
+        assert np.all(result.krylov_dims[1:] < 12)
+        assert len(calls) == result.substeps.sum()
+        assert all(err <= budget for err, budget, _ in calls)
+        assert sum(m for _, _, m in calls) == result.krylov_dims.sum()
+        assert np.all(result.error_estimates <= 1e-9)
+
+    def test_tight_tolerance_fills_the_spaces(self, monkeypatch):
+        spec = build_bose_hubbard(4, 4, hopping=1.0, interaction=1.0)
+        psi0 = basis_state(spec.space, 1)
+        calls = _record_sil_calls(monkeypatch)
+        result = propagate(spec, psi0, t_final=1.0, dt=0.1, krylov_dim=12, err_tol=1e-14)
+        assert np.all(result.krylov_dims[1:] >= 12)
+        rejected = [m for err, budget, m in calls if err > budget]
+        assert len(rejected) == result.rejections.sum() > 0
+        assert rejected == [12] * len(rejected)  # only a full space is ever rejected
+        assert sum(m for err, budget, m in calls if err <= budget) == result.krylov_dims.sum()
+
+    def test_stop_is_the_first_dimension_within_budget(self):
+        spec = random_hermitian_spec(SpaceDescriptor.fermion(3, 6), seed=3)
+        y = random_state(spec.space, seed=4).amplitudes.astype(np.complex128)
+        matvec, _, dim, _ = solvers._operator(spec)
+        dt, budget, cap = 0.1, 1e-9, 14
+
+        def trial(m_max, budget):
+            return solvers._sil_space(solvers._Lanczos(matvec, dim, m_max), y, m_max)(dt, budget)
+
+        errs = [trial(m, 0.0)[1] for m in range(1, cap + 1)]  # budget 0: grow to the cap
+        first = next(m for m, err in enumerate(errs, start=1) if err <= budget)
+        assert 1 < first < cap
+        y_new, err, m = trial(cap, budget)
+        assert (m, err) == (first, errs[first - 1])
+        np.testing.assert_array_equal(y_new, trial(first, 0.0)[0])
+
+    @pytest.mark.parametrize("mixture", [False, True], ids=["single", "mixture"])
+    def test_workers_give_identical_bits(self, mixture, monkeypatch):
+        monkeypatch.setattr(kernel, "BLOCK_AMPLITUDES", 7)  # several row blocks
+        if mixture:
+            mspace = suite_mixture_spaces()[2]
+            spec, psi0 = random_mixture_spec(mspace, seed=9), mixture_random_state(mspace, seed=10)
+        else:
+            spec = build_bose_hubbard(4, 5, hopping=1.0, interaction=1.5)
+            psi0 = random_state(spec.space, seed=11)
+        runs = [propagate(spec, psi0, t_final=1.0, dt=0.25, workers=w) for w in (1, 2, 4)]
+        for run in runs[1:]:
+            for name in ("norms", "energies", "site_densities", "error_estimates", "krylov_dims"):
+                np.testing.assert_array_equal(getattr(run, name), getattr(runs[0], name))
+            np.testing.assert_array_equal(run.final_state.amplitudes, runs[0].final_state.amplitudes)
 
 
 def test_series_csv_layout(tmp_path):
