@@ -8,12 +8,17 @@ of contiguous blocks, so each reorthogonalization pass (classical
 Gram-Schmidt), Ritz vector and SIL result is one BLAS-2 call per block.
 Lanczos runs a second pass only when the first one cancels most of the new
 vector (the DGKS criterion); SIL runs one.  Lanczos grows the basis by
-:data:`BASIS_BLOCK_ROWS` rows; ``propagate`` reuses one ``krylov_dim``-row
-block in every step.  Each SIL space grows one vector at a time and stops at
-the first dimension whose error estimate meets the substep's budget, so
-``krylov_dim`` is only a cap; a rejected substep (possible only once the
-space is full) is retried on the same space.  The matvec that gives each
-grid point's energy is also the first Krylov product of the next step.
+:data:`BASIS_BLOCK_ROWS` rows up to :data:`BASIS_MAX_ROWS`; a full basis is
+thick-restarted (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000) from its
+:data:`BASIS_KEEP_ROWS` lowest Ritz vectors and the residual direction, so
+the memory of ``ground_state`` does not grow with the iteration count.  A
+Krylov space that fits under the cap never restarts.  ``propagate`` reuses
+one ``krylov_dim``-row block in every step.  Each SIL space grows one vector
+at a time and stops at the first dimension whose error estimate meets the
+substep's budget, so ``krylov_dim`` is only a cap; a rejected substep
+(possible only once the space is full) is retried on the same space, and
+only an accepted one forms its state.  The matvec that gives each grid
+point's energy is also the first Krylov product of the next step.
 
 Each solve factors H once (:func:`kernel.prepare`, :func:`mixtures.prepare`)
 and passes the prepared operator to every matvec.  When its dtype is
@@ -40,6 +45,8 @@ from .mixtures import MixtureHamiltonianSpec, MixtureStateVector
 _BREAKDOWN_TOL = 1e-13
 _DGKS_RATIO = 2**-0.5  # a pass that keeps less than this share of ||w|| is repeated
 BASIS_BLOCK_ROWS = 16  # rows per block of a growing Lanczos basis
+BASIS_MAX_ROWS = 2 * BASIS_BLOCK_ROWS  # ground_state's basis is restarted when it holds this many rows
+BASIS_KEEP_ROWS = 12  # Ritz vectors a restart keeps; at most BASIS_BLOCK_ROWS, so they fit the first block
 
 
 def _check_arguments(*rules) -> None:
@@ -73,7 +80,11 @@ class _Lanczos:
     """Lanczos recurrence whose orthonormal basis rows live in contiguous blocks.
 
     Blocks of ``block_rows`` rows of ``dtype`` are allocated as the basis
-    grows and reused by :meth:`start`; rows beyond ``size`` are never read.
+    grows and reused by :meth:`start` and :meth:`restart`; rows beyond
+    ``size`` are never read.  After a restart the basis holds Ritz vectors
+    with values ``ritz`` followed by a Lanczos recurrence (``alphas``,
+    ``betas``) whose first row couples to them by ``arrow``: the projected
+    matrix V^H H V is that arrowhead-plus-tridiagonal (:meth:`projected`).
     """
 
     def __init__(self, matvec, dim: int, block_rows: int, dtype=np.complex128):
@@ -82,6 +93,7 @@ class _Lanczos:
 
     def start(self, v: np.ndarray, nrm: float) -> None:
         self.size, self.alphas, self.betas = 0, [], []
+        self.ritz = self.arrow = np.zeros(0)
         self._append(v, nrm)
 
     def row(self, i: int) -> np.ndarray:
@@ -95,7 +107,8 @@ class _Lanczos:
         With ``dgks`` a second one follows when the first shrinks ||w||
         below ||w|| / sqrt(2) (Daniel, Gragg, Kaufman & Stewart, Math.
         Comp. 30, 1976): only then has cancellation left w far from
-        orthogonal to the basis.
+        orthogonal to the basis.  On the first step after a restart the
+        passes' coefficients on the Ritz rows are the arrowhead column.
         """
         v = self.row(self.size - 1)
         w = self.matvec(v) if hv is None else hv
@@ -104,27 +117,61 @@ class _Lanczos:
         if self.betas:
             w -= self.betas[-1] * self.row(self.size - 2)
         before = np.linalg.norm(w) if dgks else 0.0
-        self._orthogonalize(w)
+        overlap = self._orthogonalize(w)
         nrm = float(np.linalg.norm(w))
         if dgks and nrm < _DGKS_RATIO * before:
-            self._orthogonalize(w)
+            overlap += self._orthogonalize(w)
             nrm = float(np.linalg.norm(w))
+        if len(self.alphas) == 1 and self.ritz.size:
+            self.arrow = overlap[: self.ritz.size].real
         return w, nrm
 
-    def _orthogonalize(self, w: np.ndarray) -> None:
-        """One classical Gram-Schmidt pass in place, w -= V (V^H w): two GEMVs per block."""
+    def _orthogonalize(self, w: np.ndarray) -> np.ndarray:
+        """One classical Gram-Schmidt pass in place, w -= V (V^H w): two GEMVs per block; returns V^H w."""
+        overlap = []
         for rows in self._filled():
-            w -= (rows @ w.conj()).conj() @ rows
+            h = (rows @ w.conj()).conj()
+            w -= h @ rows
+            overlap.append(h)
+        return np.concatenate(overlap)
 
     def push(self, w: np.ndarray, beta: float) -> None:
         """Extend the basis by w / beta."""
         self.betas.append(beta)
         self._append(w, beta)
 
-    def combine(self, coef) -> np.ndarray:
-        """sum_j coef[j] * row j: one GEMV per block."""
+    def combine(self, coef, cols=slice(None)) -> np.ndarray:
+        """sum_j coef[..., j] * row j, on the columns ``cols``: one GEMV (or GEMM) per block."""
         k = self.block_rows
-        return sum(coef[b * k : (b + 1) * k] @ rows for b, rows in enumerate(self._filled()))
+        return sum(coef[..., b * k : (b + 1) * k] @ rows[:, cols] for b, rows in enumerate(self._filled()))
+
+    def restart(self, ritz: np.ndarray, y: np.ndarray, w: np.ndarray, beta: float) -> None:
+        """Keep the Ritz vectors V y[:, i] (values ``ritz``) as the first rows, then w / beta.
+
+        The rows are rotated in place, one column slice at a time, so no
+        temporary is much larger than one vector.  The recurrence then
+        starts afresh from w / beta; the next :meth:`step` couples it to
+        the Ritz rows.
+        """
+        k = len(ritz)
+        width = -(-self.dim // k)
+        for c in range(0, self.dim, width):
+            cols = slice(c, c + width)
+            self.blocks[0][:k, cols] = self.combine(y.T, cols)
+        self.size, self.alphas, self.betas, self.ritz = k, [], [], ritz
+        self._append(w, beta)
+
+    def projected(self) -> np.ndarray:
+        """V^H H V: diag(ritz) bordered by ``arrow`` on the first row of the tridiagonal (alphas, betas)."""
+        t = _tridiagonal(self.alphas, self.betas)
+        k = self.ritz.size
+        if not k:
+            return t
+        p = np.zeros((k + len(t), k + len(t)))
+        p[k:, k:] = t
+        p[:k, :k] = np.diag(self.ritz)
+        p[:k, k] = p[k, :k] = self.arrow
+        return p
 
     def _append(self, w, scale) -> None:
         if self.size == len(self.blocks) * self.block_rows:
@@ -146,10 +193,13 @@ def _tridiagonal(alphas, betas) -> np.ndarray:
 
 
 class GroundStateResult(NamedTuple):
+    """``iterations`` counts recurrence steps; ``matvecs`` every product with H, residual checks included."""
+
     energy: float
     state: StateVector | MixtureStateVector
     residual: float
     iterations: int
+    matvecs: int = 0
 
 
 def ground_state(
@@ -157,11 +207,14 @@ def ground_state(
 ) -> GroundStateResult:
     """Lowest eigenpair of H with residual ||H psi - E psi|| <= tol.
 
-    Deterministic for a given seed.  Raises :class:`ConvergenceError` with
-    the best residual if ``max_iter`` Krylov vectors do not suffice.  The
-    solve runs in float64 when every kept coefficient is real; the state is
-    returned as complex128 either way.  A ``tol`` that is negative or not
-    finite, or a ``max_iter`` below 1, raises :class:`SolverArgumentError`.
+    Deterministic for a given seed.  ``max_iter`` caps the recurrence
+    iterations (one matvec each; every residual check costs one more).
+    Raises :class:`ConvergenceError` with the best residual if they do not
+    suffice.  The basis holds at most :data:`BASIS_MAX_ROWS` rows and is
+    thick-restarted when full.  The solve runs in float64 when every kept
+    coefficient is real; the state is returned as complex128 either way.  A
+    ``tol`` that is negative or not finite, or a ``max_iter`` below 1,
+    raises :class:`SolverArgumentError`.
     """
     _check_arguments(
         ("tol", tol, math.isfinite(tol) and tol >= 0, "finite and >= 0"),
@@ -171,38 +224,45 @@ def ground_state(
     real = dtype == np.float64
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) if real else rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    m_cap = min(max_iter, dim)
     lz = _Lanczos(matvec, dim, BASIS_BLOCK_ROWS, v.dtype)
     lz.start(v, np.linalg.norm(v))
     del v  # the basis holds its own copy
     best_res = np.inf
     best_est = np.inf
-    for it in range(1, m_cap + 1):
+    checks = 0
+    for it in range(1, max_iter + 1):
         w, beta = lz.step(dgks=True)  # full reorthogonalization
-        evals, evecs = np.linalg.eigh(_tridiagonal(lz.alphas, lz.betas))
+        evals, evecs = np.linalg.eigh(lz.projected())
         theta, y = float(evals[0]), evecs[:, 0]
         res_est = beta * abs(y[-1])
         best_est = min(best_est, res_est)
         breakdown = beta <= _BREAKDOWN_TOL * max(1.0, abs(theta))
-        if res_est <= tol or breakdown or it == dim:
+        exhausted = lz.size == dim
+        if res_est <= tol or breakdown or exhausted:
             x = lz.combine(y)
             x /= np.linalg.norm(x)
             hx = matvec(x)
+            checks += 1
             energy = float(np.vdot(x, hx).real)
             res = float(np.linalg.norm(hx - energy * x))
             best_res = min(best_res, res)
-            if res <= tol or breakdown or it == dim:
+            if res <= tol or breakdown or exhausted:
                 if res > tol:
                     raise ConvergenceError(
-                        f"Krylov space exhausted at dimension {it} with residual {res:.3e}",
+                        f"Krylov space exhausted at dimension {lz.size} with residual {res:.3e}",
                         best_residual=res,
                     )
-                return GroundStateResult(energy, wrap(x.astype(np.complex128, copy=False)), res, it)
-        if it < m_cap:  # non-breakdown guarantees beta well above zero here
+                state = wrap(x.astype(np.complex128, copy=False))
+                return GroundStateResult(energy, state, res, it, it + checks)
+        if it == max_iter:
+            break
+        if lz.size < BASIS_MAX_ROWS:  # non-breakdown guarantees beta well above zero here
             lz.push(w, beta)
+        else:
+            lz.restart(evals[:BASIS_KEEP_ROWS], evecs[:, :BASIS_KEEP_ROWS], w, beta)
     best = best_res if np.isfinite(best_res) else best_est
     raise ConvergenceError(
-        f"no convergence to {tol:.1e} within {m_cap} iterations; best residual {best:.3e}",
+        f"no convergence to {tol:.1e} within {max_iter} iterations; best residual {best:.3e}",
         best_residual=float(best),
     )
 
@@ -238,7 +298,7 @@ class PropagationResult:
 
 
 def _sil_space(lz: _Lanczos, y: np.ndarray, m_max: int, hy: np.ndarray | None = None):
-    """Start the Krylov space of y in ``lz``; return (dt, budget) -> (exp(-i H dt) y, error estimate, dimension).
+    """Start the Krylov space of y in ``lz``; return (dt, budget) -> (state, error estimate, dimension).
 
     Each call adds Lanczos vectors one at a time until the error estimate
     is at most ``budget``, the space breaks down or it holds ``m_max``
@@ -249,10 +309,12 @@ def _sil_space(lz: _Lanczos, y: np.ndarray, m_max: int, hy: np.ndarray | None = 
     ``nrm beta |dt|`` toward the first neglected vector at m = 1; a
     breakdown makes the step exact and the estimate zero.  ``hy``, if given,
     is H y and saves the first matvec.
+    ``state()`` forms exp(-i H dt) y from the space as it is then, so a
+    caller forms it only for an accepted substep, before the next call.
     """
     nrm = float(np.linalg.norm(y))
     if nrm == 0.0:
-        return lambda dt, budget: (y.copy(), 0.0, 0)
+        return lambda dt, budget: (y.copy, 0.0, 0)
     lz.start(y, nrm)
     # one Gram-Schmidt pass: the space is rebuilt every step
     w, beta = lz.step(dgks=False, hv=None if hy is None else hy / nrm)
@@ -273,7 +335,7 @@ def _sil_space(lz: _Lanczos, y: np.ndarray, m_max: int, hy: np.ndarray | None = 
                     u_small = _expm_tridiag(alphas[:-1], betas[:-1], dt)
                 err = nrm * float(np.linalg.norm(u - np.concatenate([u_small, [0.0]])))
             if err <= budget or m == m_max:
-                return nrm * lz.combine(u), err, m
+                return (lambda: nrm * lz.combine(u)), err, m
             lz.push(w, beta)
             w, beta = lz.step(dgks=False)
             u_small = u
@@ -341,7 +403,7 @@ def propagate(
                 # subdividing cannot push the estimate below roundoff noise
                 floor = eps_floor * max(1.0, float(np.linalg.norm(y)))
             budget = max(err_tol * (h / dt), floor)
-            y_try, err, m = sil(h, budget)
+            state, err, m = sil(h, budget)
             if err > budget:
                 if h / 2 < h_min:
                     raise StepFailureError(
@@ -350,7 +412,7 @@ def propagate(
                 h /= 2
                 rejected += 1
                 continue
-            y, sil = y_try, None
+            y, sil = state(), None
             acc_err += err
             accepted += 1
             built += m

@@ -27,7 +27,7 @@ from fockops import (
     random_state,
 )
 from fockops import kernel, mixtures, solvers
-from fockops.solvers import BASIS_BLOCK_ROWS, write_series_csv
+from fockops.solvers import BASIS_BLOCK_ROWS, BASIS_KEEP_ROWS, BASIS_MAX_ROWS, write_series_csv
 from conftest import (
     random_hermitian_spec,
     random_mixture_spec,
@@ -95,11 +95,12 @@ class TestGroundState:
         assert res <= 1e-10
 
 
-def _spectrum_spec(lam, seed):
+def _spectrum_spec(lam, seed, real=False):
     """One particle on len(lam) orbitals with one-body table U diag(lam) U^H: H has spectrum lam."""
     m = len(lam)
     rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    a = rng.standard_normal((m, m))
+    u, _ = np.linalg.qr(a if real else a + 1j * rng.standard_normal((m, m)))
     h = (u * np.asarray(lam)) @ u.conj().T
     return HamiltonianSpec(SpaceDescriptor.fermion(1, m), OneBodyTable(0.5 * (h + h.conj().T)),
                            TwoBodyTable.zeros(m))
@@ -287,6 +288,85 @@ class TestRealArithmetic:
         assert (peak <= matvec_peak + (BASIS_BLOCK_ROWS + 6) * space.n_conf * 8) == real
 
 
+def _restart_spec(real):
+    """Dimension 40 > BASIS_MAX_ROWS, a 1e-2 gap under levels up to 100: converges only after restarts."""
+    lam = np.concatenate([[0.0, 1e-2, 2e-2], np.geomspace(1.0, 100.0, 37)])
+    return _spectrum_spec(lam, seed=40, real=real)
+
+
+class TestThickRestart:
+    """A full basis of BASIS_MAX_ROWS rows restarts from its lowest Ritz vectors."""
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_restarted_solve_matches_the_dense_oracle(self, real, lanczos_made):
+        spec = _restart_spec(real)
+        tol = 1e-9
+        result = ground_state(spec, tol=tol, seed=1)
+        (lz,) = lanczos_made
+        assert lz.blocks[0].dtype == (np.float64 if real else np.complex128)
+        assert result.iterations > BASIS_MAX_ROWS and lz.ritz.size == BASIS_KEEP_ROWS
+        assert abs(result.energy - dense_eig(build_dense(spec))[0][0]) <= 1e-10
+        hpsi = apply_hamiltonian(spec, result.state).amplitudes
+        assert np.linalg.norm(hpsi - result.energy * result.state.amplitudes) <= tol
+
+    def test_deterministic_given_seed(self):
+        spec = _restart_spec(real=False)
+        r1, r2 = (ground_state(spec, tol=1e-9, seed=3) for _ in range(2))
+        assert r1.iterations > BASIS_MAX_ROWS
+        np.testing.assert_array_equal(r1.state.amplitudes, r2.state.amplitudes)
+        assert r1._replace(state=None) == r2._replace(state=None)
+
+    def test_basis_is_orthonormal_after_every_restart(self, monkeypatch):
+        errors = []
+        restart = solvers._Lanczos.restart
+
+        def checked(self, *args):
+            restart(self, *args)
+            v = np.array([self.row(i) for i in range(self.size)])
+            errors.append(np.abs(v.conj() @ v.T - np.eye(self.size)).max())
+
+        monkeypatch.setattr(solvers._Lanczos, "restart", checked)
+        ground_state(_restart_spec(real=False), tol=1e-9, seed=1)
+        assert len(errors) >= 2
+        assert max(errors) <= 1e-12
+
+    def test_basis_memory_does_not_grow_with_the_iterations(self, lanczos_made):
+        """tracemalloc peak <= one matvec's peak + (BASIS_MAX_ROWS + BASIS_KEEP_ROWS + 6) vectors at any max_iter."""
+        space = SpaceDescriptor.fermion(4, 24)
+        a = np.random.default_rng(3).standard_normal((24, 24))
+        spec = HamiltonianSpec(space, OneBodyTable(a + a.T), TwoBodyTable.zeros(24))
+        psi = StateVector(space, random_state(space, seed=4).amplitudes.real.copy())
+        op = kernel.prepare(spec)
+        matvec_peak = _peak_bytes(lambda: apply_hamiltonian(op, psi))
+        bound = matvec_peak + (BASIS_MAX_ROWS + BASIS_KEEP_ROWS + 6) * space.n_conf * 8
+        for max_iter in (60, 200):
+
+            def solve():
+                with pytest.raises(ConvergenceError, match=f"within {max_iter} iterations"):
+                    ground_state(spec, tol=0.0, max_iter=max_iter)
+
+            assert _peak_bytes(solve) <= bound
+            assert len(lanczos_made[-1].blocks) <= BASIS_MAX_ROWS // BASIS_BLOCK_ROWS
+
+    @pytest.mark.parametrize("case", ["converges-in-4", "restarts"])
+    def test_matvecs_count_every_product(self, case, monkeypatch):
+        """One matvec per iteration plus one per residual check, counted through the module attribute."""
+        if case == "restarts":
+            spec = _restart_spec(real=True)
+        else:
+            spec = HamiltonianSpec(SpaceDescriptor.fermion(4, 8), OneBodyTable(np.diag([1.0, 2.0] + [0.0] * 6)),
+                                   TwoBodyTable.zeros(8))
+        calls = []
+        apply = kernel.apply_hamiltonian
+        monkeypatch.setattr(kernel, "apply_hamiltonian", lambda *a, **k: calls.append(1) or apply(*a, **k))
+        result = ground_state(spec, tol=1e-9, seed=1)
+        assert result.matvecs == len(calls) > result.iterations
+        if case == "restarts":
+            assert result.iterations > BASIS_MAX_ROWS
+        else:
+            assert (result.iterations, result.matvecs) == (4, 5)
+
+
 @pytest.mark.parametrize("mixture", [False, True], ids=["single", "mixture"])
 def test_factoring_runs_once_per_solve(mixture, monkeypatch):
     """ground_state and propagate each factor every species and the inter-species table once."""
@@ -394,6 +474,17 @@ class TestPropagation:
         for name in ("norms", "energies", "site_densities", "error_estimates", "substeps", "rejections"):
             np.testing.assert_array_equal(getattr(rebuilt, name), getattr(reused, name))
         np.testing.assert_array_equal(rebuilt.final_state.amplitudes, reused.final_state.amplitudes)
+
+    def test_only_accepted_substeps_form_their_state(self, monkeypatch):
+        """The rejected trial substeps of the input above never combine the basis rows."""
+        spec = build_bose_hubbard(3, 4, hopping=1.0, interaction=2.0)
+        combines = []
+        combine = solvers._Lanczos.combine
+        monkeypatch.setattr(solvers._Lanczos, "combine",
+                            lambda self, *a: combines.append(1) or combine(self, *a))
+        result = propagate(spec, basis_state(spec.space, 1), t_final=2.0, dt=1.0, krylov_dim=4, err_tol=1e-3)
+        assert result.rejections.sum() > 0
+        assert len(combines) == result.substeps.sum()
 
     def test_step_failure_when_subdividing_cannot_help(self):
         # at krylov_dim = 2 the estimate scales linearly with the substep, so
@@ -503,9 +594,9 @@ class TestAdaptiveKrylov:
         errs = [trial(m, 0.0)[1] for m in range(1, cap + 1)]  # budget 0: grow to the cap
         first = next(m for m, err in enumerate(errs, start=1) if err <= budget)
         assert 1 < first < cap
-        y_new, err, m = trial(cap, budget)
+        state, err, m = trial(cap, budget)
         assert (m, err) == (first, errs[first - 1])
-        np.testing.assert_array_equal(y_new, trial(first, 0.0)[0])
+        np.testing.assert_array_equal(state(), trial(first, 0.0)[0]())
 
     @pytest.mark.parametrize("mixture", [False, True], ids=["single", "mixture"])
     def test_workers_give_identical_bits(self, mixture, monkeypatch):
