@@ -25,6 +25,7 @@ from .errors import AddressError, FockError, InvalidSpaceError, SpaceMismatchErr
 _VEC_MAGIC = b"FOCKVEC1"
 _STAT_BYTE = {FERMION: 0, BOSON: 1}
 _BYTE_STAT = {0: FERMION, 1: BOSON}
+_COPY_ENTRIES = 1 << 15  # occupation_table gathers the previous level's rows this many entries at a time
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,9 @@ def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.nd
         owner = np.repeat(r, sizes)
         rows = np.empty((len(tail), j), dtype=np.int64)
         rows[:, 0] = owner - totals[tail]
-        rows[:, 1:] = occ[tail]
+        step = max(1, _COPY_ENTRIES // j)  # occ[tail] whole would be a temporary as large as the level
+        for s in range(0, len(tail), step):
+            rows[s : s + step, 1:] = occ[tail[s : s + step]]
         occ, totals = rows, owner
     rank_counts = np.zeros((m - 1, n + 2), dtype=np.int64)
     np.cumsum(counts[m - 1:0:-1], axis=1, out=rank_counts[:, 1:])

@@ -12,13 +12,15 @@ vector (the DGKS criterion); SIL runs one.  Lanczos grows the basis by
 thick-restarted (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000) from its
 :data:`BASIS_KEEP_ROWS` lowest Ritz vectors and the residual direction, so
 the memory of ``ground_state`` does not grow with the iteration count.  A
-Krylov space that fits under the cap never restarts.  ``propagate`` reuses
-one ``krylov_dim``-row block in every step.  Each SIL space grows one vector
-at a time and stops at the first dimension whose error estimate meets the
-substep's budget, so ``krylov_dim`` is only a cap; a rejected substep
-(possible only once the space is full) is retried on the same space, and
-only an accepted one forms its state.  The matvec that gives each grid
-point's energy is also the first Krylov product of the next step.
+Krylov space that fits under the cap never restarts, nor does a space of
+dimension at most :data:`RESTART_MIN_DIM`, whose whole basis is small.
+``propagate`` reuses one ``krylov_dim``-row block in every step.  Each SIL
+space grows one vector at a time and stops at the first dimension whose
+error estimate meets the substep's budget, so ``krylov_dim`` is only a cap;
+a rejected substep (possible only once the space is full) is retried on the
+same space, and only an accepted one forms its state.  The matvec that
+gives each grid point's energy is also the first Krylov product of the next
+step.
 
 Each solve factors H once (:func:`kernel.prepare`, :func:`mixtures.prepare`)
 and passes the prepared operator to every matvec.  When its dtype is
@@ -47,6 +49,7 @@ _DGKS_RATIO = 2**-0.5  # a pass that keeps less than this share of ||w|| is repe
 BASIS_BLOCK_ROWS = 16  # rows per block of a growing Lanczos basis
 BASIS_MAX_ROWS = 2 * BASIS_BLOCK_ROWS  # ground_state's basis is restarted when it holds this many rows
 BASIS_KEEP_ROWS = 12  # Ritz vectors a restart keeps; at most BASIS_BLOCK_ROWS, so they fit the first block
+RESTART_MIN_DIM = 4 * BASIS_MAX_ROWS  # a smaller space keeps its whole basis (at most 256 KB) and never restarts
 
 
 def _check_arguments(*rules) -> None:
@@ -107,8 +110,7 @@ class _Lanczos:
         With ``dgks`` a second one follows when the first shrinks ||w||
         below ||w|| / sqrt(2) (Daniel, Gragg, Kaufman & Stewart, Math.
         Comp. 30, 1976): only then has cancellation left w far from
-        orthogonal to the basis.  On the first step after a restart the
-        passes' coefficients on the Ritz rows are the arrowhead column.
+        orthogonal to the basis.
         """
         v = self.row(self.size - 1)
         w = self.matvec(v) if hv is None else hv
@@ -117,23 +119,17 @@ class _Lanczos:
         if self.betas:
             w -= self.betas[-1] * self.row(self.size - 2)
         before = np.linalg.norm(w) if dgks else 0.0
-        overlap = self._orthogonalize(w)
+        self._orthogonalize(w)
         nrm = float(np.linalg.norm(w))
         if dgks and nrm < _DGKS_RATIO * before:
-            overlap += self._orthogonalize(w)
+            self._orthogonalize(w)
             nrm = float(np.linalg.norm(w))
-        if len(self.alphas) == 1 and self.ritz.size:
-            self.arrow = overlap[: self.ritz.size].real
         return w, nrm
 
-    def _orthogonalize(self, w: np.ndarray) -> np.ndarray:
-        """One classical Gram-Schmidt pass in place, w -= V (V^H w): two GEMVs per block; returns V^H w."""
-        overlap = []
+    def _orthogonalize(self, w: np.ndarray) -> None:
+        """One classical Gram-Schmidt pass in place, w -= V (V^H w): two GEMVs per block."""
         for rows in self._filled():
-            h = (rows @ w.conj()).conj()
-            w -= h @ rows
-            overlap.append(h)
-        return np.concatenate(overlap)
+            w -= (rows @ w.conj()).conj() @ rows
 
     def push(self, w: np.ndarray, beta: float) -> None:
         """Extend the basis by w / beta."""
@@ -148,17 +144,21 @@ class _Lanczos:
     def restart(self, ritz: np.ndarray, y: np.ndarray, w: np.ndarray, beta: float) -> None:
         """Keep the Ritz vectors V y[:, i] (values ``ritz``) as the first rows, then w / beta.
 
-        The rows are rotated in place, one column slice at a time, so no
-        temporary is much larger than one vector.  The recurrence then
-        starts afresh from w / beta; the next :meth:`step` couples it to
-        the Ritz rows.
+        ``y`` holds eigenvectors of :meth:`projected` and w / beta is the
+        residual direction of the last step.  The rows are rotated in place,
+        one column slice at a time, so no temporary is much larger than one
+        vector.  By H V = V P + w e_last^T, the Ritz vector V y[:, i] couples
+        to w / beta by ``beta y[-1, i]``: that is the arrowhead column, so a
+        restart costs no matvec.  The recurrence then starts afresh from
+        w / beta.
         """
         k = len(ritz)
         width = -(-self.dim // k)
         for c in range(0, self.dim, width):
             cols = slice(c, c + width)
             self.blocks[0][:k, cols] = self.combine(y.T, cols)
-        self.size, self.alphas, self.betas, self.ritz = k, [], [], ritz
+        self.size, self.alphas, self.betas = k, [], []
+        self.ritz, self.arrow = ritz, beta * y[-1]
         self._append(w, beta)
 
     def projected(self) -> np.ndarray:
@@ -211,10 +211,11 @@ def ground_state(
     iterations (one matvec each; every residual check costs one more).
     Raises :class:`ConvergenceError` with the best residual if they do not
     suffice.  The basis holds at most :data:`BASIS_MAX_ROWS` rows and is
-    thick-restarted when full.  The solve runs in float64 when every kept
-    coefficient is real; the state is returned as complex128 either way.  A
-    ``tol`` that is negative or not finite, or a ``max_iter`` below 1,
-    raises :class:`SolverArgumentError`.
+    thick-restarted when full, unless the space has at most
+    :data:`RESTART_MIN_DIM` configurations.  The solve runs in float64 when
+    every kept coefficient is real; the state is returned as complex128
+    either way.  A ``tol`` that is negative or not finite, or a ``max_iter``
+    below 1, raises :class:`SolverArgumentError`.
     """
     _check_arguments(
         ("tol", tol, math.isfinite(tol) and tol >= 0, "finite and >= 0"),
@@ -256,7 +257,7 @@ def ground_state(
                 return GroundStateResult(energy, state, res, it, it + checks)
         if it == max_iter:
             break
-        if lz.size < BASIS_MAX_ROWS:  # non-breakdown guarantees beta well above zero here
+        if lz.size < BASIS_MAX_ROWS or dim <= RESTART_MIN_DIM:  # non-breakdown: beta well above zero here
             lz.push(w, beta)
         else:
             lz.restart(evals[:BASIS_KEEP_ROWS], evecs[:, :BASIS_KEEP_ROWS], w, beta)

@@ -1,6 +1,7 @@
 """Lanczos ground states and SIL propagation against dense references."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from fockops import (
     random_state,
 )
 from fockops import kernel, mixtures, solvers
-from fockops.solvers import BASIS_BLOCK_ROWS, BASIS_KEEP_ROWS, BASIS_MAX_ROWS, write_series_csv
+from fockops.solvers import BASIS_BLOCK_ROWS, BASIS_KEEP_ROWS, BASIS_MAX_ROWS, RESTART_MIN_DIM, write_series_csv
 from conftest import (
     random_hermitian_spec,
     random_mixture_spec,
@@ -95,14 +96,14 @@ class TestGroundState:
         assert res <= 1e-10
 
 
-def _spectrum_spec(lam, seed, real=False):
-    """One particle on len(lam) orbitals with one-body table U diag(lam) U^H: H has spectrum lam."""
+def _spectrum_spec(lam, seed, real=False, particles=1):
+    """Fermions on len(lam) orbitals with one-body table U diag(lam) U^H: one particle has spectrum lam."""
     m = len(lam)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, m))
     u, _ = np.linalg.qr(a if real else a + 1j * rng.standard_normal((m, m)))
     h = (u * np.asarray(lam)) @ u.conj().T
-    return HamiltonianSpec(SpaceDescriptor.fermion(1, m), OneBodyTable(0.5 * (h + h.conj().T)),
+    return HamiltonianSpec(SpaceDescriptor.fermion(particles, m), OneBodyTable(0.5 * (h + h.conj().T)),
                            TwoBodyTable.zeros(m))
 
 
@@ -288,14 +289,18 @@ class TestRealArithmetic:
         assert (peak <= matvec_peak + (BASIS_BLOCK_ROWS + 6) * space.n_conf * 8) == real
 
 
+def _gapped_levels(m):
+    """m one-particle levels: 0, 1e-2, 2e-2, then geometric from 1 to 100."""
+    return np.concatenate([[0.0, 1e-2, 2e-2], np.geomspace(1.0, 100.0, m - 3)])
+
+
 def _restart_spec(real):
-    """Dimension 40 > BASIS_MAX_ROWS, a 1e-2 gap under levels up to 100: converges only after restarts."""
-    lam = np.concatenate([[0.0, 1e-2, 2e-2], np.geomspace(1.0, 100.0, 37)])
-    return _spectrum_spec(lam, seed=40, real=real)
+    """Two fermions on 18 orbitals: dimension 153 > RESTART_MIN_DIM, a 1e-2 gap under levels up to 190."""
+    return _spectrum_spec(_gapped_levels(18), seed=18, real=real, particles=2)
 
 
 class TestThickRestart:
-    """A full basis of BASIS_MAX_ROWS rows restarts from its lowest Ritz vectors."""
+    """In a space above RESTART_MIN_DIM, a full basis of BASIS_MAX_ROWS rows restarts from its lowest Ritz vectors."""
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_restarted_solve_matches_the_dense_oracle(self, real, lanczos_made):
@@ -315,6 +320,15 @@ class TestThickRestart:
         assert r1.iterations > BASIS_MAX_ROWS
         np.testing.assert_array_equal(r1.state.amplitudes, r2.state.amplitudes)
         assert r1._replace(state=None) == r2._replace(state=None)
+
+    def test_a_small_space_keeps_its_whole_basis(self, lanczos_made):
+        """Dimension 40: above BASIS_MAX_ROWS but not RESTART_MIN_DIM, so the basis exhausts the space."""
+        spec = _spectrum_spec(_gapped_levels(40), seed=40)
+        assert BASIS_MAX_ROWS < spec.space.n_conf <= RESTART_MIN_DIM
+        result = ground_state(spec, tol=1e-9, seed=1)
+        (lz,) = lanczos_made
+        assert (result.iterations, result.matvecs, lz.size, lz.ritz.size) == (40, 41, 40, 0)
+        assert abs(result.energy - dense_eig(build_dense(spec))[0][0]) <= 1e-10
 
     def test_basis_is_orthonormal_after_every_restart(self, monkeypatch):
         errors = []
@@ -365,6 +379,14 @@ class TestThickRestart:
             assert result.iterations > BASIS_MAX_ROWS
         else:
             assert (result.iterations, result.matvecs) == (4, 5)
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs as written, reading GroundStateResult by attribute."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 @pytest.mark.parametrize("mixture", [False, True], ids=["single", "mixture"])
