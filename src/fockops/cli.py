@@ -161,7 +161,7 @@ def cmd_enum(args) -> int:
     if args.mix:
         return _cmd_enum_mix(args)
     statistics = FERMION if args.fermion else BOSON
-    if all(v is None for v in (args.holes, args.occ, args.bits, args.J)) and not args.all:
+    if args.J is not None or (all(v is None for v in (args.holes, args.occ, args.bits)) and not args.all):
         _check_printable_count((statistics, args.N, args.M))
     space = SpaceDescriptor(statistics, args.N, args.M)
     lines = []
@@ -193,7 +193,7 @@ def _cmd_enum_mix(args) -> int:
         raise InvalidSpaceError(f"bad --mix-stats {args.mix_stats!r}")
     if args.NB is None or args.MB is None:
         raise InvalidSpaceError("--mix requires -NB and -MB")
-    if args.J is None and not args.all:
+    if args.J is not None or not args.all:
         _check_printable_count((stats[0], args.N, args.M), (stats[1], args.NB, args.MB))
     mspace = mixtures.MixtureSpace(
         SpaceDescriptor(stats[0], args.N, args.M),

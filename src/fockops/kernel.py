@@ -34,9 +34,11 @@ vector stays float64 throughout: the apply computes in the common dtype of
 the vector and the operator, so a real Hamiltonian moves half the bytes
 on a real vector and is unchanged on a complex one.
 
-The gathers of H's one-body pairs, at most M^2 per space, are kept in the
-space's gather pool (:meth:`fockspace.SpaceTables.cached_gather`), so each is
-built once per space; single terms reuse them or build theirs per call.  The
+The gathers of H's one-body pairs E_kq with k <= q, at most M(M+1)/2 per
+space, are kept in the space's gather pool
+(:meth:`fockspace.SpaceTables.cached_gather`), so each is built once per
+space; E_qk is served as the transpose of the kept E_kq (:func:`transpose`),
+and single terms reuse a kept gather or build theirs per call.  The
 output is cut into fixed blocks of rows that do not depend on the worker count:
 each block first computes phi and chi for its own rows, then sums d * psi
 and the sweeps into its own rows.  No amplitude is summed across blocks, so
@@ -104,12 +106,27 @@ def term_gather(space: SpaceDescriptor, ops: Ops):
     and ``pref`` hold the source row and the prefactor of each of them, in
     the order of ``act``.  The third slot is None; the tuple keeps four
     slots because callers read ``act`` at index 3.  The gather the space's
-    pool holds for ``ops`` is reused; any other is built for this call and
-    not kept (only :func:`pair_gathers` fills the pool).
+    pool holds for ``ops`` is reused, and so is the pool's E_kq for a pair
+    E_qk (:func:`transpose`); any other is built for this call and not kept
+    (only :func:`pair_gathers` fills the pool).
     """
     tb = space.tables()
     hit = tb._gather_cache.get(ops)
+    if hit is None and [kind for kind, _ in ops] == ["a", "c"]:
+        kept = tb._gather_cache.get(one_body_ops(ops[0][1], ops[1][1]))
+        hit = None if kept is None else transpose(kept)
     return hit if hit is not None else _build_gather(space, tb, ops)
+
+
+def transpose(gather):
+    """E_qk's gather from E_kq's: the same rows and prefactors with ``act`` and ``src`` swapped.
+
+    E_qk is the adjoint of E_kq, whose prefactors are real.  Adding a fixed
+    occupation change keeps lexicographic order, so ``src`` is strictly
+    increasing like ``act``, and :func:`sweep` can slice the swapped ``act``.
+    """
+    src, pref, _, act = gather
+    return act, pref, None, src
 
 
 def _build_gather(space, tb, ops):
@@ -279,10 +296,18 @@ def hamiltonian_terms(spec) -> list[tuple[Ops, complex]]:
 
 
 def pair_gathers(space: SpaceDescriptor, pairs) -> list:
-    """Gathers of E_kq = b†_k b_q for flat 0-based pairs k * M + q, kept in the space's pool."""
+    """Gathers of E_kq = b†_k b_q for flat 0-based pairs k * M + q.
+
+    The space's pool keeps those with k <= q; E_kq for k > q is the kept
+    E_qk's :func:`transpose`, a view that copies nothing.
+    """
     tb = space.tables()
-    ops = [one_body_ops(p // space.m + 1, p % space.m + 1) for p in pairs]
-    return [tb.cached_gather(o, lambda o=o: _build_gather(space, tb, o)) for o in ops]
+    gathers = []
+    for k, q in (divmod(int(p), space.m) for p in pairs):
+        ops = one_body_ops(min(k, q) + 1, max(k, q) + 1)
+        gather = tb.cached_gather(ops, lambda ops=ops: _build_gather(space, tb, ops))
+        gathers.append(gather if k <= q else transpose(gather))
+    return gathers
 
 
 def split_pair_matrix(row_k, row_q, col_k, col_q, values, m_row: int, m_col: int):

@@ -1,9 +1,12 @@
 """Reduced density matrices and expectation values.
 
-Every element comes from the one-body images phi_kq = E_kq |Psi>
-(E_kq = b†_k b_q) that the Hamiltonian kernel also sweeps, with the same
-sign conventions: rho_kq = <Psi|phi_kq>, and the two-body density is one
-Gram product of the images, rho_kslq = <phi_qk|phi_sl> - δ_qs rho_kl.
+Every element comes from the one-body gathers of E_kq = b†_k b_q that the
+Hamiltonian kernel also sweeps, with the same sign conventions.  The
+one-body density reads rho_kk = <n_k> off the occupation table and
+rho_kq = <Psi|E_kq Psi> from E_kq's gather for k < q only; E_qk is the
+adjoint of E_kq, so rho_qk = conj(rho_kq) and rho is exactly Hermitian.
+The two-body density is one Gram product of the images phi_kq = E_kq Psi,
+rho_kslq = <phi_qk|phi_sl> - δ_qs rho_kl.
 """
 
 from __future__ import annotations
@@ -34,10 +37,23 @@ def _pair_images(space, mat: np.ndarray, axis: int):
             yield kernel.apply_term_ops(space, kernel.one_body_ops(k, q), mat, axis=axis)
 
 
+def _occupations(space, mat: np.ndarray, axis: int) -> np.ndarray:
+    """<n_k> of the species along ``axis`` of the amplitude vector or matrix, from the configuration table."""
+    weights = np.abs(mat) ** 2
+    if weights.ndim > 1:
+        weights = weights.sum(axis=1 - axis)
+    return weights @ space.tables().occ
+
+
 def _one_body(space, mat: np.ndarray, axis: int) -> np.ndarray:
-    """rho[k-1, q-1] = <Psi|E_kq Psi> along ``axis``; each image is dropped once used."""
-    rho = [np.vdot(mat, phi) for phi in _pair_images(space, mat, axis)]
-    return np.array(rho, dtype=np.complex128).reshape(space.m, space.m)
+    """rho[k-1, q-1] = <Psi|E_kq Psi> along ``axis``, from the gathers of E_kq with k < q only."""
+    upper = np.zeros((space.m, space.m), dtype=np.complex128)
+    shape = [1] * mat.ndim
+    for k, q in zip(*np.triu_indices(space.m, 1)):
+        src, pref, _, act = kernel.term_gather(space, kernel.one_body_ops(k + 1, q + 1))
+        shape[axis] = act.size
+        upper[k, q] = np.vdot(mat.take(act, axis), pref.reshape(shape) * mat.take(src, axis))
+    return np.diag(_occupations(space, mat, axis)) + upper + upper.conj().T
 
 
 def one_body_density(psi: StateVector) -> np.ndarray:
@@ -102,14 +118,9 @@ def mixture_densities(psi: mixtures.MixtureStateVector) -> tuple[np.ndarray, np.
 def site_densities(psi) -> np.ndarray:
     """Diagonal occupations <n_k> straight from the configuration table."""
     if isinstance(psi, mixtures.MixtureStateVector):
-        mat = np.abs(psi.as_matrix()) ** 2
-        occ_a = psi.mspace.space_a.tables().occ
-        occ_b = psi.mspace.space_b.tables().occ
-        dens_a = mat.sum(axis=1) @ occ_a
-        dens_b = mat.sum(axis=0) @ occ_b
-        return np.concatenate([dens_a, dens_b])
-    weights = np.abs(psi.amplitudes) ** 2
-    return weights @ psi.space.tables().occ
+        mat = psi.as_matrix()
+        return np.concatenate([_occupations(psi.mspace.space_a, mat, 0), _occupations(psi.mspace.space_b, mat, 1)])
+    return _occupations(psi.space, psi.amplitudes, 0)
 
 
 # -- emission ----------------------------------------------------------------

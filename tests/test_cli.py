@@ -106,6 +106,29 @@ class TestEnum:
         assert "decimal digits" in err
 
     @pytest.mark.parametrize("argv", [
+        ["--fermion", "-N", "500000", "-M", "1000000"],
+        ["--mix", "-N", "1", "-M", "2", "-NB", "500000", "-MB", "1000000", "--mix-stats", "boson,fermion"],
+    ], ids=["single", "mixture"])
+    def test_address_on_a_huge_space_refused_before_it_is_counted(self, argv):
+        """-J is refused on such a space as the count is; in a subprocess, since counting it takes seconds."""
+        proc = subprocess.run([sys.executable, "-m", "fockops.cli", "enum", *argv, "-J", "1"],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert _one_line_error(proc.stderr)
+        assert "decimal digits" in proc.stderr
+
+    @pytest.mark.parametrize("argv,line", [
+        (["--fermion", "-N", "7", "-M", "10", "-J", "65"], "65 |1011101011>"),
+        (["--mix", "-N", "2", "-M", "3", "-NB", "2", "-MB", "4", "--mix-stats", "boson,fermion", "-J", "7"],
+         "7 2 1 |1,1,0> |1100>"),
+    ], ids=["single", "mixture"])
+    def test_address_on_an_ordinary_space(self, capsys, argv, line):
+        code, out, _ = run_cli(capsys, "enum", *argv)
+        assert code == EXIT_OK
+        assert out == line + "\n"
+
+    @pytest.mark.parametrize("argv", [
         ["--fermion", "-N", "20", "-M", "40"],
         ["--mix", "-N", "10", "-M", "20", "-NB", "10", "-MB", "20", "--mix-stats", "fermion,fermion"],
     ], ids=["single", "mixture"])

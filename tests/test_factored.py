@@ -17,7 +17,9 @@ from fockops import (
     TwoBodyTable,
     apply_hamiltonian,
     apply_mixture_hamiltonian,
+    apply_one_body_term,
     apply_two_body_term,
+    build_bose_hubbard,
     build_dense,
     ground_state,
     kernel,
@@ -27,6 +29,7 @@ from fockops import (
     one_body_density,
     oracle,
     parallel_apply,
+    propagate,
     random_state,
     two_body_density,
 )
@@ -136,6 +139,24 @@ def test_gathers_equal_the_forward_algebra(space):
         np.testing.assert_array_equal(pref, [ref[row][1] for row in act])
 
 
+@given(spaces())
+@settings(max_examples=60, deadline=None)
+def test_transposed_pair_gather_is_the_built_one(space):
+    """src of every off-diagonal pair gather is strictly increasing, and E_kq's transpose is E_qk's gather, bitwise."""
+    tb = space.tables()
+    for k in range(1, space.m + 1):
+        for q in range(k + 1, space.m + 1):
+            forward = kernel._build_gather(space, tb, kernel.one_body_ops(k, q))
+            backward = kernel._build_gather(space, tb, kernel.one_body_ops(q, k))
+            for src in (forward[0], backward[0]):
+                assert np.all(np.diff(src) > 0)
+            for got, ref in ((kernel.transpose(forward), backward), (kernel.transpose(backward), forward)):
+                assert got[2] is None
+                for i in (0, 1, 3):
+                    assert got[i].dtype == ref[i].dtype
+                    np.testing.assert_array_equal(got[i], ref[i])
+
+
 @given(spaces(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_factored_apply_matches_oracle(space, data):
@@ -239,11 +260,11 @@ class TestRowBlocks:
         if mixture:
             space = MixtureSpace(SpaceDescriptor.boson(2, 3), SpaceDescriptor.fermion(2, 4))
             spec, psi = random_mixture_spec(space, seed=10), mixture_random_state(space, seed=11)
-            n_pairs, n_rows, width = 3 ** 2 + 4 ** 2, space.space_a.n_conf, space.space_b.n_conf
+            n_pairs, n_rows, width = 3 * 4 // 2 + 4 * 5 // 2, space.space_a.n_conf, space.space_b.n_conf
         else:
             space = SpaceDescriptor.boson(3, 4)
             spec, psi = random_hermitian_spec(space, seed=10), random_state(space, seed=11)
-            n_pairs, n_rows, width = 4 ** 2, space.n_conf, 1
+            n_pairs, n_rows, width = 4 * 5 // 2, space.n_conf, 1
         built = _count_builds(monkeypatch)
         parallel_apply(spec, psi, workers=2)
         assert n_rows >= 4 * max(1, kernel.BLOCK_AMPLITUDES // width)  # four row blocks or more
@@ -282,6 +303,63 @@ class TestRowBlocks:
         assert built == []
 
 
+def _built_pair_gathers(space, pairs) -> list:
+    """Every pair gather built and kept under its own key, k > q included, as before the transposed pool."""
+    tb = space.tables()
+    ops = [kernel.one_body_ops(p // space.m + 1, p % space.m + 1) for p in pairs]
+    return [tb.cached_gather(o, lambda o=o: kernel._build_gather(space, tb, o)) for o in ops]
+
+
+class TestTransposedPool:
+    """E_qk served as E_kq's transpose: half the pool, and the bits of gathers built in both directions."""
+
+    @staticmethod
+    def _results(space, workers):
+        """apply, the final state of propagate and the ground-state energy on a fresh copy of ``space``."""
+        if isinstance(space, MixtureSpace):
+            space = MixtureSpace(*(SpaceDescriptor(s.statistics, s.n, s.m) for s in (space.space_a, space.space_b)))
+            spec, psi = random_mixture_spec(space, seed=20), mixture_random_state(space, seed=21)
+        else:
+            space = SpaceDescriptor(space.statistics, space.n, space.m)
+            spec, psi = random_hermitian_spec(space, seed=20), random_state(space, seed=21)
+        hpsi = parallel_apply(spec, psi, workers=workers).amplitudes
+        final = propagate(spec, psi, 0.2, 0.1, workers=workers).final_state.amplitudes
+        return hpsi, final, ground_state(spec, seed=3, workers=workers).energy
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4),
+                                       suite_mixture_spaces()[2]], ids=str)
+    def test_bitwise_equal_to_gathers_built_both_ways(self, monkeypatch, space, workers):
+        monkeypatch.setattr(kernel, "BLOCK_AMPLITUDES", 8)
+        swapped = self._results(space, workers)
+        monkeypatch.setattr(kernel, "pair_gathers", _built_pair_gathers)
+        built = self._results(space, workers)
+        for got, ref in zip(swapped, built):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4)], ids=str)
+    def test_pool_holds_half_and_a_warm_space_builds_none(self, monkeypatch, space):
+        """A dense H keeps E_kq for k <= q only; densities and single terms on it then build nothing."""
+        kernel.prepare(random_hermitian_spec(space, seed=17))
+        m, pool = space.m, space.tables()._gather_cache
+        assert set(pool) == {kernel.one_body_ops(k, q) for k in range(1, m + 1) for q in range(k, m + 1)}
+        assert len(pool) == m * (m + 1) // 2
+        built = _count_builds(monkeypatch)
+        psi = random_state(space, seed=18)
+        one_body_density(psi)
+        two_body_density(psi)
+        apply_one_body_term(m, 1, psi)
+        assert built == []
+
+    def test_cold_density_builds_the_pairs_outside_a_chain(self, monkeypatch):
+        """boson(3,4) keeps E_12, E_23 and E_34 for the chain; rho builds E_13, E_14 and E_24 on each call."""
+        spec = build_bose_hubbard(3, 4, 1.0, 2.0)
+        kernel.prepare(spec)
+        built = _count_builds(monkeypatch)
+        one_body_density(random_state(spec.space, seed=19))
+        assert sorted(ops for _, ops in built) == [kernel.one_body_ops(k, q) for k, q in ((1, 3), (1, 4), (2, 4))]
+
+
 def test_prepared_operator_rejects_a_state_of_another_space():
     """fermion(3,6) and boson(3,4) both hold 20 configurations; a mixture operator fits no single state."""
     space, mspace = SpaceDescriptor.fermion(3, 6), suite_mixture_spaces()[2]
@@ -314,7 +392,7 @@ class TestGatherPool:
 
     @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4)], ids=str)
     def test_pool_holds_only_pair_gathers(self, space):
-        """Densities and single terms keep nothing; the factored apply keeps at most its M^2 pairs."""
+        """Densities and single terms keep nothing; the factored apply keeps at most its M(M+1)/2 pairs."""
         spec = random_hermitian_spec(space, seed=14)
         pool = space.tables()._gather_cache
         psi = random_state(space, seed=15)

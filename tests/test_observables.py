@@ -14,8 +14,10 @@ from fockops import (
     build_bose_hubbard,
     build_dense,
     energy,
+    kernel,
     ground_state,
     mixture_densities,
+    mixture_random_state,
     natural_occupations,
     one_body_density,
     product_state,
@@ -29,6 +31,7 @@ from conftest import (
     random_hermitian_spec,
     random_mixture_spec,
     suite_mixture_spaces,
+    suite_single_spaces,
 )
 
 
@@ -186,6 +189,33 @@ class TestMixtureDensities:
                 op = np.kron(build_dense((("a", q), ("c", k)), sa), np.eye(sb.n_conf))
                 ref = np.vdot(psi.amplitudes, op @ psi.amplitudes)
                 assert abs(rho_a[k - 1, q - 1] - ref) <= 1e-12
+
+
+def _full_one_body(space, mat, axis):
+    """rho from all M^2 images E_kq psi, one vdot each, as the one-body density was once formed."""
+    return np.array([[np.vdot(mat, kernel.apply_term_ops(space, kernel.one_body_ops(k, q), mat, axis=axis))
+                      for q in range(1, space.m + 1)] for k in range(1, space.m + 1)])
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("space", suite_single_spaces() + suite_mixture_spaces(), ids=str)
+def test_one_body_density_is_exactly_hermitian(space, real):
+    """rho == rho^H bit for bit, its diagonal is site_densities, and it agrees with all M^2 images to 1e-12."""
+    if hasattr(space, "space_a"):
+        psi = mixture_random_state(space, seed=22)
+        parts = [(space.space_a, 0), (space.space_b, 1)]
+    else:
+        psi = random_state(space, seed=22)
+        parts = [(space, 0)]
+    if real:
+        amps = psi.amplitudes.real
+        psi = type(psi)(space, amps / np.linalg.norm(amps))
+    rhos = mixture_densities(psi) if len(parts) == 2 else [one_body_density(psi)]
+    mat = psi.as_matrix() if len(parts) == 2 else psi.amplitudes
+    for (species, axis), rho in zip(parts, rhos):
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.abs(rho - _full_one_body(species, mat, axis)).max() <= 1e-12
+    np.testing.assert_array_equal(np.concatenate([np.diag(rho).real for rho in rhos]), site_densities(psi))
 
 
 class TestSiteDensities:
