@@ -1,25 +1,26 @@
-"""Matrix-free application of operator strings to state vectors.
+"""Matrix-free application of the pair operators E_kq = b†_k b_q to state vectors.
 
-Every balanced string of creation/annihilation operators maps each
-configuration to exactly one configuration times a prefactor, so the action
-on a state vector is a permutation-with-weights of its amplitudes.  The
-kernel computes each output amplitude by *gathering* from its uniquely
-determined source address: the elementary steps are undone one by one on
-the output configuration (vectorized over all addresses at once),
-accumulating the fermionic parity from prefix occupation counts or the
-bosonic sqrt factors from the running occupations.  Both statistics share
-one address table, the lexical addressing of Knowles & Handy (below): an
-address is 1 plus one rank term per orbital, so the source address of each
-acting row is its own address shifted by the differing rank terms of the
-orbitals between the lowest and the highest changed one.
+E_kq is the only operator the kernel knows.  It maps each configuration to
+exactly one configuration times a prefactor, so its action on a state vector
+is a permutation-with-weights of the amplitudes.  The kernel computes each
+output amplitude by *gathering* from its uniquely determined source address,
+vectorized over all addresses at once.  On an output configuration n, with
+S_p particles in the orbitals below p, E_kq acts where n_k >= 1 (fermions:
+n_k = 1, and n_q = 0 unless k = q) with the weight (-1)^(S_k + S_q - [k < q])
+for fermions and sqrt(n_k (n_q + [k != q])) for bosons.  Both statistics
+share one address table, the lexical addressing of Knowles & Handy (below):
+an address is 1 plus one rank term per orbital, so the source address of
+each acting row is its own address shifted by the differing rank terms of
+the orbitals from min(k, q) to max(k, q).
 
-Index-coincidence cases (k = q, k = s, ...) are defined by this sequential
-elementary construction, which makes every term total; for pairwise
-distinct indices it reproduces the closed-form sign (-1)^{d} between-counts
-and sqrt(n) weights exactly.
+Longer strings are products of pairs: b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl
+for both statistics, which defines every index coincidence (k = q, k = s,
+...) and, for pairwise distinct indices, reproduces the closed-form sign
+(-1)^{d} between-counts and sqrt(n) weights.  The kernel applies no other
+string: an arbitrary balanced string of elementary creation/annihilation
+operators is taken only by the dense reference, :mod:`fockops.oracle`.
 
-H|psi> never loops over two-body terms.  With E_kq = b†_k b_q, the identity
-b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl (both statistics) gives the
+H|psi> never loops over two-body terms.  The same identity gives the
 direct-CI factorization of Knowles & Handy (Chem. Phys. Lett. 111, 315,
 1984) and Olsen et al. (J. Chem. Phys. 89, 2185, 1988), formed from the
 entries at or above :data:`SKIP_THRESHOLD` (:func:`factor_species`):
@@ -34,8 +35,8 @@ vector stays float64 throughout: the apply computes in the common dtype of
 the vector and the operator, so a real Hamiltonian moves half the bytes
 on a real vector and is unchanged on a complex one.
 
-The gathers of H's one-body pairs E_kq with k <= q, at most M(M+1)/2 per
-space, are kept in the space's gather pool
+The gathers of H's pairs E_kq with k <= q, at most M(M+1)/2 per space, are
+kept in the space's gather pool under the key (k, q)
 (:meth:`fockspace.SpaceTables.cached_gather`), so each is built once per
 space; E_qk is served as the transpose of the kept E_kq (:func:`transpose`),
 and single terms reuse a kept gather or build theirs per call.  The
@@ -63,20 +64,6 @@ from .hamiltonian import TwoBodyTable
 # formed; read at call time by every apply, term list and factoring.
 SKIP_THRESHOLD = 1e-15
 
-# An elementary op is ("a", p) or ("c", p); a term is a tuple of them in
-# application order (rightmost operator of the string first).
-Ops = tuple[tuple[str, int], ...]
-
-
-def one_body_ops(k: int, q: int) -> Ops:
-    """Elementary steps of b†_k b_q."""
-    return (("a", q), ("c", k))
-
-
-def two_body_ops(k: int, s: int, l: int, q: int) -> Ops:
-    """Elementary steps of b†_k b†_s b_l b_q."""
-    return (("a", q), ("a", l), ("c", s), ("c", k))
-
 
 def fermion_sign_count(config, k: int, q: int) -> int:
     """Number of occupied orbitals strictly between k and q (d^{kq}).
@@ -99,23 +86,22 @@ def _check_orbitals(space: SpaceDescriptor, orbitals: Iterable[int]) -> None:
             raise FockError(f"orbital {p} outside [1, {space.m}]")
 
 
-def term_gather(space: SpaceDescriptor, ops: Ops):
-    """(source rows, prefactors, None, acting rows) for a term.
+def term_gather(space: SpaceDescriptor, k: int, q: int):
+    """(source rows, prefactors, None, acting rows) of E_kq, 1-based orbitals.
 
-    ``act`` lists the 0-based output rows on which the term acts; ``src``
-    and ``pref`` hold the source row and the prefactor of each of them, in
-    the order of ``act``.  The third slot is None; the tuple keeps four
-    slots because callers read ``act`` at index 3.  The gather the space's
-    pool holds for ``ops`` is reused, and so is the pool's E_kq for a pair
-    E_qk (:func:`transpose`); any other is built for this call and not kept
-    (only :func:`pair_gathers` fills the pool).
+    ``act`` lists the 0-based output rows on which E_kq acts; ``src`` and
+    ``pref`` hold the source row and the prefactor of each of them, in the
+    order of ``act``.  The third slot is None; the tuple keeps four slots
+    because callers read ``act`` at index 3.  The space's pool is read under
+    the key (min(k, q), max(k, q)), E_qk's kept gather served by its
+    :func:`transpose`; a gather the pool does not hold is built for this
+    call and not kept (only :func:`pair_gathers` fills the pool).
     """
     tb = space.tables()
-    hit = tb._gather_cache.get(ops)
-    if hit is None and [kind for kind, _ in ops] == ["a", "c"]:
-        kept = tb._gather_cache.get(one_body_ops(ops[0][1], ops[1][1]))
-        hit = None if kept is None else transpose(kept)
-    return hit if hit is not None else _build_gather(space, tb, ops)
+    kept = tb._gather_cache.get((min(k, q), max(k, q)))
+    if kept is None:
+        return _build_gather(space, tb, k, q)
+    return kept if k <= q else transpose(kept)
 
 
 def transpose(gather):
@@ -129,76 +115,40 @@ def transpose(gather):
     return act, pref, None, src
 
 
-def _build_gather(space, tb, ops):
-    weights = _fermion_weights if space.statistics == FERMION else _boson_weights
-    pref, mask, net = weights(tb, ops)
-    act = np.flatnonzero(mask)
-    src, pref = _source_rows(space, tb, act, net), pref[act]
+def _build_gather(space, tb, k, q):
+    """E_kq's gather from its closed-form weights on the output rows (module docstring)."""
+    n_k, n_q = tb.occ[:, k - 1], tb.occ[:, q - 1]
+    if space.statistics == FERMION:
+        act = np.flatnonzero((n_k == 1) & ((n_q == 0) | (k == q)))
+        parity = (tb.prefix[act, k - 1] + tb.prefix[act, q - 1] - (k < q)) & 1
+        pref = np.where(parity.astype(bool), -1.0, 1.0)
+    else:
+        act = np.flatnonzero(n_k >= 1)
+        # one exact integer product, one rounding: k = q gives sqrt(n_k^2) = n_k exactly
+        pref = np.sqrt((n_k[act] * (n_q[act] + (k != q))).astype(np.float64))
+    src = _source_rows(space, tb, act, k, q)
     for arr in (src, pref, act):
         arr.flags.writeable = False
     return src, pref, None, act
 
 
-def _fermion_weights(tb, ops):
-    """(prefactor, mask, net occupation change from output to source) of a term on every row."""
-    occ, prefix = tb.occ, tb.prefix
-    r = occ.shape[0]
-    mask = np.ones(r, dtype=bool)
-    expo = np.zeros(r, dtype=np.int64)
-    flips: dict[int, int] = {}
-    for kind, p in reversed(ops):
-        corr = sum(f for c, f in flips.items() if c < p)
-        cur = occ[:, p - 1] + flips.get(p, 0)
-        if kind == "c":
-            mask &= cur == 1
-            flips[p] = flips.get(p, 0) - 1
-        else:
-            mask &= cur == 0
-            flips[p] = flips.get(p, 0) + 1
-        # phase of the forward step is the occupancy below p at that moment
-        expo += prefix[:, p - 1] + corr
-    return np.where((expo & 1).astype(bool), -1.0, 1.0), mask, flips
-
-
-def _boson_weights(tb, ops):
-    """(prefactor, mask, net occupation change from output to source) of a term on every row."""
-    occ = tb.occ
-    r = occ.shape[0]
-    mask = np.ones(r, dtype=bool)
-    # exact integer product of the sqrt arguments; one rounding at the end
-    # keeps diagonal weights like n_k (n_k - 1) exact
-    prod = np.ones(r, dtype=np.int64)
-    deltas: dict[int, int] = {}
-    for kind, p in reversed(ops):
-        cur = occ[:, p - 1] + deltas.get(p, 0)
-        if kind == "c":
-            mask &= cur >= 1
-            prod *= np.maximum(cur, 0)
-            deltas[p] = deltas.get(p, 0) - 1
-        else:
-            prod *= np.maximum(cur + 1, 0)
-            deltas[p] = deltas.get(p, 0) + 1
-    return np.sqrt(prod.astype(np.float64)), mask, deltas
-
-
-def _source_rows(space, tb, act, net):
-    """0-based addresses of the sources of the output rows ``act``, whose occupations differ by ``net``.
+def _source_rows(space, tb, act, k, q):
+    """0-based addresses of the sources of the output rows ``act`` under E_kq: one particle fewer in k, one more in q.
 
     J - 1 is a sum of rank terms T(p, R, v) = C[p-1, R - v] - F[p-1, R] over
     orbitals (:func:`fockspace.occupation_table`); source and output share
-    every term outside the orbitals lo..hi between the lowest and the highest
-    changed one, the last orbital has none, and F cancels where the source
-    holds as many particles in orbitals p..M as the output.
+    every term outside the orbitals lo..hi from min(k, q) to max(k, q), the
+    last orbital has none, and F cancels where the source holds as many
+    particles in orbitals p..M as the output.
     """
+    if k == q:
+        return act
     src = act.copy()
-    moved = sorted(p for p, d in net.items() if d)
-    if not moved:
-        return src
-    lo, hi = moved[0], min(moved[-1], space.m - 1)
+    lo, hi = min(k, q), min(max(k, q), space.m - 1)
     remaining = space.n - tb.prefix[act, lo - 1]  # particles the output holds in orbitals p..M
     shift = 0  # particles the source holds beyond the output in orbitals lo..p-1
     for p, occupied in zip(range(lo, hi + 1), tb.occ[act, lo - 1:hi].T):
-        d = net.get(p, 0)
+        d = int(p == q) - int(p == k)  # the source's occupation of p less the output's
         rest = remaining - occupied
         if shift or d:
             counts = tb.rank_counts[p - 1]
@@ -229,25 +179,26 @@ def sweep(gather, axis: int, amps: np.ndarray, out: np.ndarray, lo: int, hi: int
         out[:, act] += (coeff * pref) * amps[lo:hi, src]
 
 
-def apply_term_ops(space: SpaceDescriptor, ops: Ops, amps: np.ndarray, axis: int = -1) -> np.ndarray:
-    """The term acting on ``amps`` along ``axis``, as a new complex array."""
+def apply_pair(space: SpaceDescriptor, k: int, q: int, amps: np.ndarray, axis: int = -1) -> np.ndarray:
+    """E_kq = b†_k b_q (orbitals of ``space``, 1-based) acting on ``amps`` along ``axis``, as a new complex array."""
+    _check_orbitals(space, (k, q))
     out = np.zeros_like(amps, dtype=np.complex128)
-    sweep(term_gather(space, ops), axis % amps.ndim, amps, out, 0, amps.shape[0])
+    sweep(term_gather(space, k, q), axis % amps.ndim, amps, out, 0, amps.shape[0])
     return out
 
 
 def apply_one_body_term(k: int, q: int, psi: StateVector) -> StateVector:
     """|Psi^{kq}> = b†_k b_q |Psi>; k = q gives the number-operator weighting."""
-    _check_orbitals(psi.space, (k, q))
-    out = apply_term_ops(psi.space, one_body_ops(k, q), psi.amplitudes)
-    return StateVector(psi.space, out)
+    return StateVector(psi.space, apply_pair(psi.space, k, q, psi.amplitudes))
 
 
 def apply_two_body_term(k: int, s: int, l: int, q: int, psi: StateVector) -> StateVector:
-    """b†_k b†_s b_l b_q |Psi> for any index pattern, coincidences included."""
-    _check_orbitals(psi.space, (k, s, l, q))
-    out = apply_term_ops(psi.space, two_body_ops(k, s, l, q), psi.amplitudes)
-    return StateVector(psi.space, out)
+    """b†_k b†_s b_l b_q |Psi> = E_kq E_sl |Psi> - δ_qs E_kl |Psi>, for any index pattern."""
+    space, amps = psi.space, psi.amplitudes
+    out = apply_pair(space, k, q, apply_pair(space, s, l, amps))
+    if q == s:
+        out -= apply_pair(space, k, l, amps)
+    return StateVector(space, out)
 
 
 # -- row blocks --------------------------------------------------------------
@@ -279,16 +230,13 @@ def run_row_blocks(run_block: Callable[[int, int], None], n_rows: int,
             run_block(lo, hi)
 
 
-def hamiltonian_terms(spec) -> list[tuple[Ops, complex]]:
-    """Canonical term list: one-body row-major, then two-body in storage order.
+def hamiltonian_terms(spec) -> list[tuple[tuple[int, ...], complex]]:
+    """Canonical term list: one-body ((k, q), h_kq) row-major, then two-body ((k, s, l, q), W_kslq / 2) in storage order.
 
-    Two-body coefficients already carry the global 1/2.
+    ``(k, s, l, q)`` names b†_k b†_s b_l b_q; the coefficients already carry the global 1/2.
     """
-    terms: list[tuple[Ops, complex]] = []
-    for k, q, v in spec.one_body.entries(SKIP_THRESHOLD):
-        terms.append((one_body_ops(k, q), v))
-    for k, s, q, l, v in spec.two_body.entries(SKIP_THRESHOLD):
-        terms.append((two_body_ops(k, s, l, q), 0.5 * v))
+    terms = [((k, q), v) for k, q, v in spec.one_body.entries(SKIP_THRESHOLD)]
+    terms += [((k, s, l, q), 0.5 * v) for k, s, q, l, v in spec.two_body.entries(SKIP_THRESHOLD)]
     return terms
 
 
@@ -298,14 +246,15 @@ def hamiltonian_terms(spec) -> list[tuple[Ops, complex]]:
 def pair_gathers(space: SpaceDescriptor, pairs) -> list:
     """Gathers of E_kq = b†_k b_q for flat 0-based pairs k * M + q.
 
-    The space's pool keeps those with k <= q; E_kq for k > q is the kept
-    E_qk's :func:`transpose`, a view that copies nothing.
+    The space's pool keeps those with k <= q, under the 1-based key (k, q);
+    E_kq for k > q is the kept E_qk's :func:`transpose`, a view that copies
+    nothing.
     """
     tb = space.tables()
     gathers = []
     for k, q in (divmod(int(p), space.m) for p in pairs):
-        ops = one_body_ops(min(k, q) + 1, max(k, q) + 1)
-        gather = tb.cached_gather(ops, lambda ops=ops: _build_gather(space, tb, ops))
+        lo, hi = min(k, q) + 1, max(k, q) + 1
+        gather = tb.cached_gather((lo, hi), lambda: _build_gather(space, tb, lo, hi))
         gathers.append(gather if k <= q else transpose(gather))
     return gathers
 

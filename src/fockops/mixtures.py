@@ -200,31 +200,34 @@ def mixture_dot(u: MixtureStateVector, v: MixtureStateVector) -> complex:
 # -- term application --------------------------------------------------------
 
 
-def _species_term(psi: MixtureStateVector, side: str, ops, mat=None) -> np.ndarray:
-    """A term of species ``side`` ("A" acts along axis 0, "B" along axis 1) on the amplitude matrix."""
+def _species_pair(psi: MixtureStateVector, side: str, k: int, q: int, mat=None) -> np.ndarray:
+    """E_kq of species ``side`` ("A" acts along axis 0, "B" along axis 1) on the amplitude matrix."""
     space, axis = (psi.mspace.space_a, 0) if side == "A" else (psi.mspace.space_b, 1)
-    return kernel.apply_term_ops(space, ops, psi.as_matrix() if mat is None else mat, axis=axis)
+    return kernel.apply_pair(space, k, q, psi.as_matrix() if mat is None else mat, axis=axis)
 
 
 def apply_one_body_term_a(k: int, q: int, psi: MixtureStateVector) -> MixtureStateVector:
-    return MixtureStateVector(psi.mspace, _species_term(psi, "A", kernel.one_body_ops(k, q)).ravel())
+    """a†_k a_q |Psi>; orbitals outside [1, M_A] raise :class:`FockError`."""
+    return MixtureStateVector(psi.mspace, _species_pair(psi, "A", k, q).ravel())
 
 
 def apply_inter_term(k: int, q: int, kp: int, qp: int, psi: MixtureStateVector) -> MixtureStateVector:
-    """a†_k a_q b†_{k'} b_{q'} |Psi>."""
-    mat = _species_term(psi, "B", kernel.one_body_ops(kp, qp))
-    return MixtureStateVector(psi.mspace, _species_term(psi, "A", kernel.one_body_ops(k, q), mat).ravel())
+    """a†_k a_q b†_{k'} b_{q'} |Psi>; k, q outside [1, M_A] or k', q' outside [1, M_B] raise :class:`FockError`."""
+    mat = _species_pair(psi, "B", kp, qp)
+    return MixtureStateVector(psi.mspace, _species_pair(psi, "A", k, q, mat).ravel())
 
 
 def mixture_terms(mspec: MixtureHamiltonianSpec):
-    """Canonical term list: A one-/two-body, B one-/two-body, then inter-species."""
-    terms = []
-    for ops, coeff in kernel.hamiltonian_terms(mspec.spec_a):
-        terms.append(("A", ops, None, coeff))
-    for ops, coeff in kernel.hamiltonian_terms(mspec.spec_b):
-        terms.append(("B", ops, None, coeff))
+    """Canonical term list: A one-/two-body, B one-/two-body, then inter-species.
+
+    Entries are (side, orbitals, orbitals of B or None, coefficient), with
+    the orbitals of :func:`kernel.hamiltonian_terms`; an inter-species term
+    is ("X", (k, q), (k', q'), W^{AB}_{kqk'q'}).
+    """
+    terms = [("A", orbitals, None, coeff) for orbitals, coeff in kernel.hamiltonian_terms(mspec.spec_a)]
+    terms += [("B", orbitals, None, coeff) for orbitals, coeff in kernel.hamiltonian_terms(mspec.spec_b)]
     for k, q, kp, qp, v in mspec.inter.entries(kernel.SKIP_THRESHOLD):
-        terms.append(("X", kernel.one_body_ops(k, q), kernel.one_body_ops(kp, qp), v))
+        terms.append(("X", (k, q), (kp, qp), v))
     return terms
 
 

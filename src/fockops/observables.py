@@ -30,13 +30,6 @@ def _warn_if_unnormalized(psi) -> None:
         warnings.warn(f"state norm {nrm:.3e} differs from 1; densities scale with it")
 
 
-def _pair_images(space, mat: np.ndarray, axis: int):
-    """phi_kq = E_kq psi along ``axis`` of the amplitude matrix, for every pair, row-major."""
-    for k in range(1, space.m + 1):
-        for q in range(1, space.m + 1):
-            yield kernel.apply_term_ops(space, kernel.one_body_ops(k, q), mat, axis=axis)
-
-
 def _occupations(space, mat: np.ndarray, axis: int) -> np.ndarray:
     """<n_k> of the species along ``axis`` of the amplitude vector or matrix, from the configuration table."""
     weights = np.abs(mat) ** 2
@@ -50,7 +43,7 @@ def _one_body(space, mat: np.ndarray, axis: int) -> np.ndarray:
     upper = np.zeros((space.m, space.m), dtype=np.complex128)
     shape = [1] * mat.ndim
     for k, q in zip(*np.triu_indices(space.m, 1)):
-        src, pref, _, act = kernel.term_gather(space, kernel.one_body_ops(k + 1, q + 1))
+        src, pref, _, act = kernel.term_gather(space, k + 1, q + 1)
         shape[axis] = act.size
         upper[k, q] = np.vdot(mat.take(act, axis), pref.reshape(shape) * mat.take(src, axis))
     return np.diag(_occupations(space, mat, axis)) + upper + upper.conj().T
@@ -66,14 +59,21 @@ def two_body_density(psi: StateVector) -> np.ndarray:
     """rho2[k-1, s-1, l-1, q-1] = <Psi| b†_k b†_s b_l b_q |Psi> (M^4 complex).
 
     b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl, so
-    rho2[k, s, l, q] = <E_qk Psi|E_sl Psi> - δ_qs rho[k, l]: one Gram product
-    of the M^2 images phi_kq = E_kq Psi.
+    rho2[k, s, l, q] = <E_qk Psi|E_sl Psi> - δ_qs rho[k, l]: the Gram matrix
+    of the M^2 images phi_kq = E_kq Psi, which are swept into one array and
+    held once; the Gram product conjugates M of them at a time.
     """
     _warn_if_unnormalized(psi)
-    m = psi.space.m
-    phi = np.array(list(_pair_images(psi.space, psi.amplitudes, 0)))
-    rho = (phi @ psi.amplitudes.conj()).reshape(m, m)
-    gram = (phi.conj() @ phi.T).reshape(m, m, m, m)  # [q, k, s, l] = <E_qk Psi|E_sl Psi>
+    space, amps = psi.space, psi.amplitudes
+    m, n_conf = space.m, space.n_conf
+    phi = np.zeros((m * m, n_conf), dtype=np.complex128)  # row (k-1) * M + q-1 holds E_kq Psi
+    for (k, q), image in zip(np.ndindex(m, m), phi):
+        kernel.sweep(kernel.term_gather(space, k + 1, q + 1), 0, amps, image, 0, n_conf)
+    rho = (phi @ amps.conj()).reshape(m, m)
+    gram = np.empty((m * m, m * m), dtype=np.complex128)
+    for lo in range(0, m * m, m):  # M conjugated images at a time, so the images are held once
+        np.matmul(phi[lo:lo + m].conj(), phi.T, out=gram[lo:lo + m])
+    gram = gram.reshape(m, m, m, m)  # [q, k, s, l] = <E_qk Psi|E_sl Psi>
     return np.transpose(gram, (1, 2, 3, 0)) - np.einsum("kl,sq->kslq", rho, np.eye(m))
 
 

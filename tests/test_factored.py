@@ -1,4 +1,6 @@
-"""The factored H|psi> against the dense oracle, and the elementary-step gather against the occupation algebra."""
+"""The factored H|psi> against the dense oracle, and the pair gathers against the occupation algebra."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fockops import (
     apply_mixture_hamiltonian,
     apply_one_body_term,
     apply_two_body_term,
+    basis_state,
     build_bose_hubbard,
     build_dense,
     ground_state,
@@ -91,14 +94,15 @@ def _assert_matches(got, mat, amps):
 @given(spaces(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_balanced_strings_match_occupation_algebra(space, data):
-    """Any balanced string through the elementary-step gather equals the oracle's forward algebra."""
-    length = data.draw(st.integers(1, 3))
+    """A product of 1-3 pairs E_kq applied one by one equals the oracle's forward algebra on the whole string."""
     sites = st.integers(1, space.m)
-    ops = [("a", data.draw(sites)) for _ in range(length)] + [("c", data.draw(sites)) for _ in range(length)]
-    ops = tuple(data.draw(st.permutations(ops)))
+    pairs = data.draw(st.lists(st.tuples(sites, sites), min_size=1, max_size=3))  # in application order
     psi = random_state(space, seed=data.draw(st.integers(0, 100)))
-    got = kernel.apply_term_ops(space, ops, psi.amplitudes)
-    _assert_matches(got, build_dense(ops, space), psi.amplitudes)
+    got = psi
+    for k, q in pairs:
+        got = apply_one_body_term(k, q, got)
+    ops = tuple(op for k, q in pairs for op in (("a", q), ("c", k)))
+    _assert_matches(got.amplitudes, build_dense(ops, space), psi.amplitudes)
 
 
 def _species_spaces():
@@ -110,7 +114,7 @@ def _species_spaces():
 
 @pytest.mark.parametrize("space", _species_spaces(), ids=str)
 def test_gathers_equal_the_forward_algebra(space):
-    """act, src and pref of every one-body gather and of sampled two-body gathers, exactly.
+    """act, src and pref of every pair gather E_kq, exactly.
 
     The reference applies each term forward to every configuration with the
     oracle's occupation algebra and labels the result through unrank; a
@@ -119,10 +123,8 @@ def test_gathers_equal_the_forward_algebra(space):
     m = space.m
     configs = [space.occupations_at(j) for j in range(1, space.n_conf + 1)]
     row_of = {occ: row for row, occ in enumerate(configs)}
-    rng = np.random.default_rng(14)
-    terms = [kernel.one_body_ops(k, q) for k in range(1, m + 1) for q in range(1, m + 1)]
-    terms += [kernel.two_body_ops(*map(int, rng.integers(1, m + 1, size=4))) for _ in range(60)]
-    for ops in terms:
+    for k, q in itertools.product(range(1, m + 1), repeat=2):
+        ops = (("a", q), ("c", k))
         ref = {}
         for row, occ in enumerate(configs):
             hit = oracle.apply_ops_to_occupations(space.statistics, occ, ops)
@@ -132,11 +134,22 @@ def test_gathers_equal_the_forward_algebra(space):
                     coeff = np.sqrt(float(round(coeff ** 2)))
                 ref[row_of[tuple(tgt)]] = (row, coeff)
         act = sorted(ref)
-        src, pref, empty, got_act = kernel.term_gather(space, ops)
+        src, pref, empty, got_act = kernel.term_gather(space, k, q)
         np.testing.assert_array_equal(got_act, act)
         assert empty is None
         np.testing.assert_array_equal(src, [ref[row][0] for row in act])
         np.testing.assert_array_equal(pref, [ref[row][1] for row in act])
+
+
+@pytest.mark.parametrize("space", [SpaceDescriptor.fermion(2, 4), SpaceDescriptor.fermion(3, 5),
+                                   SpaceDescriptor.boson(2, 3), SpaceDescriptor.boson(3, 3)], ids=str)
+def test_two_body_term_matches_the_oracle_on_every_quadruple(space):
+    """b†_k b†_s b_l b_q as E_kq E_sl - δ_qs E_kl equals the oracle's matrix on all M^4 (k, s, l, q), coincidences included."""
+    columns = [basis_state(space, j) for j in range(1, space.n_conf + 1)]
+    for k, s, l, q in itertools.product(range(1, space.m + 1), repeat=4):
+        got = np.column_stack([apply_two_body_term(k, s, l, q, psi).amplitudes for psi in columns])
+        ref = build_dense((("a", q), ("a", l), ("c", s), ("c", k)), space)
+        assert np.abs(got - ref).max() <= TOL, (k, s, l, q)
 
 
 @given(spaces())
@@ -146,8 +159,8 @@ def test_transposed_pair_gather_is_the_built_one(space):
     tb = space.tables()
     for k in range(1, space.m + 1):
         for q in range(k + 1, space.m + 1):
-            forward = kernel._build_gather(space, tb, kernel.one_body_ops(k, q))
-            backward = kernel._build_gather(space, tb, kernel.one_body_ops(q, k))
+            forward = kernel._build_gather(space, tb, k, q)
+            backward = kernel._build_gather(space, tb, q, k)
             for src in (forward[0], backward[0]):
                 assert np.all(np.diff(src) > 0)
             for got, ref in ((kernel.transpose(forward), backward), (kernel.transpose(backward), forward)):
@@ -206,13 +219,13 @@ def test_skip_threshold_drops_stored_entries_before_folding(space, data):
 
 
 def _count_builds(monkeypatch) -> list:
-    """(space, ops) of every gather built from here on."""
+    """(space, (k, q)) of every gather built from here on."""
     built = []
     build = kernel._build_gather
 
-    def counting(space, tb, ops):
-        built.append((space, ops))
-        return build(space, tb, ops)
+    def counting(space, tb, k, q):
+        built.append((space, (k, q)))
+        return build(space, tb, k, q)
 
     monkeypatch.setattr(kernel, "_build_gather", counting)
     return built
@@ -269,7 +282,7 @@ class TestRowBlocks:
         parallel_apply(spec, psi, workers=2)
         assert n_rows >= 4 * max(1, kernel.BLOCK_AMPLITUDES // width)  # four row blocks or more
         assert len(built) == len(set(built)) <= n_pairs
-        assert all(len(ops) == 2 for _, ops in built)
+        assert all(k <= q for _, (k, q) in built)
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     @pytest.mark.parametrize("space", [suite_single_spaces()[0], suite_mixture_spaces()[2]], ids=str)
@@ -306,8 +319,8 @@ class TestRowBlocks:
 def _built_pair_gathers(space, pairs) -> list:
     """Every pair gather built and kept under its own key, k > q included, as before the transposed pool."""
     tb = space.tables()
-    ops = [kernel.one_body_ops(p // space.m + 1, p % space.m + 1) for p in pairs]
-    return [tb.cached_gather(o, lambda o=o: kernel._build_gather(space, tb, o)) for o in ops]
+    keys = [(p // space.m + 1, p % space.m + 1) for p in pairs]
+    return [tb.cached_gather(key, lambda key=key: kernel._build_gather(space, tb, *key)) for key in keys]
 
 
 class TestTransposedPool:
@@ -342,7 +355,7 @@ class TestTransposedPool:
         """A dense H keeps E_kq for k <= q only; densities and single terms on it then build nothing."""
         kernel.prepare(random_hermitian_spec(space, seed=17))
         m, pool = space.m, space.tables()._gather_cache
-        assert set(pool) == {kernel.one_body_ops(k, q) for k in range(1, m + 1) for q in range(k, m + 1)}
+        assert set(pool) == {(k, q) for k in range(1, m + 1) for q in range(k, m + 1)}
         assert len(pool) == m * (m + 1) // 2
         built = _count_builds(monkeypatch)
         psi = random_state(space, seed=18)
@@ -357,7 +370,7 @@ class TestTransposedPool:
         kernel.prepare(spec)
         built = _count_builds(monkeypatch)
         one_body_density(random_state(spec.space, seed=19))
-        assert sorted(ops for _, ops in built) == [kernel.one_body_ops(k, q) for k, q in ((1, 3), (1, 4), (2, 4))]
+        assert sorted(pair for _, pair in built) == [(1, 3), (1, 4), (2, 4)]
 
 
 def test_prepared_operator_rejects_a_state_of_another_space():
@@ -402,7 +415,7 @@ class TestGatherPool:
         assert pool == {}
         psi = ground_state(spec, seed=1).state
         assert psi.space.tables() is space.tables()
-        pairs = {kernel.one_body_ops(k, q) for k in range(1, space.m + 1) for q in range(1, space.m + 1)}
+        pairs = set(itertools.product(range(1, space.m + 1), repeat=2))
         assert pool and pool.keys() <= pairs
         keys = set(pool)
         one_body_density(psi)

@@ -7,6 +7,7 @@ import pytest
 
 from fockops import (
     AddressError,
+    FockError,
     MixtureSpace,
     SpaceDescriptor,
     apply_hamiltonian,
@@ -26,7 +27,7 @@ from fockops import (
     product_state,
     save_mixture_state,
 )
-from fockops.mixtures import MixtureStateVector
+from fockops.mixtures import MixtureStateVector, apply_one_body_term_a
 from conftest import random_hermitian_spec, random_mixture_spec, suite_mixture_spaces
 
 
@@ -201,6 +202,38 @@ class TestFullMixtureHamiltonian:
         assert abs(lhs - rhs) <= 1e-12
 
 
+class TestOrbitalChecks:
+    """Each helper checks a species' orbitals against that species' M (3 for A, 4 for B), as apply_one_body_term does."""
+
+    mspace = MixtureSpace(SpaceDescriptor.boson(2, 3), SpaceDescriptor.fermion(1, 4))
+
+    @staticmethod
+    def _orbitals(slot, bad, m_of_slot):
+        m = m_of_slot[slot]
+        value = {"zero": 0, "past": m + 1, "negative": -1}[bad]
+        orbitals = [1, 2, 1, 2][:len(m_of_slot)]
+        orbitals[slot] = value
+        return orbitals, rf"orbital {value} outside \[1, {m}\]"
+
+    @pytest.mark.parametrize("bad", ["zero", "past", "negative"])
+    @pytest.mark.parametrize("slot", range(2))
+    def test_one_body_term_a(self, slot, bad):
+        psi = mixture_random_state(self.mspace, seed=1)
+        orbitals, message = self._orbitals(slot, bad, (3, 3))
+        with pytest.raises(FockError, match=message):
+            apply_one_body_term_a(*orbitals, psi)
+        assert apply_one_body_term_a(3, 1, psi).norm() > 0
+
+    @pytest.mark.parametrize("bad", ["zero", "past", "negative"])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_inter_term(self, slot, bad):
+        psi = mixture_random_state(self.mspace, seed=2)
+        orbitals, message = self._orbitals(slot, bad, (3, 3, 4, 4))
+        with pytest.raises(FockError, match=message):
+            apply_inter_term(*orbitals, psi)
+        assert apply_inter_term(3, 1, 4, 1, psi).norm() > 0
+
+
 class TestTensorConsistency:
     def test_intra_application_factorizes_exactly(self):
         """Closed-form check over every basis product in a Fermi-Fermi space."""
@@ -211,7 +244,6 @@ class TestTensorConsistency:
             v = basis_state(sb, j_b)
             psi = product_state(u, v, mspace)
             from fockops import apply_one_body_term
-            from fockops.mixtures import apply_one_body_term_a
 
             got = apply_one_body_term_a(1, 2, psi)
             ref = product_state(apply_one_body_term(1, 2, u), v, mspace)

@@ -1,6 +1,7 @@
 """Density matrices, expectation values, and their structural laws."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ class TestMixtureDensities:
 
 def _full_one_body(space, mat, axis):
     """rho from all M^2 images E_kq psi, one vdot each, as the one-body density was once formed."""
-    return np.array([[np.vdot(mat, kernel.apply_term_ops(space, kernel.one_body_ops(k, q), mat, axis=axis))
+    return np.array([[np.vdot(mat, kernel.apply_pair(space, k, q, mat, axis=axis))
                       for q in range(1, space.m + 1)] for k in range(1, space.m + 1)])
 
 
@@ -279,3 +280,22 @@ def test_unnormalized_state_warns():
     psi.amplitudes *= 2.0
     with pytest.warns(UserWarning):
         one_body_density(psi)
+
+
+def test_rho2_holds_the_pair_images_once():
+    """boson(6,6): the M^2 images take 266 kB, and two_body_density peaks below 1.6 times that.
+
+    A second full copy of the images, as a list of images or as their
+    conjugate, would take the peak past twice their size.
+    """
+    space = SpaceDescriptor.boson(6, 6)
+    psi = random_state(space, seed=23)
+    space.tables()
+    images = space.m ** 2 * space.n_conf * 16
+    tracemalloc.start()
+    try:
+        two_body_density(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * images
