@@ -19,14 +19,20 @@ from .combinadics import BOSON, FERMION
 from .errors import FockError, IntegralFormatError, ValidationError
 from .fockspace import MAX_SPACE_TABLE, SpaceDescriptor, header_space
 
-DENSE_TWO_BODY_LIMIT = 32  # orbitals; above this W is kept as a coordinate list
 HERMITICITY_TOL = 1e-12
 
 
 def require_finite(values, what: str) -> None:
     """Raise ValidationError unless every coefficient in ``values`` is finite."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValidationError(f"{what} table has a non-finite coefficient")
+
+
+def _check_orbitals(m: int, orbitals) -> None:
+    """Raise ValidationError unless every 1-based orbital index lies in [1, m]."""
+    for p in orbitals:
+        if not 1 <= p <= m:
+            raise ValidationError(f"orbital index {p} outside [1, {m}]")
 
 
 class OneBodyTable:
@@ -46,6 +52,7 @@ class OneBodyTable:
         return self.matrix.shape[0]
 
     def get(self, k: int, q: int) -> complex:
+        _check_orbitals(self.m, (k, q))
         return complex(self.matrix[k - 1, q - 1])
 
     def kept(self, threshold: float = 0.0) -> np.ndarray:
@@ -60,93 +67,65 @@ class OneBodyTable:
 
 
 class TwoBodyTable:
-    """M^4 complex tensor of two-body coefficients W_ksql.
+    """M^4 complex tensor of two-body coefficients W_ksql, kept as its nonzero entries.
 
-    Stored dense up to M = 32 orbitals; larger tables hold a coordinate
-    list of nonzero entries sorted in storage order.
+    ``indices`` is an (n, 4) array of 0-based coordinates (k, s, q, l) in
+    storage (C) order, each at most once, and ``values`` their n nonzero
+    coefficients; every constructor sets this up, so no M^4 array is formed.
     """
 
-    __slots__ = ("m", "dense", "indices", "values")
+    __slots__ = ("m", "indices", "values")
 
-    def __init__(self, m: int, dense=None, indices=None, values=None):
-        for arr in (dense, values):
-            if arr is not None:
-                require_finite(arr, "two-body")
+    def __init__(self, m: int, indices, values):
+        """Check (n, 4) ``indices`` (0-based) and n ``values``, then merge and sort them.
+
+        Repeated coordinates are summed in the order given; zero sums are dropped.
+        """
         self.m = int(m)
-        self.dense = dense
-        self.indices = indices
-        self.values = values
+        indices = np.asarray(indices, dtype=np.int64)
+        values = np.asarray(values, dtype=np.complex128)
+        if indices.ndim != 2 or indices.shape[1] != 4 or values.shape != indices.shape[:1]:
+            raise ValidationError(f"two-body coordinates must be (n, 4) with n values, "
+                                  f"got {indices.shape} and {values.shape}")
+        bad = (indices < 0) | (indices >= self.m)
+        if bad.any():
+            _check_orbitals(self.m, indices[bad][:1] + 1)  # the first bad one, 1-based
+        order = np.lexsort(indices.T[::-1])  # stable, so repeats keep the order given
+        indices = indices[order]
+        first = np.ones(len(indices), dtype=bool)
+        first[1:] = (indices[1:] != indices[:-1]).any(axis=1)
+        summed = np.zeros(np.count_nonzero(first), dtype=np.complex128)
+        np.add.at(summed, first.cumsum() - 1, values[order])
+        require_finite(summed, "two-body")  # a sum keeps any nan or inf
+        nonzero = summed != 0
+        self.indices, self.values = indices[first][nonzero], summed[nonzero]
 
     @classmethod
     def from_dense(cls, tensor) -> "TwoBodyTable":
         tensor = np.asarray(tensor, dtype=np.complex128)
         if tensor.ndim != 4 or len(set(tensor.shape)) != 1:
             raise ValidationError(f"two-body table must be M^4, got {tensor.shape}")
-        return cls(tensor.shape[0], dense=tensor)
+        return cls(tensor.shape[0], np.argwhere(tensor), tensor[tensor != 0])
 
     @classmethod
     def zeros(cls, m: int) -> "TwoBodyTable":
-        if m <= DENSE_TWO_BODY_LIMIT:
-            return cls(m, dense=np.zeros((m, m, m, m), dtype=np.complex128))
-        return cls(
-            m,
-            indices=np.empty((0, 4), dtype=np.int64),
-            values=np.empty(0, dtype=np.complex128),
-        )
+        return cls(m, np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.complex128))
 
     @classmethod
     def from_entries(cls, m: int, entries: Sequence[tuple[int, int, int, int, complex]]) -> "TwoBodyTable":
-        """Build from 1-based (k, s, q, l, value) items; duplicates accumulate."""
-        tab = cls.zeros(m)
-        if tab.dense is not None:
-            for k, s, q, l, v in entries:
-                tab._check(k, s, q, l)
-                tab.dense[k - 1, s - 1, q - 1, l - 1] += v
-            require_finite(tab.dense, "two-body")  # a sum keeps any nan or inf
-            return tab
-        acc: dict[tuple, complex] = {}
-        for k, s, q, l, v in entries:
-            tab._check(k, s, q, l)
-            key = (k - 1, s - 1, q - 1, l - 1)
-            acc[key] = acc.get(key, 0.0) + v
-        keys = sorted(acc)
-        tab.indices = np.array(keys, dtype=np.int64).reshape(len(keys), 4)
-        tab.values = np.array([acc[k] for k in keys], dtype=np.complex128)
-        require_finite(tab.values, "two-body")
-        return tab
-
-    def _check(self, k, s, q, l):
-        for idx in (k, s, q, l):
-            if not 1 <= idx <= self.m:
-                raise ValidationError(f"orbital index {idx} outside [1, {self.m}]")
+        """Build from 1-based (k, s, q, l, value) items; duplicates accumulate in the order given."""
+        entries = list(entries)
+        indices = np.array([e[:4] for e in entries], dtype=np.int64).reshape(-1, 4) - 1
+        return cls(m, indices, np.array([e[4] for e in entries], dtype=np.complex128))
 
     def get(self, k: int, s: int, q: int, l: int) -> complex:
-        if self.dense is not None:
-            return complex(self.dense[k - 1, s - 1, q - 1, l - 1])
-        key = np.array([k - 1, s - 1, q - 1, l - 1])
-        hits = np.all(self.indices == key, axis=1).nonzero()[0]
-        return complex(self.values[hits[0]]) if hits.size else 0.0
-
-    def set(self, k: int, s: int, q: int, l: int, value: complex) -> None:
-        if self.dense is None:
-            raise ValidationError("sparse two-body tables are immutable; rebuild via from_entries")
-        self._check(k, s, q, l)
-        require_finite(value, "two-body")
-        self.dense[k - 1, s - 1, q - 1, l - 1] = value
+        _check_orbitals(self.m, (k, s, q, l))
+        hits = np.all(self.indices == (k - 1, s - 1, q - 1, l - 1), axis=1).nonzero()[0]
+        return complex(self.values[hits[0]]) if hits.size else 0j
 
     def kept(self, threshold: float = 0.0):
-        """0-based index arrays (k, s, q, l) and values of the nonzero entries with |value| >= threshold.
-
-        Entries come in storage order.  No M^4 temporary is built: the
-        threshold is applied to the nonzero entries only.
-        """
-        if self.dense is not None:
-            flat_dense = self.dense.ravel()
-            flat = np.flatnonzero(flat_dense)
-            values = flat_dense[flat]
-            keep = np.abs(values) >= threshold
-            return np.unravel_index(flat[keep], self.dense.shape), values[keep]
-        keep = (self.values != 0) & (np.abs(self.values) >= threshold)
+        """0-based index arrays (k, s, q, l) and values of the entries with |value| >= threshold, in storage order."""
+        keep = np.abs(self.values) >= threshold
         return tuple(self.indices[keep].T), self.values[keep]
 
     def entries(self, threshold: float = 0.0) -> Iterator[tuple[int, int, int, int, complex]]:
@@ -156,11 +135,8 @@ class TwoBodyTable:
             yield int(k0) + 1, int(s0) + 1, int(q0) + 1, int(l0) + 1, complex(v)
 
     def to_dense(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
         out = np.zeros((self.m,) * 4, dtype=np.complex128)
-        idx, values = self.kept()
-        out[idx] = values
+        out[tuple(self.indices.T)] = self.values
         return out
 
 
@@ -208,19 +184,19 @@ def validate(spec: HamiltonianSpec, tol: float = HERMITICITY_TOL) -> ValidationR
     """Report hermiticity of h and self-adjointness of the two-body sum.
 
     The two-body condition under the locked pairing is
-    W[k, s, q, l] = conj(W[q, l, k, s]); coordinate-list tables are checked
+    W[k, s, q, l] = conj(W[q, l, k, s]), checked on W's stored entries
     without forming the dense tensor.
     """
     h = spec.one_body.matrix
     max1, worst1 = largest_deviation(np.abs(h - h.conj().T).ravel(), np.indices(h.shape).reshape(2, -1))
     # each stored entry against conj of its partner, looked up among the stored
-    # coordinates; an absent partner deviates as much as the entry that names it
+    # coordinates, which are sorted; an absent partner deviates as much as the
+    # entry that names it
     w = spec.two_body
     (k, s, q, l), v = w.kept()
     key = np.ravel_multi_index((k, s, q, l), (w.m,) * 4)
     partner = np.ravel_multi_index((q, l, k, s), (w.m,) * 4)
-    order = np.argsort(key)
-    at = order[np.searchsorted(key, partner, sorter=order).clip(max=key.size - 1)]
+    at = np.searchsorted(key, partner).clip(max=key.size - 1)
     mirror = np.where(key[at] == partner, v[at], 0)
     max2, worst2 = largest_deviation(np.abs(v - np.conj(mirror)), (k, s, q, l))
     return ValidationReport(
@@ -235,9 +211,10 @@ def validate(spec: HamiltonianSpec, tol: float = HERMITICITY_TOL) -> ValidationR
 
 
 def symmetrize_two_body(table: TwoBodyTable) -> TwoBodyTable:
-    """Return the self-adjoint part (W + conj(W^T-pairing)) / 2 (on request only)."""
-    w = table.to_dense()
-    return TwoBodyTable.from_dense(0.5 * (w + np.conj(np.transpose(w, (2, 3, 0, 1)))))
+    """Return the self-adjoint part (W + conj(W^T-pairing)) / 2 (on request only), formed on W's entries."""
+    (k, s, q, l), v = table.kept()
+    indices = np.concatenate([np.stack([k, s, q, l], 1), np.stack([q, l, k, s], 1)])
+    return TwoBodyTable(table.m, indices, np.concatenate([0.5 * v, 0.5 * np.conj(v)]))  # halving is exact
 
 
 def build_bose_hubbard(
@@ -256,9 +233,7 @@ def build_bose_hubbard(
     if ring and sites > 2:
         h[0, sites - 1] = -hopping
         h[sites - 1, 0] = -hopping
-    w = TwoBodyTable.zeros(sites)
-    for k in range(1, sites + 1):
-        w.set(k, k, k, k, interaction)
+    w = TwoBodyTable.from_entries(sites, [(k, k, k, k, interaction) for k in range(1, sites + 1)])
     return HamiltonianSpec(space, OneBodyTable(h), w)
 
 
@@ -276,6 +251,9 @@ def build_bose_hubbard(
 #   NA/MA/NB/MB <int> lines
 #   HA/WA (species A), HB/WB (species B), and
 #   X k q k' q' re [im]      (A pair k<->q, B pair k'<->q')
+#
+# A repeated H, HA, HB or X record replaces the earlier one; repeated W, WA or
+# WB records add up, in file order.
 
 
 def _header_space(statistics: str, n: int, m: int, path) -> SpaceDescriptor:
@@ -296,8 +274,10 @@ def _check_table(entries: int, what: str, path) -> None:
 def load_integrals(path):
     """Parse an integral file into a Hamiltonian spec (single species or mixture).
 
-    Unlisted entries are zero.  Raises :class:`IntegralFormatError` with the
-    offending line number on malformed input.
+    Unlisted entries are zero.  A repeated one-body or ``X`` record replaces
+    the earlier one; repeated two-body records add up in file order.  Raises
+    :class:`IntegralFormatError` with the offending line number on malformed
+    input.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -332,19 +312,9 @@ def load_integrals(path):
     space = _header_space(statistics, sizes["N"], sizes["M"], path)
     m = space.m
     _check_table(m * m, "one-body table", path)
-    h = np.zeros((m, m), dtype=np.complex128)
-    w_entries = []
-    for no, tok in toks[body_start:]:
-        tag = tok[0].upper()
-        if tag == "H":
-            k, q, v = _one_body_line(tok, no, m)
-            h[k - 1, q - 1] = v
-        elif tag == "W":
-            w_entries.append(_two_body_line(tok, no, m))
-        else:
-            raise IntegralFormatError(f"unknown record {tok[0]!r}", no)
-    wtab = TwoBodyTable.from_entries(m, [(k, s, q, l, v) for k, s, q, l, v in w_entries])
-    return HamiltonianSpec(space, OneBodyTable(h), wtab)
+    h, w = [], []
+    _records(toks[body_start:], {"H": ((m, m), _H_USAGE, h), "W": ((m,) * 4, _W_USAGE, w)})
+    return HamiltonianSpec(space, OneBodyTable(_dense((m, m), h)), _two_body(m, w))
 
 
 def _load_mixture(toks, path):
@@ -371,35 +341,16 @@ def _load_mixture(toks, path):
     _check_table(space_a.n_conf * space_b.n_conf, "mixture state vector", path)
     ma, mb = space_a.m, space_b.m
     _check_table((ma * mb) ** 2, "inter-species table", path)
-    ha = np.zeros((ma, ma), dtype=np.complex128)
-    hb = np.zeros((mb, mb), dtype=np.complex128)
-    wa_entries, wb_entries = [], []
-    wab = np.zeros((ma, ma, mb, mb), dtype=np.complex128)
-    for no, tok in toks[idx:]:
-        tag = tok[0].upper()
-        if tag == "HA":
-            k, q, v = _one_body_line(tok, no, ma)
-            ha[k - 1, q - 1] = v
-        elif tag == "HB":
-            k, q, v = _one_body_line(tok, no, mb)
-            hb[k - 1, q - 1] = v
-        elif tag == "WA":
-            wa_entries.append(_two_body_line(tok, no, ma))
-        elif tag == "WB":
-            wb_entries.append(_two_body_line(tok, no, mb))
-        elif tag == "X":
-            if len(tok) not in (6, 7):
-                raise IntegralFormatError("X record needs k q k' q' re [im]", no)
-            k, q, kp, qp = (_int(t, no) for t in tok[1:5])
-            _check_range(((k, ma), (q, ma), (kp, mb), (qp, mb)), no)
-            wab[k - 1, q - 1, kp - 1, qp - 1] = _value(tok[5:], no)
-        else:
-            raise IntegralFormatError(f"unknown record {tok[0]!r}", no)
-    spec_a = HamiltonianSpec(space_a, OneBodyTable(ha), TwoBodyTable.from_entries(ma, wa_entries))
-    spec_b = HamiltonianSpec(space_b, OneBodyTable(hb), TwoBodyTable.from_entries(mb, wb_entries))
-    return MixtureHamiltonianSpec(
-        MixtureSpace(space_a, space_b), spec_a, spec_b, InterSpeciesTable(wab)
-    )
+    ha, wa, hb, wb, x = [], [], [], [], []
+    _records(toks[idx:], {
+        "HA": ((ma, ma), _H_USAGE, ha), "WA": ((ma,) * 4, _W_USAGE, wa),
+        "HB": ((mb, mb), _H_USAGE, hb), "WB": ((mb,) * 4, _W_USAGE, wb),
+        "X": ((ma, ma, mb, mb), "X record needs k q k' q' re [im]", x),
+    })
+    spec_a = HamiltonianSpec(space_a, OneBodyTable(_dense((ma, ma), ha)), _two_body(ma, wa))
+    spec_b = HamiltonianSpec(space_b, OneBodyTable(_dense((mb, mb), hb)), _two_body(mb, wb))
+    inter = InterSpeciesTable(_dense((ma, ma, mb, mb), x))
+    return MixtureHamiltonianSpec(MixtureSpace(space_a, space_b), spec_a, spec_b, inter)
 
 
 def save_integrals(spec, path) -> None:
@@ -456,23 +407,43 @@ def _value(toks: Sequence[str], no: int) -> complex:
     return complex(re, im)
 
 
-def _check_range(pairs, no: int) -> None:
-    for idx, m in pairs:
-        if not 1 <= idx <= m:
-            raise IntegralFormatError(f"orbital index {idx} outside [1, {m}]", no)
+_H_USAGE = "H record needs k q re [im]"
+_W_USAGE = "W record needs k s q l re [im]"
 
 
-def _one_body_line(tok, no, m):
-    if len(tok) not in (4, 5):
-        raise IntegralFormatError("H record needs k q re [im]", no)
-    k, q = _int(tok[1], no), _int(tok[2], no)
-    _check_range(((k, m), (q, m)), no)
-    return k, q, _value(tok[3:], no)
+def _records(toks, spaces) -> None:
+    """Read the body records into ``spaces``, which maps each tag to (orbital limits, usage message, records).
+
+    A record is appended to its tag's list as (0-based indices, coefficient), in file order.
+    """
+    for no, tok in toks:
+        try:
+            limits, usage, records = spaces[tok[0].upper()]
+        except KeyError:
+            raise IntegralFormatError(f"unknown record {tok[0]!r}", no) from None
+        records.append(_record(tok, no, limits, usage))
 
 
-def _two_body_line(tok, no, m):
-    if len(tok) not in (6, 7):
-        raise IntegralFormatError("W record needs k s q l re [im]", no)
-    k, s, q, l = (_int(t, no) for t in tok[1:5])
-    _check_range(((k, m), (s, m), (q, m), (l, m)), no)
-    return k, s, q, l, _value(tok[5:], no)
+def _record(tok, no: int, limits, usage: str) -> tuple:
+    """One record's 0-based indices, each checked against its orbital count in ``limits``, and its coefficient."""
+    n = len(limits)
+    if len(tok) - n not in (2, 3):
+        raise IntegralFormatError(usage, no)
+    idx = tuple([_int(t, no) - 1 for t in tok[1:n + 1]])
+    for i, m in zip(idx, limits):
+        if not 0 <= i < m:
+            raise IntegralFormatError(f"orbital index {i + 1} outside [1, {m}]", no)
+    return idx, _value(tok[n + 1:], no)
+
+
+def _dense(shape, records) -> np.ndarray:
+    """A zero array of ``shape`` holding each record's coefficient at its indices; the last repeat wins."""
+    out = np.zeros(shape, dtype=np.complex128)
+    for idx, v in records:
+        out[idx] = v
+    return out
+
+
+def _two_body(m: int, records) -> TwoBodyTable:
+    """W from the records; repeats add up in file order."""
+    return TwoBodyTable(m, np.reshape([idx for idx, _ in records], (-1, 4)), [v for _, v in records])

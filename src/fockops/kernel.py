@@ -407,7 +407,5 @@ def apply_one_body_operator(h, psi: StateVector) -> StateVector:
     space = psi.space
     if h.m != space.m:
         raise SpaceMismatchError(f"one-body table for M={h.m} applied in M={space.m} space")
-    no_w = TwoBodyTable(h.m, indices=np.empty((0, 4), dtype=np.int64),
-                        values=np.empty(0, dtype=np.complex128))
-    op = factor_species(space, h, no_w)
+    op = factor_species(space, h, TwoBodyTable.zeros(h.m))
     return StateVector(space, apply_factored(op, psi.amplitudes))

@@ -61,14 +61,21 @@ def two_body_density(psi: StateVector) -> np.ndarray:
     b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl, so
     rho2[k, s, l, q] = <E_qk Psi|E_sl Psi> - δ_qs rho[k, l]: the Gram matrix
     of the M^2 images phi_kq = E_kq Psi, which are swept into one array and
-    held once; the Gram product conjugates M of them at a time.
+    held once; E_qk's image comes from E_kq's gather, transposed, and
+    E_kk's is n_k Psi, so a cold call builds M(M-1)/2 gathers.  The Gram
+    product conjugates M of them at a time.
     """
     _warn_if_unnormalized(psi)
     space, amps = psi.space, psi.amplitudes
     m, n_conf = space.m, space.n_conf
     phi = np.zeros((m * m, n_conf), dtype=np.complex128)  # row (k-1) * M + q-1 holds E_kq Psi
-    for (k, q), image in zip(np.ndindex(m, m), phi):
-        kernel.sweep(kernel.term_gather(space, k + 1, q + 1), 0, amps, image, 0, n_conf)
+    for k, q in zip(*np.triu_indices(m, 1)):  # E_qk is the transpose of E_kq: one gather per pair
+        gather = kernel.term_gather(space, k + 1, q + 1)
+        kernel.sweep(gather, 0, amps, phi[k * m + q], 0, n_conf)
+        kernel.sweep(kernel.transpose(gather), 0, amps, phi[q * m + k], 0, n_conf)
+    occ = space.tables().occ_float
+    for k in range(m):  # E_kk = n_k
+        phi[k * m + k] = occ[:, k] * amps
     rho = (phi @ amps.conj()).reshape(m, m)
     gram = np.empty((m * m, m * m), dtype=np.complex128)
     for lo in range(0, m * m, m):  # M conjugated images at a time, so the images are held once

@@ -64,16 +64,16 @@ def _scaled_hermitian(space_or_mix, seed):
         mat = build_dense(spec)
         scale = float(np.linalg.norm(mat, 2))
         spec.spec_a.one_body.matrix /= scale
-        spec.spec_a.two_body.dense /= scale
+        spec.spec_a.two_body.values /= scale
         spec.spec_b.one_body.matrix /= scale
-        spec.spec_b.two_body.dense /= scale
+        spec.spec_b.two_body.values /= scale
         spec.inter.tensor /= scale
         return spec, mat / scale
     spec = random_hermitian_spec(space_or_mix, seed)
     mat = build_dense(spec)
     scale = float(np.linalg.norm(mat, 2))
     spec.one_body.matrix /= scale
-    spec.two_body.dense /= scale
+    spec.two_body.values /= scale
     return spec, mat / scale
 
 

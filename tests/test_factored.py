@@ -77,11 +77,11 @@ def species_tables(draw, m, layout=None):
     if pattern == "diagonal":
         h = np.diag(np.diag(h))
     if layout is None:
-        layout = draw(st.sampled_from(["dense", "coordinates"]))
-    if layout == "dense":
+        layout = draw(st.sampled_from(["entries", "coordinates"]))
+    if layout == "entries":
         w = TwoBodyTable.from_entries(m, [(k + 1, s + 1, q + 1, l + 1, v)
                                           for (k, s, q, l), v in zip(keys, values)])
-    else:  # the coordinate-list layout used above M = 32, exercised on a small M
+    else:  # the constructor on 0-based coordinates, which from_entries wraps
         w = TwoBodyTable(m, indices=np.array(keys, dtype=np.int64).reshape(-1, 4), values=values)
     return OneBodyTable(h), w
 
@@ -183,8 +183,8 @@ def test_factored_apply_matches_oracle(space, data):
 @settings(max_examples=50, deadline=None)
 def test_factored_mixture_apply_matches_oracle(space_a, space_b, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    ha, wa = data.draw(species_tables(space_a.m, "dense"))
-    hb, wb = data.draw(species_tables(space_b.m, "dense"))
+    ha, wa = data.draw(species_tables(space_a.m, "entries"))
+    hb, wb = data.draw(species_tables(space_b.m, "entries"))
     shape = (space_a.m, space_a.m, space_b.m, space_b.m)
     x = _complex(rng, shape) * (rng.random(shape) < data.draw(st.sampled_from([0.0, 0.2, 1.0])))
     if data.draw(st.booleans()):  # the density-density block only: a†_k a_k b†_k' b_k'
@@ -371,6 +371,15 @@ class TestTransposedPool:
         built = _count_builds(monkeypatch)
         one_body_density(random_state(spec.space, seed=19))
         assert sorted(pair for _, pair in built) == [(1, 3), (1, 4), (2, 4)]
+
+    @pytest.mark.parametrize("space", [SpaceDescriptor.boson(4, 6), SpaceDescriptor.fermion(3, 6)], ids=str)
+    def test_cold_rho2_builds_each_unordered_pair_once(self, monkeypatch, space):
+        """On a cold pool rho2 builds E_kq for k < q only: E_qk is its transpose and E_kk is n_k."""
+        built = _count_builds(monkeypatch)
+        two_body_density(random_state(space, seed=24))
+        m = space.m
+        assert len(built) <= m * (m - 1) // 2
+        assert sorted(pair for _, pair in built) == [(k, q) for k in range(1, m + 1) for q in range(k + 1, m + 1)]
 
 
 def test_prepared_operator_rejects_a_state_of_another_space():

@@ -19,8 +19,13 @@ from fockops import (
     symmetrize_two_body,
     validate,
 )
-from fockops import apply_hamiltonian, dense_eig, build_dense
+from fockops import apply_hamiltonian, basis_state, dense_eig, build_dense, dot
 from conftest import random_hermitian_spec
+
+
+def _plus(table, entry):
+    """``table`` with the 1-based (k, s, q, l, value) ``entry`` added to it."""
+    return TwoBodyTable.from_entries(table.m, [*table.entries(), entry])
 
 
 class TestValidate:
@@ -48,14 +53,14 @@ class TestValidate:
         assert not report.hermitian_one_body
         assert report.one_body_worst in ((2, 3), (3, 2))
         spec2 = random_hermitian_spec(SpaceDescriptor.boson(2, 4), seed=4)
-        spec2.two_body.dense[0, 1, 2, 3] += 1e-6
+        spec2.two_body = _plus(spec2.two_body, (1, 2, 3, 4, 1e-6))
         report2 = validate(spec2)
         assert not report2.self_adjoint_two_body
         assert report2.two_body_worst in ((1, 2, 3, 4), (3, 4, 1, 2))
 
     def test_symmetrize_restores_self_adjointness(self):
         spec = random_hermitian_spec(SpaceDescriptor.boson(2, 3), seed=5)
-        spec.two_body.dense[0, 0, 1, 1] += 0.5
+        spec.two_body = _plus(spec.two_body, (1, 1, 2, 2, 0.5))
         assert not validate(spec).self_adjoint_two_body
         fixed = HamiltonianSpec(spec.space, spec.one_body, symmetrize_two_body(spec.two_body))
         assert validate(fixed).self_adjoint_two_body
@@ -135,6 +140,24 @@ class TestIntegralFile:
             load_integrals(path)
         assert exc.value.line == 6
 
+    def test_repeated_records(self, tmp_path):
+        """A repeated H, HA, HB or X record replaces the earlier one; repeated W, WA or WB records add up."""
+        path = tmp_path / "dup.ints"
+        path.write_text("STATISTICS BOSON\nN 2\nM 2\nH 1 2 1.0\nW 1 1 1 1 0.5\n"
+                        "H 1 2 3.0 -1.0\nW 1 1 1 1 0.25 0.5\n")
+        spec = load_integrals(path)
+        assert spec.one_body.get(1, 2) == 3.0 - 1.0j
+        assert spec.two_body.get(1, 1, 1, 1) == 0.75 + 0.5j
+        path.write_text("STATISTICS MIX BOSON FERMION\nNA 1\nMA 2\nNB 1\nMB 2\n"
+                        "HA 1 2 1.0\nHB 2 1 1.0\nWA 2 2 2 2 1.0\nWB 1 2 1 2 1.0\nX 1 1 2 2 1.0\n"
+                        "X 1 1 2 2 -2.0\nWB 1 2 1 2 2.0\nWA 2 2 2 2 4.0\nHB 2 1 5.0\nHA 1 2 6.0\n")
+        mspec = load_integrals(path)
+        assert mspec.spec_a.one_body.get(1, 2) == 6.0
+        assert mspec.spec_b.one_body.get(2, 1) == 5.0
+        assert mspec.spec_a.two_body.get(2, 2, 2, 2) == 5.0
+        assert mspec.spec_b.two_body.get(1, 2, 1, 2) == 3.0
+        assert mspec.inter.tensor[0, 0, 1, 1] == -2.0
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad4.ints"
         path.write_text("N 2\nM 2\n")
@@ -174,13 +197,12 @@ class TestNonFiniteTables:
         with pytest.raises(ValidationError):
             TwoBodyTable.from_entries(40, [(1, 2, 1, 2, bad)])
         with pytest.raises(ValidationError):
-            TwoBodyTable.zeros(2).set(1, 1, 1, 1, bad)
+            TwoBodyTable(2, indices=[[0, 0, 0, 0]], values=[bad])
 
 
 class TestSparseTwoBody:
     def test_coordinate_storage_above_dense_limit(self):
         tab = TwoBodyTable.from_entries(40, [(1, 2, 3, 4, 1.5), (40, 40, 40, 40, -2.0)])
-        assert tab.dense is None
         assert tab.get(1, 2, 3, 4) == 1.5
         assert tab.get(40, 40, 40, 40) == -2.0
         assert tab.get(2, 2, 2, 2) == 0.0
@@ -194,6 +216,36 @@ class TestSparseTwoBody:
         assert tab.get(1, 1, 1, 1) == 1.5
 
 
+class TestCoordinateConstructor:
+    def test_checks_merges_and_sorts(self):
+        """Out-of-range and negative orbitals are refused; repeats merge, entries sort, and get agrees with the apply."""
+        for bad in ([[2, 2, 2, 3]], [[0, -1, 0, 0]]):
+            with pytest.raises(ValidationError):
+                TwoBodyTable(3, indices=bad, values=[1.0])
+        with pytest.raises(ValidationError):
+            TwoBodyTable(3, indices=[0, 0, 0, 0], values=[1.0])
+        tab = TwoBodyTable(3, indices=[[2, 2, 2, 2], [0, 0, 0, 0], [0, 0, 0, 0]], values=[5.0, 1.0, 1.0])
+        assert list(tab.entries()) == [(1, 1, 1, 1, 2 + 0j), (3, 3, 3, 3, 5 + 0j)]
+        space = SpaceDescriptor.boson(2, 3)
+        spec = HamiltonianSpec(space, OneBodyTable(np.zeros((3, 3))), tab)
+        for k in (1, 3):  # (1/2) W_kkkk n_k (n_k - 1) on both bosons in orbital k is W_kkkk
+            occ = tuple(2 * int(p == k) for p in (1, 2, 3))
+            j = next(j for j in range(1, space.n_conf + 1) if space.occupations_at(j) == occ)
+            psi = basis_state(space, j)
+            assert dot(psi, apply_hamiltonian(spec, psi)) == tab.get(k, k, k, k)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 4])
+def test_getters_check_orbitals(bad):
+    """M = 3: orbitals 0, -1 and M + 1 are refused, not wrapped or read as zero."""
+    h = OneBodyTable(np.eye(3))
+    w = TwoBodyTable.from_entries(3, [(1, 1, 1, 1, 1.0)])
+    for get in (lambda: h.get(bad, 1), lambda: h.get(1, bad), lambda: w.get(bad, 1, 1, 1),
+                lambda: w.get(1, 1, 1, bad)):
+        with pytest.raises(ValidationError):
+            get()
+
+
 class TestDenseKept:
     def test_no_m4_temporary(self):
         tab = TwoBodyTable.zeros(24)
@@ -204,7 +256,7 @@ class TestDenseKept:
         finally:
             tracemalloc.stop()
         assert values.size == 0 and all(i.size == 0 for i in idx)
-        assert peak < 100_000  # the table itself holds 24^4 * 16 = 5.3 MB
+        assert peak < 100_000  # a dense 24^4 table would hold 24^4 * 16 = 5.3 MB
 
     @pytest.mark.parametrize("threshold", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
@@ -214,7 +266,7 @@ class TestDenseKept:
         dense[rng.random(dense.shape) < 0.4] = 0.0
         if layout == "transposed":
             dense = dense.transpose(2, 0, 3, 1)
-        idx, values = TwoBodyTable(6, dense=dense).kept(threshold)
+        idx, values = TwoBodyTable.from_dense(dense).kept(threshold)
         keep = (dense != 0) & (np.abs(dense) >= threshold)
         for got, want in zip(idx, np.nonzero(keep)):
             np.testing.assert_array_equal(got, want)
@@ -247,8 +299,6 @@ class TestBoseHubbard:
     def test_interaction_form(self):
         # (1/2) W_kkkk b†_k b†_k b_k b_k = (U/2) n_k (n_k - 1): on |2,0> this is U
         spec = build_bose_hubbard(2, 2, hopping=0.0, interaction=1.3)
-        from fockops import basis_state, dot
-
         psi = basis_state(spec.space, 1)  # |2,0>
         assert dot(psi, apply_hamiltonian(spec, psi)) == pytest.approx(1.3)
 
