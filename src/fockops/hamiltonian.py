@@ -10,7 +10,9 @@ No symmetry is assumed or imposed on the stored tables.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import FockError, IntegralFormatError, ValidationError
 from .fockspace import MAX_SPACE_TABLE, SpaceDescriptor, header_space
 
 HERMITICITY_TOL = 1e-12
+_LEXICOGRAPHIC = np.array([8, 4, 2, 1])  # sign(b - a) @ this is > 0, 0, < 0 as coordinate b follows, equals, precedes a
 
 
 def require_finite(values, what: str) -> None:
@@ -87,18 +90,23 @@ class TwoBodyTable:
         if indices.ndim != 2 or indices.shape[1] != 4 or values.shape != indices.shape[:1]:
             raise ValidationError(f"two-body coordinates must be (n, 4) with n values, "
                                   f"got {indices.shape} and {values.shape}")
-        bad = (indices < 0) | (indices >= self.m)
-        if bad.any():
-            _check_orbitals(self.m, indices[bad][:1] + 1)  # the first bad one, 1-based
-        order = np.lexsort(indices.T[::-1])  # stable, so repeats keep the order given
-        indices = indices[order]
-        first = np.ones(len(indices), dtype=bool)
-        first[1:] = (indices[1:] != indices[:-1]).any(axis=1)
-        summed = np.zeros(np.count_nonzero(first), dtype=np.complex128)
-        np.add.at(summed, first.cumsum() - 1, values[order])
-        require_finite(summed, "two-body")  # a sum keeps any nan or inf
-        nonzero = summed != 0
-        self.indices, self.values = indices[first][nonzero], summed[nonzero]
+        if values.size and (indices.min() < 0 or indices.max() >= self.m):
+            _check_orbitals(self.m, indices[(indices < 0) | (indices >= self.m)][:1] + 1)  # the first bad one, 1-based
+        rank = np.sign(indices[1:] - indices[:-1]) @ _LEXICOGRAPHIC
+        if (rank < 0).any():  # files and from_dense give storage order, so this sort is rare
+            order = np.lexsort(indices.T[::-1])  # stable, so repeats keep the order given
+            indices, values = indices[order], values[order]
+            rank = np.sign(indices[1:] - indices[:-1]) @ _LEXICOGRAPHIC
+        if rank.all():
+            values = values + 0  # a lone entry as a sum from zero reads it: a -0.0 part becomes +0.0
+        else:
+            first = np.concatenate(([True], rank != 0))
+            summed = np.zeros(np.count_nonzero(first), dtype=np.complex128)
+            np.add.at(summed, first.cumsum() - 1, values)
+            indices, values = indices[first], summed
+        require_finite(values, "two-body")  # a sum keeps any nan or inf
+        nonzero = values != 0
+        self.indices, self.values = indices[nonzero], values[nonzero]  # copies: the table owns them
 
     @classmethod
     def from_dense(cls, tensor) -> "TwoBodyTable":
@@ -238,22 +246,6 @@ def build_bose_hubbard(
 
 
 # -- integral text format ----------------------------------------------------
-#
-# Single species:
-#   STATISTICS FERMION|BOSON
-#   N <int>
-#   M <int>
-#   H k q re [im]
-#   W k s q l re [im]        (storage subscript order k s q l)
-#
-# Mixtures:
-#   STATISTICS MIX FERMION|BOSON FERMION|BOSON
-#   NA/MA/NB/MB <int> lines
-#   HA/WA (species A), HB/WB (species B), and
-#   X k q k' q' re [im]      (A pair k<->q, B pair k'<->q')
-#
-# A repeated H, HA, HB or X record replaces the earlier one; repeated W, WA or
-# WB records add up, in file order.
 
 
 def _header_space(statistics: str, n: int, m: int, path) -> SpaceDescriptor:
@@ -274,21 +266,23 @@ def _check_table(entries: int, what: str, path) -> None:
 def load_integrals(path):
     """Parse an integral file into a Hamiltonian spec (single species or mixture).
 
-    Unlisted entries are zero.  A repeated one-body or ``X`` record replaces
-    the earlier one; repeated two-body records add up in file order.  Raises
-    :class:`IntegralFormatError` with the offending line number on malformed
-    input.
+    A single-species file is ``STATISTICS FERMION|BOSON``, ``N <int>``, ``M <int>``, then
+    records ``H k q re [im]`` (4 or 5 tokens) and ``W k s q l re [im]`` (6 or 7, storage
+    order k s q l).  A mixture is ``STATISTICS MIX FERMION|BOSON FERMION|BOSON``, the
+    ``NA``/``MA``/``NB``/``MB`` lines, then ``HA``/``WA`` (species A), ``HB``/``WB`` (B) and
+    ``X k q k' q' re [im]`` (6 or 7: A pair k<->q, B pair k'<->q').  Tags are case-blind;
+    orbitals are integers in ``[1, M]`` of their species; ``re`` and ``im`` are finite.
+    ``#`` starts a comment; blank lines are skipped but counted.  Unlisted entries are
+    zero, a repeated one-body or ``X`` record replaces the earlier one, and repeated
+    two-body records add up in file order.  Raises :class:`IntegralFormatError` naming
+    the first bad line in file order.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError:
         raise IntegralFormatError(f"{path} is not UTF-8 text") from None
-    toks: list[tuple[int, list[str]]] = []
-    for no, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            toks.append((no, body.split()))
+    toks = [(no, tok) for no, tok in enumerate((raw.partition("#")[0].split() for raw in lines), start=1) if tok]
     if not toks:
         raise IntegralFormatError("empty integral file")
     no, head = toks[0]
@@ -300,21 +294,17 @@ def load_integrals(path):
         raise IntegralFormatError(f"bad statistics declaration {' '.join(head)!r}", no)
     statistics = FERMION if head[1].upper() == "FERMION" else BOSON
     sizes = {}
-    body_start = 1
     for no, tok in toks[1:3]:
-        if tok[0].upper() in ("N", "M") and len(tok) == 2:
-            sizes[tok[0].upper()] = _int(tok[1], no)
-            body_start += 1
-        else:
+        if tok[0].upper() not in ("N", "M") or len(tok) != 2:
             break
+        sizes[tok[0].upper()] = _int(tok[1], no)
     if "N" not in sizes or "M" not in sizes:
         raise IntegralFormatError("header must provide N and M lines")
     space = _header_space(statistics, sizes["N"], sizes["M"], path)
     m = space.m
     _check_table(m * m, "one-body table", path)
-    h, w = [], []
-    _records(toks[body_start:], {"H": ((m, m), _H_USAGE, h), "W": ((m,) * 4, _W_USAGE, w)})
-    return HamiltonianSpec(space, OneBodyTable(_dense((m, m), h)), _two_body(m, w))
+    rec = _records(toks[3:], {"H": ((m, m), _H_USAGE), "W": ((m,) * 4, _W_USAGE)})
+    return _species(space, rec["H"], rec["W"])
 
 
 def _load_mixture(toks, path):
@@ -341,50 +331,31 @@ def _load_mixture(toks, path):
     _check_table(space_a.n_conf * space_b.n_conf, "mixture state vector", path)
     ma, mb = space_a.m, space_b.m
     _check_table((ma * mb) ** 2, "inter-species table", path)
-    ha, wa, hb, wb, x = [], [], [], [], []
-    _records(toks[idx:], {
-        "HA": ((ma, ma), _H_USAGE, ha), "WA": ((ma,) * 4, _W_USAGE, wa),
-        "HB": ((mb, mb), _H_USAGE, hb), "WB": ((mb,) * 4, _W_USAGE, wb),
-        "X": ((ma, ma, mb, mb), "X record needs k q k' q' re [im]", x),
+    rec = _records(toks[idx:], {
+        "HA": ((ma, ma), _H_USAGE), "WA": ((ma,) * 4, _W_USAGE),
+        "HB": ((mb, mb), _H_USAGE), "WB": ((mb,) * 4, _W_USAGE),
+        "X": ((ma, ma, mb, mb), "X record needs k q k' q' re [im]"),
     })
-    spec_a = HamiltonianSpec(space_a, OneBodyTable(_dense((ma, ma), ha)), _two_body(ma, wa))
-    spec_b = HamiltonianSpec(space_b, OneBodyTable(_dense((mb, mb), hb)), _two_body(mb, wb))
-    inter = InterSpeciesTable(_dense((ma, ma, mb, mb), x))
-    return MixtureHamiltonianSpec(MixtureSpace(space_a, space_b), spec_a, spec_b, inter)
+    inter = InterSpeciesTable(_dense((ma, ma, mb, mb), *rec["X"]))
+    return MixtureHamiltonianSpec(MixtureSpace(space_a, space_b), _species(space_a, rec["HA"], rec["WA"]),
+                                  _species(space_b, rec["HB"], rec["WB"]), inter)
 
 
 def save_integrals(spec, path) -> None:
     """Write a spec in the integral text format (lossless, load_integrals-inverse)."""
     from .mixtures import MixtureHamiltonianSpec
 
-    lines = []
     if isinstance(spec, MixtureHamiltonianSpec):
         sa, sb = spec.mspace.space_a, spec.mspace.space_b
-        lines.append(f"STATISTICS MIX {sa.statistics.upper()} {sb.statistics.upper()}")
-        lines.append(f"NA {sa.n}")
-        lines.append(f"MA {sa.m}")
-        lines.append(f"NB {sb.n}")
-        lines.append(f"MB {sb.m}")
-        for k, q, v in spec.spec_a.one_body.entries():
-            lines.append(f"HA {k} {q} {v.real!r} {v.imag!r}")
-        for k, s, q, l, v in spec.spec_a.two_body.entries():
-            lines.append(f"WA {k} {s} {q} {l} {v.real!r} {v.imag!r}")
-        for k, q, v in spec.spec_b.one_body.entries():
-            lines.append(f"HB {k} {q} {v.real!r} {v.imag!r}")
-        for k, s, q, l, v in spec.spec_b.two_body.entries():
-            lines.append(f"WB {k} {s} {q} {l} {v.real!r} {v.imag!r}")
-        wab = spec.inter.tensor
-        for k0, q0, kp0, qp0 in np.argwhere(wab != 0):
-            v = complex(wab[k0, q0, kp0, qp0])
-            lines.append(f"X {k0+1} {q0+1} {kp0+1} {qp0+1} {v.real!r} {v.imag!r}")
+        lines = [f"STATISTICS MIX {sa.statistics.upper()} {sb.statistics.upper()}",
+                 f"NA {sa.n}", f"MA {sa.m}", f"NB {sb.n}", f"MB {sb.m}"]
+        tables = [("HA", spec.spec_a.one_body), ("WA", spec.spec_a.two_body),
+                  ("HB", spec.spec_b.one_body), ("WB", spec.spec_b.two_body), ("X", spec.inter)]
     else:
-        lines.append(f"STATISTICS {spec.space.statistics.upper()}")
-        lines.append(f"N {spec.space.n}")
-        lines.append(f"M {spec.space.m}")
-        for k, q, v in spec.one_body.entries():
-            lines.append(f"H {k} {q} {v.real!r} {v.imag!r}")
-        for k, s, q, l, v in spec.two_body.entries():
-            lines.append(f"W {k} {s} {q} {l} {v.real!r} {v.imag!r}")
+        lines = [f"STATISTICS {spec.space.statistics.upper()}", f"N {spec.space.n}", f"M {spec.space.m}"]
+        tables = [("H", spec.one_body), ("W", spec.two_body)]
+    for tag, table in tables:  # entries() gives 1-based indices, then the value
+        lines += [" ".join([tag, *map(str, e[:-1]), repr(e[-1].real), repr(e[-1].imag)]) for e in table.entries()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -396,54 +367,83 @@ def _int(tok: str, no: int) -> int:
         raise IntegralFormatError(f"expected integer, got {tok!r}", no) from None
 
 
-def _value(toks: Sequence[str], no: int) -> complex:
-    try:
-        re = float(toks[0])
-        im = float(toks[1]) if len(toks) > 1 else 0.0
-    except (ValueError, IndexError):
-        raise IntegralFormatError(f"bad coefficient {' '.join(toks)!r}", no) from None
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise IntegralFormatError(f"non-finite coefficient {' '.join(toks)!r}", no)
-    return complex(re, im)
-
-
 _H_USAGE = "H record needs k q re [im]"
 _W_USAGE = "W record needs k s q l re [im]"
 
 
-def _records(toks, spaces) -> None:
-    """Read the body records into ``spaces``, which maps each tag to (orbital limits, usage message, records).
+def _records(body, kinds) -> dict:
+    """Convert the body records in bulk: one ``int`` and one ``float`` pass per (tag, token count) group.
 
-    A record is appended to its tag's list as (0-based indices, coefficient), in file order.
+    ``kinds`` maps each tag to (orbital limits, usage message).  Returns, per tag,
+    its records' 0-based indices (one row per index column) and coefficients in
+    file order.  Raises for the first bad line of the file, worded by :func:`_record_error`.
     """
-    for no, tok in toks:
+    groups = defaultdict(list)
+    for rec in body:
+        groups[rec[1][0], len(rec[1])].append(rec)
+    bad, parts = [], defaultdict(list)
+    for (tag, width), recs in groups.items():
+        limits, _ = kinds.get(tag.upper(), ((), None))  # no limits: an unknown tag
+        n, (nos, rows) = len(limits), zip(*recs)
+        if not limits or width - n not in (2, 3):
+            bad.append(nos[0])
+            continue
+        cols = list(zip(*rows))
         try:
-            limits, usage, records = spaces[tok[0].upper()]
-        except KeyError:
-            raise IntegralFormatError(f"unknown record {tok[0]!r}", no) from None
-        records.append(_record(tok, no, limits, usage))
-
-
-def _record(tok, no: int, limits, usage: str) -> tuple:
-    """One record's 0-based indices, each checked against its orbital count in ``limits``, and its coefficient."""
-    n = len(limits)
-    if len(tok) - n not in (2, 3):
-        raise IntegralFormatError(usage, no)
-    idx = tuple([_int(t, no) - 1 for t in tok[1:n + 1]])
-    for i, m in zip(idx, limits):
-        if not 0 <= i < m:
-            raise IntegralFormatError(f"orbital index {i + 1} outside [1, {m}]", no)
-    return idx, _value(tok[n + 1:], no)
-
-
-def _dense(shape, records) -> np.ndarray:
-    """A zero array of ``shape`` holding each record's coefficient at its indices; the last repeat wins."""
-    out = np.zeros(shape, dtype=np.complex128)
-    for idx, v in records:
-        out[idx] = v
+            idx = np.fromiter(map(int, chain.from_iterable(cols[1:n + 1])), np.int64, n * len(nos)).reshape(n, -1) - 1
+            values = np.fromiter(map(complex, *[map(float, c) for c in cols[n + 1:]]), np.complex128, len(nos))
+        except (ValueError, OverflowError):  # a token that is no number, or an orbital beyond int64
+            bad.append(next(no for no, tok in recs if _record_error(tok, no, kinds)))
+            continue
+        wrong = idx.view(np.uint64) >= np.array(limits, dtype=np.uint64)[:, None]  # unsigned, -1 is out too
+        if wrong.any() or not np.isfinite(values).all():
+            bad.append(nos[(wrong.any(axis=0) | ~np.isfinite(values)).argmax()])
+        parts[tag.upper()].append((nos, idx, values))
+    if bad:
+        no = min(bad)
+        raise _record_error(next(tok for n, tok in body if n == no), no, kinds)
+    out = {tag: (np.empty((len(limits), 0), dtype=np.int64), np.empty(0))
+           for tag, (limits, _) in kinds.items() if tag not in parts}
+    for tag, got in parts.items():
+        out[tag] = got[0][1:]
+        if len(got) > 1:  # records of more than one width or tag spelling go back into file order
+            order = np.argsort(np.concatenate([g[0] for g in got]))
+            out[tag] = np.concatenate([g[1] for g in got], axis=1)[:, order], np.concatenate([g[2] for g in got])[order]
     return out
 
 
-def _two_body(m: int, records) -> TwoBodyTable:
-    """W from the records; repeats add up in file order."""
-    return TwoBodyTable(m, np.reshape([idx for idx, _ in records], (-1, 4)), [v for _, v in records])
+def _record_error(tok, no: int, kinds) -> Optional[IntegralFormatError]:
+    """The error of a record's first failed check (tag, token count, integers, orbital range, coefficient,
+    finiteness, in this order), or None."""
+    try:
+        if tok[0].upper() not in kinds:
+            return IntegralFormatError(f"unknown record {tok[0]!r}", no)
+        limits, usage = kinds[tok[0].upper()]
+        vals = tok[len(limits) + 1:]
+        if len(vals) not in (1, 2):
+            return IntegralFormatError(usage, no)
+        for i, m in zip([_int(t, no) for t in tok[1:len(limits) + 1]], limits):
+            if not 1 <= i <= m:
+                return IntegralFormatError(f"orbital index {i} outside [1, {m}]", no)
+        if not all(map(math.isfinite, [float(t) for t in vals])):
+            return IntegralFormatError(f"non-finite coefficient {' '.join(vals)!r}", no)
+    except IntegralFormatError as exc:
+        return exc
+    except ValueError:  # from float; _int words its own
+        return IntegralFormatError(f"bad coefficient {' '.join(vals)!r}", no)
+    return None
+
+
+def _dense(shape, idx, values) -> np.ndarray:
+    """A zero array of ``shape`` holding each record's coefficient at its indices; the last repeat wins."""
+    out = np.zeros(shape, dtype=np.complex128)
+    flat = np.ravel_multi_index(idx, shape)
+    last = np.zeros(out.size, dtype=np.intp)  # 1 + the position of the last record at each entry
+    np.maximum.at(last, flat, np.arange(1, len(values) + 1))
+    out.flat[flat] = values[last[flat] - 1]  # repeats write the same value, so their order does not matter
+    return out
+
+
+def _species(space: SpaceDescriptor, h, w) -> HamiltonianSpec:
+    """One species' spec from its H and W records."""
+    return HamiltonianSpec(space, OneBodyTable(_dense((space.m,) * 2, *h)), TwoBodyTable(space.m, w[0].T, w[1]))

@@ -11,6 +11,7 @@ import io
 import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from fockops import (
     MixtureSpace,
     SpaceDescriptor,
+    TwoBodyTable,
     cli,
     mixture_random_state,
     random_state,
@@ -42,6 +44,7 @@ _BINARY_HEADER = {"vec": (9, 17, 25), "mix": (10, 18, 26, 34, 42)}
 TARGETS = {
     "integrals": ("ints", "single.ints", "single.vec"),
     "integrals-mix": ("ints", "mix.ints", "mix.vec"),
+    "integrals-dense": ("ints", "dense.ints", "dense.vec"),
     "state-binary": ("vec", "single.ints", "single.vec"),
     "state-json": ("json", "single.ints", "single.json"),
     "mixture-state": ("mix", "mix.ints", "mix.vec"),
@@ -56,12 +59,19 @@ mutations = st.lists(
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """The directory of valid input files for a single species and a mixture, and their bytes by name."""
+    """The directory of valid input files (two single species, one of them larger, and a mixture) and their bytes by name."""
     root = tmp_path_factory.mktemp("fuzz")
     space = SpaceDescriptor.boson(2, 3)
     mspace = MixtureSpace(SpaceDescriptor.fermion(1, 2), SpaceDescriptor.boson(2, 2))
     save_integrals(random_hermitian_spec(space, seed=1), root / "single.ints")
     save_integrals(random_mixture_spec(mspace, seed=2), root / "mix.ints")
+    # 441 W records: the W entries with k <= s and q <= l, a set closed under (k, s) <-> (q, l)
+    dense = random_hermitian_spec(SpaceDescriptor.fermion(3, 6), seed=5)
+    (k, s, q, l), v = dense.two_body.kept()
+    pairs = (k <= s) & (q <= l)
+    dense.two_body = TwoBodyTable(6, np.stack([k, s, q, l], 1)[pairs], v[pairs])
+    save_integrals(dense, root / "dense.ints")
+    save_state(random_state(dense.space, seed=6), root / "dense.vec")
     save_state(random_state(space, seed=3), root / "single.vec")
     save_state(random_state(space, seed=3), root / "single.json", fmt="json")
     save_mixture_state(mixture_random_state(mspace, seed=4), root / "mix.vec")

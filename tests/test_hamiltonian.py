@@ -158,6 +158,67 @@ class TestIntegralFile:
         assert mspec.spec_b.two_body.get(1, 2, 1, 2) == 3.0
         assert mspec.inter.tensor[0, 0, 1, 1] == -2.0
 
+    def test_repeats_across_record_widths(self, tmp_path):
+        """The duplicate rules follow line order, also when the repeats are written with and without ``im``."""
+        path = tmp_path / "dup.ints"
+        fold = ((0.0 + 1e16) + 1.0) + -1e16  # file order loses the 1.0; the two 7-token records first keep it
+        path.write_text("STATISTICS BOSON\nN 2\nM 2\nH 1 2 1.0 0.5\nW 1 2 1 2 1e16 0.0\n"
+                        "H 1 2 3.0\nW 1 2 1 2 1.0\nW 1 2 1 2 -1e16 0.0\nW 2 2 2 2 2.0\nW 2 2 2 2 0.5 1.0\n")
+        spec = load_integrals(path)
+        assert spec.one_body.get(1, 2) == 3.0 and spec.one_body.matrix.nonzero()[0].size == 1
+        assert spec.two_body.get(1, 2, 1, 2) == fold == 0.0
+        assert list(spec.two_body.entries()) == [(2, 2, 2, 2, 2.5 + 1j)]
+        path.write_text("STATISTICS MIX BOSON FERMION\nNA 1\nMA 2\nNB 1\nMB 2\n"
+                        "HA 1 2 1.0 0.5\nHB 2 1 1.0\nX 1 2 2 1 1.0\nWA 1 1 1 1 1e16 0.0\nWB 2 1 2 1 1e16\n"
+                        "HA 1 2 3.0\nHB 2 1 4.0 -1.0\nX 1 2 2 1 5.0 0.0\nWA 1 1 1 1 1.0\nWB 2 1 2 1 1.0 0.0\n"
+                        "WA 1 1 1 1 -1e16 0.0\nWB 2 1 2 1 -1e16\nWA 2 2 2 2 1.0\nWA 2 2 2 2 0.5 0.5\n")
+        mspec = load_integrals(path)
+        assert mspec.spec_a.one_body.get(1, 2) == 3.0
+        assert mspec.spec_b.one_body.get(2, 1) == 4.0 - 1.0j
+        assert mspec.inter.tensor[0, 1, 1, 0] == 5.0 and mspec.inter.tensor.nonzero()[0].size == 1
+        assert list(mspec.spec_a.two_body.entries()) == [(2, 2, 2, 2, 1.5 + 0.5j)]
+        assert list(mspec.spec_b.two_body.entries()) == []
+
+    # (header, body, (line, message)): each body holds several bad lines; the first
+    # in file order is reported, worded by the first check it fails
+    _SINGLE = "STATISTICS BOSON\nN 2\nM 2\n"
+    _MIX = "STATISTICS MIX BOSON FERMION\nNA 1\nMA 2\nNB 1\nMB 3\n"
+    _BAD_FILES = [
+        (_SINGLE, "H 1 1 1.0\nW 1 1 1 3 1.0\nZ 1\nH 1 x 1.0\n", (5, "orbital index 3 outside [1, 2]")),
+        (_SINGLE, "H 1 1 1.0\nQ 1 2\nH 1 9 1.0\n", (5, "unknown record 'Q'")),
+        (_SINGLE, "W 1 1 1 1 1.0 0.0\nW 1 1 1 1 nan\nW 1 1 1 5 1.0 0.0\n", (5, "non-finite coefficient 'nan'")),
+        (_SINGLE, "W 1 1 1 1 1.0\nW 2 2 2 2 1.0 inf\nW 1 1 1 1 x\n", (5, "non-finite coefficient '1.0 inf'")),
+        (_SINGLE, "H 1 2 1.0\nW 1 1 1 1 1.0 2.0 3.0\nH 1 2\n", (5, "W record needs k s q l re [im]")),
+        (_SINGLE, "H 1 1 1.0\n# comment\n\nH 2 2 1.0  # trailing\nW 1 x 9 1 nan\nW 1 9 1 1 nan\n",
+         (8, "expected integer, got 'x'")),
+        (_SINGLE, "W 1 9 1 1 nan\nW 1 x 9 1 nan\n", (4, "orbital index 9 outside [1, 2]")),
+        (_SINGLE, "H 3 x 1.0\nH 5 3 1.0\n", (4, "expected integer, got 'x'")),
+        (_SINGLE, "H 2 1 0.5\nH 1 1 abc nan\nH 1 1 nan abc\n", (5, "bad coefficient 'abc nan'")),
+        (_SINGLE, "H 1 1 nan abc\n", (4, "bad coefficient 'nan abc'")),
+        (_SINGLE, "H 1 100000000000000000000000 1.0\nH 0 1 1.0\n",
+         (4, "orbital index 100000000000000000000000 outside [1, 2]")),
+        (_SINGLE, "W 1 1 1 1 1.0\nH 1 1 1.0\nh -1 1 1.0\nW 1 1 1 1 1e999\n", (6, "orbital index -1 outside [1, 2]")),
+        (_SINGLE, "H 1 1 1.0\nW\nH 1 1 1.0 2.0 3.0\n", (5, "W record needs k s q l re [im]")),
+        (_SINGLE, "h 1 1 1.0\nhx 1 1 1.0\n", (5, "unknown record 'hx'")),
+        (_SINGLE, "H 1 1 1.0\nN 2\n", (5, "unknown record 'N'")),
+        (_MIX, "HA 1 1 1.0\nX 1 1 3 3 1.0\nX 3 1 1 1 1.0\nX 1 1 1 4 1.0\n", (8, "orbital index 3 outside [1, 2]")),
+        (_MIX, "HB 3 3 1.0\nX 1 1 1 4 1.0 0.0\nHA 3 3 1.0\n", (7, "orbital index 4 outside [1, 3]")),
+        (_MIX, "WB 3 3 3 3 1.0\nWA 1 1 1 1 1.0 0.0\nWB 1 1 1 4 inf\nWA 1 1 1 3 1.0\n",
+         (8, "orbital index 4 outside [1, 3]")),
+        (_MIX, "WA 1 1 1 1 1.0\nH 1 1 1.0\nX 1 1 1 1 nan\n", (7, "unknown record 'H'")),
+        (_MIX, "X 1 1 1 1 1.0\nX 1 1 1 1 1.0 nan\nXB 1 1\nWB 1 x 4 1 nan\n", (7, "non-finite coefficient '1.0 nan'")),
+        (_MIX, "HB 1 1 2.0 1.0\nHB 1 1 x 2.0 1.0\nWA 1 2 1 2 1.0 0.0 0.0\n", (7, "H record needs k q re [im]")),
+    ]
+
+    @pytest.mark.parametrize("header,body,expected", _BAD_FILES)
+    def test_first_bad_line_in_file_order(self, tmp_path, header, body, expected):
+        path = tmp_path / "bad.ints"
+        path.write_text(header + body)
+        with pytest.raises(IntegralFormatError) as exc:
+            load_integrals(path)
+        line, message = expected
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad4.ints"
         path.write_text("N 2\nM 2\n")
@@ -233,6 +294,23 @@ class TestCoordinateConstructor:
             j = next(j for j in range(1, space.n_conf + 1) if space.occupations_at(j) == occ)
             psi = basis_state(space, j)
             assert dot(psi, apply_hamiltonian(spec, psi)) == tab.get(k, k, k, k)
+
+
+    @pytest.mark.parametrize("layout", ["sorted", "reversed"])
+    def test_repeats_sum_in_the_order_given(self, layout):
+        """In storage order or not, repeats add up as given, a lone -0.0 part reads +0.0, and the table owns its arrays."""
+        indices = np.array([[0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 0, 0, 0], [1, 1, 1, 1]])
+        values = np.array([1e16, 1.0, -1e16, complex(2.0, -0.0), 3.0])
+        if layout == "reversed":
+            indices, values = indices[::-1], values[::-1]
+        tab = TwoBodyTable(2, indices, values)
+        a, b, c = values[(indices == [0, 1, 0, 1]).all(axis=1)].real
+        fold = ((0.0 + a) + b) + c
+        assert list(tab.entries()) == ([] if fold == 0 else [(1, 2, 1, 2, complex(fold))]) + [
+            (2, 1, 1, 1, 2 + 0j), (2, 2, 2, 2, 3 + 0j)]
+        assert np.copysign(1.0, tab.values[-2].imag) == 1.0
+        indices[:] = 0
+        assert tab.get(2, 2, 2, 2) == 3.0
 
 
 @pytest.mark.parametrize("bad", [0, -1, 4])
