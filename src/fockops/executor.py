@@ -1,7 +1,7 @@
 """Worker-count resolution and the parallel entry point of H|psi>.
 
 The kernels cut the output vector into fixed blocks of rows that do not
-depend on the worker count (see :func:`kernel.run_row_blocks`); workers only
+depend on the worker count (see :func:`kernel.row_blocks`); workers only
 decide which thread computes which whole blocks, and no amplitude is ever
 summed across threads, so the result is bitwise identical for any number of
 workers and identical to the serial kernel.  Worker count comes from the

@@ -204,7 +204,8 @@ class SpaceTables:
 
         Gathers are pure, so the pool only avoids recomputation.  Only the
         factored apply stores gathers here, those of H's one-body pairs E_kq
-        with k <= q (at most M(M+1)/2), so the pool needs no budget.
+        with k <= q (at most M(M+1)/2), so the pool needs no budget; a
+        prepared single-species operator's gathers leave it once stacked.
         Threads that miss the same key at once may each build it;
         ``dict.setdefault`` keeps the first.
         """

@@ -23,28 +23,65 @@ operators is taken only by the dense reference, :mod:`fockops.oracle`.
 H|psi> never loops over two-body terms.  The same identity gives the
 direct-CI factorization of Knowles & Handy (Chem. Phys. Lett. 111, 315,
 1984) and Olsen et al. (J. Chem. Phys. 89, 2185, 1988), formed from the
-entries at or above :data:`SKIP_THRESHOLD` (:func:`factor_species`):
+entries at or above :data:`SKIP_THRESHOLD` (:func:`factor_coefficients`):
 
     H psi = d * psi + sum_p h'_p E_p psi + sum_r E_r chi_r,
     chi = Wm[rows, cols] @ phi,   phi_c = E_c psi.
 
-The solvers factor once per solve (:func:`prepare`); a spec passed to
-:func:`apply_hamiltonian` is factored on every call.  When every kept entry
-is real, h', Wm, d and the operator's dtype are float64, and a float64
-vector stays float64 throughout: the apply computes in the common dtype of
-the vector and the operator, so a real Hamiltonian moves half the bytes
-on a real vector and is unchanged on a complex one.
+When every kept entry is real, h', Wm, d and the operator's dtype are
+float64, and a float64 vector stays float64 throughout: the apply computes
+in the common dtype of the vector and the operator, so a real Hamiltonian
+moves half the bytes on a real vector and is unchanged on a complex one.
 
-The gathers of H's pairs E_kq with k <= q, at most M(M+1)/2 per space, are
-kept in the space's gather pool under the key (k, q)
-(:meth:`fockspace.SpaceTables.cached_gather`), so each is built once per
-space; E_qk is served as the transpose of the kept E_kq (:func:`transpose`),
-and single terms reuse a kept gather or build theirs per call.  The
-output is cut into fixed blocks of rows that do not depend on the worker count:
-each block first computes phi and chi for its own rows, then sums d * psi
-and the sweeps into its own rows.  No amplitude is summed across blocks, so
-a worker count only decides which thread computes which whole blocks, and
-every amplitude is summed in the same order for any worker count (bitwise
+The solvers factor once per solve (:func:`prepare`) and get H with its pair
+gathers stacked (:class:`Stacked`).  On a small space a matvec costs numpy
+calls, not arithmetic: dense fermion(4,8), 70 amplitudes, took about 190
+per-pair sweeps per matvec.  The stacked operator has two parts:
+
+- column images: one fancy assignment writes every phi_c of a row block
+  into one (n_cols, rows) array (:func:`stack_images`), and one GEMM gives
+  chi;
+- sums: the diagonal, the hops and the contraction rows read the stacked
+  sources [psi, chi_0, ..., chi_{R-1}] in one gather, one multiply by
+  their weights and one ``np.add.reduceat`` over segments sorted by output
+  row (:func:`stack_sums`), which writes each output row once.
+
+On a 2-core x86 VM this took one dense fermion(4,8) matvec from 2.0 to
+0.11 ms.  The entries are placed by a counting sort over the rows, one
+unordered pair's gather at a time, with no sorted or permuted copy.  The
+gathers pass through the space's pool and leave it once placed, so the
+pool keeps no second copy of H's gathers.  Two paths keep the per-pair
+:func:`sweep` of a :class:`Factored` operator (:func:`apply_factored`):
+
+- one-shot applies: a spec given to :func:`apply_hamiltonian` (the CLI's
+  ``apply``, ``energy``) and the single terms.  One apply never pays back
+  the stacking: on dense boson(8,8), 418,275 stacked entries, building
+  them took 29-39 ms and the stacked apply 18-31 ms, where one cold
+  per-pair apply took 24-39 ms.  An unsorted ``np.bincount`` scatter,
+  tried in a prototype, built in 4.9 ms and applied in 15.2 ms against the
+  sweeps' 18.9 ms: still no gain for one apply.
+- matrix-valued operators (mixtures): in a prototype on the 792 x 70
+  amplitude matrix of the mixture-prop benchmark, a fully stacked matvec
+  took 14.1 ms against the sweeps' 5.5 ms (faster in 0 of 60 calls), and
+  stacking in chunks of 2^14, 2^16 and 2^18 amplitudes took 5.8, 6.2 and
+  7.3 ms against 4.9, 4.7 and 5.2 ms (faster in 1 of 40 calls each).
+
+The choice follows from what is applied: :func:`apply_hamiltonian` runs a
+:class:`Prepared` single species' stacked parts and sweeps a spec, and
+mixtures always sweep.  The per-pair paths keep the gathers of H's
+pairs E_kq with k <= q, at most M(M+1)/2 per space, in the space's gather
+pool under the key (k, q) (:meth:`fockspace.SpaceTables.cached_gather`),
+so each is built once per space; E_qk is served as the transpose of the
+kept E_kq (:func:`transpose`), and single terms reuse a kept gather or
+build theirs per call.
+
+The output is cut into blocks of rows that do not depend on the worker
+count: a per-pair apply and the stacked images use fixed row blocks, the
+stacked sums blocks of whole rows holding about :data:`BLOCK_AMPLITUDES`
+entries.  Each block first computes phi and chi for its own rows, then
+sums into its own rows.  No amplitude is summed across blocks, so a worker
+count only decides which thread computes which whole blocks, and every
+amplitude is summed in the same order for any worker count (bitwise
 identical results).
 """
 
@@ -115,17 +152,24 @@ def transpose(gather):
     return act, pref, None, src
 
 
+def _acting_rows(space, tb, k, q) -> np.ndarray:
+    """The 0-based output rows on which E_kq acts: n_k >= 1 (fermions: n_k = 1, and n_q = 0 unless k = q)."""
+    n_k = tb.occ[:, k - 1]
+    if space.statistics == FERMION:
+        return np.flatnonzero((n_k == 1) & ((tb.occ[:, q - 1] == 0) | (k == q)))
+    return np.flatnonzero(n_k >= 1)
+
+
 def _build_gather(space, tb, k, q):
     """E_kq's gather from its closed-form weights on the output rows (module docstring)."""
-    n_k, n_q = tb.occ[:, k - 1], tb.occ[:, q - 1]
+    act = _acting_rows(space, tb, k, q)
     if space.statistics == FERMION:
-        act = np.flatnonzero((n_k == 1) & ((n_q == 0) | (k == q)))
         parity = (tb.prefix[act, k - 1] + tb.prefix[act, q - 1] - (k < q)) & 1
         pref = np.where(parity.astype(bool), -1.0, 1.0)
     else:
-        act = np.flatnonzero(n_k >= 1)
+        n_k, n_q = tb.occ[act, k - 1], tb.occ[act, q - 1]
         # one exact integer product, one rounding: k = q gives sqrt(n_k^2) = n_k exactly
-        pref = np.sqrt((n_k[act] * (n_q[act] + (k != q))).astype(np.float64))
+        pref = np.sqrt((n_k * (n_q + (k != q))).astype(np.float64))
     src = _source_rows(space, tb, act, k, q)
     for arr in (src, pref, act):
         arr.flags.writeable = False
@@ -204,30 +248,38 @@ def apply_two_body_term(k: int, s: int, l: int, q: int, psi: StateVector) -> Sta
 # -- row blocks --------------------------------------------------------------
 
 # Amplitudes per block: a constant, so blocks never depend on the worker
-# count.  Each (block, term) pair pays a few numpy calls of fixed overhead,
-# so blocks must be large: on a 2-core x86 VM, with the mixture-prop
-# benchmark input (55,440 amplitudes, 44 terms), 2^12 made a matvec 1.8x
-# slower than 2^14, while 2^14 and 2^16 timed alike.  2^14 is the smallest
-# size without that cost, so vectors above 16k amplitudes still split into
-# blocks that workers can share.
+# count.  Each (block, pair) of a per-pair sweep pays a few numpy calls of
+# fixed overhead, so blocks must be large: on a 2-core x86 VM, with the
+# mixture-prop benchmark input (55,440 amplitudes, 44 terms), 2^12 made a
+# matvec 1.8x slower than 2^14, while 2^14 and 2^16 timed alike.  2^14 is
+# the smallest size without that cost, so vectors above 16k amplitudes still
+# split into blocks that workers can share.  A prepared operator's stacked
+# images use the same row blocks; its stacked sums run in blocks of whole
+# rows holding about this many gathered entries, so their temporaries stay
+# near one block of amplitudes.  On the hubbard-gs benchmark input (24,310
+# rows, 230,230 entries) summing per row block gathered 139,199 entries at
+# once, and the traced peak of a matvec was 1.7 MB above its inputs,
+# against 0.7 MB for the per-pair sweeps and 0.5 MB for blocks of entries.
 BLOCK_AMPLITUDES = 1 << 14
 
 
-def run_row_blocks(run_block: Callable[[int, int], None], n_rows: int,
-                   row_width: int = 1, workers: int = 1) -> None:
-    """Call ``run_block(lo, hi)`` on each fixed block of rows, on up to ``workers`` threads.
+def row_blocks(n_rows: int, row_width: int = 1) -> list[tuple[int, int]]:
+    """The fixed blocks (lo, hi) of ``n_rows`` rows of ``row_width`` amplitudes.
 
-    A row holds ``row_width`` amplitudes; a block holds about
-    :data:`BLOCK_AMPLITUDES` of them and at least one row.
+    A block holds about :data:`BLOCK_AMPLITUDES` amplitudes and at least one row.
     """
     step = max(1, BLOCK_AMPLITUDES // row_width)
-    blocks = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def run_blocks(run_block: Callable, blocks: list, workers: int = 1) -> None:
+    """Call ``run_block(block)`` on each of ``blocks``, on up to ``workers`` threads."""
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            list(pool.map(lambda block: run_block(*block), blocks))
+            list(pool.map(run_block, blocks))
     else:
-        for lo, hi in blocks:
-            run_block(lo, hi)
+        for block in blocks:
+            run_block(block)
 
 
 def hamiltonian_terms(spec) -> list[tuple[tuple[int, ...], complex]]:
@@ -246,15 +298,15 @@ def hamiltonian_terms(spec) -> list[tuple[tuple[int, ...], complex]]:
 def pair_gathers(space: SpaceDescriptor, pairs) -> list:
     """Gathers of E_kq = b†_k b_q for flat 0-based pairs k * M + q.
 
-    The space's pool keeps those with k <= q, under the 1-based key (k, q);
-    E_kq for k > q is the kept E_qk's :func:`transpose`, a view that copies
-    nothing.
+    The space's pool keeps E_kq for k <= q under the 1-based key (k, q)
+    (:meth:`SpaceTables.cached_gather`); E_kq for k > q is the kept E_qk's
+    :func:`transpose`, a view that copies nothing.
     """
     tb = space.tables()
     gathers = []
     for k, q in (divmod(int(p), space.m) for p in pairs):
-        lo, hi = min(k, q) + 1, max(k, q) + 1
-        gather = tb.cached_gather((lo, hi), lambda: _build_gather(space, tb, lo, hi))
+        key = (min(k, q) + 1, max(k, q) + 1)
+        gather = tb.cached_gather(key, lambda: _build_gather(space, tb, *key))
         gathers.append(gather if k <= q else transpose(gather))
     return gathers
 
@@ -305,7 +357,10 @@ class Contraction(NamedTuple):
 
 
 class Factored(NamedTuple):
-    """diag * C + hops (gather, axis, coefficient) + contractions on an amplitude matrix C, in ``dtype``."""
+    """diag * C + hops (gather, axis, coefficient) + contractions on an amplitude matrix C, in ``dtype``.
+
+    Applied by per-pair sweeps.
+    """
 
     diag: np.ndarray
     hops: list
@@ -313,25 +368,134 @@ class Factored(NamedTuple):
     dtype: np.dtype
 
 
+class Images(NamedTuple):
+    """Rows lo..hi-1 of stacked column images: ``phi.flat[tgt] = pref * amps[src]`` fills them in one assignment."""
+
+    lo: int
+    hi: int
+    tgt: np.ndarray
+    src: np.ndarray
+    pref: np.ndarray
+
+
+class Sums(NamedTuple):
+    """Rows lo..hi-1 of stacked sums: ``out[lo:hi] = add.reduceat(sources.flat[src] * weight, starts)``."""
+
+    lo: int
+    hi: int
+    src: np.ndarray
+    weight: np.ndarray
+    starts: np.ndarray
+
+
+class Stacked(NamedTuple):
+    """H on a vector with its pair gathers stacked: images per row block, chi = mat @ phi, then the sums.
+
+    ``mat`` is None, and ``images`` empty, when H has no two-body part
+    left after factoring.
+    """
+
+    mat: np.ndarray | None
+    images: list[Images]
+    sums: list[Sums]
+    dtype: np.dtype
+
+
 class Prepared(NamedTuple):
     """H factored once over ``space``, a snapshot of its tables; the apply entry points take it for a spec."""
 
     space: object
-    op: Factored
+    op: Factored | Stacked
 
     @property
     def dtype(self) -> np.dtype:
         return self.op.dtype
 
 
-def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) -> Factored:
-    """One species' Hamiltonian acting along ``axis`` of the amplitude matrix.
+def stack_images(gathers, lo: int, hi: int, slots=None) -> Images:
+    """Rows lo..hi-1 of the images E_c amps, stacked for one fancy assignment into an (n, hi - lo) array.
+
+    Gather c fills row ``slots[c]`` (default c) of the image array; the
+    targets are flat indices into it, the sources rows of ``amps``.
+    Nothing is summed: each gather acts on a row at most once.
+    """
+    tgt, src, pref = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    for c, (s, p, _, act) in zip(range(len(gathers)) if slots is None else slots, gathers):
+        i, j = act.searchsorted((lo, hi))
+        tgt.append(act[i:j] + (c * (hi - lo) - lo))
+        src.append(s[i:j])
+        pref.append(p[i:j])
+    return Images(lo, hi, *(np.concatenate(parts) for parts in (tgt, src, pref)))
+
+
+def stack_sums(space: SpaceDescriptor, diag: np.ndarray, parts, dtype) -> list[Sums]:
+    """diag + sum_p coeff_p E_p over the rows of ``space``, in blocks of whole rows for one segmented sum each.
+
+    ``parts`` holds (pair, offset, coeff) for flat 0-based pairs k * M + q:
+    E_kq reads the flat stacked sources at ``offset`` plus its source rows.
+    The diagonal is every row's first entry, so no row is without one.  A
+    counting sort over the rows, sized from the acting rows alone, places
+    each part's entries after those placed before it, so the build makes no
+    sorted or permuted copy.  The parts of one unordered pair are placed
+    together, from its gather in the space's pool (:func:`pair_gathers`),
+    which is then dropped from the pool.  A block holds about
+    :data:`BLOCK_AMPLITUDES` entries (at least one row), so a sum's
+    temporaries do not grow with the vector.  Sources are int32 when that
+    reaches them all: half the bytes of intp, for a gather about 5% slower
+    on the hubbard-gs benchmark input.
+    """
+    tb, n, m = space.tables(), space.n_conf, space.m
+    count = np.ones(n + 1, dtype=np.intp)
+    count[0] = 0
+    by_key: dict = {}
+    for part in parts:
+        k, q = divmod(int(part[0]), m)
+        count[_acting_rows(space, tb, k + 1, q + 1) + 1] += 1
+        by_key.setdefault((min(k, q), max(k, q)), []).append(part)
+    first = np.cumsum(count)  # first[t]: row t's first entry; first[-1] entries in all
+    reach = max((offset for _, offset, _ in parts), default=0) + n
+    src = np.empty(first[-1], dtype=np.int32 if reach <= 2**31 else np.intp)
+    weight = np.empty(first[-1], dtype=dtype)
+    src[first[:-1]] = np.arange(n)
+    weight[first[:-1]] = diag
+    slot = first[:-1] + 1
+    for (k, q), uses in by_key.items():
+        for (g_src, pref, _, act), (_, offset, coeff) in zip(pair_gathers(space, [p for p, _, _ in uses]), uses):
+            at = slot[act]
+            src[at] = g_src + offset
+            weight[at] = coeff * pref
+            slot[act] = at + 1
+        tb._gather_cache.pop((k + 1, q + 1), None)
+    cuts = [0, *(np.flatnonzero(np.diff(first[:-1] // BLOCK_AMPLITUDES)) + 1), n]  # rows that open a block
+    return [Sums(lo, hi, src[first[lo]:first[hi]], weight[first[lo]:first[hi]],
+                 first[lo:hi] - first[lo])
+            for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+class Coefficients(NamedTuple):
+    """One species' H factored into its diagonal, its hops (pair, coefficient) and the pair matrix ``mat``.
+
+    Pairs are flat 0-based k * M + q; ``mat`` couples the pairs ``rows``
+    to the pairs ``cols``.
+    """
+
+    diag: np.ndarray
+    hop_pairs: np.ndarray
+    hop_coeffs: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    mat: np.ndarray
+    dtype: np.dtype
+
+
+def factor_coefficients(space: SpaceDescriptor, one_body, two_body) -> Coefficients:
+    """One species' Hamiltonian as d * C + sum_p h'_p E_p C + sum_r E_r sum_c Wm[r, c] E_c C.
 
     Entries below :data:`SKIP_THRESHOLD` are dropped first; then
     Wm[(k,q),(s,l)] = W[k,s,q,l] / 2 and h'_kl = h_kl - 1/2 sum_s W[k,s,s,l].
     Number-operator products (k = q, s = l) and the diagonal of h' fold into
     the diagonal d, read off the occupation table.  When every kept entry
-    is real (:func:`all_real`) the whole operator, and its ``dtype``, is float64.
+    is real (:func:`all_real`) every coefficient, and ``dtype``, is float64.
     """
     m = space.m
     h = one_body.kept(SKIP_THRESHOLD)
@@ -345,27 +509,85 @@ def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) ->
     diag = real_linear(lambda lin, quad: occ @ lin + np.einsum("nk,nk->n", occ @ quad, occ),
                        h.diagonal(), wd)
     hop_pairs = np.flatnonzero(~np.eye(m, dtype=bool) & (h != 0))
-    hops = [(g, axis, h.flat[p]) for p, g in zip(hop_pairs, pair_gathers(space, hop_pairs))]
+    return Coefficients(diag, hop_pairs, h.flat[hop_pairs], rows, cols, wm, np.result_type(h, v))
+
+
+def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) -> Factored:
+    """One species' Hamiltonian (:func:`factor_coefficients`) acting along ``axis`` of the amplitude matrix.
+
+    Its gathers come from the space's pool (:func:`pair_gathers`).
+    """
+    co = factor_coefficients(space, one_body, two_body)
+    hops = [(g, axis, c) for g, c in zip(pair_gathers(space, co.hop_pairs), co.hop_coeffs)]
     contractions = []
-    if rows.size:
-        contractions.append(Contraction(pair_gathers(space, cols), axis, wm, pair_gathers(space, rows), axis))
-    return Factored(diag, hops, contractions, np.result_type(h, v))
+    if co.rows.size:
+        contractions.append(Contraction(pair_gathers(space, co.cols), axis, co.mat,
+                                        pair_gathers(space, co.rows), axis))
+    return Factored(co.diag, hops, contractions, co.dtype)
 
 
 def prepare(spec) -> Prepared:
-    """``spec``'s Hamiltonian factored once, to apply many times."""
-    return Prepared(spec.space, factor_species(spec.space, spec.one_body, spec.two_body))
+    """``spec``'s Hamiltonian factored once, its pair gathers stacked, to apply many times.
+
+    The pair gathers come from the space's pool (:func:`pair_gathers`).
+    :func:`stack_sums` drops each one from the pool once it has placed it,
+    and the few that only the images read go last: a prepared operator
+    leaves the pool empty, so it keeps no second copy of H's gathers.
+    """
+    space, n = spec.space, spec.space.n_conf
+    co = factor_coefficients(space, spec.one_body, spec.two_body)
+    images = []
+    if co.rows.size:
+        col_gathers = pair_gathers(space, co.cols)
+        images = [stack_images(col_gathers, lo, hi) for lo, hi in row_blocks(n)]
+        del col_gathers  # the pool then holds the only reference, so stack_sums frees each gather it places
+    parts = [(p, 0, c) for p, c in zip(co.hop_pairs, co.hop_coeffs)]
+    parts += [(p, (1 + r) * n, 1.0) for r, p in enumerate(co.rows)]
+    sums = stack_sums(space, co.diag, parts, co.dtype)
+    space.tables()._gather_cache.clear()
+    return Prepared(space, Stacked(co.mat if co.rows.size else None, images, sums, co.dtype))
+
+
+def _apply_stacked(op: Stacked, amps: np.ndarray, workers: int) -> np.ndarray:
+    """``op`` on the vector ``amps``: per block an image assignment and a GEMM, then per block a segmented sum.
+
+    The sources [psi, chi_0, ..., chi_{R-1}] are one (1 + R, N) array, so
+    the diagonal, every hop and every contraction row read them in one
+    gather, and each row of the result is written once.
+    """
+    dtype = np.result_type(amps, op.dtype)
+    if op.mat is None:
+        sources = amps.astype(dtype, copy=False)
+    else:
+        sources = np.empty((1 + op.mat.shape[0], amps.size), dtype=dtype)
+        sources[0] = amps
+
+        def contract(images):
+            phi = np.zeros((op.mat.shape[1], images.hi - images.lo), dtype=dtype)
+            phi.ravel()[images.tgt] = images.pref * amps[images.src]
+            sources[1:, images.lo:images.hi] = op.mat @ phi
+
+        run_blocks(contract, op.images, workers)
+    flat = sources.ravel()
+    out = np.empty(amps.shape, dtype=dtype)
+
+    def assemble(sums):
+        vals = np.take(flat, sums.src)  # casts int32 indices at once: flat[sums.src] was 38% slower through them
+        vals *= sums.weight
+        np.add.reduceat(vals, sums.starts, out=out[sums.lo:sums.hi])
+
+    run_blocks(assemble, op.sums, workers)
+    return out
 
 
 def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarray:
-    """``op`` applied to the amplitude vector or matrix ``amps`` in fixed row blocks.
+    """``op`` applied to the amplitude vector or matrix ``amps`` in fixed row blocks, pair by pair.
 
     Each block first contracts the images E_c C of its own rows into chi
     (one GEMM), then writes diag * C and every sweep into its own rows.
     Every buffer takes the common dtype of ``amps`` and ``op``: a real
     operator on a real vector computes in float64.
     """
-    n_rows = amps.shape[0]
     diag = np.broadcast_to(op.diag, amps.shape)
     dtype = np.result_type(amps, op.dtype)
     chis = [np.empty((len(c.rows),) + amps.shape, dtype=dtype) for c in op.contractions]
@@ -387,19 +609,26 @@ def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarr
             for gather, part in zip(c.rows, chi):
                 sweep(gather, c.row_axis, part, block, lo, hi)
 
-    width = amps.size // n_rows
+    blocks = row_blocks(amps.shape[0], amps.size // amps.shape[0])
     if chis:
-        run_row_blocks(contract, n_rows, width, workers)
-    run_row_blocks(assemble, n_rows, width, workers)
+        run_blocks(lambda block: contract(*block), blocks, workers)
+    run_blocks(lambda block: assemble(*block), blocks, workers)
     return out
 
 
 def apply_hamiltonian(spec, psi: StateVector, workers: int = 1) -> StateVector:
-    """H|Psi> = sum_kq h_kq |Psi^{kq}> + (1/2) sum_ksql W_ksql |Psi^{kslq}>, H a spec or :class:`Prepared`."""
+    """H|Psi> = sum_kq h_kq |Psi^{kq}> + (1/2) sum_ksql W_ksql |Psi^{kslq}>, H a spec or :class:`Prepared`.
+
+    A :class:`Prepared` H runs its stacked parts.  A spec is factored for
+    this one call and swept pair by pair: stacking its gathers would cost
+    more than the one apply saves.
+    """
     if spec.space != psi.space:
         raise SpaceMismatchError("Hamiltonian and state belong to different spaces")
-    prep = spec if isinstance(spec, Prepared) else prepare(spec)
-    return StateVector(prep.space, apply_factored(prep.op, psi.amplitudes, workers))
+    if isinstance(spec, Prepared):
+        return StateVector(spec.space, _apply_stacked(spec.op, psi.amplitudes, workers))
+    op = factor_species(spec.space, spec.one_body, spec.two_body)
+    return StateVector(spec.space, apply_factored(op, psi.amplitudes, workers))
 
 
 def apply_one_body_operator(h, psi: StateVector) -> StateVector:

@@ -214,12 +214,14 @@ def ground_state(
     thick-restarted when full, unless the space has at most
     :data:`RESTART_MIN_DIM` configurations.  The solve runs in float64 when
     every kept coefficient is real; the state is returned as complex128
-    either way.  A ``tol`` that is negative or not finite, or a ``max_iter``
-    below 1, raises :class:`SolverArgumentError`.
+    either way.  A ``tol`` that is negative or not finite, a ``max_iter``
+    below 1, or a ``seed`` that is not an integer >= 0 raises
+    :class:`SolverArgumentError`.
     """
     _check_arguments(
         ("tol", tol, math.isfinite(tol) and tol >= 0, "finite and >= 0"),
         ("max_iter", max_iter, max_iter >= 1, ">= 1"),
+        ("seed", seed, isinstance(seed, (int, np.integer)) and seed >= 0, "an integer >= 0"),
     )
     matvec, wrap, dim, dtype = _operator(spec, workers)
     real = dtype == np.float64

@@ -431,6 +431,7 @@ class TestWorkerCountBoundary:
     ["prop", "--krylov-dim", "0"], ["prop", "--krylov-dim", "-3"],
     ["prop", "--err-tol", "nan"], ["prop", "--err-tol", "inf"], ["prop", "--err-tol", "-1"],
     ["gs", "--tol", "nan"], ["gs", "--tol", "inf"], ["gs", "--tol", "-1"], ["gs", "--max-iter", "0"],
+    ["gs", "--seed", "-1"],
 ], ids=" ".join)
 def test_bad_solver_argument_is_usage_error(capsys, bose_hubbard_file, monkeypatch, argv):
     """Each bad solver argument exits 1 with one line, before any occupation table is built."""
@@ -511,6 +512,16 @@ def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fockops.cli", "enum", "--fermion", "-N", "7", "-M", "10",
          "--holes", "2,6,8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "65"
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockops", "enum", "--fermion", "-N", "7", "-M", "10", "--holes", "2,6,8"],
         capture_output=True,
         text=True,
     )

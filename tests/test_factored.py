@@ -1,6 +1,7 @@
 """The factored H|psi> against the dense oracle, and the pair gathers against the occupation algebra."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,110 @@ def _count_builds(monkeypatch) -> list:
     return built
 
 
+def _hermitian_tables(rng, m, real, sparse):
+    """Random Hermitian h and W, every entry kept or (``sparse``) about a third, in Hermitian pairs."""
+    a = _complex(rng, (m, m))
+    h = 0.5 * (a + a.conj().T)
+    t = _complex(rng, (m,) * 4)
+    w = 0.5 * (t + np.conj(np.transpose(t, (2, 3, 0, 1))))
+    if sparse:
+        keep = rng.random((m, m)) < 0.3
+        h = h * (keep | keep.T)
+        keep = rng.random((m,) * 4) < 0.3
+        w = w * (keep | np.transpose(keep, (2, 3, 0, 1)))
+    if real:
+        h, w = h.real, w.real
+    return OneBodyTable(h), TwoBodyTable.from_dense(w)
+
+
+def _assert_stacked_matches_sweeps(spec, psi, workers=1):
+    """H prepared (stacked parts) against the same spec swept pair by pair, to TOL; returns the stacked result."""
+    op = kernel.prepare(spec)
+    assert isinstance(op.op, kernel.Stacked)
+    got = apply_hamiltonian(op, psi, workers=workers).amplitudes
+    ref = apply_hamiltonian(spec, psi, workers=workers).amplitudes
+    assert got.dtype == ref.dtype
+    assert np.linalg.norm(got - ref) <= TOL * max(1.0, np.linalg.norm(ref))
+    return got
+
+
+class TestStackedParts:
+    """The prepared operator's stacked gathers against the per-pair sweeps of a spec applied once."""
+
+    @given(spaces(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_apply_matches_the_sweeps(self, space, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        h, w = _hermitian_tables(rng, space.m, data.draw(st.booleans()), data.draw(st.booleans()))
+        psi = random_state(space, seed=data.draw(st.integers(0, 100)))
+        if data.draw(st.booleans()):
+            psi = StateVector(space, psi.amplitudes.real.copy())
+        _assert_stacked_matches_sweeps(HamiltonianSpec(space, h, w), psi)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(0, 4), SpaceDescriptor.boson(0, 3),
+                                       SpaceDescriptor.fermion(4, 4), SpaceDescriptor.fermion(1, 1),
+                                       SpaceDescriptor.boson(3, 1)], ids=str)
+    def test_spaces_where_no_pair_moves_a_particle(self, space, real):
+        """N = 0, fermions with N = M, and M = 1: no hop acts, and H = 0 has not even a diagonal."""
+        rng = np.random.default_rng(3)
+        psi = random_state(space, seed=4)
+        for sparse in (False, True):
+            _assert_stacked_matches_sweeps(HamiltonianSpec(space, *_hermitian_tables(rng, space.m, real, sparse)), psi)
+        zero = HamiltonianSpec(space, OneBodyTable(np.zeros((space.m, space.m))), TwoBodyTable.zeros(space.m))
+        assert not _assert_stacked_matches_sweeps(zero, psi).any()
+
+    @pytest.mark.parametrize("two_body", [False, True], ids=["one-body", "two-body"])
+    def test_prepare_holds_each_entry_once(self, two_body):
+        """fermion(4,24), dense h: N_conf + the acting rows of every part are stacked, and nothing else stays.
+
+        The traced peak of prepare stays within 1.5x the stacked arrays it
+        returns: a sorted or permuted copy of the entries, or the pool
+        keeping H's gathers beside them, reads 2x or more.
+        """
+        space = SpaceDescriptor.fermion(4, 24)
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((24, 24))
+        w = TwoBodyTable.zeros(24)
+        if two_body:
+            idx = np.array([(0, 1, 1, 2), (1, 2, 0, 1), (2, 2, 6, 0), (6, 0, 2, 2), (8, 4, 23, 12), (23, 12, 8, 4)])
+            w = TwoBodyTable(24, idx, np.repeat(rng.standard_normal(3), 2))
+        spec = HamiltonianSpec(space, OneBodyTable(a + a.T), w)
+        space.tables().occ_float  # the tables are built before tracing
+        tracemalloc.start()
+        try:
+            op = kernel.prepare(spec).op
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.tables()._gather_cache == {}
+        assert (op.mat is not None) == two_body
+        co = kernel.factor_coefficients(space, spec.one_body, spec.two_body)
+        acting = sum(kernel.term_gather(space, p // 24 + 1, p % 24 + 1)[3].size for p in [*co.hop_pairs, *co.rows])
+        assert sum(s.src.size for s in op.sums) == space.n_conf + acting
+        stacked = sum(s.src.nbytes + s.weight.nbytes + s.starts.nbytes for s in op.sums)
+        stacked += sum(i.tgt.nbytes + i.src.nbytes + i.pref.nbytes for i in op.images)
+        assert peak <= 1.5 * stacked
+
+    def test_two_row_blocks_give_the_same_bits_for_any_worker_count(self):
+        """boson(9,9): 24,310 amplitudes, more than one row block and many blocks of sums."""
+        space = SpaceDescriptor.boson(9, 9)
+        assert space.n_conf > kernel.BLOCK_AMPLITUDES
+        rng = np.random.default_rng(5)
+        h = np.diag(rng.standard_normal(9)) - np.eye(9, k=1) - np.eye(9, k=-1)
+        entries = [(1, 2, 2, 3), (2, 5, 4, 4), (3, 3, 7, 1), (9, 1, 8, 2)]
+        w = np.zeros((9,) * 4, dtype=np.complex128)
+        for (k, s, q, l), v in zip(entries, _complex(rng, len(entries))):
+            w[k - 1, s - 1, q - 1, l - 1] += v
+            w[q - 1, l - 1, k - 1, s - 1] += np.conj(v)
+        spec = HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.from_dense(w))
+        psi = random_state(space, seed=6)
+        op = kernel.prepare(spec)
+        assert len(op.op.images) > 1 and len(op.op.sums) > len(op.op.images)
+        serial = _assert_stacked_matches_sweeps(spec, psi)
+        np.testing.assert_array_equal(_assert_stacked_matches_sweeps(spec, psi, workers=2), serial)
+
+
 class TestRowBlocks:
     """Several blocks per vector through the contraction path: the block size is patched down."""
 
@@ -286,9 +391,15 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     @pytest.mark.parametrize("space", [suite_single_spaces()[0], suite_mixture_spaces()[2]], ids=str)
-    def test_prepared_apply_is_bitwise_the_spec_apply(self, space, real):
-        """H prepared once gives the bits of a spec factored per call, for 1, 2 and 4 workers; no two results alias."""
-        if isinstance(space, MixtureSpace):
+    def test_prepared_apply_agrees_with_the_spec_apply(self, space, real):
+        """H prepared once gives the same bits for 1, 2 and 4 workers and on every call; no two results alias.
+
+        A mixture keeps the per-pair sweeps, so its bits are those of a spec
+        factored per call; a single species sums its stacked parts in
+        another order, within TOL of the spec.
+        """
+        mixture = isinstance(space, MixtureSpace)
+        if mixture:
             spec, psi = random_mixture_spec(space, seed=8, real=real), mixture_random_state(space, seed=9)
             prepare, apply = mixtures.prepare, apply_mixture_hamiltonian
         else:
@@ -298,13 +409,18 @@ class TestRowBlocks:
             psi = type(psi)(space, psi.amplitudes.real.copy())
         op = prepare(spec)
         assert op.dtype == (np.float64 if real else np.complex128)
+        serial = apply(op, psi).amplitudes
         for workers in (1, 2, 4):
             ref = apply(spec, psi, workers=workers).amplitudes
             first, second = (apply(op, psi, workers=workers).amplitudes for _ in range(2))
             assert first.dtype == ref.dtype == psi.amplitudes.dtype
-            np.testing.assert_array_equal(first, ref)
-            np.testing.assert_array_equal(second, ref)
+            np.testing.assert_array_equal(first, serial)
+            np.testing.assert_array_equal(second, serial)
             assert not np.shares_memory(first, second)
+            if mixture:
+                np.testing.assert_array_equal(first, ref)
+            else:
+                assert np.linalg.norm(first - ref) <= TOL * np.linalg.norm(ref)
 
     def test_warm_apply_builds_none(self, monkeypatch):
         space = SpaceDescriptor.fermion(3, 6)
@@ -352,8 +468,8 @@ class TestTransposedPool:
 
     @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4)], ids=str)
     def test_pool_holds_half_and_a_warm_space_builds_none(self, monkeypatch, space):
-        """A dense H keeps E_kq for k <= q only; densities and single terms on it then build nothing."""
-        kernel.prepare(random_hermitian_spec(space, seed=17))
+        """A dense H applied once keeps E_kq for k <= q only; densities and single terms on it then build nothing."""
+        apply_hamiltonian(random_hermitian_spec(space, seed=17), random_state(space, seed=16))
         m, pool = space.m, space.tables()._gather_cache
         assert set(pool) == {(k, q) for k in range(1, m + 1) for q in range(k, m + 1)}
         assert len(pool) == m * (m + 1) // 2
@@ -365,9 +481,9 @@ class TestTransposedPool:
         assert built == []
 
     def test_cold_density_builds_the_pairs_outside_a_chain(self, monkeypatch):
-        """boson(3,4) keeps E_12, E_23 and E_34 for the chain; rho builds E_13, E_14 and E_24 on each call."""
+        """boson(3,4) applied once keeps E_12, E_23 and E_34; rho builds E_13, E_14 and E_24 on each call."""
         spec = build_bose_hubbard(3, 4, 1.0, 2.0)
-        kernel.prepare(spec)
+        apply_hamiltonian(spec, random_state(spec.space, seed=18))
         built = _count_builds(monkeypatch)
         one_body_density(random_state(spec.space, seed=19))
         assert sorted(pair for _, pair in built) == [(1, 3), (1, 4), (2, 4)]
@@ -402,7 +518,7 @@ def test_prepared_operator_is_a_snapshot_of_the_tables():
     space = SpaceDescriptor.fermion(3, 6)
     spec, psi = random_hermitian_spec(space, seed=1), random_state(space, seed=2)
     op = kernel.prepare(spec)
-    before = apply_hamiltonian(spec, psi).amplitudes
+    before = apply_hamiltonian(op, psi).amplitudes
     spec.one_body.matrix[0, 1] += 1.0
     spec.one_body.matrix[1, 0] += 1.0
     np.testing.assert_array_equal(apply_hamiltonian(op, psi).amplitudes, before)
@@ -414,7 +530,7 @@ class TestGatherPool:
 
     @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4)], ids=str)
     def test_pool_holds_only_pair_gathers(self, space):
-        """Densities and single terms keep nothing; the factored apply keeps at most its M(M+1)/2 pairs."""
+        """Densities, single terms and a solve's stacked operator keep nothing; a spec's apply keeps its pairs."""
         spec = random_hermitian_spec(space, seed=14)
         pool = space.tables()._gather_cache
         psi = random_state(space, seed=15)
@@ -424,7 +540,9 @@ class TestGatherPool:
         assert pool == {}
         psi = ground_state(spec, seed=1).state
         assert psi.space.tables() is space.tables()
-        pairs = set(itertools.product(range(1, space.m + 1), repeat=2))
+        assert pool == {}
+        apply_hamiltonian(spec, psi)
+        pairs = {(k, q) for k in range(1, space.m + 1) for q in range(k, space.m + 1)}
         assert pool and pool.keys() <= pairs
         keys = set(pool)
         one_body_density(psi)

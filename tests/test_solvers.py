@@ -13,6 +13,7 @@ from fockops import (
     OneBodyTable,
     SpaceDescriptor,
     StateVector,
+    SolverArgumentError,
     StepFailureError,
     TwoBodyTable,
     apply_hamiltonian,
@@ -28,6 +29,7 @@ from fockops import (
     random_state,
 )
 from fockops import kernel, mixtures, solvers
+from fockops.oracle import DENSE_CAP
 from fockops.solvers import BASIS_BLOCK_ROWS, BASIS_KEEP_ROWS, BASIS_MAX_ROWS, RESTART_MIN_DIM, write_series_csv
 from conftest import (
     random_hermitian_spec,
@@ -71,6 +73,12 @@ class TestGroundState:
         r2 = ground_state(spec, seed=7)
         np.testing.assert_array_equal(r1.state.amplitudes, r2.state.amplitudes)
         assert r1.energy == r2.energy
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        spec = random_hermitian_spec(SpaceDescriptor.boson(3, 3), seed=3)
+        with pytest.raises(SolverArgumentError, match="seed must be an integer >= 0"):
+            ground_state(spec, seed=seed)
 
     def test_nonconvergence_raises_with_best_residual(self):
         space = SpaceDescriptor.boson(4, 4)
@@ -162,21 +170,23 @@ class TestLanczosBasis:
 
     @pytest.mark.parametrize("max_iter,tol", [(300, 1e-10), (BASIS_BLOCK_ROWS, 0.0)],
                              ids=["converges-in-4", "stops-on-a-block-boundary"])
-    def test_basis_memory_stays_within_one_block_of_the_vectors_used(self, max_iter, tol):
+    def test_basis_memory_stays_within_one_block_of_the_vectors_used(self, max_iter, tol, monkeypatch):
         """tracemalloc peak of ground_state <= one matvec's peak + the blocks its vectors fill + 6 vectors.
 
         n_1 + 2 n_2 has four distinct levels, so Lanczos breaks down after
         four iterations; a random one-body table with tol = 0 runs to
         ``max_iter``, which ends a block.  Reserving rows for ``max_iter``
         vectors up front, or a block past the last vector, exceeds the bound.
+        H is prepared before tracing.
         """
         space = SpaceDescriptor.fermion(4, 24)
         a = np.random.default_rng(3).standard_normal((24, 24))
         h = np.diag([1.0, 2.0] + [0.0] * 22) if tol else a + a.T
         spec = HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.zeros(24))
         psi = random_state(space, seed=4)
-        apply_hamiltonian(spec, psi)  # tables and gathers are cached before tracing
-        matvec_peak = _peak_bytes(lambda: apply_hamiltonian(spec, psi))
+        op = kernel.prepare(spec)  # tables and the stacked operator are built before tracing
+        monkeypatch.setattr(kernel, "prepare", lambda spec: op)
+        matvec_peak = _peak_bytes(lambda: apply_hamiltonian(op, psi))
         runs = []
 
         def solve():
@@ -237,6 +247,26 @@ class TestReorthogonalization:
         result = ground_state(build_bose_hubbard(4, 5, hopping=1.0, interaction=2.0), tol=1e-10, seed=1)
         second_passes = len(passes) - result.iterations  # one first pass per iteration
         assert 0 <= second_passes < result.iterations
+
+
+class TestClosedFormsPastTheDenseCap:
+    """One-body ground energies at 24,310 configurations: past DENSE_CAP and past one row block.
+
+    The ground state of sum_kq h_kq b†_k b_q fills the N lowest orbitals of
+    h (fermions) or puts all N particles in the lowest (bosons).
+    """
+
+    @pytest.mark.parametrize("space,workers", [(SpaceDescriptor.fermion(9, 17), 1),
+                                               (SpaceDescriptor.boson(9, 9), 2)], ids=str)
+    def test_one_body_ground_energy(self, space, workers):
+        assert space.n_conf > max(DENSE_CAP, kernel.BLOCK_AMPLITUDES)
+        a = np.random.default_rng(space.m).standard_normal((space.m, space.m))
+        h = a + a.T
+        levels = np.linalg.eigvalsh(h)
+        exact = levels[:space.n].sum() if space.statistics == "fermion" else space.n * levels[0]
+        spec = HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.zeros(space.m))
+        result = ground_state(spec, tol=1e-10, seed=1, workers=workers)
+        assert abs(result.energy - exact) <= 1e-10
 
 
 class TestRealArithmetic:
@@ -344,13 +374,14 @@ class TestThickRestart:
         assert len(errors) >= 2
         assert max(errors) <= 1e-12
 
-    def test_basis_memory_does_not_grow_with_the_iterations(self, lanczos_made):
+    def test_basis_memory_does_not_grow_with_the_iterations(self, lanczos_made, monkeypatch):
         """tracemalloc peak <= one matvec's peak + (BASIS_MAX_ROWS + BASIS_KEEP_ROWS + 6) vectors at any max_iter."""
         space = SpaceDescriptor.fermion(4, 24)
         a = np.random.default_rng(3).standard_normal((24, 24))
         spec = HamiltonianSpec(space, OneBodyTable(a + a.T), TwoBodyTable.zeros(24))
         psi = StateVector(space, random_state(space, seed=4).amplitudes.real.copy())
-        op = kernel.prepare(spec)
+        op = kernel.prepare(spec)  # built before tracing
+        monkeypatch.setattr(kernel, "prepare", lambda spec: op)
         matvec_peak = _peak_bytes(lambda: apply_hamiltonian(op, psi))
         bound = matvec_peak + (BASIS_MAX_ROWS + BASIS_KEEP_ROWS + 6) * space.n_conf * 8
         for max_iter in (60, 200):
@@ -393,17 +424,17 @@ def test_readme_library_example_runs(capsys):
 def test_factoring_runs_once_per_solve(mixture, monkeypatch):
     """ground_state and propagate each factor every species and the inter-species table once."""
     calls = []
-    for owner, name in ((kernel, "factor_species"), (mixtures, "factor_inter")):
+    for owner, name in ((kernel, "factor_coefficients"), (mixtures, "factor_inter")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
     if mixture:
         mspace = suite_mixture_spaces()[2]
         spec, psi0 = random_mixture_spec(mspace, seed=5), mixture_random_state(mspace, seed=6)
-        once = ["factor_species", "factor_species", "factor_inter"]
+        once = ["factor_coefficients", "factor_coefficients", "factor_inter"]
     else:
         spec = build_bose_hubbard(3, 4, hopping=1.0, interaction=2.0)
         psi0 = basis_state(spec.space, 1)
-        once = ["factor_species"]
+        once = ["factor_coefficients"]
     assert ground_state(spec, tol=1e-10).iterations > 1
     assert calls == once
     calls.clear()
