@@ -235,7 +235,13 @@ def _resolve_initial(spec, text: str):
 
 def _literal_to_address(space: SpaceDescriptor, text: str) -> int:
     text = text.strip()
-    return _rank_occupations(space, _parse_csv_ints(text) if "," in text else [int(c) for c in text])
+    if "," in text:
+        return _rank_occupations(space, _parse_csv_ints(text))
+    try:
+        occ = [int(c) for c in text]
+    except ValueError:
+        raise InvalidConfigurationError(f"bad occupation string {text!r}") from None
+    return _rank_occupations(space, occ)
 
 
 def _rank_occupations(space: SpaceDescriptor, occ) -> int:

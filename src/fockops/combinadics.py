@@ -16,7 +16,7 @@ with S_k the cumulative occupation.  Hole positions are counted from the
 left; J = 1 is the all-particles-leftmost configuration.  This is the
 lexical addressing of Knowles & Handy.  Every binomial is an exact Python
 integer from ``math.comb``, so addresses have no width limit; the kernel's
-integer rank tables are checked against these closed forms.
+occupation and creation tables are checked against these closed forms.
 """
 
 from __future__ import annotations

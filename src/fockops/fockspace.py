@@ -158,6 +158,54 @@ def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.nd
     return occ, rank_counts, rank_counts[:, remaining - np.minimum(remaining, cap)]
 
 
+def creation_table(statistics: str, n: int, m: int) -> np.ndarray:
+    """U[q-1, j]: the 0-based address in the space of ``n`` particles of the j-th configuration of n - 1 plus one in q.
+
+    U is -1 where fermion orbital q of that configuration is already full,
+    and has no columns for n = 0.  The address of a configuration is
+    J - 1 = sum_p T_p over orbitals p, where T_p counts the configurations
+    with the same occupations in orbitals 1..p-1 and more particles in p
+    (:func:`occupation_table`).  With R_p the particles in orbitals p..M and
+    count_j(r) the configurations of r particles in j orbitals, bosons have
+    T_p = sum_{r < R_{p+1}} count_{M-p}(r), and fermions T_p = [n_p = 0]
+    count_{M-p}(R_p - 1); neither depends on n.  Adding a particle to q
+    raises R_{p+1} for every p < q, so U has a running sum over q:
+
+        bosons    U[q] = j + sum_{p<q} count_{M-p}(R_{p+1})
+        fermions  U[q] = j + sum_{p<q, m_p=0} (count_{M-p}(R_{p+1}) - count_{M-p}(R_{p+1} - 1))
+                           - count_{M-q}(R_q - 1),
+
+    m being the (n - 1)-particle configuration.  Each row is increasing
+    where it is not -1: adding a particle to a fixed orbital keeps
+    lexicographic order.  The counts are the differences of the
+    (n - 1)-particle space's rank counts, which omit the particle numbers
+    its orbitals 1..q cannot complete; the fermion terms read those only
+    where m_q = 1, whose entry is -1.  U is int32 when that holds every
+    address.
+    """
+    if n == 0:
+        return np.empty((m, 0), dtype=np.int32)
+    lower, rank_counts, _ = occupation_table(statistics, n - 1, m)
+    count = np.zeros((m, n + 1), dtype=np.int64)  # count[q-1, r+1] = count_{M-q}(r), r = -1..n-1
+    count[:-1, 1:] = np.diff(rank_counts, axis=1)
+    fits = cmb.space_dimension(statistics, n, m) < 2**31
+    table = np.empty((m, len(lower)), dtype=np.int32 if fits else np.int64)
+    base = np.arange(len(lower), dtype=np.int64)
+    rest = np.full(len(lower), n - 1, dtype=np.int64)  # particles of m in orbitals q+1..M
+    for q in range(1, m + 1):
+        held = lower[:, q - 1]
+        rest -= held
+        if statistics == FERMION:
+            free = held == 0
+            at = base - count[q - 1, rest]
+            table[q - 1] = np.where(free, at, -1)
+            base = np.where(free, at + count[q - 1, rest + 1], base)
+        else:
+            table[q - 1] = base
+            base += count[q - 1, rest + 1]
+    return table
+
+
 def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
     """Yield (J, configuration) for every configuration in increasing J order.
 
@@ -175,20 +223,19 @@ def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
 
 
 class SpaceTables:
-    """Arrays over all configurations, in J order, and the rank terms that re-address them.
+    """Arrays over all configurations, in J order, and the creation table that re-addresses them.
 
-    occ          (N_conf, M)     occupation numbers
-    prefix       (N_conf, M+1)   prefix[:, p] = sum of occ[:, :p]
-    rank_counts  (M-1, N+2)      C of :func:`occupation_table`
-    rank_floor   (M-1, N+1)      F of :func:`occupation_table`
-    occ_float    (N_conf, M)     occ as float64, built on first use
+    occ          (N_conf, M)         occupation numbers
+    prefix       (N_conf, M+1)       prefix[:, p] = sum of occ[:, :p]
+    occ_float    (N_conf, M)         occ as float64, built on first use
+    creation     (M, N_conf(N-1))    :func:`creation_table`, built on first use
 
     It also holds the space's one gather pool (:meth:`cached_gather`).
     """
 
     def __init__(self, space: SpaceDescriptor):
         self.space = space
-        self.occ, self.rank_counts, self.rank_floor = occupation_table(space.statistics, space.n, space.m)
+        self.occ = occupation_table(space.statistics, space.n, space.m)[0]
         prefix = np.zeros((space.n_conf, space.m + 1), dtype=np.int64)
         np.cumsum(self.occ, axis=1, out=prefix[:, 1:])
         self.prefix = prefix
@@ -198,6 +245,15 @@ class SpaceTables:
     def occ_float(self) -> np.ndarray:
         """The occupation numbers as float64, for the diagonal of H; built once, on first use."""
         return self.occ.astype(np.float64)
+
+    @functools.cached_property
+    def creation(self) -> np.ndarray:
+        """The creation table b†_q from the space of N - 1 particles (:func:`creation_table`); built once, on first use."""
+        return creation_table(self.space.statistics, self.space.n, self.space.m)
+
+    def drop_creation(self) -> None:
+        """Free the creation table; it is built again on next use."""
+        self.__dict__.pop("creation", None)
 
     def cached_gather(self, key, build):
         """The gather stored under ``key``, built by ``build()`` and kept on first use.

@@ -1,12 +1,21 @@
 """Reduced density matrices and expectation values.
 
-Every element comes from the one-body gathers of E_kq = b†_k b_q that the
-Hamiltonian kernel also sweeps, with the same sign conventions.  The
-one-body density reads rho_kk = <n_k> off the occupation table and
-rho_kq = <Psi|E_kq Psi> from E_kq's gather for k < q only; E_qk is the
-adjoint of E_kq, so rho_qk = conj(rho_kq) and rho is exactly Hermitian.
-The two-body density is one Gram product of the images phi_kq = E_kq Psi,
-rho_kslq = <phi_qk|phi_sl> - δ_qs rho_kl.
+Both densities are Gram products of annihilated states, as in direct CI
+(Olsen et al., J. Chem. Phys. 89, 2185, 1988).  b_q maps the compact
+enumeration of N particles onto that of N - 1 in closed form: the space's
+creation table (:attr:`fockspace.SpaceTables.creation`) gives, for every
+(N-1)-particle configuration m, the address of m + e_q, so A_q = b_q Psi
+is one gather for all q at once, weighted by sqrt(n_q) (bosons) or the
+parity (-1)^{S_q} of the particles below q (fermions), with the kernel's
+sign conventions.  Then
+
+    rho_kq = <b_k Psi|b_q Psi>,    rho2_kslq = <b_s b_k Psi|b_l b_q Psi>,
+
+where b_l b_q Psi comes from A by the creation table of the (N-1)-particle
+space.  The diagonal of rho is read off the occupation table and its upper
+triangle mirrored, so rho is exactly Hermitian.  Both Gram products run
+over fixed blocks of the smaller space's configurations, so no pair gather
+is built and rho2 holds A whole but never the M^2 states b_l b_q Psi.
 """
 
 from __future__ import annotations
@@ -18,8 +27,9 @@ import warnings
 import numpy as np
 
 from . import kernel, mixtures
+from .combinadics import FERMION
 from .errors import SpaceMismatchError
-from .fockspace import StateVector, dot
+from .fockspace import SpaceDescriptor, StateVector, dot
 
 NORM_WARN_TOL = 1e-8
 
@@ -38,14 +48,44 @@ def _occupations(space, mat: np.ndarray, axis: int) -> np.ndarray:
     return weights @ space.tables().occ
 
 
+def _annihilated(space, mat: np.ndarray, axis: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """b_q applied along ``axis`` of ``mat`` for every orbital q: ``axis`` becomes (q, m).
+
+    m runs over the configurations lo..hi-1 (default all) of N - 1
+    particles; entry (q, m) reads the amplitude of m + e_q (the creation
+    table), weighted by this space's sqrt(n_q) or (-1)^{S_q} at that row,
+    and is 0 where fermion orbital q of m is full.
+    """
+    tb = space.tables()
+    table = tb.creation[:, lo:hi]
+    orbital = np.arange(space.m)[:, None]
+    if space.statistics == FERMION:
+        weight = np.where(table >= 0, 1.0 - 2.0 * (tb.prefix[table, orbital] & 1), 0.0)
+    else:
+        weight = np.sqrt(tb.occ[table, orbital])
+    out = mat.take(table, axis)
+    out *= weight.reshape(table.shape + (1,) * (mat.ndim - axis - 1))
+    return out
+
+
+def _gram(space, mat: np.ndarray, axis: int, rows: int) -> np.ndarray:
+    """conj(X) X^T for X = b_q ``mat`` along ``axis`` (:func:`_annihilated`), reshaped to ``rows`` rows.
+
+    X is formed and summed in fixed blocks of about
+    :data:`kernel.BLOCK_AMPLITUDES` entries, so its temporaries do not grow
+    with the space, and the order of the sum depends on the space alone.
+    """
+    gram = np.zeros((rows, rows), dtype=mat.dtype)
+    width = space.m * (mat.size // mat.shape[axis])  # entries of X per configuration of N - 1 particles
+    for lo, hi in kernel.row_blocks(space.tables().creation.shape[1], width):
+        images = _annihilated(space, mat, axis, lo, hi).reshape(rows, -1)
+        gram += images.conj() @ images.T
+    return gram
+
+
 def _one_body(space, mat: np.ndarray, axis: int) -> np.ndarray:
-    """rho[k-1, q-1] = <Psi|E_kq Psi> along ``axis``, from the gathers of E_kq with k < q only."""
-    upper = np.zeros((space.m, space.m), dtype=np.complex128)
-    shape = [1] * mat.ndim
-    for k, q in zip(*np.triu_indices(space.m, 1)):
-        src, pref, _, act = kernel.term_gather(space, k + 1, q + 1)
-        shape[axis] = act.size
-        upper[k, q] = np.vdot(mat.take(act, axis), pref.reshape(shape) * mat.take(src, axis))
+    """rho[k-1, q-1] = <b_k Psi|b_q Psi> along ``axis``: k < q from the Gram product, the diagonal from the occupations."""
+    upper = np.triu(_gram(space, np.moveaxis(mat, axis, 0), 0, space.m), 1).astype(np.complex128)
     return np.diag(_occupations(space, mat, axis)) + upper + upper.conj().T
 
 
@@ -58,32 +98,20 @@ def one_body_density(psi: StateVector) -> np.ndarray:
 def two_body_density(psi: StateVector) -> np.ndarray:
     """rho2[k-1, s-1, l-1, q-1] = <Psi| b†_k b†_s b_l b_q |Psi> (M^4 complex).
 
-    b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl, so
-    rho2[k, s, l, q] = <E_qk Psi|E_sl Psi> - δ_qs rho[k, l]: the Gram matrix
-    of the M^2 images phi_kq = E_kq Psi, held once in one array.  For each
-    pair k < q the images of E_kq and E_qk, whose gather is E_kq's
-    transposed, are stacked as in the prepared operator
-    (:func:`kernel.stack_images`) and written by one fancy assignment;
-    E_kk's image is n_k Psi, so a cold call builds M(M-1)/2 gathers.  The
-    Gram product conjugates M images at a time.
+    rho2[k, s, l, q] = <b_s b_k Psi|b_l b_q Psi>: the Gram matrix of the M^2
+    states b_l b_q Psi of N - 2 particles.  They are formed from the M
+    states b_q Psi of N - 1 particles, held whole, in blocks of N - 2
+    particle configurations (:func:`_gram`).
     """
     _warn_if_unnormalized(psi)
-    space, amps = psi.space, psi.amplitudes
-    m, n_conf = space.m, space.n_conf
-    phi = np.zeros((m * m, n_conf), dtype=np.complex128)  # row (k-1) * M + q-1 holds E_kq Psi
-    for k, q in zip(*np.triu_indices(m, 1)):  # one pair at a time, so the stacked indices stay small
-        gather = kernel.term_gather(space, k + 1, q + 1)
-        images = kernel.stack_images([gather, kernel.transpose(gather)], 0, n_conf, (k * m + q, q * m + k))
-        phi.ravel()[images.tgt] = images.pref * amps[images.src] + 0.0  # a -0.0 product reads 0.0, as summed into zeros
-    occ = space.tables().occ_float
-    for k in range(m):  # E_kk = n_k
-        phi[k * m + k] = occ[:, k] * amps
-    rho = (phi @ amps.conj()).reshape(m, m)
-    gram = np.empty((m * m, m * m), dtype=np.complex128)
-    for lo in range(0, m * m, m):  # M conjugated images at a time, so the images are held once
-        np.matmul(phi[lo:lo + m].conj(), phi.T, out=gram[lo:lo + m])
-    gram = gram.reshape(m, m, m, m)  # [q, k, s, l] = <E_qk Psi|E_sl Psi>
-    return np.transpose(gram, (1, 2, 3, 0)) - np.einsum("kl,sq->kslq", rho, np.eye(m))
+    space = psi.space
+    m = space.m
+    if space.n < 2:
+        return np.zeros((m,) * 4, dtype=np.complex128)
+    singles = _annihilated(space, psi.amplitudes, 0)
+    gram = _gram(SpaceDescriptor(space.statistics, space.n - 1, m), singles, 1, m * m)
+    # row (q-1) M + l-1 holds b_l b_q Psi, so gram[k, s, q, l] = rho2[k, s, l, q]
+    return np.ascontiguousarray(np.transpose(gram.reshape(m, m, m, m), (0, 1, 3, 2)), dtype=np.complex128)
 
 
 def reorder_two_body(rho2: np.ndarray, convention: str) -> np.ndarray:

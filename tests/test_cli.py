@@ -453,6 +453,24 @@ def test_bad_solver_argument_is_usage_error(capsys, bose_hubbard_file, monkeypat
 _MIX_INTS = "STATISTICS MIX FERMION BOSON\nNA 1\nMA 2\nNB 1\nMB 2\nHA 1 2 -1.0\nHA 2 1 -1.0\n"
 
 
+class TestInitialLiteral:
+    """A configuration literal that is not all digits is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("text,initial", [
+        ("STATISTICS FERMION\nN 2\nM 4\nH 1 2 -1.0\nH 2 1 -1.0\n", "1x10"),
+        (_MIX_INTS, "1x;01"),
+    ], ids=["single", "mixture"])
+    def test_non_digit_occupation(self, capsys, tmp_path, text, initial):
+        path = tmp_path / "h.ints"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "prop", "--file", str(path), "--initial", initial,
+                                 "--t-final", "0.1", "--dt", "0.05")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert _one_line_error(err)
+        assert "1x" in err
+
+
 class TestVectorFileBoundary:
     def _apply(self, capsys, tmp_path, ints_text, vec_bytes):
         ints = tmp_path / "h.ints"

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockops import (
@@ -140,6 +140,25 @@ def test_gathers_equal_the_forward_algebra(space):
         assert empty is None
         np.testing.assert_array_equal(src, [ref[row][0] for row in act])
         np.testing.assert_array_equal(pref, [ref[row][1] for row in act])
+
+
+@given(spaces())
+@example(SpaceDescriptor.fermion(0, 3))
+@example(SpaceDescriptor.boson(0, 2))
+@example(SpaceDescriptor.fermion(1, 1))
+@example(SpaceDescriptor.boson(4, 1))
+@example(SpaceDescriptor.fermion(1, 4))
+@example(SpaceDescriptor.boson(1, 3))
+@example(SpaceDescriptor.fermion(4, 4))
+@example(SpaceDescriptor.fermion(3, 7))
+@settings(max_examples=40, deadline=None)
+def test_table_gathers_equal_the_dense_pair(space):
+    """E_kq's gather read off the creation table is the oracle's b†_k b_q; the examples are N = 0, M = 1, N = 1 and N = M."""
+    for k, q in itertools.product(range(1, space.m + 1), repeat=2):
+        src, pref, _, act = kernel._build_gather(space, space.tables(), k, q)
+        got = np.zeros((space.n_conf, space.n_conf))
+        got[act, src] = pref
+        assert np.abs(got - build_dense((("a", q), ("c", k)), space)).max(initial=0.0) <= TOL, (k, q)
 
 
 @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(2, 4), SpaceDescriptor.fermion(3, 5),
@@ -468,34 +487,41 @@ class TestTransposedPool:
 
     @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4)], ids=str)
     def test_pool_holds_half_and_a_warm_space_builds_none(self, monkeypatch, space):
-        """A dense H applied once keeps E_kq for k <= q only; densities and single terms on it then build nothing."""
+        """A dense H applied once keeps E_kq for k <= q only; single terms on it then build nothing, densities neither."""
         apply_hamiltonian(random_hermitian_spec(space, seed=17), random_state(space, seed=16))
         m, pool = space.m, space.tables()._gather_cache
         assert set(pool) == {(k, q) for k in range(1, m + 1) for q in range(k, m + 1)}
         assert len(pool) == m * (m + 1) // 2
+        kept = dict(pool)
         built = _count_builds(monkeypatch)
         psi = random_state(space, seed=18)
         one_body_density(psi)
         two_body_density(psi)
         apply_one_body_term(m, 1, psi)
         assert built == []
+        assert pool.keys() == kept.keys() and all(pool[key] is kept[key] for key in kept)
 
-    def test_cold_density_builds_the_pairs_outside_a_chain(self, monkeypatch):
-        """boson(3,4) applied once keeps E_12, E_23 and E_34; rho builds E_13, E_14 and E_24 on each call."""
+    def test_density_after_a_chain_builds_no_pair(self, monkeypatch):
+        """boson(3,4) applied once keeps E_12, E_23 and E_34; rho reads the creation table, builds nothing and keeps them."""
         spec = build_bose_hubbard(3, 4, 1.0, 2.0)
         apply_hamiltonian(spec, random_state(spec.space, seed=18))
+        pool = spec.space.tables()._gather_cache
+        kept = dict(pool)
+        assert sorted(key for key in kept if key[0] != key[1]) == [(1, 2), (2, 3), (3, 4)]
         built = _count_builds(monkeypatch)
         one_body_density(random_state(spec.space, seed=19))
-        assert sorted(pair for _, pair in built) == [(1, 3), (1, 4), (2, 4)]
+        assert built == []
+        assert pool.keys() == kept.keys() and all(pool[key] is kept[key] for key in kept)
 
     @pytest.mark.parametrize("space", [SpaceDescriptor.boson(4, 6), SpaceDescriptor.fermion(3, 6)], ids=str)
-    def test_cold_rho2_builds_each_unordered_pair_once(self, monkeypatch, space):
-        """On a cold pool rho2 builds E_kq for k < q only: E_qk is its transpose and E_kk is n_k."""
+    def test_cold_densities_build_no_pair(self, monkeypatch, space):
+        """On a cold pool rho and rho2 build no gather and leave the pool empty."""
         built = _count_builds(monkeypatch)
-        two_body_density(random_state(space, seed=24))
-        m = space.m
-        assert len(built) <= m * (m - 1) // 2
-        assert sorted(pair for _, pair in built) == [(k, q) for k in range(1, m + 1) for q in range(k + 1, m + 1)]
+        psi = random_state(space, seed=24)
+        one_body_density(psi)
+        two_body_density(psi)
+        assert built == []
+        assert space.tables()._gather_cache == {}
 
 
 def test_prepared_operator_rejects_a_state_of_another_space():
@@ -549,6 +575,16 @@ class TestGatherPool:
         two_body_density(psi)
         apply_two_body_term(1, 2, 2, 1, psi)
         assert set(pool) == keys
+
+    @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4)], ids=str)
+    def test_prepare_and_factoring_free_the_creation_table(self, space):
+        """prepare and a spec's factoring hold their gathers, not the table that built them."""
+        spec = random_hermitian_spec(space, seed=14)
+        tb = space.tables()
+        kernel.prepare(spec)
+        assert "creation" not in vars(tb)
+        apply_hamiltonian(spec, random_state(space, seed=15))
+        assert tb._gather_cache and "creation" not in vars(tb)
 
     def test_mixture_densities_keep_nothing(self):
         space = suite_mixture_spaces()[2]

@@ -189,9 +189,10 @@ def test_tables_match_iteration():
             occ = cfg.occupations(space.m) if isinstance(cfg, FermionConfig) else cfg
             np.testing.assert_array_equal(tb.occ[j - 1], occ)
         # rank identity: 1 + one rank term per orbital but the last recovers J
+        _, rank_counts, rank_floor = occupation_table(space.statistics, space.n, space.m)
         remaining = space.n - tb.prefix[:, :-2]
         orbitals = np.arange(space.m - 1)
-        terms = tb.rank_counts[orbitals, remaining - tb.occ[:, :-1]] - tb.rank_floor[orbitals, remaining]
+        terms = rank_counts[orbitals, remaining - tb.occ[:, :-1]] - rank_floor[orbitals, remaining]
         j_from_table = 1 + terms.sum(axis=1)
         np.testing.assert_array_equal(j_from_table, np.arange(1, space.n_conf + 1))
 
@@ -255,3 +256,39 @@ def test_header_table_allowance(statistics, n, m, n_amplitudes, loads):
     else:
         with pytest.raises(FockError, match="too large"):
             header_space(statistics, n, m, n_amplitudes, "f", exact=False)
+
+
+class TestCreationTable:
+    """U[q-1, j]: the address of the j-th configuration of N - 1 particles plus one in q, from its running sum."""
+
+    @pytest.mark.parametrize("space", [
+        SpaceDescriptor.fermion(0, 3), SpaceDescriptor.fermion(1, 1), SpaceDescriptor.fermion(1, 4),
+        SpaceDescriptor.fermion(3, 3), SpaceDescriptor.fermion(3, 7), SpaceDescriptor.fermion(6, 12),
+        SpaceDescriptor.boson(0, 2), SpaceDescriptor.boson(4, 1), SpaceDescriptor.boson(1, 3),
+        SpaceDescriptor.boson(3, 4), SpaceDescriptor.boson(5, 5),
+    ], ids=str)
+    def test_matches_the_closed_form_rank(self, space):
+        """Against combinadics: unrank j in the smaller space, add the particle, rank it here."""
+        table = space.tables().creation
+        lower = SpaceDescriptor(space.statistics, space.n - 1, space.m) if space.n else None
+        assert table.shape == (space.m, lower.n_conf if lower else 0)
+        assert table.dtype == np.int32
+        ref = np.full(table.shape, -1)
+        for j in range(table.shape[1]):
+            occ = list(lower.occupations_at(j + 1))
+            for q in range(space.m):
+                if space.statistics == "boson" or occ[q] == 0:
+                    added = occ[:q] + [occ[q] + 1] + occ[q + 1:]
+                    config = added if space.statistics == "boson" else [p + 1 for p, v in enumerate(added) if v == 0]
+                    ref[q, j] = space.rank(config) - 1
+        np.testing.assert_array_equal(table, ref)
+
+    def test_built_on_first_use_and_freed_on_request(self):
+        space = SpaceDescriptor.boson(3, 4)
+        tb = space.tables()
+        assert "creation" not in vars(tb)
+        table = tb.creation
+        assert tb.creation is table
+        tb.drop_creation()
+        assert "creation" not in vars(tb)
+        np.testing.assert_array_equal(tb.creation, table)

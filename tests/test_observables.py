@@ -1,5 +1,6 @@
 """Density matrices, expectation values, and their structural laws."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -10,6 +11,7 @@ from fockops import (
     HamiltonianSpec,
     OneBodyTable,
     SpaceDescriptor,
+    StateVector,
     TwoBodyTable,
     basis_state,
     build_bose_hubbard,
@@ -299,3 +301,63 @@ def test_rho2_holds_the_pair_images_once():
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * images
+
+
+@pytest.mark.parametrize("space", [SpaceDescriptor.fermion(0, 3), SpaceDescriptor.boson(0, 2),
+                                   SpaceDescriptor.fermion(1, 1), SpaceDescriptor.boson(3, 1),
+                                   SpaceDescriptor.fermion(1, 4), SpaceDescriptor.boson(1, 3),
+                                   SpaceDescriptor.fermion(4, 4), SpaceDescriptor.fermion(2, 3),
+                                   SpaceDescriptor.boson(2, 2)], ids=str)
+def test_densities_against_dense_operators_at_the_edges(space):
+    """N = 0, M = 1, N = 1 and N = M: every rho and rho2 entry against the oracle's operator matrix.
+
+    Below two particles b_l b_q annihilates every state, so rho2 is exactly 0.
+    """
+    psi = random_state(space, seed=25)
+    rho, rho2 = one_body_density(psi), two_body_density(psi)
+    assert rho2.shape == (space.m,) * 4 and rho2.dtype == np.complex128
+    assert rho2.any() == (space.n >= 2)
+    orbitals = range(1, space.m + 1)
+    for k, q in itertools.product(orbitals, repeat=2):
+        ref = np.vdot(psi.amplitudes, build_dense((("a", q), ("c", k)), space) @ psi.amplitudes)
+        assert abs(rho[k - 1, q - 1] - ref) <= 1e-12
+    for k, s, l, q in itertools.product(orbitals, repeat=4):
+        op = build_dense((("a", q), ("a", l), ("c", s), ("c", k)), space)
+        assert abs(rho2[k - 1, s - 1, l - 1, q - 1] - np.vdot(psi.amplitudes, op @ psi.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.fermion(4, 8),
+                                   SpaceDescriptor.fermion(5, 5)], ids=str)
+def test_fermion_rho2_vanishes_exactly_on_a_repeated_index(space, real):
+    """b_k b_k = 0: the entries with k = s or l = q are exactly 0, not just small."""
+    psi = random_state(space, seed=27)
+    if real:
+        amps = psi.amplitudes.real
+        psi = StateVector(space, amps / np.linalg.norm(amps))
+    rho2 = two_body_density(psi)
+    diag = np.arange(space.m)
+    assert not rho2[diag, diag].any()
+    assert not rho2[:, :, diag, diag].any()
+    assert np.abs(rho2).max() > 0
+
+
+def test_rho2_holds_no_image_of_two_fewer_particles_whole():
+    """boson(9,9): the 81 states b_l b_q psi take 8.3 MB, and two_body_density peaks below that.
+
+    Its peak is the 1.9 MB of the states b_q psi, the tables of the space
+    of N - 1 particles and one block of the images.  Holding all 81
+    images, or the 81 images phi_kq = E_kq psi of N particles (31.5 MB),
+    breaches the bound.
+    """
+    space = SpaceDescriptor.boson(9, 9)
+    psi = random_state(space, seed=28)
+    space.tables()
+    images = space.m ** 2 * SpaceDescriptor.boson(7, 9).n_conf * 16
+    tracemalloc.start()
+    try:
+        two_body_density(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < images

@@ -1,5 +1,6 @@
 """Lanczos ground states and SIL propagation against dense references."""
 
+import functools
 import tracemalloc
 from pathlib import Path
 
@@ -25,8 +26,10 @@ from fockops import (
     dense_expm_apply,
     ground_state,
     mixture_random_state,
+    one_body_density,
     propagate,
     random_state,
+    two_body_density,
 )
 from fockops import kernel, mixtures, solvers
 from fockops.oracle import DENSE_CAP
@@ -250,23 +253,45 @@ class TestReorthogonalization:
 
 
 class TestClosedFormsPastTheDenseCap:
-    """One-body ground energies at 24,310 configurations: past DENSE_CAP and past one row block.
+    """One-body ground states at 24,310 configurations: past DENSE_CAP and past one row block.
 
     The ground state of sum_kq h_kq b†_k b_q fills the N lowest orbitals of
     h (fermions) or puts all N particles in the lowest (bosons).
     """
 
-    @pytest.mark.parametrize("space,workers", [(SpaceDescriptor.fermion(9, 17), 1),
-                                               (SpaceDescriptor.boson(9, 9), 2)], ids=str)
-    def test_one_body_ground_energy(self, space, workers):
+    CASES = [(SpaceDescriptor.fermion(9, 17), 1), (SpaceDescriptor.boson(9, 9), 2)]
+
+    @staticmethod
+    @functools.cache
+    def _solved(space, workers):
+        """(eigenvectors of h, the exact energy, the ground state), each space solved once."""
         assert space.n_conf > max(DENSE_CAP, kernel.BLOCK_AMPLITUDES)
         a = np.random.default_rng(space.m).standard_normal((space.m, space.m))
         h = a + a.T
-        levels = np.linalg.eigvalsh(h)
+        levels, vectors = np.linalg.eigh(h)
         exact = levels[:space.n].sum() if space.statistics == "fermion" else space.n * levels[0]
         spec = HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.zeros(space.m))
-        result = ground_state(spec, tol=1e-10, seed=1, workers=workers)
+        return vectors, exact, ground_state(spec, tol=1e-10, seed=1, workers=workers)
+
+    @pytest.mark.parametrize("space,workers", CASES, ids=str)
+    def test_one_body_ground_energy(self, space, workers):
+        _, exact, result = self._solved(space, workers)
         assert abs(result.energy - exact) <= 1e-10
+
+    @pytest.mark.parametrize("space,workers", CASES, ids=str)
+    def test_one_body_density_projects_on_the_filled_orbitals(self, space, workers):
+        """rho is the projector on the N lowest orbitals (fermions), or N times the lowest one's (bosons)."""
+        vectors, _, result = self._solved(space, workers)
+        filled = vectors[:, :space.n] if space.statistics == "fermion" else np.sqrt(space.n) * vectors[:, :1]
+        assert np.abs(one_body_density(result.state) - filled @ filled.T).max() <= 1e-10
+
+    def test_free_fermion_rho2_follows_wick(self):
+        """fermion(9,17): rho2[k, s, l, q] = rho_kq rho_sl - rho_kl rho_sq for the filled projector rho."""
+        space = SpaceDescriptor.fermion(9, 17)
+        vectors, _, result = self._solved(space, 1)
+        rho = vectors[:, :space.n] @ vectors[:, :space.n].T
+        wick = np.einsum("kq,sl->kslq", rho, rho) - np.einsum("kl,sq->kslq", rho, rho)
+        assert np.abs(two_body_density(result.state) - wick).max() <= 1e-10
 
 
 class TestRealArithmetic:
