@@ -16,7 +16,8 @@ with S_k the cumulative occupation.  Hole positions are counted from the
 left; J = 1 is the all-particles-leftmost configuration.  This is the
 lexical addressing of Knowles & Handy.  Every binomial is an exact Python
 integer from ``math.comb``, so addresses have no width limit; the kernel's
-occupation and creation tables are checked against these closed forms.
+rank tables and the ladder tables of the densities are checked against
+these closed forms.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 A :class:`SpaceDescriptor` fixes (statistics, N, M), ranks and unranks
 configurations by the exact closed forms of :mod:`combinadics`, and lazily
 builds the dense per-configuration tables the operator kernel gathers
-from.  State vectors are dense complex arrays indexed by address J (array
-slot J - 1).
+from.  Its ladder tables re-address a space through the space of one
+particle fewer or more, for the densities.  State vectors are dense
+complex arrays indexed by address J (array slot J - 1).
 """
 
 from __future__ import annotations
@@ -206,6 +207,40 @@ def creation_table(statistics: str, n: int, m: int) -> np.ndarray:
     return table
 
 
+def annihilation_table(n: int, m: int) -> np.ndarray:
+    """D[q-1, j]: the 0-based address in the fermion space of ``n`` particles of the j-th configuration of n + 1 less its particle in q.
+
+    D is -1 where orbital q of that configuration is empty.  Complementing
+    every occupation maps the configurations of n particles onto those of
+    m - n and reverses their descending lexicographic order, so an address
+    J - 1 is N_conf - 1 less the address of the complement, and D is the
+    fermion :func:`creation_table` of m - n particles read backwards.  Each
+    row is increasing where it is not -1.
+    """
+    up = creation_table(FERMION, m - n, m)[:, ::-1]
+    table = np.full(up.shape, -1, dtype=up.dtype)
+    np.subtract(cmb.space_dimension(FERMION, n, m) - 1, up, out=table, where=up >= 0)
+    return table
+
+
+def ladder_table(space: SpaceDescriptor) -> tuple[np.ndarray, bool]:
+    """The table that re-addresses ``space`` through a neighbour space, and whether that is its hole picture.
+
+    Below half filling, and always for bosons, it is the
+    :func:`creation_table` U: b_q maps address U[q-1, j] onto the j-th
+    configuration of N - 1 particles.  A fermion space above half filling
+    (2N > M) takes the :func:`annihilation_table` D instead: b†_q maps
+    address D[q-1, j] onto the j-th configuration of N + 1.  Either way the
+    table has M rows and at most N_conf columns, as N_conf(N - 1) =
+    N_conf N / (M - N + 1) and N_conf(N + 1) = N_conf (M - N) / (N + 1):
+    it, and the neighbour's occupation table that makes it, are never
+    larger than the space's own occupation table.
+    """
+    if space.statistics == FERMION and 2 * space.n > space.m:
+        return annihilation_table(space.n, space.m), True
+    return creation_table(space.statistics, space.n, space.m), False
+
+
 def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
     """Yield (J, configuration) for every configuration in increasing J order.
 
@@ -223,19 +258,20 @@ def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
 
 
 class SpaceTables:
-    """Arrays over all configurations, in J order, and the creation table that re-addresses them.
+    """Arrays over all configurations, in J order, and the rank terms that re-address them.
 
-    occ          (N_conf, M)         occupation numbers
-    prefix       (N_conf, M+1)       prefix[:, p] = sum of occ[:, :p]
-    occ_float    (N_conf, M)         occ as float64, built on first use
-    creation     (M, N_conf(N-1))    :func:`creation_table`, built on first use
+    occ          (N_conf, M)     occupation numbers
+    prefix       (N_conf, M+1)   prefix[:, p] = sum of occ[:, :p]
+    rank_counts  (M-1, N+2)      C of :func:`occupation_table`
+    rank_floor   (M-1, N+1)      F of :func:`occupation_table`
+    occ_float    (N_conf, M)     occ as float64, built on first use
 
     It also holds the space's one gather pool (:meth:`cached_gather`).
     """
 
     def __init__(self, space: SpaceDescriptor):
         self.space = space
-        self.occ = occupation_table(space.statistics, space.n, space.m)[0]
+        self.occ, self.rank_counts, self.rank_floor = occupation_table(space.statistics, space.n, space.m)
         prefix = np.zeros((space.n_conf, space.m + 1), dtype=np.int64)
         np.cumsum(self.occ, axis=1, out=prefix[:, 1:])
         self.prefix = prefix
@@ -245,15 +281,6 @@ class SpaceTables:
     def occ_float(self) -> np.ndarray:
         """The occupation numbers as float64, for the diagonal of H; built once, on first use."""
         return self.occ.astype(np.float64)
-
-    @functools.cached_property
-    def creation(self) -> np.ndarray:
-        """The creation table b†_q from the space of N - 1 particles (:func:`creation_table`); built once, on first use."""
-        return creation_table(self.space.statistics, self.space.n, self.space.m)
-
-    def drop_creation(self) -> None:
-        """Free the creation table; it is built again on next use."""
-        self.__dict__.pop("creation", None)
 
     def cached_gather(self, key, build):
         """The gather stored under ``key``, built by ``build()`` and kept on first use.

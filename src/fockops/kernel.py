@@ -8,11 +8,10 @@ vectorized over all addresses at once.  On an output configuration n, with
 S_p particles in the orbitals below p, E_kq acts where n_k >= 1 (fermions:
 n_k = 1, and n_q = 0 unless k = q) with the weight (-1)^(S_k + S_q - [k < q])
 for fermions and sqrt(n_k (n_q + [k != q])) for bosons.  Both statistics
-read their rows from one table, the space's creation table
-(:attr:`fockspace.SpaceTables.creation`): the closed-form address of every
-configuration m of N - 1 particles plus one particle in q.  E_kq maps
-m + e_q to m + e_k, so its acting rows are the table's row k and its
-sources row q, over the m where both exist; both are increasing.
+share one address table, the lexical addressing of Knowles & Handy (below):
+an address is 1 plus one rank term per orbital, so the source address of
+each acting row is its own address shifted by the differing rank terms of
+the orbitals from min(k, q) to max(k, q).
 
 Longer strings are products of pairs: b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl
 for both statistics, which defines every index coincidence (k = q, k = s,
@@ -74,12 +73,7 @@ pairs E_kq with k <= q, at most M(M+1)/2 per space, in the space's gather
 pool under the key (k, q) (:meth:`fockspace.SpaceTables.cached_gather`),
 so each is built once per space; E_qk is served as the transpose of the
 kept E_kq (:func:`transpose`), and single terms reuse a kept gather or
-build theirs per call.  :func:`prepare` and :func:`factor_species` free
-the creation table once they hold their gathers, and the densities build
-it again: on the hubbard-gs benchmark input, on a 2-core x86 VM, the
-0.46 MB table kept through the solve put the benchmark's peak RSS at
-62.2-66.0 MB in six runs, against 61.7-62.2 MB freed, as the solve's
-arrays no longer fitted the heap it left.
+build theirs per call.
 
 The output is cut into blocks of rows that do not depend on the worker
 count: a per-pair apply and the stacked images use fixed row blocks, the
@@ -158,24 +152,17 @@ def transpose(gather):
     return act, pref, None, src
 
 
-def _pair_rows(space, tb, k, q) -> tuple[np.ndarray, np.ndarray]:
-    """E_kq's 0-based output and source rows, m + e_k and m + e_q, over the (N-1)-particle m where both exist.
-
-    Both are rows of the space's creation table (:attr:`fockspace.SpaceTables.creation`),
-    so both are increasing; fermions drop the m whose orbital k or q is full.
-    """
-    table = tb.creation
-    act, src = table[k - 1], table[q - 1]
-    if space.statistics == FERMION:
-        both = (act >= 0) & (src >= 0)
-        act, src = act[both], src[both]
-    act = act.astype(np.intp)
-    return act, act if k == q else src.astype(np.intp)
+def _acting(space, tb, k, q) -> np.ndarray:
+    """Mask of the rows on which E_kq acts: n_k >= 1 (fermions: n_k = 1, and n_q = 0 unless k = q)."""
+    n_k = tb.occ[:, k - 1]
+    if space.statistics == FERMION and k != q:
+        return n_k > tb.occ[:, q - 1]
+    return n_k > 0
 
 
 def _build_gather(space, tb, k, q):
     """E_kq's gather from its closed-form weights on the output rows (module docstring)."""
-    act, src = _pair_rows(space, tb, k, q)
+    act = np.flatnonzero(_acting(space, tb, k, q))
     if space.statistics == FERMION:
         parity = (tb.prefix[act, k - 1] + tb.prefix[act, q - 1] - (k < q)) & 1
         pref = np.where(parity.astype(bool), -1.0, 1.0)
@@ -183,9 +170,38 @@ def _build_gather(space, tb, k, q):
         n_k, n_q = tb.occ[act, k - 1], tb.occ[act, q - 1]
         # one exact integer product, one rounding: k = q gives sqrt(n_k^2) = n_k exactly
         pref = np.sqrt((n_k * (n_q + (k != q))).astype(np.float64))
+    src = _source_rows(space, tb, act, k, q)
     for arr in (src, pref, act):
         arr.flags.writeable = False
     return src, pref, None, act
+
+
+def _source_rows(space, tb, act, k, q):
+    """0-based addresses of the sources of the output rows ``act`` under E_kq: one particle fewer in k, one more in q.
+
+    J - 1 is a sum of rank terms T(p, R, v) = C[p-1, R - v] - F[p-1, R] over
+    orbitals (:func:`fockspace.occupation_table`); source and output share
+    every term outside the orbitals lo..hi from min(k, q) to max(k, q), the
+    last orbital has none, and F cancels where the source holds as many
+    particles in orbitals p..M as the output.
+    """
+    if k == q:
+        return act
+    src = act.copy()
+    lo, hi = min(k, q), min(max(k, q), space.m - 1)
+    remaining = space.n - tb.prefix[act, lo - 1]  # particles the output holds in orbitals p..M
+    shift = 0  # particles the source holds beyond the output in orbitals lo..p-1
+    for p, occupied in zip(range(lo, hi + 1), tb.occ[act, lo - 1:hi].T):
+        d = int(p == q) - int(p == k)  # the source's occupation of p less the output's
+        rest = remaining - occupied
+        if shift or d:
+            counts = tb.rank_counts[p - 1]
+            src += counts[rest - shift - d] - counts[rest]
+            if shift:
+                floor = tb.rank_floor[p - 1]
+                src -= floor[remaining - shift] - floor[remaining]
+        remaining, shift = rest, shift + d
+    return src
 
 
 def sweep(gather, axis: int, amps: np.ndarray, out: np.ndarray, lo: int, hi: int,
@@ -434,7 +450,7 @@ def stack_sums(space: SpaceDescriptor, diag: np.ndarray, parts, dtype) -> list[S
     by_key: dict = {}
     for part in parts:
         k, q = divmod(int(part[0]), m)
-        count[_pair_rows(space, tb, k + 1, q + 1)[0] + 1] += 1
+        count[1:] += _acting(space, tb, k + 1, q + 1)
         by_key.setdefault((min(k, q), max(k, q)), []).append(part)
     first = np.cumsum(count)  # first[t]: row t's first entry; first[-1] entries in all
     reach = max((offset for _, offset, _ in parts), default=0) + n
@@ -499,8 +515,7 @@ def factor_coefficients(space: SpaceDescriptor, one_body, two_body) -> Coefficie
 def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) -> Factored:
     """One species' Hamiltonian (:func:`factor_coefficients`) acting along ``axis`` of the amplitude matrix.
 
-    Its gathers come from the space's pool (:func:`pair_gathers`), which
-    keeps them; the creation table that built them is freed.
+    Its gathers come from the space's pool (:func:`pair_gathers`).
     """
     co = factor_coefficients(space, one_body, two_body)
     hops = [(g, axis, c) for g, c in zip(pair_gathers(space, co.hop_pairs), co.hop_coeffs)]
@@ -508,7 +523,6 @@ def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) ->
     if co.rows.size:
         contractions.append(Contraction(pair_gathers(space, co.cols), axis, co.mat,
                                         pair_gathers(space, co.rows), axis))
-    space.tables().drop_creation()
     return Factored(co.diag, hops, contractions, co.dtype)
 
 
@@ -518,8 +532,7 @@ def prepare(spec) -> Prepared:
     The pair gathers come from the space's pool (:func:`pair_gathers`).
     :func:`stack_sums` drops each one from the pool once it has placed it,
     and the few that only the images read go last: a prepared operator
-    leaves the pool empty, so it keeps no second copy of H's gathers, and
-    frees the creation table.
+    leaves the pool empty, so it keeps no second copy of H's gathers.
     """
     space, n = spec.space, spec.space.n_conf
     co = factor_coefficients(space, spec.one_body, spec.two_body)
@@ -532,7 +545,6 @@ def prepare(spec) -> Prepared:
     parts += [(p, (1 + r) * n, 1.0) for r, p in enumerate(co.rows)]
     sums = stack_sums(space, co.diag, parts, co.dtype)
     space.tables()._gather_cache.clear()
-    space.tables().drop_creation()
     return Prepared(space, Stacked(co.mat if co.rows.size else None, images, sums, co.dtype))
 
 

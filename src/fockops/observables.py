@@ -1,21 +1,31 @@
 """Reduced density matrices and expectation values.
 
-Both densities are Gram products of annihilated states, as in direct CI
-(Olsen et al., J. Chem. Phys. 89, 2185, 1988).  b_q maps the compact
-enumeration of N particles onto that of N - 1 in closed form: the space's
-creation table (:attr:`fockspace.SpaceTables.creation`) gives, for every
-(N-1)-particle configuration m, the address of m + e_q, so A_q = b_q Psi
-is one gather for all q at once, weighted by sqrt(n_q) (bosons) or the
-parity (-1)^{S_q} of the particles below q (fermions), with the kernel's
-sign conventions.  Then
+Both densities are Gram products of states with one or two particles
+fewer, as in direct CI (Olsen et al., J. Chem. Phys. 89, 2185, 1988).
+b_q maps the compact enumeration of N particles onto that of N - 1 in
+closed form: the space's ladder table (:func:`fockspace.ladder_table`) gives,
+for every (N-1)-particle configuration m, the address of m + e_q, so
+A_q = b_q Psi is one gather for all q at once, weighted by sqrt(n_q)
+(bosons) or the parity (-1)^{S_q} of the particles below q (fermions),
+with the kernel's sign conventions.  Then
 
     rho_kq = <b_k Psi|b_q Psi>,    rho2_kslq = <b_s b_k Psi|b_l b_q Psi>,
 
-where b_l b_q Psi comes from A by the creation table of the (N-1)-particle
-space.  The diagonal of rho is read off the occupation table and its upper
-triangle mirrored, so rho is exactly Hermitian.  Both Gram products run
-over fixed blocks of the smaller space's configurations, so no pair gather
-is built and rho2 holds A whole but never the M^2 states b_l b_q Psi.
+where b_l b_q Psi comes from A by the ladder table of the (N-1)-particle
+space.  A fermion space above half filling takes the hole picture: its
+table leads to N + 1 particles, B_q = b†_q Psi, and with
+Z_kslq = <b†_q b†_l Psi|b†_k b†_s Psi>,
+
+    rho_kq = -<b†_q Psi|b†_k Psi>   (k != q),
+    rho2_kslq = Z_kslq + δ_qk rho_sl - δ_qs rho_kl - δ_lk rho_sq + δ_ls rho_kq
+                + (δ_qs δ_lk - δ_qk δ_ls) <Psi|Psi>,
+
+so no table or state is larger than the space's own.  The diagonal of
+rho is read off the occupation table and its upper triangle mirrored, so
+rho is exactly Hermitian.  Both Gram products run over fixed blocks of the
+neighbouring space's configurations, so no pair gather is built and rho2
+holds the M single-ladder states whole but never the M^2 double ones.
+Each call builds the ladder tables it reads and keeps none.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 from . import kernel, mixtures
 from .combinadics import FERMION
 from .errors import SpaceMismatchError
-from .fockspace import SpaceDescriptor, StateVector, dot
+from .fockspace import SpaceDescriptor, StateVector, dot, ladder_table
 
 NORM_WARN_TOL = 1e-8
 
@@ -48,16 +58,16 @@ def _occupations(space, mat: np.ndarray, axis: int) -> np.ndarray:
     return weights @ space.tables().occ
 
 
-def _annihilated(space, mat: np.ndarray, axis: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """b_q applied along ``axis`` of ``mat`` for every orbital q: ``axis`` becomes (q, m).
+def _ladder(space, table, mat: np.ndarray, axis: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """b_q, or b†_q in the hole picture, along ``axis`` of ``mat`` for every orbital q: ``axis`` becomes (q, j).
 
-    m runs over the configurations lo..hi-1 (default all) of N - 1
-    particles; entry (q, m) reads the amplitude of m + e_q (the creation
-    table), weighted by this space's sqrt(n_q) or (-1)^{S_q} at that row,
-    and is 0 where fermion orbital q of m is full.
+    ``table`` is the space's ladder table, j runs over its columns lo..hi-1
+    (default all), and entry (q, j) reads the amplitude at address
+    table[q, j], weighted by this space's sqrt(n_q) or (-1)^{S_q} at that
+    row; it is 0 where the table holds -1.
     """
     tb = space.tables()
-    table = tb.creation[:, lo:hi]
+    table = table[:, lo:hi]
     orbital = np.arange(space.m)[:, None]
     if space.statistics == FERMION:
         weight = np.where(table >= 0, 1.0 - 2.0 * (tb.prefix[table, orbital] & 1), 0.0)
@@ -68,24 +78,26 @@ def _annihilated(space, mat: np.ndarray, axis: int, lo: int = 0, hi: int | None 
     return out
 
 
-def _gram(space, mat: np.ndarray, axis: int, rows: int) -> np.ndarray:
-    """conj(X) X^T for X = b_q ``mat`` along ``axis`` (:func:`_annihilated`), reshaped to ``rows`` rows.
+def _gram(space, table, mat: np.ndarray, axis: int, rows: int) -> np.ndarray:
+    """conj(X) X^T for X = :func:`_ladder` of ``mat`` along ``axis``, reshaped to ``rows`` rows.
 
     X is formed and summed in fixed blocks of about
     :data:`kernel.BLOCK_AMPLITUDES` entries, so its temporaries do not grow
     with the space, and the order of the sum depends on the space alone.
     """
     gram = np.zeros((rows, rows), dtype=mat.dtype)
-    width = space.m * (mat.size // mat.shape[axis])  # entries of X per configuration of N - 1 particles
-    for lo, hi in kernel.row_blocks(space.tables().creation.shape[1], width):
-        images = _annihilated(space, mat, axis, lo, hi).reshape(rows, -1)
+    width = space.m * (mat.size // mat.shape[axis])  # entries of X per column of the table
+    for lo, hi in kernel.row_blocks(table.shape[1], width):
+        images = _ladder(space, table, mat, axis, lo, hi).reshape(rows, -1)
         gram += images.conj() @ images.T
     return gram
 
 
 def _one_body(space, mat: np.ndarray, axis: int) -> np.ndarray:
-    """rho[k-1, q-1] = <b_k Psi|b_q Psi> along ``axis``: k < q from the Gram product, the diagonal from the occupations."""
-    upper = np.triu(_gram(space, np.moveaxis(mat, axis, 0), 0, space.m), 1).astype(np.complex128)
+    """rho[k-1, q-1] = <Psi|b†_k b_q|Psi> along ``axis``: k < q from the Gram product, the diagonal from the occupations."""
+    table, holes = ladder_table(space)
+    gram = _gram(space, table, np.moveaxis(mat, axis, 0), 0, space.m)
+    upper = np.triu(-gram.T if holes else gram, 1).astype(np.complex128)
     return np.diag(_occupations(space, mat, axis)) + upper + upper.conj().T
 
 
@@ -98,20 +110,31 @@ def one_body_density(psi: StateVector) -> np.ndarray:
 def two_body_density(psi: StateVector) -> np.ndarray:
     """rho2[k-1, s-1, l-1, q-1] = <Psi| b†_k b†_s b_l b_q |Psi> (M^4 complex).
 
-    rho2[k, s, l, q] = <b_s b_k Psi|b_l b_q Psi>: the Gram matrix of the M^2
-    states b_l b_q Psi of N - 2 particles.  They are formed from the M
-    states b_q Psi of N - 1 particles, held whole, in blocks of N - 2
-    particle configurations (:func:`_gram`).
+    The Gram matrix of the M^2 states b_l b_q Psi of N - 2 particles, or in
+    the hole picture of b†_k b†_s Psi of N + 2 (module docstring).  They
+    are formed from the M states of N -/+ 1 particles, held whole, in
+    blocks of the configurations of N -/+ 2 (:func:`_gram`).
     """
     _warn_if_unnormalized(psi)
     space = psi.space
     m = space.m
-    if space.n < 2:
-        return np.zeros((m,) * 4, dtype=np.complex128)
-    singles = _annihilated(space, psi.amplitudes, 0)
-    gram = _gram(SpaceDescriptor(space.statistics, space.n - 1, m), singles, 1, m * m)
-    # row (q-1) M + l-1 holds b_l b_q Psi, so gram[k, s, q, l] = rho2[k, s, l, q]
-    return np.ascontiguousarray(np.transpose(gram.reshape(m, m, m, m), (0, 1, 3, 2)), dtype=np.complex128)
+    table, holes = ladder_table(space)
+    if (space.n + 2 > m) if holes else (space.n < 2):  # no configuration of N +/- 2 particles
+        gram = np.zeros((m * m, m * m), dtype=psi.amplitudes.dtype)
+    else:
+        mid = SpaceDescriptor(space.statistics, space.n + (1 if holes else -1), m)
+        gram = _gram(mid, ladder_table(mid)[0], _ladder(space, table, psi.amplitudes, 0), 1, m * m)
+    # row (q-1) M + l-1 holds b_l b_q Psi (holes: b†_l b†_q Psi), so
+    # rho2[k, s, l, q] = gram[k, s, q, l] (holes: Z_kslq = gram[l, q, s, k])
+    order = (3, 2, 0, 1) if holes else (0, 1, 3, 2)
+    rho2 = np.ascontiguousarray(np.transpose(gram.reshape(m, m, m, m), order), dtype=np.complex128)
+    if holes:  # in this order the terms cancel exactly where k = s or l = q
+        rho, one, nrm = _one_body(space, psi.amplitudes, 0), np.eye(m), psi.norm() ** 2
+        for pattern, factor, other in (("qk,ls->kslq", -nrm, one), ("qs,lk->kslq", nrm, one),
+                                       ("qk,sl->kslq", 1.0, rho), ("qs,kl->kslq", -1.0, rho),
+                                       ("lk,sq->kslq", -1.0, rho), ("ls,kq->kslq", 1.0, rho)):
+            rho2 += factor * np.einsum(pattern, one, other)
+    return rho2
 
 
 def reorder_two_body(rho2: np.ndarray, convention: str) -> np.ndarray:

@@ -152,8 +152,8 @@ def test_gathers_equal_the_forward_algebra(space):
 @example(SpaceDescriptor.fermion(4, 4))
 @example(SpaceDescriptor.fermion(3, 7))
 @settings(max_examples=40, deadline=None)
-def test_table_gathers_equal_the_dense_pair(space):
-    """E_kq's gather read off the creation table is the oracle's b†_k b_q; the examples are N = 0, M = 1, N = 1 and N = M."""
+def test_gathers_equal_the_dense_pair_at_the_edges(space):
+    """E_kq's gather is the oracle's b†_k b_q; the examples are N = 0, M = 1, N = 1 and N = M."""
     for k, q in itertools.product(range(1, space.m + 1), repeat=2):
         src, pref, _, act = kernel._build_gather(space, space.tables(), k, q)
         got = np.zeros((space.n_conf, space.n_conf))
@@ -502,7 +502,7 @@ class TestTransposedPool:
         assert pool.keys() == kept.keys() and all(pool[key] is kept[key] for key in kept)
 
     def test_density_after_a_chain_builds_no_pair(self, monkeypatch):
-        """boson(3,4) applied once keeps E_12, E_23 and E_34; rho reads the creation table, builds nothing and keeps them."""
+        """boson(3,4) applied once keeps E_12, E_23 and E_34; rho reads the ladder table, builds nothing and keeps them."""
         spec = build_bose_hubbard(3, 4, 1.0, 2.0)
         apply_hamiltonian(spec, random_state(spec.space, seed=18))
         pool = spec.space.tables()._gather_cache
@@ -575,16 +575,6 @@ class TestGatherPool:
         two_body_density(psi)
         apply_two_body_term(1, 2, 2, 1, psi)
         assert set(pool) == keys
-
-    @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4)], ids=str)
-    def test_prepare_and_factoring_free_the_creation_table(self, space):
-        """prepare and a spec's factoring hold their gathers, not the table that built them."""
-        spec = random_hermitian_spec(space, seed=14)
-        tb = space.tables()
-        kernel.prepare(spec)
-        assert "creation" not in vars(tb)
-        apply_hamiltonian(spec, random_state(space, seed=15))
-        assert tb._gather_cache and "creation" not in vars(tb)
 
     def test_mixture_densities_keep_nothing(self):
         space = suite_mixture_spaces()[2]

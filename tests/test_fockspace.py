@@ -10,16 +10,22 @@ from fockops import (
     FockError,
     SpaceDescriptor,
     SpaceMismatchError,
+    apply_hamiltonian,
+    apply_one_body_term,
     axpy,
     basis_state,
     dot,
     iterate_configurations,
     load_state,
+    one_body_density,
     random_state,
     save_state,
+    two_body_density,
     zero_state,
 )
-from fockops.fockspace import FermionConfig, header_space, occupation_table
+from fockops.fockspace import (FermionConfig, annihilation_table, creation_table, header_space, occupation_table,
+                               ladder_table)
+from conftest import random_hermitian_spec
 
 
 class TestIteration:
@@ -189,10 +195,9 @@ def test_tables_match_iteration():
             occ = cfg.occupations(space.m) if isinstance(cfg, FermionConfig) else cfg
             np.testing.assert_array_equal(tb.occ[j - 1], occ)
         # rank identity: 1 + one rank term per orbital but the last recovers J
-        _, rank_counts, rank_floor = occupation_table(space.statistics, space.n, space.m)
         remaining = space.n - tb.prefix[:, :-2]
         orbitals = np.arange(space.m - 1)
-        terms = rank_counts[orbitals, remaining - tb.occ[:, :-1]] - rank_floor[orbitals, remaining]
+        terms = tb.rank_counts[orbitals, remaining - tb.occ[:, :-1]] - tb.rank_floor[orbitals, remaining]
         j_from_table = 1 + terms.sum(axis=1)
         np.testing.assert_array_equal(j_from_table, np.arange(1, space.n_conf + 1))
 
@@ -269,7 +274,7 @@ class TestCreationTable:
     ], ids=str)
     def test_matches_the_closed_form_rank(self, space):
         """Against combinadics: unrank j in the smaller space, add the particle, rank it here."""
-        table = space.tables().creation
+        table = creation_table(space.statistics, space.n, space.m)
         lower = SpaceDescriptor(space.statistics, space.n - 1, space.m) if space.n else None
         assert table.shape == (space.m, lower.n_conf if lower else 0)
         assert table.dtype == np.int32
@@ -283,12 +288,41 @@ class TestCreationTable:
                     ref[q, j] = space.rank(config) - 1
         np.testing.assert_array_equal(table, ref)
 
-    def test_built_on_first_use_and_freed_on_request(self):
-        space = SpaceDescriptor.boson(3, 4)
-        tb = space.tables()
-        assert "creation" not in vars(tb)
-        table = tb.creation
-        assert tb.creation is table
-        tb.drop_creation()
-        assert "creation" not in vars(tb)
-        np.testing.assert_array_equal(tb.creation, table)
+    @pytest.mark.parametrize("n, m", [(0, 3), (1, 1), (2, 3), (3, 3), (3, 4), (4, 7), (5, 7), (7, 12)])
+    def test_annihilation_table_matches_the_closed_form_rank(self, n, m):
+        """D[q-1, j]: unrank j among N + 1 fermions, remove the particle in q, rank it here; -1 where q is empty."""
+        space, upper = SpaceDescriptor.fermion(n, m), SpaceDescriptor.fermion(min(n + 1, m), m)
+        table = annihilation_table(n, m)
+        assert table.shape == (m, upper.n_conf if n < m else 0) and table.dtype == np.int32
+        ref = np.full(table.shape, -1)
+        for j in range(table.shape[1]):
+            occ = upper.occupations_at(j + 1)
+            for q in range(m):
+                if occ[q]:
+                    ref[q, j] = space.rank([p + 1 for p, v in enumerate(occ) if v == 0 or p == q]) - 1
+        np.testing.assert_array_equal(table, ref)
+
+    @pytest.mark.parametrize("space", [
+        SpaceDescriptor.fermion(3, 6), SpaceDescriptor.fermion(4, 7), SpaceDescriptor.fermion(9, 10),
+        SpaceDescriptor.fermion(10, 10), SpaceDescriptor.boson(9, 9), SpaceDescriptor.boson(5, 1),
+    ], ids=str)
+    def test_ladder_table_is_never_larger_than_the_space(self, space):
+        """Fermions above half filling take the hole picture; M x columns never exceeds N_conf x M."""
+        table, holes = ladder_table(space)
+        assert holes == (space.statistics == "fermion" and 2 * space.n > space.m)
+        if holes:
+            np.testing.assert_array_equal(table, annihilation_table(space.n, space.m))
+        else:
+            np.testing.assert_array_equal(table, creation_table(space.statistics, space.n, space.m))
+        assert table.shape[1] <= space.n_conf
+
+    def test_no_ladder_table_is_kept(self):
+        """The densities build their ladder tables per call: the space's tables hold none after applies and densities."""
+        space = SpaceDescriptor.fermion(3, 6)
+        psi = random_state(space, seed=1)
+        apply_one_body_term(1, 2, psi)
+        apply_hamiltonian(random_hermitian_spec(space, seed=2), psi)
+        one_body_density(psi)
+        two_body_density(psi)
+        assert set(vars(space.tables())) == {"space", "occ", "prefix", "rank_counts", "rank_floor", "occ_float",
+                                             "_gather_cache"}

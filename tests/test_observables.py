@@ -13,6 +13,7 @@ from fockops import (
     SpaceDescriptor,
     StateVector,
     TwoBodyTable,
+    apply_hamiltonian,
     basis_state,
     build_bose_hubbard,
     build_dense,
@@ -307,11 +308,15 @@ def test_rho2_holds_the_pair_images_once():
                                    SpaceDescriptor.fermion(1, 1), SpaceDescriptor.boson(3, 1),
                                    SpaceDescriptor.fermion(1, 4), SpaceDescriptor.boson(1, 3),
                                    SpaceDescriptor.fermion(4, 4), SpaceDescriptor.fermion(2, 3),
-                                   SpaceDescriptor.boson(2, 2)], ids=str)
+                                   SpaceDescriptor.boson(2, 2), SpaceDescriptor.fermion(4, 6),
+                                   SpaceDescriptor.fermion(3, 5), SpaceDescriptor.boson(4, 1),
+                                   SpaceDescriptor.boson(5, 2)], ids=str)
 def test_densities_against_dense_operators_at_the_edges(space):
-    """N = 0, M = 1, N = 1 and N = M: every rho and rho2 entry against the oracle's operator matrix.
+    """N = 0, M = 1, N = 1, N = M, N > M + 1 and the hole picture: every rho and rho2 entry against the oracle's operator matrix.
 
-    Below two particles b_l b_q annihilates every state, so rho2 is exactly 0.
+    Below two particles b_l b_q annihilates every state, so rho2 is exactly
+    0.  Above half filling, fermion(2,3) and fermion(4,4) have no
+    configuration of N + 2 particles; fermion(4,6) and fermion(3,5) do.
     """
     psi = random_state(space, seed=25)
     rho, rho2 = one_body_density(psi), two_body_density(psi)
@@ -328,9 +333,9 @@ def test_densities_against_dense_operators_at_the_edges(space):
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.fermion(4, 8),
-                                   SpaceDescriptor.fermion(5, 5)], ids=str)
+                                   SpaceDescriptor.fermion(5, 5), SpaceDescriptor.fermion(5, 7)], ids=str)
 def test_fermion_rho2_vanishes_exactly_on_a_repeated_index(space, real):
-    """b_k b_k = 0: the entries with k = s or l = q are exactly 0, not just small."""
+    """b_k b_k = 0: the entries with k = s or l = q are exactly 0, not just small, in either picture."""
     psi = random_state(space, seed=27)
     if real:
         amps = psi.amplitudes.real
@@ -361,3 +366,28 @@ def test_rho2_holds_no_image_of_two_fewer_particles_whole():
     finally:
         tracemalloc.stop()
     assert peak < images
+
+
+def test_a_cold_apply_and_rho_above_half_filling_stay_below_the_space_tables():
+    """fermion(20,24), two hopping pairs: the traced peak of a cold apply, and of rho, is below occ + prefix (4.2 MB).
+
+    The apply builds no ladder table, and rho takes the hole picture, a
+    table over the 2,024 configurations of 21 particles.  The creation
+    table over the 42,504 configurations of 19, and the occupation table
+    that makes it, put the peak of rho near 18 MB.
+    """
+    space = SpaceDescriptor.fermion(20, 24)
+    h = np.zeros((24, 24))
+    h[0, 1] = h[1, 0] = h[2, 5] = h[5, 2] = -1.0
+    spec = HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.zeros(24))
+    psi = random_state(space, seed=29)
+    tb = space.tables()
+    tb.occ_float  # the tables are built before tracing
+    for run in (lambda: apply_hamiltonian(spec, psi), lambda: one_body_density(psi)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tb.occ.nbytes + tb.prefix.nbytes
