@@ -14,7 +14,6 @@ import os
 
 from . import kernel, mixtures
 from .errors import WorkerCountError
-from .mixtures import MixtureHamiltonianSpec
 
 WORKERS_ENV = "FOCK_WORKERS"
 
@@ -33,8 +32,13 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def parallel_apply(spec, psi, workers: int | None = None):
-    """H|psi> with row blocks spread over ``workers`` threads; bitwise equal to serial."""
+    """H|psi> with row blocks spread over ``workers`` threads; bitwise equal to serial.
+
+    The kind of ``psi`` picks the engine, so ``spec`` may be a spec or a
+    prepared operator of either kind; one that does not fit ``psi`` is a
+    SpaceMismatchError.
+    """
     workers = resolve_workers(workers)
-    if isinstance(spec, MixtureHamiltonianSpec):
+    if isinstance(psi, mixtures.MixtureStateVector):
         return mixtures.apply_mixture_hamiltonian(spec, psi, workers=workers)
     return kernel.apply_hamiltonian(spec, psi, workers=workers)

@@ -3,9 +3,9 @@
 A :class:`SpaceDescriptor` fixes (statistics, N, M), ranks and unranks
 configurations by the exact closed forms of :mod:`combinadics`, and lazily
 builds the dense per-configuration tables the operator kernel gathers
-from.  Its ladder tables re-address a space through the space of one
-particle fewer or more, for the densities.  State vectors are dense
-complex arrays indexed by address J (array slot J - 1).
+from.  Its ladder tables, weights included, re-address a space through
+the space of one particle fewer or more, for the densities.  State
+vectors are dense complex arrays indexed by address J (array slot J - 1).
 """
 
 from __future__ import annotations
@@ -159,11 +159,12 @@ def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.nd
     return occ, rank_counts, rank_counts[:, remaining - np.minimum(remaining, cap)]
 
 
-def creation_table(statistics: str, n: int, m: int) -> np.ndarray:
-    """U[q-1, j]: the 0-based address in the space of ``n`` particles of the j-th configuration of n - 1 plus one in q.
+def creation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, w): U[q-1, j] is the 0-based address in the space of ``n`` particles of the j-th configuration m of n - 1 plus one in q, w[q-1, j] b_q's weight there.
 
-    U is -1 where fermion orbital q of that configuration is already full,
-    and has no columns for n = 0.  The address of a configuration is
+    w is sqrt(m_q + 1) (bosons) or (-1)^{S_q}, S_q the particles of m below
+    q (fermions).  U is -1, and w 0, where fermion orbital q of m is already
+    full; neither has columns for n = 0.  The address of a configuration is
     J - 1 = sum_p T_p over orbitals p, where T_p counts the configurations
     with the same occupations in orbitals 1..p-1 and more particles in p
     (:func:`occupation_table`).  With R_p the particles in orbitals p..M and
@@ -174,23 +175,23 @@ def creation_table(statistics: str, n: int, m: int) -> np.ndarray:
 
         bosons    U[q] = j + sum_{p<q} count_{M-p}(R_{p+1})
         fermions  U[q] = j + sum_{p<q, m_p=0} (count_{M-p}(R_{p+1}) - count_{M-p}(R_{p+1} - 1))
-                           - count_{M-q}(R_q - 1),
+                           - count_{M-q}(R_q - 1).
 
-    m being the (n - 1)-particle configuration.  Each row is increasing
-    where it is not -1: adding a particle to a fixed orbital keeps
-    lexicographic order.  The counts are the differences of the
-    (n - 1)-particle space's rank counts, which omit the particle numbers
-    its orbitals 1..q cannot complete; the fermion terms read those only
-    where m_q = 1, whose entry is -1.  U is int32 when that holds every
+    Each row of U is increasing where it is not -1: adding a particle to a
+    fixed orbital keeps lexicographic order.  The counts are the differences
+    of the (n - 1)-particle space's rank counts, which omit the particle
+    numbers its orbitals 1..q cannot complete; the fermion terms read those
+    only where m_q = 1, whose entry is -1.  U is int32 when that holds every
     address.
     """
     if n == 0:
-        return np.empty((m, 0), dtype=np.int32)
+        return np.empty((m, 0), dtype=np.int32), np.empty((m, 0))
     lower, rank_counts, _ = occupation_table(statistics, n - 1, m)
     count = np.zeros((m, n + 1), dtype=np.int64)  # count[q-1, r+1] = count_{M-q}(r), r = -1..n-1
     count[:-1, 1:] = np.diff(rank_counts, axis=1)
     fits = cmb.space_dimension(statistics, n, m) < 2**31
     table = np.empty((m, len(lower)), dtype=np.int32 if fits else np.int64)
+    weight = np.empty((m, len(lower)))
     base = np.arange(len(lower), dtype=np.int64)
     rest = np.full(len(lower), n - 1, dtype=np.int64)  # particles of m in orbitals q+1..M
     for q in range(1, m + 1):
@@ -200,45 +201,49 @@ def creation_table(statistics: str, n: int, m: int) -> np.ndarray:
             free = held == 0
             at = base - count[q - 1, rest]
             table[q - 1] = np.where(free, at, -1)
+            weight[q - 1] = np.where(free, 1.0 - 2.0 * ((n - 1 - rest) & 1), 0.0)  # S_q = n - 1 - rest where free
             base = np.where(free, at + count[q - 1, rest + 1], base)
         else:
             table[q - 1] = base
+            np.sqrt(held + 1, out=weight[q - 1])
             base += count[q - 1, rest + 1]
-    return table
+    return table, weight
 
 
-def annihilation_table(n: int, m: int) -> np.ndarray:
-    """D[q-1, j]: the 0-based address in the fermion space of ``n`` particles of the j-th configuration of n + 1 less its particle in q.
+def annihilation_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(D, w): D[q-1, j] is the 0-based address in the fermion space of ``n`` particles of the j-th configuration of n + 1 less its particle in q, w[q-1, j] b†_q's weight there.
 
-    D is -1 where orbital q of that configuration is empty.  Complementing
-    every occupation maps the configurations of n particles onto those of
-    m - n and reverses their descending lexicographic order, so an address
-    J - 1 is N_conf - 1 less the address of the complement, and D is the
-    fermion :func:`creation_table` of m - n particles read backwards.  Each
-    row is increasing where it is not -1.
+    D is -1, and w 0, where orbital q of that configuration is empty.
+    Complementing every occupation maps the configurations of n particles
+    onto those of m - n and reverses their descending lexicographic order,
+    so an address J - 1 is N_conf - 1 less the address of the complement,
+    and D, w are the fermion :func:`creation_table` of m - n particles read
+    backwards, w times (-1)^(q-1): the particles below q are the q - 1
+    orbitals less the complement's.  Each row of D increases where not -1.
     """
-    up = creation_table(FERMION, m - n, m)[:, ::-1]
+    up, weight = (a[:, ::-1] for a in creation_table(FERMION, m - n, m))
     table = np.full(up.shape, -1, dtype=up.dtype)
     np.subtract(cmb.space_dimension(FERMION, n, m) - 1, up, out=table, where=up >= 0)
-    return table
+    weight[1::2] = 0.0 - weight[1::2]  # not -weight, which would turn the zeros into -0.0
+    return table, weight
 
 
-def ladder_table(space: SpaceDescriptor) -> tuple[np.ndarray, bool]:
-    """The table that re-addresses ``space`` through a neighbour space, and whether that is its hole picture.
+def ladder_table(space: SpaceDescriptor) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The table that re-addresses ``space`` through a neighbour space, its weights, and whether that is its hole picture.
 
     Below half filling, and always for bosons, it is the
     :func:`creation_table` U: b_q maps address U[q-1, j] onto the j-th
     configuration of N - 1 particles.  A fermion space above half filling
     (2N > M) takes the :func:`annihilation_table` D instead: b†_q maps
     address D[q-1, j] onto the j-th configuration of N + 1.  Either way the
-    table has M rows and at most N_conf columns, as N_conf(N - 1) =
-    N_conf N / (M - N + 1) and N_conf(N + 1) = N_conf (M - N) / (N + 1):
-    it, and the neighbour's occupation table that makes it, are never
-    larger than the space's own occupation table.
+    table carries each entry's weight and has M rows and at most N_conf
+    columns, as N_conf(N - 1) = N_conf N / (M - N + 1) and N_conf(N + 1) =
+    N_conf (M - N) / (N + 1): it, and the neighbour's occupation table that
+    makes it, are never larger than the space's own occupation table.
     """
     if space.statistics == FERMION and 2 * space.n > space.m:
-        return annihilation_table(space.n, space.m), True
-    return creation_table(space.statistics, space.n, space.m), False
+        return *annihilation_table(space.n, space.m), True
+    return *creation_table(space.statistics, space.n, space.m), False
 
 
 def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:

@@ -623,7 +623,7 @@ def apply_hamiltonian(spec, psi: StateVector, workers: int = 1) -> StateVector:
     this one call and swept pair by pair: stacking its gathers would cost
     more than the one apply saves.
     """
-    if spec.space != psi.space:
+    if not isinstance(psi, StateVector) or spec.space != psi.space:
         raise SpaceMismatchError("Hamiltonian and state belong to different spaces")
     if isinstance(spec, Prepared):
         return StateVector(spec.space, _apply_stacked(spec.op, psi.amplitudes, workers))

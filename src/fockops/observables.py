@@ -4,10 +4,10 @@ Both densities are Gram products of states with one or two particles
 fewer, as in direct CI (Olsen et al., J. Chem. Phys. 89, 2185, 1988).
 b_q maps the compact enumeration of N particles onto that of N - 1 in
 closed form: the space's ladder table (:func:`fockspace.ladder_table`) gives,
-for every (N-1)-particle configuration m, the address of m + e_q, so
-A_q = b_q Psi is one gather for all q at once, weighted by sqrt(n_q)
-(bosons) or the parity (-1)^{S_q} of the particles below q (fermions),
-with the kernel's sign conventions.  Then
+for every (N-1)-particle configuration m, the address of m + e_q and b_q's
+weight there, sqrt(n_q) (bosons) or the parity (-1)^{S_q} of the particles
+below q (fermions), with the kernel's sign conventions.  So A_q = b_q Psi
+is one weighted gather for all q at once.  Then
 
     rho_kq = <b_k Psi|b_q Psi>,    rho2_kslq = <b_s b_k Psi|b_l b_q Psi>,
 
@@ -25,7 +25,8 @@ rho is read off the occupation table and its upper triangle mirrored, so
 rho is exactly Hermitian.  Both Gram products run over fixed blocks of the
 neighbouring space's configurations, so no pair gather is built and rho2
 holds the M single-ladder states whole but never the M^2 double ones.
-Each call builds the ladder tables it reads and keeps none.
+Each call builds the ladder tables it reads and keeps none; they carry
+their weights, so no call builds the SpaceTables of a neighbour space.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import warnings
 import numpy as np
 
 from . import kernel, mixtures
-from .combinadics import FERMION
 from .errors import SpaceMismatchError
 from .fockspace import SpaceDescriptor, StateVector, dot, ladder_table
 
@@ -58,53 +58,46 @@ def _occupations(space, mat: np.ndarray, axis: int) -> np.ndarray:
     return weights @ space.tables().occ
 
 
-def _ladder(space, table, mat: np.ndarray, axis: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def _ladder(table, weight, mat: np.ndarray, axis: int) -> np.ndarray:
     """b_q, or b†_q in the hole picture, along ``axis`` of ``mat`` for every orbital q: ``axis`` becomes (q, j).
 
-    ``table`` is the space's ladder table, j runs over its columns lo..hi-1
-    (default all), and entry (q, j) reads the amplitude at address
-    table[q, j], weighted by this space's sqrt(n_q) or (-1)^{S_q} at that
-    row; it is 0 where the table holds -1.
+    ``table`` and ``weight`` are columns of the space's ladder table
+    (:func:`fockspace.ladder_table`): entry (q, j) is the amplitude at
+    address table[q, j] times weight[q, j], which is 0 where the table
+    holds -1.
     """
-    tb = space.tables()
-    table = table[:, lo:hi]
-    orbital = np.arange(space.m)[:, None]
-    if space.statistics == FERMION:
-        weight = np.where(table >= 0, 1.0 - 2.0 * (tb.prefix[table, orbital] & 1), 0.0)
-    else:
-        weight = np.sqrt(tb.occ[table, orbital])
     out = mat.take(table, axis)
-    out *= weight.reshape(table.shape + (1,) * (mat.ndim - axis - 1))
+    out *= weight.reshape(weight.shape + (1,) * (mat.ndim - axis - 1))
     return out
 
 
-def _gram(space, table, mat: np.ndarray, axis: int, rows: int) -> np.ndarray:
-    """conj(X) X^T for X = :func:`_ladder` of ``mat`` along ``axis``, reshaped to ``rows`` rows.
+def _gram(ladder, mat: np.ndarray, axis: int, rows: int) -> np.ndarray:
+    """conj(X) X^T for X = :func:`_ladder` of ``mat`` along ``axis`` through ``ladder``, reshaped to ``rows`` rows.
 
     X is formed and summed in fixed blocks of about
     :data:`kernel.BLOCK_AMPLITUDES` entries, so its temporaries do not grow
     with the space, and the order of the sum depends on the space alone.
     """
+    table, weight, _ = ladder
     gram = np.zeros((rows, rows), dtype=mat.dtype)
-    width = space.m * (mat.size // mat.shape[axis])  # entries of X per column of the table
+    width = len(table) * (mat.size // mat.shape[axis])  # entries of X per column of the table
     for lo, hi in kernel.row_blocks(table.shape[1], width):
-        images = _ladder(space, table, mat, axis, lo, hi).reshape(rows, -1)
+        images = _ladder(table[:, lo:hi], weight[:, lo:hi], mat, axis).reshape(rows, -1)
         gram += images.conj() @ images.T
     return gram
 
 
-def _one_body(space, mat: np.ndarray, axis: int) -> np.ndarray:
-    """rho[k-1, q-1] = <Psi|b†_k b_q|Psi> along ``axis``: k < q from the Gram product, the diagonal from the occupations."""
-    table, holes = ladder_table(space)
-    gram = _gram(space, table, np.moveaxis(mat, axis, 0), 0, space.m)
-    upper = np.triu(-gram.T if holes else gram, 1).astype(np.complex128)
-    return np.diag(_occupations(space, mat, axis)) + upper + upper.conj().T
+def _one_body(occupations: np.ndarray, ladder, mat: np.ndarray, axis: int) -> np.ndarray:
+    """rho[k-1, q-1] = <Psi|b†_k b_q|Psi> along ``axis``: k < q from the Gram product through ``ladder``, the diagonal the ``occupations`` (a caller that builds the ladder forms them first, so their copy of the occupation table is freed by then)."""
+    gram = _gram(ladder, np.moveaxis(mat, axis, 0), 0, len(occupations))
+    upper = np.triu(-gram.T if ladder[2] else gram, 1).astype(np.complex128)
+    return np.diag(occupations) + upper + upper.conj().T
 
 
 def one_body_density(psi: StateVector) -> np.ndarray:
     """rho[k-1, q-1] = <Psi| b†_k b_q |Psi> (M x M complex)."""
     _warn_if_unnormalized(psi)
-    return _one_body(psi.space, psi.amplitudes, 0)
+    return _one_body(_occupations(psi.space, psi.amplitudes, 0), ladder_table(psi.space), psi.amplitudes, 0)
 
 
 def two_body_density(psi: StateVector) -> np.ndarray:
@@ -116,20 +109,19 @@ def two_body_density(psi: StateVector) -> np.ndarray:
     blocks of the configurations of N -/+ 2 (:func:`_gram`).
     """
     _warn_if_unnormalized(psi)
-    space = psi.space
-    m = space.m
-    table, holes = ladder_table(space)
+    space, m, amps = psi.space, psi.space.m, psi.amplitudes
+    ladder = table, weight, holes = ladder_table(space)
     if (space.n + 2 > m) if holes else (space.n < 2):  # no configuration of N +/- 2 particles
-        gram = np.zeros((m * m, m * m), dtype=psi.amplitudes.dtype)
+        gram = np.zeros((m * m, m * m), dtype=amps.dtype)
     else:
         mid = SpaceDescriptor(space.statistics, space.n + (1 if holes else -1), m)
-        gram = _gram(mid, ladder_table(mid)[0], _ladder(space, table, psi.amplitudes, 0), 1, m * m)
+        gram = _gram(ladder_table(mid), _ladder(table, weight, amps, 0), 1, m * m)
     # row (q-1) M + l-1 holds b_l b_q Psi (holes: b†_l b†_q Psi), so
     # rho2[k, s, l, q] = gram[k, s, q, l] (holes: Z_kslq = gram[l, q, s, k])
     order = (3, 2, 0, 1) if holes else (0, 1, 3, 2)
     rho2 = np.ascontiguousarray(np.transpose(gram.reshape(m, m, m, m), order), dtype=np.complex128)
     if holes:  # in this order the terms cancel exactly where k = s or l = q
-        rho, one, nrm = _one_body(space, psi.amplitudes, 0), np.eye(m), psi.norm() ** 2
+        rho, one, nrm = _one_body(_occupations(space, amps, 0), ladder, amps, 0), np.eye(m), psi.norm() ** 2
         for pattern, factor, other in (("qk,ls->kslq", -nrm, one), ("qs,lk->kslq", nrm, one),
                                        ("qk,sl->kslq", 1.0, rho), ("qs,kl->kslq", -1.0, rho),
                                        ("lk,sq->kslq", -1.0, rho), ("ls,kq->kslq", 1.0, rho)):
@@ -172,7 +164,8 @@ def mixture_densities(psi: mixtures.MixtureStateVector) -> tuple[np.ndarray, np.
     """Species-resolved one-body densities (rho_A, rho_B); traces N_A and N_B."""
     _warn_if_unnormalized(psi)
     mat = psi.as_matrix()
-    return _one_body(psi.mspace.space_a, mat, 0), _one_body(psi.mspace.space_b, mat, 1)
+    return tuple(_one_body(_occupations(space, mat, axis), ladder_table(space), mat, axis)
+                 for axis, space in enumerate((psi.mspace.space_a, psi.mspace.space_b)))
 
 
 def site_densities(psi) -> np.ndarray:

@@ -539,6 +539,29 @@ def test_prepared_operator_rejects_a_state_of_another_space():
         apply_mixture_hamiltonian(op, mixture_random_state(mspace, seed=3))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parallel_apply_takes_a_prepared_operator_of_either_kind(workers):
+    """The state's kind picks the engine: a prepared operator gives the spec's result bitwise."""
+    space, mspace = SpaceDescriptor.fermion(3, 6), suite_mixture_spaces()[2]
+    spec, mspec = random_hermitian_spec(space, seed=1), random_mixture_spec(mspace, seed=2)
+    psi, mpsi = random_state(space, seed=3), mixture_random_state(mspace, seed=4)
+    np.testing.assert_array_equal(parallel_apply(kernel.prepare(spec), psi, workers).amplitudes,
+                                  kernel.apply_hamiltonian(kernel.prepare(spec), psi).amplitudes)
+    np.testing.assert_array_equal(parallel_apply(mixtures.prepare(mspec), mpsi, workers).amplitudes,
+                                  apply_mixture_hamiltonian(mspec, mpsi).amplitudes)
+    with pytest.raises(SpaceMismatchError):
+        parallel_apply(mixtures.prepare(mspec), psi, workers)
+
+
+def test_single_species_apply_refuses_a_mixture_state():
+    """A prepared mixture operator and a mixture state share a space, but the single-species engine takes neither."""
+    mspace = suite_mixture_spaces()[2]
+    mspec, mpsi = random_mixture_spec(mspace, seed=2), mixture_random_state(mspace, seed=4)
+    for op in (mixtures.prepare(mspec), mspec):
+        with pytest.raises(SpaceMismatchError):
+            apply_hamiltonian(op, mpsi)
+
+
 def test_prepared_operator_is_a_snapshot_of_the_tables():
     """A table changed after prepare changes the next spec apply, not the prepared operator."""
     space = SpaceDescriptor.fermion(3, 6)

@@ -264,7 +264,7 @@ def test_header_table_allowance(statistics, n, m, n_amplitudes, loads):
 
 
 class TestCreationTable:
-    """U[q-1, j]: the address of the j-th configuration of N - 1 particles plus one in q, from its running sum."""
+    """U[q-1, j]: the address of the j-th configuration of N - 1 particles plus one in q, from its running sum, and b_q's weight there."""
 
     @pytest.mark.parametrize("space", [
         SpaceDescriptor.fermion(0, 3), SpaceDescriptor.fermion(1, 1), SpaceDescriptor.fermion(1, 4),
@@ -273,12 +273,12 @@ class TestCreationTable:
         SpaceDescriptor.boson(3, 4), SpaceDescriptor.boson(5, 5),
     ], ids=str)
     def test_matches_the_closed_form_rank(self, space):
-        """Against combinadics: unrank j in the smaller space, add the particle, rank it here."""
-        table = creation_table(space.statistics, space.n, space.m)
+        """Against combinadics: unrank j in the smaller space, add the particle, rank it here; b_q's weight is sqrt(m_q + 1) or (-1)^{S_q}."""
+        table, weight = creation_table(space.statistics, space.n, space.m)
         lower = SpaceDescriptor(space.statistics, space.n - 1, space.m) if space.n else None
-        assert table.shape == (space.m, lower.n_conf if lower else 0)
+        assert table.shape == weight.shape == (space.m, lower.n_conf if lower else 0)
         assert table.dtype == np.int32
-        ref = np.full(table.shape, -1)
+        ref, ref_weight = np.full(table.shape, -1), np.zeros(table.shape)
         for j in range(table.shape[1]):
             occ = list(lower.occupations_at(j + 1))
             for q in range(space.m):
@@ -286,21 +286,30 @@ class TestCreationTable:
                     added = occ[:q] + [occ[q] + 1] + occ[q + 1:]
                     config = added if space.statistics == "boson" else [p + 1 for p, v in enumerate(added) if v == 0]
                     ref[q, j] = space.rank(config) - 1
+                    ref_weight[q, j] = np.sqrt(occ[q] + 1) if space.statistics == "boson" else (-1) ** sum(occ[:q])
         np.testing.assert_array_equal(table, ref)
+        np.testing.assert_array_equal(weight, ref_weight)
+        assert not np.signbit(weight[table < 0]).any()  # +0, never -0, where the table holds -1
 
     @pytest.mark.parametrize("n, m", [(0, 3), (1, 1), (2, 3), (3, 3), (3, 4), (4, 7), (5, 7), (7, 12)])
     def test_annihilation_table_matches_the_closed_form_rank(self, n, m):
-        """D[q-1, j]: unrank j among N + 1 fermions, remove the particle in q, rank it here; -1 where q is empty."""
+        """D[q-1, j]: unrank j among N + 1 fermions, remove the particle in q, rank it here; -1 where q is empty.
+
+        b†_q's weight is (-1)^{S_q}, S_q the particles below q, and 0 where D is -1.
+        """
         space, upper = SpaceDescriptor.fermion(n, m), SpaceDescriptor.fermion(min(n + 1, m), m)
-        table = annihilation_table(n, m)
-        assert table.shape == (m, upper.n_conf if n < m else 0) and table.dtype == np.int32
-        ref = np.full(table.shape, -1)
+        table, weight = annihilation_table(n, m)
+        assert table.shape == weight.shape == (m, upper.n_conf if n < m else 0) and table.dtype == np.int32
+        ref, ref_weight = np.full(table.shape, -1), np.zeros(table.shape)
         for j in range(table.shape[1]):
             occ = upper.occupations_at(j + 1)
             for q in range(m):
                 if occ[q]:
                     ref[q, j] = space.rank([p + 1 for p, v in enumerate(occ) if v == 0 or p == q]) - 1
+                    ref_weight[q, j] = (-1) ** sum(occ[:q])
         np.testing.assert_array_equal(table, ref)
+        np.testing.assert_array_equal(weight, ref_weight)
+        assert not np.signbit(weight[table < 0]).any()
 
     @pytest.mark.parametrize("space", [
         SpaceDescriptor.fermion(3, 6), SpaceDescriptor.fermion(4, 7), SpaceDescriptor.fermion(9, 10),
@@ -308,12 +317,14 @@ class TestCreationTable:
     ], ids=str)
     def test_ladder_table_is_never_larger_than_the_space(self, space):
         """Fermions above half filling take the hole picture; M x columns never exceeds N_conf x M."""
-        table, holes = ladder_table(space)
+        table, weight, holes = ladder_table(space)
         assert holes == (space.statistics == "fermion" and 2 * space.n > space.m)
         if holes:
-            np.testing.assert_array_equal(table, annihilation_table(space.n, space.m))
+            ref = annihilation_table(space.n, space.m)
         else:
-            np.testing.assert_array_equal(table, creation_table(space.statistics, space.n, space.m))
+            ref = creation_table(space.statistics, space.n, space.m)
+        np.testing.assert_array_equal(table, ref[0])
+        np.testing.assert_array_equal(weight, ref[1])
         assert table.shape[1] <= space.n_conf
 
     def test_no_ladder_table_is_kept(self):

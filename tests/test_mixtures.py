@@ -8,8 +8,13 @@ import pytest
 from fockops import (
     AddressError,
     FockError,
+    HamiltonianSpec,
+    InterSpeciesTable,
+    MixtureHamiltonianSpec,
     MixtureSpace,
+    OneBodyTable,
     SpaceDescriptor,
+    TwoBodyTable,
     apply_hamiltonian,
     apply_inter,
     apply_inter_term,
@@ -19,6 +24,7 @@ from fockops import (
     basis_state,
     build_dense,
     fermion_sign_count,
+    ground_state,
     load_mixture_state,
     mixture_address,
     mixture_basis_state,
@@ -200,6 +206,22 @@ class TestFullMixtureHamiltonian:
         lhs = mixture_dot(u, apply_mixture_hamiltonian(mspec, v))
         rhs = np.conj(mixture_dot(v, apply_mixture_hamiltonian(mspec, u)))
         assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("hopping,interaction", [(1.0, 3.0), (0.5, 2.0), (1.0, 0.0), (0.3, -1.5)])
+def test_two_site_hubbard_ground_energy(hopping, interaction):
+    """Spin up and down as a FERMION x FERMION mixture of fermion(1,2) each: E_0 = (U - sqrt(U^2 + 16 t^2)) / 2.
+
+    The hopping -t (c†_1 c_2 + c†_2 c_1) acts within each species, the
+    on-site U n_k,up n_k,down is the inter-species diagonal W_kkkk.
+    """
+    space = SpaceDescriptor.fermion(1, 2)
+    spin = HamiltonianSpec(space, OneBodyTable(np.array([[0.0, -hopping], [-hopping, 0.0]])), TwoBodyTable.zeros(2))
+    inter = np.zeros((2, 2, 2, 2))
+    inter[0, 0, 0, 0] = inter[1, 1, 1, 1] = interaction
+    mspec = MixtureHamiltonianSpec(MixtureSpace(space, space), spin, spin, InterSpeciesTable(inter))
+    exact = (interaction - np.sqrt(interaction**2 + 16 * hopping**2)) / 2
+    assert abs(ground_state(mspec, tol=1e-12, seed=1).energy - exact) <= 1e-12
 
 
 class TestOrbitalChecks:

@@ -9,6 +9,7 @@ import pytest
 
 from fockops import (
     HamiltonianSpec,
+    MixtureSpace,
     OneBodyTable,
     SpaceDescriptor,
     StateVector,
@@ -18,6 +19,7 @@ from fockops import (
     build_bose_hubbard,
     build_dense,
     energy,
+    fockspace,
     kernel,
     ground_state,
     mixture_densities,
@@ -391,3 +393,28 @@ def test_a_cold_apply_and_rho_above_half_filling_stay_below_the_space_tables():
         finally:
             tracemalloc.stop()
         assert peak < tb.occ.nbytes + tb.prefix.nbytes
+
+
+@pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 7), SpaceDescriptor.boson(4, 4),
+                                   SpaceDescriptor.fermion(5, 7)], ids=str)
+def test_densities_build_only_their_ladder_tables(monkeypatch, space):
+    """With psi's tables built, rho builds one occupation table and rho2 two, in either picture, and no SpaceTables.
+
+    The ladder tables carry their weights, so no density reads a
+    neighbour space's tables, and the hole picture's rho2 reuses its
+    ladder for rho.
+    """
+    psi = random_state(space, seed=30)
+    space.tables()
+    mpsi = mixture_random_state(MixtureSpace(space, SpaceDescriptor.boson(2, 3)), seed=31)
+    for s in (mpsi.mspace.space_a, mpsi.mspace.space_b):
+        s.tables()
+    occupation_tables, space_tables = [], []
+    occupation_table = fockspace.occupation_table
+    monkeypatch.setattr(fockspace, "occupation_table", lambda *a: occupation_tables.append(a) or occupation_table(*a))
+    monkeypatch.setattr(fockspace.SpaceTables, "__init__", lambda self, sp: space_tables.append(sp))
+    for density, builds in ((one_body_density, 1), (two_body_density, 2), (mixture_densities, 2)):
+        occupation_tables.clear()
+        density(mpsi if density is mixture_densities else psi)
+        assert len(occupation_tables) == builds, density.__name__
+    assert space_tables == []

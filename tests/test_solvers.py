@@ -253,7 +253,7 @@ class TestReorthogonalization:
 
 
 class TestClosedFormsPastTheDenseCap:
-    """One-body ground states at 24,310 configurations: past DENSE_CAP and past one row block.
+    """One-body Hamiltonians past DENSE_CAP: ground states at 24,310 configurations, past one row block, and rho(t).
 
     The ground state of sum_kq h_kq b†_k b_q fills the N lowest orbitals of
     h (fermions) or puts all N particles in the lowest (bosons).
@@ -292,6 +292,27 @@ class TestClosedFormsPastTheDenseCap:
         rho = vectors[:, :space.n] @ vectors[:, :space.n].T
         wick = np.einsum("kq,sl->kslq", rho, rho) - np.einsum("kl,sq->kslq", rho, rho)
         assert np.abs(two_body_density(result.state) - wick).max() <= 1e-10
+
+
+    @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(12, 17), SpaceDescriptor.boson(8, 8)], ids=str)
+    def test_one_body_density_follows_the_orbital_rotation(self, space):
+        """Under a one-body H, rho(t) = conj(U) rho(0) U^T with U = exp(-i h t), for any initial state.
+
+        b_q(t) = sum_p U_qp b_p, so SIL and one_body_density are checked
+        past DENSE_CAP: fermion(12,17) in the hole picture, 6,188
+        configurations, and boson(8,8), 6,435.
+        """
+        assert space.n_conf > DENSE_CAP
+        rng = np.random.default_rng(space.m)
+        a = rng.standard_normal((space.m, space.m)) + 1j * rng.standard_normal((space.m, space.m))
+        levels, vectors = np.linalg.eigh(a + a.conj().T)
+        spec = HamiltonianSpec(space, OneBodyTable(a + a.conj().T), TwoBodyTable.zeros(space.m))
+        psi0 = random_state(space, seed=5)
+        result = propagate(spec, psi0, 0.2, 0.1, err_tol=1e-12, store_states=True)
+        rho0 = one_body_density(psi0)
+        for t, state in zip(result.times, result.states):
+            u = (vectors * np.exp(-1j * levels * t)) @ vectors.conj().T
+            assert np.abs(one_body_density(state) - u.conj() @ rho0 @ u.T).max() <= 1e-10
 
 
 class TestRealArithmetic:
