@@ -188,6 +188,8 @@ def cmd_enum(args) -> int:
 
 
 def _cmd_enum_mix(args) -> int:
+    if any(v is not None for v in (args.holes, args.occ, args.bits)):
+        raise InvalidConfigurationError("--holes, --occ and --bits rank one species' configuration; with --mix use -J")
     stats = [s.strip().lower() for s in args.mix_stats.split(",")]
     if len(stats) != 2 or any(s not in (FERMION, BOSON) for s in stats):
         raise InvalidSpaceError(f"bad --mix-stats {args.mix_stats!r}")

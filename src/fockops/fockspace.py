@@ -3,8 +3,9 @@
 A :class:`SpaceDescriptor` fixes (statistics, N, M), ranks and unranks
 configurations by the exact closed forms of :mod:`combinadics`, and lazily
 builds the dense per-configuration tables the operator kernel gathers
-from.  Its ladder tables, weights included, re-address a space through
-the space of one particle fewer or more, for the densities.  State
+from.  Its ladder table, weights included, re-addresses a space through
+the space of one particle fewer or more: the kernel's pair gathers and
+the densities both read it.  State
 vectors are dense complex arrays indexed by address J (array slot J - 1).
 """
 
@@ -113,8 +114,8 @@ class SpaceDescriptor:
         return self._tables
 
 
-def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every occupation vector of a space, one row each in address order, and its rank tables.
+def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every occupation vector of a space, one row each in address order, and the counts of its levels.
 
     Both statistics list occupation vectors in descending lexicographic
     order; fermions are the case of at most ``cap`` = 1 particle per orbital
@@ -123,16 +124,9 @@ def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.nd
     are, for each first value v from the largest down, v followed by the
     occupations of the last j - 1 orbitals holding r - v.  Only the counts r
     that the first M - j orbitals can still complete to N are kept, so no
-    level holds more rows than the finished table.
-
-    With count_j(r) the number of rows of level j, the rank counts
-    C[p-1, x] = sum_{r<x} count_{M-p}(r), shape (M-1, N+2), and the rank
-    floors F[p-1, R] = C[p-1, R - min(cap, R)], shape (M-1, N+1), give
-    T(p, R, v) = sum_{u=v+1}^{min(cap,R)} count_{M-p}(R - u) = C[p-1, R - v] - F[p-1, R]:
-    how many configurations with the same occupations in orbitals 1..p-1
-    come before one whose orbitals p..M hold R particles, v of them in
-    orbital p.  Hence, with S_p the particles in orbitals 1..p,
-    J = 1 + sum_{p<M} T(p, N - S_{p-1}, n_p).  Both tables take O(M N) memory.
+    level holds more rows than the finished table.  counts[j, r], shape
+    (M + 1, N + 1), is the number of rows of level j holding r particles,
+    0 for the counts not kept: O(M N) memory for either statistics.
     """
     cap = 1 if statistics == FERMION else n
     counts = np.zeros((m + 1, n + 1), dtype=np.int64)
@@ -153,10 +147,7 @@ def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.nd
         for s in range(0, len(tail), step):
             rows[s : s + step, 1:] = occ[tail[s : s + step]]
         occ, totals = rows, owner
-    rank_counts = np.zeros((m - 1, n + 2), dtype=np.int64)
-    np.cumsum(counts[m - 1:0:-1], axis=1, out=rank_counts[:, 1:])
-    remaining = np.arange(n + 1)
-    return occ, rank_counts, rank_counts[:, remaining - np.minimum(remaining, cap)]
+    return occ, counts
 
 
 def creation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,28 +158,29 @@ def creation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.ndar
     full; neither has columns for n = 0.  The address of a configuration is
     J - 1 = sum_p T_p over orbitals p, where T_p counts the configurations
     with the same occupations in orbitals 1..p-1 and more particles in p
-    (:func:`occupation_table`).  With R_p the particles in orbitals p..M and
-    count_j(r) the configurations of r particles in j orbitals, bosons have
-    T_p = sum_{r < R_{p+1}} count_{M-p}(r), and fermions T_p = [n_p = 0]
-    count_{M-p}(R_p - 1); neither depends on n.  Adding a particle to q
-    raises R_{p+1} for every p < q, so U has a running sum over q:
+    (the lexical addressing of Knowles & Handy).  With R_p the particles in
+    orbitals p..M and count_j(r) the configurations of r particles in j
+    orbitals, bosons have T_p = sum_{r < R_{p+1}} count_{M-p}(r), and
+    fermions T_p = [n_p = 0] count_{M-p}(R_p - 1); neither depends on n.
+    Adding a particle to q raises R_{p+1} for every p < q, so U has a
+    running sum over q:
 
         bosons    U[q] = j + sum_{p<q} count_{M-p}(R_{p+1})
         fermions  U[q] = j + sum_{p<q, m_p=0} (count_{M-p}(R_{p+1}) - count_{M-p}(R_{p+1} - 1))
                            - count_{M-q}(R_q - 1).
 
     Each row of U is increasing where it is not -1: adding a particle to a
-    fixed orbital keeps lexicographic order.  The counts are the differences
-    of the (n - 1)-particle space's rank counts, which omit the particle
-    numbers its orbitals 1..q cannot complete; the fermion terms read those
-    only where m_q = 1, whose entry is -1.  U is int32 when that holds every
-    address.
+    fixed orbital keeps lexicographic order.  The counts are the level
+    counts of the (n - 1)-particle space (:func:`occupation_table`), which
+    omit the particle numbers its orbitals 1..q cannot complete; the fermion
+    terms read those only where m_q = 1, whose entry is -1.  U is int32 when
+    that holds every address.
     """
     if n == 0:
         return np.empty((m, 0), dtype=np.int32), np.empty((m, 0))
-    lower, rank_counts, _ = occupation_table(statistics, n - 1, m)
+    lower, levels = occupation_table(statistics, n - 1, m)
     count = np.zeros((m, n + 1), dtype=np.int64)  # count[q-1, r+1] = count_{M-q}(r), r = -1..n-1
-    count[:-1, 1:] = np.diff(rank_counts, axis=1)
+    count[:-1, 1:] = levels[m - 1:0:-1]
     fits = cmb.space_dimension(statistics, n, m) < 2**31
     table = np.empty((m, len(lower)), dtype=np.int32 if fits else np.int64)
     weight = np.empty((m, len(lower)))
@@ -263,29 +255,29 @@ def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
 
 
 class SpaceTables:
-    """Arrays over all configurations, in J order, and the rank terms that re-address them.
+    """Arrays over all configurations, in J order, and the ladder table that re-addresses them.
 
-    occ          (N_conf, M)     occupation numbers
-    prefix       (N_conf, M+1)   prefix[:, p] = sum of occ[:, :p]
-    rank_counts  (M-1, N+2)      C of :func:`occupation_table`
-    rank_floor   (M-1, N+1)      F of :func:`occupation_table`
-    occ_float    (N_conf, M)     occ as float64, built on first use
+    occ        (N_conf, M)   occupation numbers
+    occ_float  (N_conf, M)   occ as float64, built on first use
+    ladder                   :func:`ladder_table` of the space, built on first use
 
     It also holds the space's one gather pool (:meth:`cached_gather`).
     """
 
     def __init__(self, space: SpaceDescriptor):
         self.space = space
-        self.occ, self.rank_counts, self.rank_floor = occupation_table(space.statistics, space.n, space.m)
-        prefix = np.zeros((space.n_conf, space.m + 1), dtype=np.int64)
-        np.cumsum(self.occ, axis=1, out=prefix[:, 1:])
-        self.prefix = prefix
+        self.occ = occupation_table(space.statistics, space.n, space.m)[0]
         self._gather_cache: dict = {}
 
     @functools.cached_property
     def occ_float(self) -> np.ndarray:
-        """The occupation numbers as float64, for the diagonal of H; built once, on first use."""
+        """The occupation numbers as float64, for the diagonal of H and the densities; built once, on first use."""
         return self.occ.astype(np.float64)
+
+    @functools.cached_property
+    def ladder(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The space's :func:`ladder_table`, built once, on first use: H's pair gathers and the densities read it."""
+        return ladder_table(self.space)
 
     def cached_gather(self, key, build):
         """The gather stored under ``key``, built by ``build()`` and kept on first use.
@@ -437,9 +429,10 @@ def header_space(statistics, n, m, n_amplitudes, path, exact: bool = True) -> Sp
 
     ``n_amplitudes`` is the number of amplitudes the file holds, or None for
     a file that holds none (an integral file).  N_conf may not exceed a cap:
-    ``n_amplitudes``, or for an integral file the largest N_conf whose
-    occupation and prefix tables, N_conf (2M + 1) entries, fit in
-    :data:`MAX_SPACE_TABLE`.  N_conf is counted no higher than the cap.
+    ``n_amplitudes``, or for an integral file the largest N_conf with
+    N_conf (2M + 1) <= :data:`MAX_SPACE_TABLE`, which bounds the occupation
+    table, N_conf M entries, and the addresses of the ladder table, at most
+    as many.  N_conf is counted no higher than the cap.
     FockError is raised for an invalid space, a space beyond the cap, or (if
     ``exact``) a dimension other than ``n_amplitudes``.
     """

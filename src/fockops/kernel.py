@@ -7,11 +7,12 @@ output amplitude by *gathering* from its uniquely determined source address,
 vectorized over all addresses at once.  On an output configuration n, with
 S_p particles in the orbitals below p, E_kq acts where n_k >= 1 (fermions:
 n_k = 1, and n_q = 0 unless k = q) with the weight (-1)^(S_k + S_q - [k < q])
-for fermions and sqrt(n_k (n_q + [k != q])) for bosons.  Both statistics
-share one address table, the lexical addressing of Knowles & Handy (below):
-an address is 1 plus one rank term per orbital, so the source address of
-each acting row is its own address shifted by the differing rank terms of
-the orbitals from min(k, q) to max(k, q).
+for fermions and sqrt(n_k (n_q + [k != q])) for bosons.  The addresses are
+read off the space's ladder table (:attr:`fockspace.SpaceTables.ladder`):
+b_q maps U[q-1, j] onto the j-th configuration of N - 1 particles, so E_kq
+maps U[q-1, j] to U[k-1, j], with the sign w[k-1, j] w[q-1, j] (fermions).
+The hole picture D of a fermion space above half filling leads to N + 1
+particles, and E_kq = -b_q b†_k (k != q) maps D[k-1, j] to D[q-1, j].
 
 Longer strings are products of pairs: b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl
 for both statistics, which defines every index coincidence (k = q, k = s,
@@ -152,56 +153,26 @@ def transpose(gather):
     return act, pref, None, src
 
 
-def _acting(space, tb, k, q) -> np.ndarray:
-    """Mask of the rows on which E_kq acts: n_k >= 1 (fermions: n_k = 1, and n_q = 0 unless k = q)."""
-    n_k = tb.occ[:, k - 1]
-    if space.statistics == FERMION and k != q:
-        return n_k > tb.occ[:, q - 1]
-    return n_k > 0
-
-
 def _build_gather(space, tb, k, q):
-    """E_kq's gather from its closed-form weights on the output rows (module docstring)."""
-    act = np.flatnonzero(_acting(space, tb, k, q))
-    if space.statistics == FERMION:
-        parity = (tb.prefix[act, k - 1] + tb.prefix[act, q - 1] - (k < q)) & 1
-        pref = np.where(parity.astype(bool), -1.0, 1.0)
+    """E_kq's gather: for k != q, rows k and q of the space's ladder table (module docstring)."""
+    if k == q:
+        act = src = np.flatnonzero(tb.occ[:, k - 1])
     else:
+        table, weight, holes = tb.ladder
+        cols = np.flatnonzero(np.minimum(table[k - 1], table[q - 1]) >= 0)
+        act, src = (table[p - 1, cols].astype(np.intp) for p in ((q, k) if holes else (k, q)))
+    if space.statistics != FERMION:
         n_k, n_q = tb.occ[act, k - 1], tb.occ[act, q - 1]
-        # one exact integer product, one rounding: k = q gives sqrt(n_k^2) = n_k exactly
+        # one exact integer product, one rounding (the product of two weights
+        # would round twice): k = q gives sqrt(n_k^2) = n_k exactly
         pref = np.sqrt((n_k * (n_q + (k != q))).astype(np.float64))
-    src = _source_rows(space, tb, act, k, q)
+    elif k == q:
+        pref = np.ones(act.size)
+    else:
+        pref = (-1.0 if holes else 1.0) * weight[k - 1, cols] * weight[q - 1, cols]
     for arr in (src, pref, act):
         arr.flags.writeable = False
     return src, pref, None, act
-
-
-def _source_rows(space, tb, act, k, q):
-    """0-based addresses of the sources of the output rows ``act`` under E_kq: one particle fewer in k, one more in q.
-
-    J - 1 is a sum of rank terms T(p, R, v) = C[p-1, R - v] - F[p-1, R] over
-    orbitals (:func:`fockspace.occupation_table`); source and output share
-    every term outside the orbitals lo..hi from min(k, q) to max(k, q), the
-    last orbital has none, and F cancels where the source holds as many
-    particles in orbitals p..M as the output.
-    """
-    if k == q:
-        return act
-    src = act.copy()
-    lo, hi = min(k, q), min(max(k, q), space.m - 1)
-    remaining = space.n - tb.prefix[act, lo - 1]  # particles the output holds in orbitals p..M
-    shift = 0  # particles the source holds beyond the output in orbitals lo..p-1
-    for p, occupied in zip(range(lo, hi + 1), tb.occ[act, lo - 1:hi].T):
-        d = int(p == q) - int(p == k)  # the source's occupation of p less the output's
-        rest = remaining - occupied
-        if shift or d:
-            counts = tb.rank_counts[p - 1]
-            src += counts[rest - shift - d] - counts[rest]
-            if shift:
-                floor = tb.rank_floor[p - 1]
-                src -= floor[remaining - shift] - floor[remaining]
-        remaining, shift = rest, shift + d
-    return src
 
 
 def sweep(gather, axis: int, amps: np.ndarray, out: np.ndarray, lo: int, hi: int,
@@ -450,7 +421,8 @@ def stack_sums(space: SpaceDescriptor, diag: np.ndarray, parts, dtype) -> list[S
     by_key: dict = {}
     for part in parts:
         k, q = divmod(int(part[0]), m)
-        count[1:] += _acting(space, tb, k + 1, q + 1)
+        # E_kq acts where n_k >= 1 (fermions: n_k = 1, and n_q = 0 unless k = q)
+        count[1:] += tb.occ[:, k] > (tb.occ[:, q] if space.statistics == FERMION and k != q else 0)
         by_key.setdefault((min(k, q), max(k, q)), []).append(part)
     first = np.cumsum(count)  # first[t]: row t's first entry; first[-1] entries in all
     reach = max((offset for _, offset, _ in parts), default=0) + n

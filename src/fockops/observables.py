@@ -25,8 +25,9 @@ rho is read off the occupation table and its upper triangle mirrored, so
 rho is exactly Hermitian.  Both Gram products run over fixed blocks of the
 neighbouring space's configurations, so no pair gather is built and rho2
 holds the M single-ladder states whole but never the M^2 double ones.
-Each call builds the ladder tables it reads and keeps none; they carry
-their weights, so no call builds the SpaceTables of a neighbour space.
+The space's ladder table is the one its SpaceTables keep for H's pair
+gathers; rho2 builds its middle space's table per call, and no call builds
+a neighbour space's SpaceTables.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _occupations(space, mat: np.ndarray, axis: int) -> np.ndarray:
     weights = np.abs(mat) ** 2
     if weights.ndim > 1:
         weights = weights.sum(axis=1 - axis)
-    return weights @ space.tables().occ
+    return weights @ space.tables().occ_float
 
 
 def _ladder(table, weight, mat: np.ndarray, axis: int) -> np.ndarray:
@@ -87,17 +88,18 @@ def _gram(ladder, mat: np.ndarray, axis: int, rows: int) -> np.ndarray:
     return gram
 
 
-def _one_body(occupations: np.ndarray, ladder, mat: np.ndarray, axis: int) -> np.ndarray:
-    """rho[k-1, q-1] = <Psi|b†_k b_q|Psi> along ``axis``: k < q from the Gram product through ``ladder``, the diagonal the ``occupations`` (a caller that builds the ladder forms them first, so their copy of the occupation table is freed by then)."""
-    gram = _gram(ladder, np.moveaxis(mat, axis, 0), 0, len(occupations))
+def _one_body(space, mat: np.ndarray, axis: int) -> np.ndarray:
+    """rho[k-1, q-1] = <Psi|b†_k b_q|Psi> along ``axis``: k < q from the Gram product through the space's ladder table, the diagonal its occupations."""
+    ladder = space.tables().ladder
+    gram = _gram(ladder, np.moveaxis(mat, axis, 0), 0, space.m)
     upper = np.triu(-gram.T if ladder[2] else gram, 1).astype(np.complex128)
-    return np.diag(occupations) + upper + upper.conj().T
+    return np.diag(_occupations(space, mat, axis)) + upper + upper.conj().T
 
 
 def one_body_density(psi: StateVector) -> np.ndarray:
     """rho[k-1, q-1] = <Psi| b†_k b_q |Psi> (M x M complex)."""
     _warn_if_unnormalized(psi)
-    return _one_body(_occupations(psi.space, psi.amplitudes, 0), ladder_table(psi.space), psi.amplitudes, 0)
+    return _one_body(psi.space, psi.amplitudes, 0)
 
 
 def two_body_density(psi: StateVector) -> np.ndarray:
@@ -110,7 +112,7 @@ def two_body_density(psi: StateVector) -> np.ndarray:
     """
     _warn_if_unnormalized(psi)
     space, m, amps = psi.space, psi.space.m, psi.amplitudes
-    ladder = table, weight, holes = ladder_table(space)
+    ladder = table, weight, holes = space.tables().ladder
     if (space.n + 2 > m) if holes else (space.n < 2):  # no configuration of N +/- 2 particles
         gram = np.zeros((m * m, m * m), dtype=amps.dtype)
     else:
@@ -121,7 +123,7 @@ def two_body_density(psi: StateVector) -> np.ndarray:
     order = (3, 2, 0, 1) if holes else (0, 1, 3, 2)
     rho2 = np.ascontiguousarray(np.transpose(gram.reshape(m, m, m, m), order), dtype=np.complex128)
     if holes:  # in this order the terms cancel exactly where k = s or l = q
-        rho, one, nrm = _one_body(_occupations(space, amps, 0), ladder, amps, 0), np.eye(m), psi.norm() ** 2
+        rho, one, nrm = _one_body(space, amps, 0), np.eye(m), psi.norm() ** 2
         for pattern, factor, other in (("qk,ls->kslq", -nrm, one), ("qs,lk->kslq", nrm, one),
                                        ("qk,sl->kslq", 1.0, rho), ("qs,kl->kslq", -1.0, rho),
                                        ("lk,sq->kslq", -1.0, rho), ("ls,kq->kslq", 1.0, rho)):
@@ -164,8 +166,7 @@ def mixture_densities(psi: mixtures.MixtureStateVector) -> tuple[np.ndarray, np.
     """Species-resolved one-body densities (rho_A, rho_B); traces N_A and N_B."""
     _warn_if_unnormalized(psi)
     mat = psi.as_matrix()
-    return tuple(_one_body(_occupations(space, mat, axis), ladder_table(space), mat, axis)
-                 for axis, space in enumerate((psi.mspace.space_a, psi.mspace.space_b)))
+    return tuple(_one_body(space, mat, axis) for axis, space in enumerate((psi.mspace.space_a, psi.mspace.space_b)))
 
 
 def site_densities(psi) -> np.ndarray:

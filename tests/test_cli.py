@@ -150,6 +150,15 @@ class TestEnum:
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("flag,value", [("--occ", "1,0"), ("--holes", "2"), ("--bits", "10")])
+    def test_mix_refuses_a_single_species_literal(self, capsys, flag, value):
+        """A literal to rank names one species' configuration, so --mix refuses it instead of printing N_conf_total."""
+        code, out, err = run_cli(capsys, "enum", "--mix", "-N", "1", "-M", "2", "-NB", "1", "-MB", "2",
+                                 "--mix-stats", "fermion,boson", flag, value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert _one_line_error(err) and flag in err
+
 
 class TestGs:
     def test_report_with_oracle(self, capsys, bose_hubbard_file):

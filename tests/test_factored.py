@@ -151,9 +151,11 @@ def test_gathers_equal_the_forward_algebra(space):
 @example(SpaceDescriptor.boson(1, 3))
 @example(SpaceDescriptor.fermion(4, 4))
 @example(SpaceDescriptor.fermion(3, 7))
+@example(SpaceDescriptor.fermion(5, 7))
+@example(SpaceDescriptor.fermion(6, 9))
 @settings(max_examples=40, deadline=None)
 def test_gathers_equal_the_dense_pair_at_the_edges(space):
-    """E_kq's gather is the oracle's b†_k b_q; the examples are N = 0, M = 1, N = 1 and N = M."""
+    """E_kq's gather is the oracle's b†_k b_q; the examples are N = 0, M = 1, N = 1, N = M and the hole picture (2N > M)."""
     for k, q in itertools.product(range(1, space.m + 1), repeat=2):
         src, pref, _, act = kernel._build_gather(space, space.tables(), k, q)
         got = np.zeros((space.n_conf, space.n_conf))

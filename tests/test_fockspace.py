@@ -194,12 +194,6 @@ def test_tables_match_iteration():
         for j, cfg in iterate_configurations(space):
             occ = cfg.occupations(space.m) if isinstance(cfg, FermionConfig) else cfg
             np.testing.assert_array_equal(tb.occ[j - 1], occ)
-        # rank identity: 1 + one rank term per orbital but the last recovers J
-        remaining = space.n - tb.prefix[:, :-2]
-        orbitals = np.arange(space.m - 1)
-        terms = tb.rank_counts[orbitals, remaining - tb.occ[:, :-1]] - tb.rank_floor[orbitals, remaining]
-        j_from_table = 1 + terms.sum(axis=1)
-        np.testing.assert_array_equal(j_from_table, np.arange(1, space.n_conf + 1))
 
 
 def test_table_build_keeps_only_completable_counts():
@@ -231,16 +225,17 @@ def test_table_build_copies_each_level_in_pieces(statistics, n, m):
     assert peak < 2.6 * occ.nbytes
 
 
-def test_rank_counts_grow_with_particles_not_their_square():
-    """boson(20000, 2): a rank table over (particles left, occupation) pairs would need 3.2 GB."""
+def test_level_counts_grow_with_particles_not_their_square():
+    """boson(20000, 2): a table over (particles left, occupation) pairs would need 3.2 GB."""
     tracemalloc.start()
     try:
-        occ, rank_counts, rank_floor = occupation_table("boson", 20000, 2)
+        occ, counts = occupation_table("boson", 20000, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert occ.shape == (20001, 2)
-    assert rank_counts.shape == (1, 20002) and rank_floor.shape == (1, 20001)
+    assert counts.shape == (3, 20001)
+    assert counts[2].sum() == 20001 and counts[1].sum() == 20001  # N in both orbitals; any 0..N in the last one
     assert peak < 8 * occ.nbytes
 
 
@@ -327,13 +322,24 @@ class TestCreationTable:
         np.testing.assert_array_equal(weight, ref[1])
         assert table.shape[1] <= space.n_conf
 
-    def test_no_ladder_table_is_kept(self):
-        """The densities build their ladder tables per call: the space's tables hold none after applies and densities."""
-        space = SpaceDescriptor.fermion(3, 6)
+    @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.fermion(4, 6),
+                                       SpaceDescriptor.boson(3, 3)], ids=str)
+    def test_the_ladder_table_is_kept_and_built_once(self, space):
+        """The space's tables keep its ladder table, built by the first gather; applies and densities reuse it.
+
+        Besides the occupation tables and the gather pool they keep nothing,
+        so no rank-term or prefix table is left.
+        """
         psi = random_state(space, seed=1)
+        tb = space.tables()
+        assert set(vars(tb)) == {"space", "occ", "_gather_cache"}
         apply_one_body_term(1, 2, psi)
+        assert "ladder" in vars(tb)
+        ladder = tb.ladder
         apply_hamiltonian(random_hermitian_spec(space, seed=2), psi)
         one_body_density(psi)
         two_body_density(psi)
-        assert set(vars(space.tables())) == {"space", "occ", "prefix", "rank_counts", "rank_floor", "occ_float",
-                                             "_gather_cache"}
+        assert set(vars(tb)) == {"space", "occ", "occ_float", "ladder", "_gather_cache"}
+        assert tb.ladder is ladder
+        for got, ref in zip(ladder, ladder_table(space)):
+            np.testing.assert_array_equal(got, ref)

@@ -25,6 +25,7 @@ from fockops import (
     mixture_densities,
     mixture_random_state,
     natural_occupations,
+    observables,
     one_body_density,
     product_state,
     random_state,
@@ -371,20 +372,19 @@ def test_rho2_holds_no_image_of_two_fewer_particles_whole():
 
 
 def test_a_cold_apply_and_rho_above_half_filling_stay_below_the_space_tables():
-    """fermion(20,24), two hopping pairs: the traced peak of a cold apply, and of rho, is below occ + prefix (4.2 MB).
+    """fermion(20,24), two hopping pairs: the traced peaks of a cold apply and of rho are below N_conf (2M + 1) x 8 bytes (4.2 MB).
 
-    The apply builds no ladder table, and rho takes the hole picture, a
-    table over the 2,024 configurations of 21 particles.  The creation
-    table over the 42,504 configurations of 19, and the occupation table
-    that makes it, put the peak of rho near 18 MB.
+    The apply builds the space's ladder table, which rho then reuses.  It
+    takes the hole picture, a table over the 2,024 configurations of 21
+    particles.  The creation table over the 42,504 configurations of 19,
+    and the occupation table that makes it, put the peak near 18 MB.
     """
     space = SpaceDescriptor.fermion(20, 24)
     h = np.zeros((24, 24))
     h[0, 1] = h[1, 0] = h[2, 5] = h[5, 2] = -1.0
     spec = HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.zeros(24))
     psi = random_state(space, seed=29)
-    tb = space.tables()
-    tb.occ_float  # the tables are built before tracing
+    space.tables().occ_float  # the occupation tables are built before tracing, the ladder table inside the apply
     for run in (lambda: apply_hamiltonian(spec, psi), lambda: one_body_density(psi)):
         tracemalloc.start()
         try:
@@ -392,17 +392,19 @@ def test_a_cold_apply_and_rho_above_half_filling_stay_below_the_space_tables():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < tb.occ.nbytes + tb.prefix.nbytes
+        assert peak < space.n_conf * (2 * space.m + 1) * 8
 
 
 @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 7), SpaceDescriptor.boson(4, 4),
                                    SpaceDescriptor.fermion(5, 7)], ids=str)
 def test_densities_build_only_their_ladder_tables(monkeypatch, space):
-    """With psi's tables built, rho builds one occupation table and rho2 two, in either picture, and no SpaceTables.
+    """With psi's tables built, each density builds at most one occupation table, in either picture, and no SpaceTables.
 
+    rho builds the space's ladder table, which the space's tables keep, so
+    a second rho builds none; rho2 builds only its middle space's table,
+    and mixture_densities only species B's, as species A is psi's space.
     The ladder tables carry their weights, so no density reads a
-    neighbour space's tables, and the hole picture's rho2 reuses its
-    ladder for rho.
+    neighbour space's tables.
     """
     psi = random_state(space, seed=30)
     space.tables()
@@ -413,8 +415,49 @@ def test_densities_build_only_their_ladder_tables(monkeypatch, space):
     occupation_table = fockspace.occupation_table
     monkeypatch.setattr(fockspace, "occupation_table", lambda *a: occupation_tables.append(a) or occupation_table(*a))
     monkeypatch.setattr(fockspace.SpaceTables, "__init__", lambda self, sp: space_tables.append(sp))
-    for density, builds in ((one_body_density, 1), (two_body_density, 2), (mixture_densities, 2)):
+    for density, builds in ((one_body_density, 1), (one_body_density, 0), (two_body_density, 1),
+                            (mixture_densities, 1)):
         occupation_tables.clear()
         density(mpsi if density is mixture_densities else psi)
         assert len(occupation_tables) == builds, density.__name__
     assert space_tables == []
+
+
+@pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 7), SpaceDescriptor.boson(4, 4),
+                                   SpaceDescriptor.fermion(5, 7)], ids=str)
+def test_an_apply_and_the_densities_build_each_ladder_table_once(monkeypatch, space):
+    """On cold tables, H's pair gathers build the space's ladder table; rho reuses it and rho2 builds only its middle space's."""
+    psi = random_state(space, seed=32)
+    spec = random_hermitian_spec(space, seed=33)
+    built = []
+    ladder_table = fockspace.ladder_table
+
+    def counted(sp):
+        built.append(sp)
+        return ladder_table(sp)
+
+    monkeypatch.setattr(fockspace, "ladder_table", counted)
+    monkeypatch.setattr(observables, "ladder_table", counted)
+    apply_hamiltonian(spec, psi)
+    assert built == [space]
+    one_body_density(psi)
+    assert built == [space]
+    two_body_density(psi)
+    holes = space.statistics == "fermion" and 2 * space.n > space.m
+    assert built == [space, SpaceDescriptor(space.statistics, space.n + (1 if holes else -1), space.m)]
+
+
+def test_site_densities_copy_no_occupation_table():
+    """boson(9,9) with its tables built: site_densities reads the float occupation table, and peaks below occ (1.75 MB)."""
+    space = SpaceDescriptor.boson(9, 9)
+    psi = random_state(space, seed=34)
+    tb = space.tables()
+    tb.occ_float
+    tracemalloc.start()
+    try:
+        got = site_densities(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tb.occ.nbytes
+    assert abs(got.sum() - space.n) <= 1e-12

@@ -314,6 +314,32 @@ class TestClosedFormsPastTheDenseCap:
             u = (vectors * np.exp(-1j * levels * t)) @ vectors.conj().T
             assert np.abs(one_body_density(state) - u.conj() @ rho0 @ u.T).max() <= 1e-10
 
+    @pytest.mark.parametrize("space,complex_rotation", [(SpaceDescriptor.fermion(8, 15), False),
+                                                        (SpaceDescriptor.boson(7, 9), True)], ids=str)
+    def test_rotated_orbitals_keep_the_ground_energy(self, space, complex_rotation):
+        """Dense random (h, W) and their copies in orbitals rotated by a seeded unitary U have one ground energy.
+
+        With c†_a = sum_k U_ka b†_k, h' = U^H h U and W'[a,b,c,d] = sum
+        conj(U_ka U_sb) W[k,s,q,l] U_qc U_ld, so H(h', W') is H(h, W) under
+        a unitary of the space.  Past DENSE_CAP (6,435 configurations each)
+        this checks the two-body contraction, the stacked sums over many
+        blocks and, on fermion(8,15), the hole picture's pair gathers.
+        """
+        assert space.n_conf > DENSE_CAP
+        m = space.m
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, m))
+        t = rng.standard_normal((m,) * 4)
+        h, w = a + a.T, 0.5 * (t + np.transpose(t, (2, 3, 0, 1)))
+        z = rng.standard_normal((m, m)) + (1j * rng.standard_normal((m, m)) if complex_rotation else 0)
+        u = np.linalg.qr(z)[0]
+        rotated = (u.conj().T @ h @ u, np.einsum("ka,sb,ksql,qc,ld->abcd", u.conj(), u.conj(), w, u, u,
+                                                  optimize=True))
+        energies = [ground_state(HamiltonianSpec(space, OneBodyTable(h1), TwoBodyTable.from_dense(w1)),
+                                 tol=1e-10, seed=1).energy
+                    for h1, w1 in ((h, w), rotated)]
+        assert abs(energies[0] - energies[1]) <= 1e-10
+
 
 class TestRealArithmetic:
     """A spec whose kept coefficients are all real is solved in float64."""
