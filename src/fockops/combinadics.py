@@ -15,9 +15,9 @@ the isomorphism with N fermions in N + M - 1 orbitals, which collapses to
 with S_k the cumulative occupation.  Hole positions are counted from the
 left; J = 1 is the all-particles-leftmost configuration.  This is the
 lexical addressing of Knowles & Handy.  Every binomial is an exact Python
-integer from ``math.comb``, so addresses have no width limit; the kernel's
-rank tables and the ladder tables of the densities are checked against
-these closed forms.
+integer from ``math.comb``, so addresses have no width limit; the
+occupation and ladder tables of :mod:`fockspace`, which the kernel and
+the densities read, are checked against these closed forms.
 """
 
 from __future__ import annotations

@@ -257,8 +257,7 @@ def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
 class SpaceTables:
     """Arrays over all configurations, in J order, and the ladder table that re-addresses them.
 
-    occ        (N_conf, M)   occupation numbers
-    occ_float  (N_conf, M)   occ as float64, built on first use
+    occ        (N_conf, M)   occupation numbers, float64 (small integers, held exactly)
     ladder                   :func:`ladder_table` of the space, built on first use
 
     It also holds the space's one gather pool (:meth:`cached_gather`).
@@ -266,13 +265,8 @@ class SpaceTables:
 
     def __init__(self, space: SpaceDescriptor):
         self.space = space
-        self.occ = occupation_table(space.statistics, space.n, space.m)[0]
+        self.occ = occupation_table(space.statistics, space.n, space.m)[0].astype(np.float64)
         self._gather_cache: dict = {}
-
-    @functools.cached_property
-    def occ_float(self) -> np.ndarray:
-        """The occupation numbers as float64, for the diagonal of H and the densities; built once, on first use."""
-        return self.occ.astype(np.float64)
 
     @functools.cached_property
     def ladder(self) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -263,6 +263,10 @@ def _check_table(entries: int, what: str, path) -> None:
                                   f"would hold {entries} entries")
 
 
+# (size names, record tags) of each species of a single-species file (False) and of a mixture (True)
+_SPECIES = {False: [("N", "M", "H", "W")], True: [("NA", "MA", "HA", "WA"), ("NB", "MB", "HB", "WB")]}
+
+
 def load_integrals(path):
     """Parse an integral file into a Hamiltonian spec (single species or mixture).
 
@@ -270,13 +274,16 @@ def load_integrals(path):
     records ``H k q re [im]`` (4 or 5 tokens) and ``W k s q l re [im]`` (6 or 7, storage
     order k s q l).  A mixture is ``STATISTICS MIX FERMION|BOSON FERMION|BOSON``, the
     ``NA``/``MA``/``NB``/``MB`` lines, then ``HA``/``WA`` (species A), ``HB``/``WB`` (B) and
-    ``X k q k' q' re [im]`` (6 or 7: A pair k<->q, B pair k'<->q').  Tags are case-blind;
+    ``X k q k' q' re [im]`` (6 or 7: A pair k<->q, B pair k'<->q').  Each size line comes
+    exactly once, in any order, right after ``STATISTICS``.  Tags are case-blind;
     orbitals are integers in ``[1, M]`` of their species; ``re`` and ``im`` are finite.
     ``#`` starts a comment; blank lines are skipped but counted.  Unlisted entries are
     zero, a repeated one-body or ``X`` record replaces the earlier one, and repeated
     two-body records add up in file order.  Raises :class:`IntegralFormatError` naming
     the first bad line in file order.
     """
+    from .mixtures import InterSpeciesTable, MixtureHamiltonianSpec, MixtureSpace
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -288,72 +295,52 @@ def load_integrals(path):
     no, head = toks[0]
     if head[0].upper() != "STATISTICS":
         raise IntegralFormatError("first line must declare STATISTICS", no)
-    if len(head) >= 2 and head[1].upper() == "MIX":
-        return _load_mixture(toks, path)
-    if len(head) != 2 or head[1].upper() not in ("FERMION", "BOSON"):
+    mix = len(head) >= 2 and head[1].upper() == "MIX"
+    species, stats = _SPECIES[mix], [t.upper() for t in head[1 + mix:]]
+    if len(stats) != len(species) or not {"FERMION", "BOSON"}.issuperset(stats):
         raise IntegralFormatError(f"bad statistics declaration {' '.join(head)!r}", no)
-    statistics = FERMION if head[1].upper() == "FERMION" else BOSON
+    names = [name for sp in species for name in sp[:2]]
     sizes = {}
-    for no, tok in toks[1:3]:
-        if tok[0].upper() not in ("N", "M") or len(tok) != 2:
-            break
-        sizes[tok[0].upper()] = _int(tok[1], no)
-    if "N" not in sizes or "M" not in sizes:
-        raise IntegralFormatError("header must provide N and M lines")
-    space = _header_space(statistics, sizes["N"], sizes["M"], path)
-    m = space.m
-    _check_table(m * m, "one-body table", path)
-    rec = _records(toks[3:], {"H": ((m, m), _H_USAGE), "W": ((m,) * 4, _W_USAGE)})
-    return _species(space, rec["H"], rec["W"])
-
-
-def _load_mixture(toks, path):
-    from .mixtures import InterSpeciesTable, MixtureHamiltonianSpec, MixtureSpace
-
-    no, head = toks[0]
-    if len(head) != 4 or any(t.upper() not in ("FERMION", "BOSON") for t in head[2:]):
-        raise IntegralFormatError("MIX header needs two statistics tags", no)
-    stat_a = FERMION if head[2].upper() == "FERMION" else BOSON
-    stat_b = FERMION if head[3].upper() == "FERMION" else BOSON
-    sizes = {}
-    idx = 1
-    while idx < len(toks) and toks[idx][1][0].upper() in ("NA", "MA", "NB", "MB"):
-        no, tok = toks[idx]
+    for no, tok in toks[1:1 + len(names)]:
+        missing = [name for name in names if name not in sizes]
+        if tok[0].upper() not in missing:
+            raise IntegralFormatError(f"expected a size line {'/'.join(missing)}, got {' '.join(tok)!r}", no)
         if len(tok) != 2:
             raise IntegralFormatError(f"bad size line {' '.join(tok)!r}", no)
         sizes[tok[0].upper()] = _int(tok[1], no)
-        idx += 1
-    missing = {"NA", "MA", "NB", "MB"} - set(sizes)
-    if missing:
-        raise IntegralFormatError(f"missing size lines: {sorted(missing)}")
-    space_a = _header_space(stat_a, sizes["NA"], sizes["MA"], path)
-    space_b = _header_space(stat_b, sizes["NB"], sizes["MB"], path)
-    _check_table(space_a.n_conf * space_b.n_conf, "mixture state vector", path)
-    ma, mb = space_a.m, space_b.m
-    _check_table((ma * mb) ** 2, "inter-species table", path)
-    rec = _records(toks[idx:], {
-        "HA": ((ma, ma), _H_USAGE), "WA": ((ma,) * 4, _W_USAGE),
-        "HB": ((mb, mb), _H_USAGE), "WB": ((mb,) * 4, _W_USAGE),
-        "X": ((ma, ma, mb, mb), "X record needs k q k' q' re [im]"),
-    })
-    inter = InterSpeciesTable(_dense((ma, ma, mb, mb), *rec["X"]))
-    return MixtureHamiltonianSpec(MixtureSpace(space_a, space_b), _species(space_a, rec["HA"], rec["WA"]),
-                                  _species(space_b, rec["HB"], rec["WB"]), inter)
+    if len(sizes) < len(names):
+        raise IntegralFormatError(f"header must provide the size lines {'/'.join(names)}")
+    spaces = [_header_space(FERMION if stat == "FERMION" else BOSON, sizes[n_name], sizes[m_name], path)
+              for stat, (n_name, m_name, _, _) in zip(stats, species)]
+    kinds = {}
+    for space, (_, _, h, w) in zip(spaces, species):
+        _check_table(space.m ** 2, "one-body table", path)
+        kinds[h], kinds[w] = ((space.m,) * 2, _H_USAGE), ((space.m,) * 4, _W_USAGE)
+    if mix:
+        _check_table(spaces[0].n_conf * spaces[1].n_conf, "mixture state vector", path)
+        shape = (spaces[0].m,) * 2 + (spaces[1].m,) * 2
+        _check_table(math.prod(shape), "inter-species table", path)
+        kinds["X"] = (shape, "X record needs k q k' q' re [im]")
+    rec = _records(toks[1 + len(names):], kinds)
+    specs = [_species(space, rec[h], rec[w]) for space, (_, _, h, w) in zip(spaces, species)]
+    if not mix:
+        return specs[0]
+    return MixtureHamiltonianSpec(MixtureSpace(*spaces), *specs, InterSpeciesTable(_dense(shape, *rec["X"])))
 
 
 def save_integrals(spec, path) -> None:
     """Write a spec in the integral text format (lossless, load_integrals-inverse)."""
     from .mixtures import MixtureHamiltonianSpec
 
-    if isinstance(spec, MixtureHamiltonianSpec):
-        sa, sb = spec.mspace.space_a, spec.mspace.space_b
-        lines = [f"STATISTICS MIX {sa.statistics.upper()} {sb.statistics.upper()}",
-                 f"NA {sa.n}", f"MA {sa.m}", f"NB {sb.n}", f"MB {sb.m}"]
-        tables = [("HA", spec.spec_a.one_body), ("WA", spec.spec_a.two_body),
-                  ("HB", spec.spec_b.one_body), ("WB", spec.spec_b.two_body), ("X", spec.inter)]
-    else:
-        lines = [f"STATISTICS {spec.space.statistics.upper()}", f"N {spec.space.n}", f"M {spec.space.m}"]
-        tables = [("H", spec.one_body), ("W", spec.two_body)]
+    mix = isinstance(spec, MixtureHamiltonianSpec)
+    specs = [spec.spec_a, spec.spec_b] if mix else [spec]
+    lines = [" ".join(["STATISTICS", *["MIX"] * mix, *(s.space.statistics.upper() for s in specs)])]
+    tables = []
+    for s, (n_name, m_name, h, w) in zip(specs, _SPECIES[mix]):
+        lines += [f"{n_name} {s.space.n}", f"{m_name} {s.space.m}"]
+        tables += [(h, s.one_body), (w, s.two_body)]
+    if mix:
+        tables.append(("X", spec.inter))
     for tag, table in tables:  # entries() gives 1-based indices, then the value
         lines += [" ".join([tag, *map(str, e[:-1]), repr(e[-1].real), repr(e[-1].imag)]) for e in table.entries()]
     with open(path, "w", encoding="utf-8") as fh:

@@ -157,19 +157,17 @@ def _build_gather(space, tb, k, q):
     """E_kq's gather: for k != q, rows k and q of the space's ladder table (module docstring)."""
     if k == q:
         act = src = np.flatnonzero(tb.occ[:, k - 1])
+        pref = tb.occ[act, k - 1]  # E_kk = n_k: 1 for fermions
     else:
         table, weight, holes = tb.ladder
         cols = np.flatnonzero(np.minimum(table[k - 1], table[q - 1]) >= 0)
         act, src = (table[p - 1, cols].astype(np.intp) for p in ((q, k) if holes else (k, q)))
-    if space.statistics != FERMION:
-        n_k, n_q = tb.occ[act, k - 1], tb.occ[act, q - 1]
-        # one exact integer product, one rounding (the product of two weights
-        # would round twice): k = q gives sqrt(n_k^2) = n_k exactly
-        pref = np.sqrt((n_k * (n_q + (k != q))).astype(np.float64))
-    elif k == q:
-        pref = np.ones(act.size)
-    else:
-        pref = (-1.0 if holes else 1.0) * weight[k - 1, cols] * weight[q - 1, cols]
+        if space.statistics != FERMION:
+            # one exact integer product, one rounding (the product of two
+            # weights would round twice)
+            pref = np.sqrt(tb.occ[act, k - 1] * (tb.occ[act, q - 1] + 1))
+        else:
+            pref = (-1.0 if holes else 1.0) * weight[k - 1, cols] * weight[q - 1, cols]
     for arr in (src, pref, act):
         arr.flags.writeable = False
     return src, pref, None, act
@@ -477,7 +475,7 @@ def factor_coefficients(space: SpaceDescriptor, one_body, two_body) -> Coefficie
     con = s == q
     np.add.at(h, (k[con], l[con]), -0.5 * v[con])
     wd, rows, cols, wm = split_pair_matrix(k, q, s, l, 0.5 * v, m, m)
-    occ = space.tables().occ_float
+    occ = space.tables().occ
     diag = real_linear(lambda lin, quad: occ @ lin + np.einsum("nk,nk->n", occ @ quad, occ),
                        h.diagonal(), wd)
     hop_pairs = np.flatnonzero(~np.eye(m, dtype=bool) & (h != 0))

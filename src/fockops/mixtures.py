@@ -248,7 +248,7 @@ def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace) -> kernel.Facto
         v = v.real
     xd, rows, cols, xm = kernel.split_pair_matrix(k, q, kp, qp, v, table.m_a, table.m_b)
     space_a, space_b = mspace.space_a, mspace.space_b
-    occ_a, occ_b = (s.tables().occ_float for s in (space_a, space_b))
+    occ_a, occ_b = (s.tables().occ for s in (space_a, space_b))
     diag = kernel.real_linear(lambda x: occ_a @ x @ occ_b.T, xd)
     contractions = []
     if rows.size:

@@ -56,7 +56,7 @@ def _occupations(space, mat: np.ndarray, axis: int) -> np.ndarray:
     weights = np.abs(mat) ** 2
     if weights.ndim > 1:
         weights = weights.sum(axis=1 - axis)
-    return weights @ space.tables().occ_float
+    return weights @ space.tables().occ
 
 
 def _ladder(table, weight, mat: np.ndarray, axis: int) -> np.ndarray:

@@ -361,7 +361,10 @@ def propagate(
     store_states: bool = False,
     workers: int = 1,
 ) -> PropagationResult:
-    """Propagate psi(t) = exp(-i H t) psi0 on the grid t = 0, dt, 2 dt, ..., t_final.
+    """Propagate psi(t) = exp(-i H t) psi0 on the grid t = 0, dt, 2 dt, ..., ending at t_final.
+
+    A ``t_final`` within 1e-9 (relative) of a multiple of ``dt`` is on the
+    grid; any other gets one last, shorter step.
 
     Each substep's Krylov space stops growing at the first dimension, at
     most ``krylov_dim``, whose SIL error estimate is within the substep's
@@ -369,7 +372,7 @@ def propagate(
     still exceeds it; a rejected substep is retried on the same Krylov
     space.  If halving reaches dt / 2^30 a :class:`StepFailureError` is
     raised.  ``dt`` must be finite and > 0, ``t_final`` and ``err_tol``
-    finite and >= 0, and ``krylov_dim`` >= 1, or
+    finite and >= 0, ``t_final / dt`` finite, and ``krylov_dim`` >= 1, or
     :class:`SolverArgumentError` is raised.
     """
     _check_arguments(
@@ -378,11 +381,16 @@ def propagate(
         ("krylov_dim", krylov_dim, krylov_dim >= 1, ">= 1"),
         ("err_tol", err_tol, math.isfinite(err_tol) and err_tol >= 0, "finite and >= 0"),
     )
+    ratio = t_final / dt
+    _check_arguments(("t_final / dt", ratio, math.isfinite(ratio), "finite"))
+    n_steps, last = round(ratio), dt  # the grid's steps and the length of the last
+    if abs(ratio - n_steps) > 1e-9 * ratio:  # off the grid: one last, shorter step ends at t_final
+        n_steps = math.floor(ratio) + 1
+        last = t_final - (n_steps - 1) * dt
     matvec, wrap, dim, _ = _operator(spec, workers)
     m_max = min(krylov_dim, dim)
     lz = _Lanczos(matvec, dim, m_max)
     y = psi0.amplitudes.astype(np.complex128)  # a copy, complex even for a real psi0
-    n_steps = int(round(t_final / dt))
     times = [0.0]
     norms = [float(np.linalg.norm(y))]
     hy = matvec(y)  # H y: gives the energy, then starts the next step's first Krylov space
@@ -394,8 +402,7 @@ def propagate(
     h_min = dt / 2**30
     eps_floor = 64 * np.finfo(np.float64).eps
     for step in range(1, n_steps + 1):
-        remaining = dt
-        h = dt
+        remaining = h = dt if step < n_steps else last
         acc_err = 0.0
         accepted = rejected = built = 0
         sil = None
@@ -420,7 +427,7 @@ def propagate(
             accepted += 1
             built += m
             remaining -= h
-        times.append(step * dt)
+        times.append(step * dt if step < n_steps else t_final)
         norms.append(float(np.linalg.norm(y)))
         hy = matvec(y)
         energies.append(float(np.vdot(y, hy).real))

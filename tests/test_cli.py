@@ -310,6 +310,30 @@ class TestProp:
         )
         assert code == EXIT_STEP
 
+    @pytest.mark.parametrize("t_final,dt", [("1.0", "0.3"), (repr(np.pi), "0.05"), ("0.4", "1.0")])
+    def test_series_ends_at_t_final(self, capsys, bose_hubbard_file, tmp_path, t_final, dt):
+        from fockops import basis_state, build_dense, dense_expm_apply, load_integrals
+
+        out_path, state_path = tmp_path / "s.csv", tmp_path / "final.fvec"
+        code, _, _ = run_cli(
+            capsys, "prop", "--file", str(bose_hubbard_file), "--initial", "4,0",
+            "--t-final", t_final, "--dt", dt, "--out", str(out_path), "--save-state", str(state_path),
+        )
+        assert code == EXIT_OK
+        assert out_path.read_text().strip().splitlines()[-1].split(",")[0] == repr(float(t_final))
+        spec = load_integrals(bose_hubbard_file)
+        exact = dense_expm_apply(build_dense(spec), basis_state(spec.space, 1), float(t_final))
+        assert np.linalg.norm(load_state(state_path).amplitudes - exact.amplitudes) <= 1e-12
+
+    def test_t_final_over_dt_must_be_finite(self, capsys, bose_hubbard_file, tmp_path):
+        code, out, err = run_cli(
+            capsys, "prop", "--file", str(bose_hubbard_file), "--initial", "4,0",
+            "--t-final", "1e300", "--dt", "1e-300", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == EXIT_USAGE
+        assert _one_line_error(err) and "t_final / dt must be finite" in err
+        assert out == ""
+
     def test_vector_file_initial_state(self, capsys, bose_hubbard_file, tmp_path):
         from fockops import SpaceDescriptor, random_state, save_state
 

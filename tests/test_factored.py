@@ -322,7 +322,7 @@ class TestStackedParts:
             idx = np.array([(0, 1, 1, 2), (1, 2, 0, 1), (2, 2, 6, 0), (6, 0, 2, 2), (8, 4, 23, 12), (23, 12, 8, 4)])
             w = TwoBodyTable(24, idx, np.repeat(rng.standard_normal(3), 2))
         spec = HamiltonianSpec(space, OneBodyTable(a + a.T), w)
-        space.tables().occ_float  # the tables are built before tracing
+        space.tables()  # the tables are built before tracing
         tracemalloc.start()
         try:
             op = kernel.prepare(spec).op

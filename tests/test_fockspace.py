@@ -327,8 +327,8 @@ class TestCreationTable:
     def test_the_ladder_table_is_kept_and_built_once(self, space):
         """The space's tables keep its ladder table, built by the first gather; applies and densities reuse it.
 
-        Besides the occupation tables and the gather pool they keep nothing,
-        so no rank-term or prefix table is left.
+        Besides the occupation table and the gather pool they keep nothing,
+        so no rank-term, prefix or second occupation table is left.
         """
         psi = random_state(space, seed=1)
         tb = space.tables()
@@ -339,7 +339,7 @@ class TestCreationTable:
         apply_hamiltonian(random_hermitian_spec(space, seed=2), psi)
         one_body_density(psi)
         two_body_density(psi)
-        assert set(vars(tb)) == {"space", "occ", "occ_float", "ladder", "_gather_cache"}
+        assert set(vars(tb)) == {"space", "occ", "ladder", "_gather_cache"}
         assert tb.ladder is ladder
         for got, ref in zip(ladder, ladder_table(space)):
             np.testing.assert_array_equal(got, ref)

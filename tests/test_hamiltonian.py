@@ -219,6 +219,35 @@ class TestIntegralFile:
         line, message = expected
         assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
 
+    _BAD_HEADERS = [
+        ("STATISTICS BOSON\nN 1\nN 2\nM 2\n", (3, "expected a size line M, got 'N 2'")),
+        ("STATISTICS MIX BOSON FERMION\nNA 1\nNA 2\nMA 2\nNB 1\nMB 2\n",
+         (3, "expected a size line MA/NB/MB, got 'NA 2'")),
+        ("STATISTICS BOSON\nN 2 3\nM 2\n", (2, "bad size line 'N 2 3'")),
+        ("STATISTICS MIX BOSON FERMION\nNA 2 3\nMA 2\nNB 1\nMB 2\n", (2, "bad size line 'NA 2 3'")),
+        ("STATISTICS FERMION\nN 1\nH 1 1 1.0\nM 2\n", (3, "expected a size line M, got 'H 1 1 1.0'")),
+        ("STATISTICS MIX BOSON BOSON\nMB 2\nNB 1\nNA x\nMA 2\n", (4, "expected integer, got 'x'")),
+        ("STATISTICS BOSON\nN 2\n", (None, "header must provide the size lines N/M")),
+    ]
+
+    @pytest.mark.parametrize("text,expected", _BAD_HEADERS)
+    def test_each_size_line_once_right_after_statistics(self, tmp_path, text, expected):
+        """Both kinds of file read their size lines by one rule, and a bad one is named by its line."""
+        path = tmp_path / "bad.ints"
+        path.write_text(text)
+        with pytest.raises(IntegralFormatError) as exc:
+            load_integrals(path)
+        line, message = expected
+        assert (exc.value.line, str(exc.value)) == (line, message if line is None else f"line {line}: {message}")
+
+    def test_size_lines_in_any_order(self, tmp_path):
+        path = tmp_path / "any.ints"
+        path.write_text("STATISTICS MIX BOSON FERMION\nMB 3\nNA 2\nNB 1\nMA 2\nX 1 1 3 3 1.0\n")
+        mspec = load_integrals(path)
+        assert (mspec.mspace.space_a, mspec.mspace.space_b) == (SpaceDescriptor.boson(2, 2), SpaceDescriptor.fermion(1, 3))
+        path.write_text("STATISTICS FERMION\nM 3\nN 1\n")
+        assert load_integrals(path).space == SpaceDescriptor.fermion(1, 3)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad4.ints"
         path.write_text("N 2\nM 2\n")

@@ -384,7 +384,7 @@ def test_a_cold_apply_and_rho_above_half_filling_stay_below_the_space_tables():
     h[0, 1] = h[1, 0] = h[2, 5] = h[5, 2] = -1.0
     spec = HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.zeros(24))
     psi = random_state(space, seed=29)
-    space.tables().occ_float  # the occupation tables are built before tracing, the ladder table inside the apply
+    space.tables()  # the occupation table is built before tracing, the ladder table inside the apply
     for run in (lambda: apply_hamiltonian(spec, psi), lambda: one_body_density(psi)):
         tracemalloc.start()
         try:
@@ -448,11 +448,10 @@ def test_an_apply_and_the_densities_build_each_ladder_table_once(monkeypatch, sp
 
 
 def test_site_densities_copy_no_occupation_table():
-    """boson(9,9) with its tables built: site_densities reads the float occupation table, and peaks below occ (1.75 MB)."""
+    """boson(9,9) with its tables built: site_densities reads the occupation table, and peaks below occ (1.75 MB)."""
     space = SpaceDescriptor.boson(9, 9)
     psi = random_state(space, seed=34)
     tb = space.tables()
-    tb.occ_float
     tracemalloc.start()
     try:
         got = site_densities(psi)
@@ -461,3 +460,25 @@ def test_site_densities_copy_no_occupation_table():
         tracemalloc.stop()
     assert peak < tb.occ.nbytes
     assert abs(got.sum() - space.n) <= 1e-12
+
+
+def _arrays(obj):
+    """Every numpy array in ``obj``, a nest of tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _arrays(item)
+
+
+def test_a_solved_space_keeps_one_occupation_table():
+    """boson(9,9) Bose-Hubbard after ground_state, rho, rho2 and site_densities: the space's tables keep occ and the ladder table, nothing more."""
+    spec = build_bose_hubbard(9, 9, hopping=1.0, interaction=2.0)
+    psi = ground_state(spec, tol=1e-8).state
+    for density in (one_body_density, two_body_density, site_densities):
+        density(psi)
+    tb = spec.space.tables()
+    assert set(vars(tb)) == {"space", "occ", "ladder", "_gather_cache"}
+    assert tb.occ.dtype == np.float64
+    table, weight, _ = tb.ladder
+    assert sum(a.nbytes for a in _arrays(vars(tb))) == tb.occ.nbytes + table.nbytes + weight.nbytes

@@ -638,6 +638,22 @@ class TestPropagation:
         with pytest.raises(ValueError):
             propagate(spec, psi0, t_final=1.0, dt=0.0)
 
+    def test_t_final_over_dt_must_be_finite(self):
+        spec = build_bose_hubbard(1, 2, hopping=1.0, interaction=0.0)
+        with pytest.raises(SolverArgumentError, match=r"t_final / dt must be finite, got inf"):
+            propagate(spec, basis_state(spec.space, 1), t_final=1e300, dt=1e-300)
+
+    @pytest.mark.parametrize("t_final,dt,steps", [(1.0, 0.3, 4), (np.pi, 0.05, 63), (0.4, 1.0, 1), (0.3, 0.1, 3)])
+    def test_series_ends_at_t_final(self, t_final, dt, steps):
+        """Grid points are step * dt and the last is t_final: off the grid after one shorter step, on it (0.3 / 0.1) after dt."""
+        space = SpaceDescriptor.boson(3, 3)
+        spec = random_hermitian_spec(space, seed=7)
+        psi0 = random_state(space, seed=8)
+        result = propagate(spec, psi0, t_final=t_final, dt=dt, krylov_dim=14)
+        assert result.times.tolist() == [step * dt for step in range(steps)] + [t_final]
+        exact = dense_expm_apply(build_dense(spec), psi0, t_final)
+        assert np.linalg.norm(result.final_state.amplitudes - exact.amplitudes) <= 1e-8
+
 
 def _count_matvecs(monkeypatch) -> list:
     """Patch both apply entry points to append 1 per matvec to the returned list."""
