@@ -5,8 +5,9 @@ configurations by the exact closed forms of :mod:`combinadics`, and lazily
 builds the dense per-configuration tables the operator kernel gathers
 from.  Its ladder table, weights included, re-addresses a space through
 the space of one particle fewer or more: the kernel's pair gathers and
-the densities both read it.  State
-vectors are dense complex arrays indexed by address J (array slot J - 1).
+the densities both read it, and with the next one, two particles fewer
+or more, the kernel's pair part and rho2.  State vectors are dense
+complex arrays indexed by address J (array slot J - 1).
 """
 
 from __future__ import annotations
@@ -220,6 +221,16 @@ def annihilation_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return table, weight
 
 
+def hole_picture(space: SpaceDescriptor) -> bool:
+    """Whether ``space`` is re-addressed through N + 1 particles: a fermion space above half filling (2N > M)."""
+    return space.statistics == FERMION and 2 * space.n > space.m
+
+
+def has_pair_space(space: SpaceDescriptor) -> bool:
+    """Whether ``space`` has configurations of N - 2 particles (N + 2 in the hole picture): its :attr:`SpaceTables.next_ladder` leads there."""
+    return space.n + 2 <= space.m if hole_picture(space) else space.n >= 2
+
+
 def ladder_table(space: SpaceDescriptor) -> tuple[np.ndarray, np.ndarray, bool]:
     """The table that re-addresses ``space`` through a neighbour space, its weights, and whether that is its hole picture.
 
@@ -233,7 +244,7 @@ def ladder_table(space: SpaceDescriptor) -> tuple[np.ndarray, np.ndarray, bool]:
     N_conf (M - N) / (N + 1): it, and the neighbour's occupation table that
     makes it, are never larger than the space's own occupation table.
     """
-    if space.statistics == FERMION and 2 * space.n > space.m:
+    if hole_picture(space):
         return *annihilation_table(space.n, space.m), True
     return *creation_table(space.statistics, space.n, space.m), False
 
@@ -257,8 +268,9 @@ def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
 class SpaceTables:
     """Arrays over all configurations, in J order, and the ladder table that re-addresses them.
 
-    occ        (N_conf, M)   occupation numbers, float64 (small integers, held exactly)
-    ladder                   :func:`ladder_table` of the space, built on first use
+    occ          (N_conf, M)   occupation numbers, float64 (small integers, held exactly)
+    ladder                     :func:`ladder_table` of the space, built on first use
+    next_ladder                :func:`ladder_table` of the space ``ladder`` leads to, built on first use
 
     It also holds the space's one gather pool (:meth:`cached_gather`).
     """
@@ -273,13 +285,24 @@ class SpaceTables:
         """The space's :func:`ladder_table`, built once, on first use: H's pair gathers and the densities read it."""
         return ladder_table(self.space)
 
+    @functools.cached_property
+    def next_ladder(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The :func:`ladder_table` of the space of N - 1 particles (N + 1 in the hole picture), built once, on first use.
+
+        It takes that space on to N -/+ 2 particles in the same picture:
+        H's pair part and rho2 read it.  Only a space holding configurations
+        of N -/+ 2 particles (:func:`has_pair_space`) has it.
+        """
+        space = self.space
+        return ladder_table(SpaceDescriptor(space.statistics, space.n + (1 if hole_picture(space) else -1), space.m))
+
     def cached_gather(self, key, build):
         """The gather stored under ``key``, built by ``build()`` and kept on first use.
 
         Gathers are pure, so the pool only avoids recomputation.  Only the
-        factored apply stores gathers here, those of H's one-body pairs E_kq
-        with k <= q (at most M(M+1)/2), so the pool needs no budget; a
-        prepared single-species operator's gathers leave it once stacked.
+        factored apply stores gathers here, those of H's hops E_kq with
+        k < q (at most M(M-1)/2), so the pool needs no budget; a prepared
+        single-species operator's gathers leave it once stacked.
         Threads that miss the same key at once may each build it;
         ``dict.setdefault`` keeps the first.
         """

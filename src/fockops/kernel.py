@@ -14,53 +14,80 @@ maps U[q-1, j] to U[k-1, j], with the sign w[k-1, j] w[q-1, j] (fermions).
 The hole picture D of a fermion space above half filling leads to N + 1
 particles, and E_kq = -b_q b†_k (k != q) maps D[k-1, j] to D[q-1, j].
 
-Longer strings are products of pairs: b†_k b†_s b_l b_q = E_kq E_sl - δ_qs E_kl
-for both statistics, which defines every index coincidence (k = q, k = s,
-...) and, for pairwise distinct indices, reproduces the closed-form sign
-(-1)^{d} between-counts and sqrt(n) weights.  The kernel applies no other
-string: an arbitrary balanced string of elementary creation/annihilation
-operators is taken only by the dense reference, :mod:`fockops.oracle`.
+A single two-body term is a product of pairs: b†_k b†_s b_l b_q =
+E_kq E_sl - δ_qs E_kl for both statistics, which defines every index
+coincidence (k = q, k = s, ...) (:func:`apply_two_body_term`).  The
+kernel applies no other string: an arbitrary balanced string of
+elementary creation/annihilation operators is taken only by the dense
+reference, :mod:`fockops.oracle`.
 
-H|psi> never loops over two-body terms.  The same identity gives the
-direct-CI factorization of Knowles & Handy (Chem. Phys. Lett. 111, 315,
-1984) and Olsen et al. (J. Chem. Phys. 89, 2185, 1988), formed from the
-entries at or above :data:`SKIP_THRESHOLD` (:func:`factor_coefficients`):
+H|psi> never loops over two-body terms.  It contracts W through the space
+of N - 2 particles, the (n-2)-particle projection space of Harrison &
+Zarrabian (Chem. Phys. Lett. 158, 393, 1989), from the entries at or
+above :data:`SKIP_THRESHOLD` (:func:`factor_coefficients`):
 
-    H psi = d * psi + sum_p h'_p E_p psi + sum_r E_r chi_r,
-    chi = Wm[rows, cols] @ phi,   phi_c = E_c psi.
+    H psi = d * psi + sum_p h'_p E_p psi + sum_c b†_k b†_s X_c,
+    X = Wp @ A,   A_p = b_l b_q psi   (p = (l, q), c = (k, s) unordered).
 
-When every kept entry is real, h', Wm, d and the operator's dtype are
+Wp is W / 2 folded onto unordered pairs, l <= q for bosons and l < q for
+fermions, which take a sign -1 for each pair given in the other order.
+The entries whose pairs agree, {k, s} = {l, q}, are number-operator
+products (n_k n_s, n_k (n_k - 1)): with the diagonal of h' they form the
+diagonal d, read off the occupation table, so a density-density W builds
+no pair part.  A_p is one gather for all p (:func:`pair_table`): row q of
+the space's ladder table (:attr:`fockspace.SpaceTables.ladder`) composed
+with row l of the next one, that of N - 1 particles
+(:attr:`fockspace.SpaceTables.next_ladder`); both rows are increasing, so
+each composed row is, and its transpose (:func:`pair_returns`), which
+carries X back, is a gather like E_kq's.  A fermion space above half
+filling goes through N + 2 instead, by
+
+    b†_k b†_s b_l b_q = b_l b_q b†_k b†_s - δ_qk δ_ls + δ_lk δ_qs
+                        + δ_qk E_sl - δ_lk E_sq - δ_qs E_kl + δ_ls E_kq:
+
+B_c = b†_k b†_s psi, X = Wp^T @ B, and b_l b_q returns it.  For the
+entries left after the diagonal the constants vanish and the one-body
+terms are hops, which fold into h'.  A space with N < 2, or with N + 2 > M
+in the hole picture, has no pair part.  The intermediate is about
+M^2/2 x N_conf(N -/+ 2) entries, where the E_kq E_sl - δ_qs E_kl
+factoring (Knowles & Handy, Chem. Phys. Lett. 111, 315, 1984; Olsen et
+al., J. Chem. Phys. 89, 2185, 1988) formed M^2 x N_conf images: on dense
+boson(8,8) 36 x 1,716 against 64 x 6,435, and a cold one-shot apply
+took 12-14 ms against 20-21 ms on a 2-core x86 VM.
+
+When every kept entry is real, h', Wp, d and the operator's dtype are
 float64, and a float64 vector stays float64 throughout: the apply computes
 in the common dtype of the vector and the operator, so a real Hamiltonian
 moves half the bytes on a real vector and is unchanged on a complex one.
 
-The solvers factor once per solve (:func:`prepare`) and get H with its pair
+The solvers factor once per solve (:func:`prepare`) and get H with its
 gathers stacked (:class:`Stacked`).  On a small space a matvec costs numpy
 calls, not arithmetic: dense fermion(4,8), 70 amplitudes, took about 190
 per-pair sweeps per matvec.  The stacked operator has two parts:
 
-- column images: one fancy assignment writes every phi_c of a row block
-  into one (n_cols, rows) array (:func:`stack_images`), and one GEMM gives
-  chi;
-- sums: the diagonal, the hops and the contraction rows read the stacked
-  sources [psi, chi_0, ..., chi_{R-1}] in one gather, one multiply by
-  their weights and one ``np.add.reduceat`` over segments sorted by output
-  row (:func:`stack_sums`), which writes each output row once.
+- pair images: per block of the N -/+ 2 space, one gather through the
+  pair table and one GEMM give that block of X;
+- sums: the diagonal, the hops and the returns read the stacked sources
+  [psi, X_0, ..., X_{R-1}] in one gather, one multiply by their weights
+  and one ``np.add.reduceat`` over segments sorted by output row
+  (:func:`stack_sums`), which writes each output row once.
 
-On a 2-core x86 VM this took one dense fermion(4,8) matvec from 2.0 to
-0.11 ms.  The entries are placed by a counting sort over the rows, one
-unordered pair's gather at a time, with no sorted or permuted copy.  The
-gathers pass through the space's pool and leave it once placed, so the
-pool keeps no second copy of H's gathers.  Two paths keep the per-pair
-:func:`sweep` of a :class:`Factored` operator (:func:`apply_factored`):
+On a 2-core x86 VM the stacking took one dense fermion(4,8) matvec from
+2.0 to 0.11 ms.  The entries are placed by a counting sort over the rows,
+one unordered pair's gather at a time, with no sorted or permuted copy.
+The hop gathers pass through the space's pool and leave it once placed,
+so the pool keeps no second copy of H's gathers.  Two paths sweep the
+hops and returns one by one instead (:class:`Factored`,
+:func:`apply_factored`):
 
 - one-shot applies: a spec given to :func:`apply_hamiltonian` (the CLI's
   ``apply``, ``energy``) and the single terms.  One apply never pays back
-  the stacking: on dense boson(8,8), 418,275 stacked entries, building
-  them took 29-39 ms and the stacked apply 18-31 ms, where one cold
-  per-pair apply took 24-39 ms.  An unsorted ``np.bincount`` scatter,
-  tried in a prototype, built in 4.9 ms and applied in 15.2 ms against the
-  sweeps' 18.9 ms: still no gain for one apply.
+  the stacking: on dense boson(8,8), with the E-pair factoring, building
+  the 418,275 stacked entries took 29-39 ms and the stacked apply 18-31 ms,
+  where one cold per-pair apply took 24-39 ms.  An unsorted
+  ``np.bincount`` scatter, tried in a prototype, built in 4.9 ms and
+  applied in 15.2 ms against the sweeps' 18.9 ms: still no gain for one
+  apply.
 - matrix-valued operators (mixtures): in a prototype on the 792 x 70
   amplitude matrix of the mixture-prop benchmark, a fully stacked matvec
   took 14.1 ms against the sweeps' 5.5 ms (faster in 0 of 60 calls), and
@@ -69,21 +96,23 @@ pool keeps no second copy of H's gathers.  Two paths keep the per-pair
 
 The choice follows from what is applied: :func:`apply_hamiltonian` runs a
 :class:`Prepared` single species' stacked parts and sweeps a spec, and
-mixtures always sweep.  The per-pair paths keep the gathers of H's
-pairs E_kq with k <= q, at most M(M+1)/2 per space, in the space's gather
-pool under the key (k, q) (:meth:`fockspace.SpaceTables.cached_gather`),
-so each is built once per space; E_qk is served as the transpose of the
-kept E_kq (:func:`transpose`), and single terms reuse a kept gather or
-build theirs per call.
+mixtures always sweep, a species' pair part along its own axis of the
+amplitude matrix.  The per-pair paths keep the gathers of H's hops E_kq
+with k < q, at most M(M-1)/2 per space, in the space's gather pool under
+the key (k, q) (:meth:`fockspace.SpaceTables.cached_gather`), so each is
+built once per space; E_qk is served as the transpose of the kept E_kq
+(:func:`transpose`), and single terms reuse a kept gather or build theirs
+per call.  The pair table is built per factoring and kept by a prepared
+operator, not by the pool.
 
-The output is cut into blocks of rows that do not depend on the worker
-count: a per-pair apply and the stacked images use fixed row blocks, the
-stacked sums blocks of whole rows holding about :data:`BLOCK_AMPLITUDES`
-entries.  Each block first computes phi and chi for its own rows, then
-sums into its own rows.  No amplitude is summed across blocks, so a worker
-count only decides which thread computes which whole blocks, and every
-amplitude is summed in the same order for any worker count (bitwise
-identical results).
+The work is cut into blocks that do not depend on the worker count: a
+per-pair apply uses fixed row blocks, the pair images fixed blocks of
+about :data:`BLOCK_AMPLITUDES` image entries, and the stacked sums blocks
+of whole rows holding about as many entries.  All of X is formed before
+any row is summed, and each block sums into its own rows.  No amplitude
+is summed across blocks, so a worker count only decides which thread
+computes which whole blocks, and every amplitude is summed in the same
+order for any worker count (bitwise identical results).
 """
 
 from __future__ import annotations
@@ -95,7 +124,7 @@ import numpy as np
 
 from .combinadics import FERMION
 from .errors import FockError, SpaceMismatchError
-from .fockspace import FermionConfig, SpaceDescriptor, StateVector
+from .fockspace import FermionConfig, SpaceDescriptor, StateVector, has_pair_space, hole_picture
 from .hamiltonian import TwoBodyTable
 
 # Stored entries with |value| below this are dropped before an operator is
@@ -222,10 +251,10 @@ def apply_two_body_term(k: int, s: int, l: int, q: int, psi: StateVector) -> Sta
 # mixture-prop benchmark input (55,440 amplitudes, 44 terms), 2^12 made a
 # matvec 1.8x slower than 2^14, while 2^14 and 2^16 timed alike.  2^14 is
 # the smallest size without that cost, so vectors above 16k amplitudes still
-# split into blocks that workers can share.  A prepared operator's stacked
-# images use the same row blocks; its stacked sums run in blocks of whole
-# rows holding about this many gathered entries, so their temporaries stay
-# near one block of amplitudes.  On the hubbard-gs benchmark input (24,310
+# split into blocks that workers can share.  Pair images are formed in
+# blocks of about this many image entries, and a prepared operator's
+# stacked sums run in blocks of whole rows holding about this many
+# gathered entries, so their temporaries stay near one block of amplitudes.  On the hubbard-gs benchmark input (24,310
 # rows, 230,230 entries) summing per row block gathered 139,199 entries at
 # once, and the traced peak of a matvec was 1.7 MB above its inputs,
 # against 0.7 MB for the per-pair sweeps and 0.5 MB for blocks of entries.
@@ -280,23 +309,53 @@ def pair_gathers(space: SpaceDescriptor, pairs) -> list:
     return gathers
 
 
-def split_pair_matrix(row_k, row_q, col_k, col_q, values, m_row: int, m_col: int):
-    """Split coordinates of a pair matrix P[(k, q), (k', q')] into ``(dd, rows, cols, mat)``.
+def pair_table(space: SpaceDescriptor, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(src, weight), shape (len(pairs), N_conf of N -/+ 2): b_l b_q, or b†_l b†_q in the hole picture, for flat pairs l * M + q.
 
-    ``dd[k, k']`` sums the entries with k = q and k' = q' (they multiply
-    n_k n_k'); the rest fill ``mat``, restricted to the flat pairs
-    ``rows`` and ``cols`` (k * M + q) that they touch.  Both have the
-    dtype of ``values``.
+    Row p of the image of an amplitude vector C is C[src[p]] * weight[p]:
+    the gather through row q of the space's ladder table composed with row
+    l of the next one (:attr:`fockspace.SpaceTables.next_ladder`), weights
+    multiplied.  Where the image has no source, src is 0 and weight 0.
+    Each composed row is increasing where its weight is not 0, since both
+    rows are: :func:`pair_returns` can slice its transposes.
     """
-    on_diag = (row_k == row_q) & (col_k == col_q)
-    dd = np.zeros((m_row, m_col), dtype=values.dtype)
-    np.add.at(dd, (row_k[on_diag], col_k[on_diag]), values[on_diag])
-    off = ~on_diag
-    rows, r = np.unique(row_k[off] * m_row + row_q[off], return_inverse=True)
-    cols, c = np.unique(col_k[off] * m_col + col_q[off], return_inverse=True)
+    tb = space.tables()
+    table, weight, _ = tb.ladder
+    outer, outer_weight, _ = tb.next_ladder
+    l, q = np.divmod(np.asarray(pairs, dtype=np.intp), space.m)
+    # flat indices of row q at the addresses of N -/+ 1 particles that b_l
+    # leads to; where it leads nowhere (-1) outer_weight is 0, so any entry will do
+    flat = outer[l] + (q * table.shape[1])[:, None]
+    pref = outer_weight[l]
+    pref *= weight.ravel().take(flat)  # 0 wherever either gather has no source
+    src = table.ravel().take(flat)
+    src[pref == 0] = 0
+    return src, pref
+
+
+def pair_returns(src: np.ndarray, weight: np.ndarray) -> list:
+    """The transposed gathers of :func:`pair_table` rows: ``act`` rows of the space, ``src`` rows of the N -/+ 2 space.
+
+    A row with a source everywhere (always, for bosons) shares one ``src``
+    and keeps its weights as a view.
+    """
+    returns, every = [], np.arange(src.shape[1])
+    for row, pref in zip(src, weight):
+        keep = np.flatnonzero(pref)
+        if keep.size == every.size:
+            returns.append((every, pref, None, row.astype(np.intp)))
+        else:
+            returns.append((keep, pref[keep], None, row[keep].astype(np.intp)))
+    return returns
+
+
+def pair_matrix(row, col, values):
+    """(rows, cols, mat): the matrix that sums ``values`` at coordinates (row, col), on the distinct ``rows`` and ``cols`` it touches."""
+    rows, r = np.unique(row, return_inverse=True)
+    cols, c = np.unique(col, return_inverse=True)
     mat = np.zeros((rows.size, cols.size), dtype=values.dtype)
-    np.add.at(mat, (r, c), values[off])
-    return dd, rows, cols, mat
+    np.add.at(mat, (r, c), values)
+    return rows, cols, mat
 
 
 def all_real(*coeffs: np.ndarray) -> bool:
@@ -325,8 +384,23 @@ class Contraction(NamedTuple):
     row_axis: int
 
 
+class PairPart(NamedTuple):
+    """sum_r R_r sum_c mat[r, c] T_c C along ``axis``: T_c the :func:`pair_table` rows ``src``, ``weight``, R_r the gathers ``rows``.
+
+    T_c maps C to the space of N -/+ 2 particles and the :func:`pair_returns`
+    R_r map back; a prepared single species keeps ``rows`` in its stacked
+    sums instead.
+    """
+
+    src: np.ndarray
+    weight: np.ndarray
+    mat: np.ndarray
+    rows: list
+    axis: int
+
+
 class Factored(NamedTuple):
-    """diag * C + hops (gather, axis, coefficient) + contractions on an amplitude matrix C, in ``dtype``.
+    """diag * C + hops (gather, axis, coefficient) + contractions + pair parts on an amplitude matrix C, in ``dtype``.
 
     Applied by per-pair sweeps.
     """
@@ -334,17 +408,8 @@ class Factored(NamedTuple):
     diag: np.ndarray
     hops: list
     contractions: list[Contraction]
+    pairs: list[PairPart]
     dtype: np.dtype
-
-
-class Images(NamedTuple):
-    """Rows lo..hi-1 of stacked column images: ``phi.flat[tgt] = pref * amps[src]`` fills them in one assignment."""
-
-    lo: int
-    hi: int
-    tgt: np.ndarray
-    src: np.ndarray
-    pref: np.ndarray
 
 
 class Sums(NamedTuple):
@@ -358,14 +423,12 @@ class Sums(NamedTuple):
 
 
 class Stacked(NamedTuple):
-    """H on a vector with its pair gathers stacked: images per row block, chi = mat @ phi, then the sums.
+    """H on a vector with its gathers stacked: chi = mat @ (pair images), then the sums over [psi, chi].
 
-    ``mat`` is None, and ``images`` empty, when H has no two-body part
-    left after factoring.
+    ``pairs`` is None when H has no pair part left after factoring.
     """
 
-    mat: np.ndarray | None
-    images: list[Images]
+    pairs: PairPart | None
     sums: list[Sums]
     dtype: np.dtype
 
@@ -381,61 +444,55 @@ class Prepared(NamedTuple):
         return self.op.dtype
 
 
-def stack_images(gathers, lo: int, hi: int) -> Images:
-    """Rows lo..hi-1 of the images E_c amps, stacked for one fancy assignment into an (n, hi - lo) array.
+def stack_sums(space: SpaceDescriptor, diag: np.ndarray, hops, returns, dtype) -> list[Sums]:
+    """diag + sum_p coeff_p E_p + the returns over the rows of ``space``, in blocks of whole rows for one segmented sum each.
 
-    Gather c fills row c of the image array; the targets are flat indices
-    into it, the sources rows of ``amps``.  Nothing is summed: each gather
-    acts on a row at most once.
-    """
-    tgt, src, pref = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
-    for c, (s, p, _, act) in enumerate(gathers):
-        i, j = act.searchsorted((lo, hi))
-        tgt.append(act[i:j] + (c * (hi - lo) - lo))
-        src.append(s[i:j])
-        pref.append(p[i:j])
-    return Images(lo, hi, *(np.concatenate(parts) for parts in (tgt, src, pref)))
-
-
-def stack_sums(space: SpaceDescriptor, diag: np.ndarray, parts, dtype) -> list[Sums]:
-    """diag + sum_p coeff_p E_p over the rows of ``space``, in blocks of whole rows for one segmented sum each.
-
-    ``parts`` holds (pair, offset, coeff) for flat 0-based pairs k * M + q:
-    E_kq reads the flat stacked sources at ``offset`` plus its source rows.
-    The diagonal is every row's first entry, so no row is without one.  A
-    counting sort over the rows, sized from the acting rows alone, places
-    each part's entries after those placed before it, so the build makes no
-    sorted or permuted copy.  The parts of one unordered pair are placed
-    together, from its gather in the space's pool (:func:`pair_gathers`),
-    which is then dropped from the pool.  A block holds about
-    :data:`BLOCK_AMPLITUDES` entries (at least one row), so a sum's
-    temporaries do not grow with the vector.  Sources are int32 when that
-    reaches them all: half the bytes of intp, for a gather about 5% slower
-    on the hubbard-gs benchmark input.
+    ``hops`` holds (pair, coeff) for flat 0-based pairs k * M + q: E_kq
+    reads psi, the first N_conf stacked sources.  ``returns`` holds
+    (gather, offset): a gather of coefficient 1 whose sources are the
+    stacked sources from ``offset`` on.  The diagonal is every row's first
+    entry, so no row is without one.  A counting sort over the rows, sized
+    from the acting rows alone, places each part's entries after those
+    placed before it, so the build makes no sorted or permuted copy.  The
+    hops of one unordered pair are placed together, from its gather in the
+    space's pool (:func:`pair_gathers`), which is then dropped from the
+    pool.  A block holds about :data:`BLOCK_AMPLITUDES` entries (at least
+    one row), so a sum's temporaries do not grow with the vector.  Sources
+    are int32 when that reaches them all: half the bytes of intp, for a
+    gather about 5% slower on the hubbard-gs benchmark input.
     """
     tb, n, m = space.tables(), space.n_conf, space.m
     count = np.ones(n + 1, dtype=np.intp)
     count[0] = 0
     by_key: dict = {}
-    for part in parts:
-        k, q = divmod(int(part[0]), m)
+    for pair, coeff in hops:
+        k, q = divmod(int(pair), m)
         # E_kq acts where n_k >= 1 (fermions: n_k = 1, and n_q = 0 unless k = q)
         count[1:] += tb.occ[:, k] > (tb.occ[:, q] if space.statistics == FERMION and k != q else 0)
-        by_key.setdefault((min(k, q), max(k, q)), []).append(part)
+        by_key.setdefault((min(k, q), max(k, q)), []).append((pair, coeff))
+    for (g_src, _, _, act), _ in returns:
+        count[1:] += np.bincount(act, minlength=n)
     first = np.cumsum(count)  # first[t]: row t's first entry; first[-1] entries in all
-    reach = max((offset for _, offset, _ in parts), default=0) + n
+    reach = max([n] + [offset + int(g[0][-1]) + 1 for g, offset in returns if g[0].size])
     src = np.empty(first[-1], dtype=np.int32 if reach <= 2**31 else np.intp)
     weight = np.empty(first[-1], dtype=dtype)
     src[first[:-1]] = np.arange(n)
     weight[first[:-1]] = diag
     slot = first[:-1] + 1
+
+    def place(gather, offset, coeff):
+        g_src, pref, _, act = gather
+        at = slot[act]
+        src[at] = g_src + offset
+        weight[at] = coeff * pref
+        slot[act] = at + 1
+
     for (k, q), uses in by_key.items():
-        for (g_src, pref, _, act), (_, offset, coeff) in zip(pair_gathers(space, [p for p, _, _ in uses]), uses):
-            at = slot[act]
-            src[at] = g_src + offset
-            weight[at] = coeff * pref
-            slot[act] = at + 1
+        for gather, (_, coeff) in zip(pair_gathers(space, [p for p, _ in uses]), uses):
+            place(gather, 0, coeff)
         tb._gather_cache.pop((k + 1, q + 1), None)
+    for gather, offset in returns:
+        place(gather, offset, 1.0)
     cuts = [0, *(np.flatnonzero(np.diff(first[:-1] // BLOCK_AMPLITUDES)) + 1), n]  # rows that open a block
     return [Sums(lo, hi, src[first[lo]:first[hi]], weight[first[lo]:first[hi]],
                  first[lo:hi] - first[lo])
@@ -445,8 +502,10 @@ def stack_sums(space: SpaceDescriptor, diag: np.ndarray, parts, dtype) -> list[S
 class Coefficients(NamedTuple):
     """One species' H factored into its diagonal, its hops (pair, coefficient) and the pair matrix ``mat``.
 
-    Pairs are flat 0-based k * M + q; ``mat`` couples the pairs ``rows``
-    to the pairs ``cols``.
+    Hops are flat 0-based pairs k * M + q.  ``mat`` couples the unordered
+    pairs ``rows`` to the unordered pairs ``cols``, flat l * M + q with
+    l <= q: :func:`pair_table` forms the images of ``cols`` and the
+    transposes of the rows of ``rows`` carry ``mat`` times them back.
     """
 
     diag: np.ndarray
@@ -459,86 +518,148 @@ class Coefficients(NamedTuple):
 
 
 def factor_coefficients(space: SpaceDescriptor, one_body, two_body) -> Coefficients:
-    """One species' Hamiltonian as d * C + sum_p h'_p E_p C + sum_r E_r sum_c Wm[r, c] E_c C.
+    """One species' Hamiltonian as d * C + sum_p h'_p E_p C + the pair part through N -/+ 2 particles.
 
-    Entries below :data:`SKIP_THRESHOLD` are dropped first; then
-    Wm[(k,q),(s,l)] = W[k,s,q,l] / 2 and h'_kl = h_kl - 1/2 sum_s W[k,s,s,l].
-    Number-operator products (k = q, s = l) and the diagonal of h' fold into
-    the diagonal d, read off the occupation table.  When every kept entry
-    is real (:func:`all_real`) every coefficient, and ``dtype``, is float64.
+    Entries below :data:`SKIP_THRESHOLD` are dropped first.  An entry
+    w = W[k,s,q,l] / 2 of b†_k b†_s b_l b_q whose index pairs {k, s} and
+    {l, q} agree is diagonal: k = q, s = l gives w n_k n_s and -w n_k on
+    h'_kk when k = s; k = l, s = q (k != s) gives +/-w n_k n_s.  These and
+    the diagonal of h' fold into the diagonal d, read off the occupation
+    table.  Every other entry (for fermions with k != s and l != q, the
+    rest vanish) goes into the pair matrix of the unordered pairs
+    (min(k, s), max(k, s)) and (min(l, q), max(l, q)): in the particle
+    picture b_l b_q is the image of the pair (l, q), and b†_k b†_s is the
+    transpose of that of (k, s), fermions taking the sign
+    (-1)^([k < s] + [l > q]), so ``rows`` create and ``cols`` annihilate.
+    In the hole picture the identity of the module docstring turns the
+    entry into b_l b_q b†_k b†_s, with the same sign, plus hops on h':
+    ``rows`` annihilate and ``cols`` create.  A space without N -/+ 2
+    particles (:func:`fockspace.has_pair_space`) has no pair matrix.
+    When every kept entry is real (:func:`all_real`) every coefficient,
+    and ``dtype``, is float64.
     """
-    m = space.m
+    m, fermion, holes = space.m, space.statistics == FERMION, hole_picture(space)
     h = one_body.kept(SKIP_THRESHOLD)
     (k, s, q, l), v = two_body.kept(SKIP_THRESHOLD)
     if all_real(h, v):
         h, v = h.real, v.real
-    con = s == q
-    np.add.at(h, (k[con], l[con]), -0.5 * v[con])
-    wd, rows, cols, wm = split_pair_matrix(k, q, s, l, 0.5 * v, m, m)
+    v = 0.5 * v
+    same = (k == q) & (s == l)
+    swap = (k == l) & (s == q) & ~same
+    con = same & (s == q)  # k = s = q = l: w n_k (n_k - 1)
+    np.add.at(h, (k[con], l[con]), -v[con])
+    wd = np.zeros((m, m), dtype=v.dtype)
+    np.add.at(wd, (k[same], s[same]), v[same])
+    np.add.at(wd, (k[swap], s[swap]), -v[swap] if fermion else v[swap])
+    off = ~(same | swap) & ((k != s) & (l != q) if fermion else True)
+    k, s, q, l, v = (a[off] for a in (k, s, q, l, v))
+    if holes:  # b†_k b†_s b_l b_q = b_l b_q b†_k b†_s + δ_qk E_sl - δ_lk E_sq - δ_qs E_kl + δ_ls E_kq
+        for a, b, i, j, sign in ((q, k, s, l, 1), (l, k, s, q, -1), (q, s, k, l, -1), (l, s, k, q, 1)):
+            hit = a == b
+            np.add.at(h, (i[hit], j[hit]), sign * v[hit])
     occ = space.tables().occ
     diag = real_linear(lambda lin, quad: occ @ lin + np.einsum("nk,nk->n", occ @ quad, occ),
                        h.diagonal(), wd)
     hop_pairs = np.flatnonzero(~np.eye(m, dtype=bool) & (h != 0))
-    return Coefficients(diag, hop_pairs, h.flat[hop_pairs], rows, cols, wm, np.result_type(h, v))
+    if not has_pair_space(space):
+        k, s, q, l, v = (a[:0] for a in (k, s, q, l, v))
+    if fermion:
+        v = np.where((k < s) != (l > q), -v, v)
+    create = np.minimum(k, s) * m + np.maximum(k, s)
+    destroy = np.minimum(l, q) * m + np.maximum(l, q)
+    rows, cols, mat = pair_matrix(*((destroy, create) if holes else (create, destroy)), v)
+    return Coefficients(diag, hop_pairs, h.flat[hop_pairs], rows, cols, mat, np.result_type(h, v))
+
+
+def pair_part(space: SpaceDescriptor, co: Coefficients, axis: int = 0) -> PairPart | None:
+    """``co``'s pair matrix acting along ``axis``: one :func:`pair_table` for the pairs of ``rows`` and ``cols`` together."""
+    if not co.rows.size:
+        return None
+    # with return_inverse, np.unique does not import numpy.ma (0.5 MB resident)
+    both = np.unique(np.concatenate((co.rows, co.cols)), return_inverse=True)[0]
+    src, weight = pair_table(space, both)
+    on = lambda a, pairs: a if pairs.size == both.size else a[np.searchsorted(both, pairs)]  # noqa: E731
+    return PairPart(on(src, co.cols), on(weight, co.cols), co.mat,
+                    pair_returns(on(src, co.rows), on(weight, co.rows)), axis)
 
 
 def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) -> Factored:
     """One species' Hamiltonian (:func:`factor_coefficients`) acting along ``axis`` of the amplitude matrix.
 
-    Its gathers come from the space's pool (:func:`pair_gathers`).
+    Its hop gathers come from the space's pool (:func:`pair_gathers`).
     """
     co = factor_coefficients(space, one_body, two_body)
     hops = [(g, axis, c) for g, c in zip(pair_gathers(space, co.hop_pairs), co.hop_coeffs)]
-    contractions = []
-    if co.rows.size:
-        contractions.append(Contraction(pair_gathers(space, co.cols), axis, co.mat,
-                                        pair_gathers(space, co.rows), axis))
-    return Factored(co.diag, hops, contractions, co.dtype)
+    part = pair_part(space, co, axis)
+    return Factored(co.diag, hops, [], [part] if part else [], co.dtype)
 
 
 def prepare(spec) -> Prepared:
-    """``spec``'s Hamiltonian factored once, its pair gathers stacked, to apply many times.
+    """``spec``'s Hamiltonian factored once, its gathers stacked, to apply many times.
 
-    The pair gathers come from the space's pool (:func:`pair_gathers`).
-    :func:`stack_sums` drops each one from the pool once it has placed it,
-    and the few that only the images read go last: a prepared operator
-    leaves the pool empty, so it keeps no second copy of H's gathers.
+    The hop gathers come from the space's pool (:func:`pair_gathers`), and
+    :func:`stack_sums` drops each one from the pool once it has placed it:
+    a prepared operator leaves the pool empty, so it keeps no second copy
+    of H's gathers.  The pair part keeps its table; its returns become
+    stacked sums reading chi.
     """
     space, n = spec.space, spec.space.n_conf
     co = factor_coefficients(space, spec.one_body, spec.two_body)
-    images = []
-    if co.rows.size:
-        col_gathers = pair_gathers(space, co.cols)
-        images = [stack_images(col_gathers, lo, hi) for lo, hi in row_blocks(n)]
-        del col_gathers  # the pool then holds the only reference, so stack_sums frees each gather it places
-    parts = [(p, 0, c) for p, c in zip(co.hop_pairs, co.hop_coeffs)]
-    parts += [(p, (1 + r) * n, 1.0) for r, p in enumerate(co.rows)]
-    sums = stack_sums(space, co.diag, parts, co.dtype)
+    part = pair_part(space, co)
+    returns = []
+    if part is not None:
+        n_mid = part.src.shape[1]
+        returns = [(g, n + r * n_mid) for r, g in enumerate(part.rows)]
+        part = part._replace(rows=[])
+    sums = stack_sums(space, co.diag, list(zip(co.hop_pairs, co.hop_coeffs)), returns, co.dtype)
     space.tables()._gather_cache.clear()
-    return Prepared(space, Stacked(co.mat if co.rows.size else None, images, sums, co.dtype))
+    return Prepared(space, Stacked(part, sums, co.dtype))
+
+
+def _pair_blocks(part: PairPart, shape) -> list[tuple[int, int]]:
+    """The fixed blocks in which :func:`_contract_pairs` forms ``part``'s images of an amplitude array of ``shape``.
+
+    Along axis 0 they cut the N -/+ 2 space, along axis 1 the rows; a
+    block's images hold about :data:`BLOCK_AMPLITUDES` amplitudes.
+    """
+    n_mid = part.src.shape[1]
+    if part.axis == 0:
+        return row_blocks(n_mid, len(part.src) * int(np.prod(shape[1:], dtype=np.int64)))
+    return row_blocks(shape[0], len(part.src) * n_mid)
+
+
+def _contract_pairs(part: PairPart, amps: np.ndarray, chi: np.ndarray, lo: int, hi: int) -> None:
+    """Block lo..hi-1 of chi = mat @ (``part``'s images of ``amps``): one gather, one multiply and one GEMM.
+
+    chi[r] is shaped like ``amps`` with the N -/+ 2 space along ``part.axis``.
+    Along axis 0 the block cuts the N -/+ 2 space, along axis 1 the rows.
+    """
+    if part.axis == 0:
+        images = amps.take(part.src[:, lo:hi], axis=0)
+        images *= part.weight[:, lo:hi].reshape((len(images), hi - lo) + (1,) * (amps.ndim - 1))
+        chi[:, lo:hi] = (part.mat @ images.reshape(len(images), -1)).reshape((-1,) + images.shape[1:])
+    else:
+        images = amps[lo:hi].take(part.src, axis=1)
+        images *= part.weight
+        chi[:, lo:hi] = np.moveaxis(part.mat @ images, 1, 0)
 
 
 def _apply_stacked(op: Stacked, amps: np.ndarray, workers: int) -> np.ndarray:
-    """``op`` on the vector ``amps``: per block an image assignment and a GEMM, then per block a segmented sum.
+    """``op`` on the vector ``amps``: per block of the N -/+ 2 space the pair images and a GEMM, then per block a segmented sum.
 
-    The sources [psi, chi_0, ..., chi_{R-1}] are one (1 + R, N) array, so
-    the diagonal, every hop and every contraction row read them in one
-    gather, and each row of the result is written once.
+    The sources [psi, chi_0, ..., chi_{R-1}] are one flat array, so the
+    diagonal, every hop and every return read them in one gather, and each
+    row of the result is written once.
     """
     dtype = np.result_type(amps, op.dtype)
-    if op.mat is None:
-        sources = amps.astype(dtype, copy=False)
+    part = op.pairs
+    if part is None:
+        flat = amps.astype(dtype, copy=False)
     else:
-        sources = np.empty((1 + op.mat.shape[0], amps.size), dtype=dtype)
-        sources[0] = amps
-
-        def contract(images):
-            phi = np.zeros((op.mat.shape[1], images.hi - images.lo), dtype=dtype)
-            phi.ravel()[images.tgt] = images.pref * amps[images.src]
-            sources[1:, images.lo:images.hi] = op.mat @ phi
-
-        run_blocks(contract, op.images, workers)
-    flat = sources.ravel()
+        flat = np.empty(amps.size + len(part.mat) * part.src.shape[1], dtype=dtype)
+        flat[:amps.size] = amps
+        chi = flat[amps.size:].reshape(len(part.mat), -1)
+        run_blocks(lambda block: _contract_pairs(part, amps, chi, *block), _pair_blocks(part, amps.shape), workers)
     out = np.empty(amps.shape, dtype=dtype)
 
     def assemble(sums):
@@ -551,16 +672,20 @@ def _apply_stacked(op: Stacked, amps: np.ndarray, workers: int) -> np.ndarray:
 
 
 def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarray:
-    """``op`` applied to the amplitude vector or matrix ``amps`` in fixed row blocks, pair by pair.
+    """``op`` applied to the amplitude vector or matrix ``amps`` in fixed blocks, pair by pair.
 
-    Each block first contracts the images E_c C of its own rows into chi
-    (one GEMM), then writes diag * C and every sweep into its own rows.
+    First the contractions: the inter-species chi per block of rows
+    (images E_c C and one GEMM) and each pair part's chi per block of its
+    images (:func:`_contract_pairs`).  Then each block of rows writes
+    diag * C, every hop and every return of a chi into its own rows.
     Every buffer takes the common dtype of ``amps`` and ``op``: a real
     operator on a real vector computes in float64.
     """
     diag = np.broadcast_to(op.diag, amps.shape)
     dtype = np.result_type(amps, op.dtype)
     chis = [np.empty((len(c.rows),) + amps.shape, dtype=dtype) for c in op.contractions]
+    pair_chis = [np.empty((len(p.rows),) + amps.shape[:p.axis] + (p.src.shape[1],) + amps.shape[p.axis + 1:],
+                          dtype=dtype) for p in op.pairs]
     out = np.empty(amps.shape, dtype=dtype)
 
     def contract(lo, hi):
@@ -578,10 +703,15 @@ def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarr
         for c, chi in zip(op.contractions, chis):
             for gather, part in zip(c.rows, chi):
                 sweep(gather, c.row_axis, part, block, lo, hi)
+        for part, chi in zip(op.pairs, pair_chis):
+            for gather, image in zip(part.rows, chi):
+                sweep(gather, part.axis, image, block, lo, hi)
 
     blocks = row_blocks(amps.shape[0], amps.size // amps.shape[0])
     if chis:
         run_blocks(lambda block: contract(*block), blocks, workers)
+    for part, chi in zip(op.pairs, pair_chis):
+        run_blocks(lambda block: _contract_pairs(part, amps, chi, *block), _pair_blocks(part, amps.shape), workers)
     run_blocks(lambda block: assemble(*block), blocks, workers)
     return out
 

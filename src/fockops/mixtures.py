@@ -246,7 +246,11 @@ def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace) -> kernel.Facto
     (k, q, kp, qp), v = table.kept(kernel.SKIP_THRESHOLD)
     if kernel.all_real(v):
         v = v.real
-    xd, rows, cols, xm = kernel.split_pair_matrix(k, q, kp, qp, v, table.m_a, table.m_b)
+    on_diag = (k == q) & (kp == qp)
+    xd = np.zeros((table.m_a, table.m_b), dtype=v.dtype)
+    np.add.at(xd, (k[on_diag], kp[on_diag]), v[on_diag])
+    off = ~on_diag
+    rows, cols, xm = kernel.pair_matrix(k[off] * table.m_a + q[off], kp[off] * table.m_b + qp[off], v[off])
     space_a, space_b = mspace.space_a, mspace.space_b
     occ_a, occ_b = (s.tables().occ for s in (space_a, space_b))
     diag = kernel.real_linear(lambda x: occ_a @ x @ occ_b.T, xd)
@@ -254,7 +258,7 @@ def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace) -> kernel.Facto
     if rows.size:
         contractions.append(kernel.Contraction(kernel.pair_gathers(space_b, cols), 1, xm,
                                                kernel.pair_gathers(space_a, rows), 0))
-    return kernel.Factored(diag, [], contractions, v.dtype)
+    return kernel.Factored(diag, [], contractions, [], v.dtype)
 
 
 def prepare(mspec: MixtureHamiltonianSpec) -> kernel.Prepared:
@@ -262,7 +266,7 @@ def prepare(mspec: MixtureHamiltonianSpec) -> kernel.Prepared:
     parts = [_factor_species(mspec.spec_a, 0), _factor_species(mspec.spec_b, 1),
              factor_inter(mspec.inter, mspec.mspace)]
     op = kernel.Factored(sum(p.diag for p in parts), [h for p in parts for h in p.hops],
-                         [c for p in parts for c in p.contractions],
+                         [c for p in parts for c in p.contractions], [x for p in parts for x in p.pairs],
                          np.result_type(*[p.dtype for p in parts]))
     return kernel.Prepared(mspec.mspace, op)
 

@@ -25,9 +25,9 @@ rho is read off the occupation table and its upper triangle mirrored, so
 rho is exactly Hermitian.  Both Gram products run over fixed blocks of the
 neighbouring space's configurations, so no pair gather is built and rho2
 holds the M single-ladder states whole but never the M^2 double ones.
-The space's ladder table is the one its SpaceTables keep for H's pair
-gathers; rho2 builds its middle space's table per call, and no call builds
-a neighbour space's SpaceTables.
+The space's ladder tables are the ones its SpaceTables keep for H: the
+space's own for the pair gathers, and the next one, of N -/+ 1 particles,
+for the pair part.  No call builds a neighbour space's SpaceTables.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import kernel, mixtures
 from .errors import SpaceMismatchError
-from .fockspace import SpaceDescriptor, StateVector, dot, ladder_table
+from .fockspace import StateVector, dot, has_pair_space
 
 NORM_WARN_TOL = 1e-8
 
@@ -112,12 +112,11 @@ def two_body_density(psi: StateVector) -> np.ndarray:
     """
     _warn_if_unnormalized(psi)
     space, m, amps = psi.space, psi.space.m, psi.amplitudes
-    ladder = table, weight, holes = space.tables().ladder
-    if (space.n + 2 > m) if holes else (space.n < 2):  # no configuration of N +/- 2 particles
-        gram = np.zeros((m * m, m * m), dtype=amps.dtype)
+    table, weight, holes = space.tables().ladder
+    if has_pair_space(space):
+        gram = _gram(space.tables().next_ladder, _ladder(table, weight, amps, 0), 1, m * m)
     else:
-        mid = SpaceDescriptor(space.statistics, space.n + (1 if holes else -1), m)
-        gram = _gram(ladder_table(mid), _ladder(table, weight, amps, 0), 1, m * m)
+        gram = np.zeros((m * m, m * m), dtype=amps.dtype)
     # row (q-1) M + l-1 holds b_l b_q Psi (holes: b†_l b†_q Psi), so
     # rho2[k, s, l, q] = gram[k, s, q, l] (holes: Z_kslq = gram[l, q, s, k])
     order = (3, 2, 0, 1) if holes else (0, 1, 3, 2)

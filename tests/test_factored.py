@@ -1,6 +1,7 @@
 """The factored H|psi> against the dense oracle, and the pair gathers against the occupation algebra."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,42 @@ def test_gathers_equal_the_dense_pair_at_the_edges(space):
         assert np.abs(got - build_dense((("a", q), ("c", k)), space)).max(initial=0.0) <= TOL, (k, q)
 
 
+def _pair_spaces() -> list[SpaceDescriptor]:
+    """Every fermion N = 0..M for M <= 7, so 2N = M, 2N = M + 1 and N + 2 > M among them, and bosons with N, M <= 4."""
+    return ([SpaceDescriptor.fermion(n, m) for m in range(1, 8) for n in range(m + 1)]
+            + [SpaceDescriptor.boson(n, m) for m in range(1, 5) for n in range(5)])
+
+
+def _dense_tables(rng, m):
+    """Dense complex h and W, neither Hermitian: every entry of W stored, coincident indices included."""
+    return OneBodyTable(_complex(rng, (m, m))), TwoBodyTable.from_dense(_complex(rng, (m,) * 4))
+
+
+@pytest.mark.parametrize("space", _pair_spaces(), ids=str)
+def test_pair_part_matches_the_oracle(space):
+    """Dense complex W through prepare, the one-shot apply, and a mixture with it on species A, then on species B.
+
+    The mixture's other species is fermion(2,3), above half filling, with
+    a dense h, no W and a dense complex inter-species table.
+    """
+    rng = np.random.default_rng(space.n_conf + 10 * space.m + (space.statistics == "boson"))
+    spec = HamiltonianSpec(space, *_dense_tables(rng, space.m))
+    psi = random_state(space, seed=1)
+    dense = build_dense(spec)
+    for op in (kernel.prepare(spec), spec):
+        _assert_matches(apply_hamiltonian(op, psi).amplitudes, dense, psi.amplitudes)
+    other = SpaceDescriptor.fermion(2, 3)
+    other_spec = HamiltonianSpec(other, OneBodyTable(_complex(rng, (3, 3))), TwoBodyTable.zeros(3))
+    for a, b in ((spec, other_spec), (other_spec, spec)):
+        mspace = MixtureSpace(a.space, b.space)
+        shape = (a.space.m, a.space.m, b.space.m, b.space.m)
+        mspec = MixtureHamiltonianSpec(mspace, a, b, InterSpeciesTable(_complex(rng, shape)))
+        mpsi = mixture_random_state(mspace, seed=2)
+        dense = build_dense(mspec)
+        for op in (mixtures.prepare(mspec), mspec):
+            _assert_matches(apply_mixture_hamiltonian(op, mpsi).amplitudes, dense, mpsi.amplitudes)
+
+
 @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(2, 4), SpaceDescriptor.fermion(3, 5),
                                    SpaceDescriptor.boson(2, 3), SpaceDescriptor.boson(3, 3)], ids=str)
 def test_two_body_term_matches_the_oracle_on_every_quadruple(space):
@@ -308,11 +345,12 @@ class TestStackedParts:
 
     @pytest.mark.parametrize("two_body", [False, True], ids=["one-body", "two-body"])
     def test_prepare_holds_each_entry_once(self, two_body):
-        """fermion(4,24), dense h: N_conf + the acting rows of every part are stacked, and nothing else stays.
+        """fermion(4,24), dense h: N_conf + the acting rows of every hop and return are stacked, and nothing else stays.
 
         The traced peak of prepare stays within 1.5x the stacked arrays it
-        returns: a sorted or permuted copy of the entries, or the pool
-        keeping H's gathers beside them, reads 2x or more.
+        returns (the sums and the pair table): a sorted or permuted copy of
+        the entries, or the pool keeping H's gathers beside them, reads 2x
+        or more.
         """
         space = SpaceDescriptor.fermion(4, 24)
         rng = np.random.default_rng(3)
@@ -330,12 +368,15 @@ class TestStackedParts:
         finally:
             tracemalloc.stop()
         assert space.tables()._gather_cache == {}
-        assert (op.mat is not None) == two_body
+        assert (op.pairs is not None) == two_body
         co = kernel.factor_coefficients(space, spec.one_body, spec.two_body)
-        acting = sum(kernel.term_gather(space, p // 24 + 1, p % 24 + 1)[3].size for p in [*co.hop_pairs, *co.rows])
+        acting = sum(kernel.term_gather(space, p // 24 + 1, p % 24 + 1)[3].size for p in co.hop_pairs)
+        acting += sum(g[3].size for g in kernel.pair_returns(*kernel.pair_table(space, co.rows)))
         assert sum(s.src.size for s in op.sums) == space.n_conf + acting
         stacked = sum(s.src.nbytes + s.weight.nbytes + s.starts.nbytes for s in op.sums)
-        stacked += sum(i.tgt.nbytes + i.src.nbytes + i.pref.nbytes for i in op.images)
+        if two_body:
+            assert op.pairs.rows == [] and op.pairs.src.shape == (co.cols.size, math.comb(24, 2))
+            stacked += op.pairs.src.nbytes + op.pairs.weight.nbytes
         assert peak <= 1.5 * stacked
 
     def test_two_row_blocks_give_the_same_bits_for_any_worker_count(self):
@@ -352,9 +393,27 @@ class TestStackedParts:
         spec = HamiltonianSpec(space, OneBodyTable(h), TwoBodyTable.from_dense(w))
         psi = random_state(space, seed=6)
         op = kernel.prepare(spec)
-        assert len(op.op.images) > 1 and len(op.op.sums) > len(op.op.images)
+        assert len(kernel._pair_blocks(op.op.pairs, (space.n_conf,))) > 1 and len(op.op.sums) > 1
         serial = _assert_stacked_matches_sweeps(spec, psi)
         np.testing.assert_array_equal(_assert_stacked_matches_sweeps(spec, psi, workers=2), serial)
+
+
+def test_cold_dense_apply_stays_below_the_e_pair_images():
+    """boson(9,9), dense complex h and W, applied once on cold tables: the traced peak stays below M^2 N_conf complex amplitudes.
+
+    That is the size of the images E_sl psi of the E_kq E_sl - δ_qs E_kl
+    factoring (31.5 MB), which peaked at 91 MB.  The pair part holds 45 x
+    6,435 images of 7 particles instead.
+    """
+    space = SpaceDescriptor.boson(9, 9)
+    spec, psi = random_hermitian_spec(space, seed=3), random_state(space, seed=4)
+    tracemalloc.start()
+    try:
+        apply_hamiltonian(spec, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < space.m ** 2 * space.n_conf * 16
 
 
 class TestRowBlocks:
@@ -368,10 +427,10 @@ class TestRowBlocks:
     def test_workers_bitwise_equal_through_the_contraction(self, space):
         if isinstance(space, MixtureSpace):
             spec, psi = random_mixture_spec(space, seed=8), mixture_random_state(space, seed=9)
-            assert kernel.factor_species(space.space_a, spec.spec_a.one_body, spec.spec_a.two_body).contractions
+            assert kernel.factor_species(space.space_a, spec.spec_a.one_body, spec.spec_a.two_body).pairs
         else:
             spec, psi = random_hermitian_spec(space, seed=8), random_state(space, seed=9)
-            assert kernel.factor_species(space, spec.one_body, spec.two_body).contractions
+            assert kernel.factor_species(space, spec.one_body, spec.two_body).pairs
         ref = parallel_apply(spec, psi, workers=1).amplitudes
         for workers in (2, 4):
             np.testing.assert_array_equal(parallel_apply(spec, psi, workers=workers).amplitudes, ref)
@@ -489,11 +548,15 @@ class TestTransposedPool:
 
     @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4)], ids=str)
     def test_pool_holds_half_and_a_warm_space_builds_none(self, monkeypatch, space):
-        """A dense H applied once keeps E_kq for k <= q only; single terms on it then build nothing, densities neither."""
+        """A dense H applied once keeps its hops E_kq for k < q only; single terms on it then build nothing, densities neither.
+
+        Its diagonal is read off the occupation table and W goes through the
+        pair table, so no E_kk is built.
+        """
         apply_hamiltonian(random_hermitian_spec(space, seed=17), random_state(space, seed=16))
         m, pool = space.m, space.tables()._gather_cache
-        assert set(pool) == {(k, q) for k in range(1, m + 1) for q in range(k, m + 1)}
-        assert len(pool) == m * (m + 1) // 2
+        assert set(pool) == {(k, q) for k in range(1, m + 1) for q in range(k + 1, m + 1)}
+        assert len(pool) == m * (m - 1) // 2
         kept = dict(pool)
         built = _count_builds(monkeypatch)
         psi = random_state(space, seed=18)

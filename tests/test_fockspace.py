@@ -325,21 +325,24 @@ class TestCreationTable:
     @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.fermion(4, 6),
                                        SpaceDescriptor.boson(3, 3)], ids=str)
     def test_the_ladder_table_is_kept_and_built_once(self, space):
-        """The space's tables keep its ladder table, built by the first gather; applies and densities reuse it.
+        """The space's tables keep its ladder table, built by the first gather, and the next one, built by the first pair part.
 
-        Besides the occupation table and the gather pool they keep nothing,
-        so no rank-term, prefix or second occupation table is left.
+        Applies and densities reuse both.  Besides the occupation table and
+        the gather pool they keep nothing, so no rank-term, prefix or second
+        occupation table is left.
         """
         psi = random_state(space, seed=1)
         tb = space.tables()
         assert set(vars(tb)) == {"space", "occ", "_gather_cache"}
         apply_one_body_term(1, 2, psi)
-        assert "ladder" in vars(tb)
+        assert "ladder" in vars(tb) and "next_ladder" not in vars(tb)
         ladder = tb.ladder
         apply_hamiltonian(random_hermitian_spec(space, seed=2), psi)
+        next_ladder = tb.next_ladder
         one_body_density(psi)
         two_body_density(psi)
-        assert set(vars(tb)) == {"space", "occ", "ladder", "_gather_cache"}
-        assert tb.ladder is ladder
-        for got, ref in zip(ladder, ladder_table(space)):
+        assert set(vars(tb)) == {"space", "occ", "ladder", "next_ladder", "_gather_cache"}
+        assert tb.ladder is ladder and tb.next_ladder is next_ladder
+        neighbour = SpaceDescriptor(space.statistics, space.n + (1 if ladder[2] else -1), space.m)
+        for got, ref in zip((*ladder, *next_ladder), (*ladder_table(space), *ladder_table(neighbour))):
             np.testing.assert_array_equal(got, ref)

@@ -1,6 +1,7 @@
 """Two-component addressing, intra/inter application, and the dense oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,11 +29,17 @@ from fockops import (
     load_mixture_state,
     mixture_address,
     mixture_basis_state,
+    mixture_densities,
     mixture_dot,
     mixture_random_state,
+    one_body_density,
     product_state,
+    propagate,
+    random_state,
     save_mixture_state,
 )
+from fockops.fockspace import occupation_table
+from fockops.oracle import DENSE_CAP
 from fockops.mixtures import MixtureStateVector, apply_one_body_term_a
 from conftest import random_hermitian_spec, random_mixture_spec, suite_mixture_spaces
 
@@ -222,6 +229,92 @@ def test_two_site_hubbard_ground_energy(hopping, interaction):
     mspec = MixtureHamiltonianSpec(MixtureSpace(space, space), spin, spin, InterSpeciesTable(inter))
     exact = (interaction - np.sqrt(interaction**2 + 16 * hopping**2)) / 2
     assert abs(ground_state(mspec, tol=1e-12, seed=1).energy - exact) <= 1e-12
+
+
+def _su2_mixture(statistics, n_a, n_b, m, seed):
+    """A spin-independent H: the single species of N = N_A + N_B particles, and the mixture of its two spin species.
+
+    h and W are dense, complex and Hermitian, W symmetric under k<->s,
+    q<->l; both species take them, and X[k,q,s,l] = W[k,s,q,l] couples
+    them.  H then commutes with S^- = sum_k b†_k a_k.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    t = rng.standard_normal((m,) * 4) + 1j * rng.standard_normal((m,) * 4)
+    t = 0.5 * (t + np.transpose(t, (1, 0, 3, 2)))
+    w = 0.5 * (t + np.conj(np.transpose(t, (2, 3, 0, 1))))
+
+    def spec(n):
+        return HamiltonianSpec(SpaceDescriptor(statistics, n, m), OneBodyTable(0.5 * (a + a.conj().T)),
+                               TwoBodyTable.from_dense(w))
+
+    mspace = MixtureSpace(SpaceDescriptor(statistics, n_a, m), SpaceDescriptor(statistics, n_b, m))
+    inter = InterSpeciesTable(np.transpose(w, (0, 2, 1, 3)))
+    return spec(n_a + n_b), MixtureHamiltonianSpec(mspace, spec(n_a), spec(n_b), inter)
+
+
+def _lowered(psi, mspace):
+    """psi of N particles lowered to N_B particles of species B, normalized.
+
+    The amplitude at (n_A, n_B), n = n_A + n_B, is psi(n) prod_k
+    sqrt(C(n_k, n_B,k)) for bosons and psi(n) (-1)^(sum_{k in B} S_k(n))
+    for fermions, S_k(n) the particles of n below k; 0 where n is not a
+    configuration of psi's space.
+    """
+    space = psi.space
+    occ_a, occ_b = (occupation_table(s.statistics, s.n, s.m)[0] for s in (mspace.space_a, mspace.space_b))
+    index = {row: j for j, row in enumerate(map(tuple, occupation_table(space.statistics, space.n, space.m)[0].tolist()))}
+    out = np.zeros((len(occ_a), len(occ_b)), dtype=np.complex128)
+    for (i, row_a), (j, row_b) in itertools.product(enumerate(occ_a.tolist()), enumerate(occ_b.tolist())):
+        n = tuple(x + y for x, y in zip(row_a, row_b))
+        if n not in index:
+            continue
+        if space.statistics == "fermion":
+            factor = (-1.0) ** sum(sum(n[:k]) for k, held in enumerate(row_b) if held)
+        else:
+            factor = np.prod([np.sqrt(math.comb(x, y)) for x, y in zip(n, row_b)])
+        out[i, j] = psi.amplitudes[index[n]] * factor
+    return MixtureStateVector(mspace, (out / np.linalg.norm(out)).ravel())
+
+
+class TestSU2Multiplets:
+    """Exact references for the mixture path past the dense cap, from a single-species solve (Lieb & Mattis 1962).
+
+    With both species' tables equal and X[k,q,s,l] = W[k,s,q,l], H commutes
+    with S^-: a single-species eigenvector lowered into the mixture is an
+    eigenvector with the same energy, its densities split as N_A : N_B,
+    and propagation commutes with the lowering.  This checks the pair
+    parts of both species, their signs, the inter-species contraction,
+    mixture_densities and mixture SIL at sizes no dense matrix reaches.
+    """
+
+    @pytest.mark.parametrize("statistics,n_a,n_b,m", [("fermion", 3, 2, 10), ("boson", 4, 3, 6)])
+    def test_lowered_eigenvector(self, statistics, n_a, n_b, m):
+        """F(3,10)xF(2,10), 5,400 amplitudes, and B(4,6)xB(3,6), 7,056: past DENSE_CAP."""
+        single, mspec = _su2_mixture(statistics, n_a, n_b, m, seed=5)
+        assert mspec.mspace.n_conf_total > DENSE_CAP
+        tol = 1e-10
+        gs = ground_state(single, tol=tol, seed=1)
+        assert gs.residual <= tol
+        phi = _lowered(gs.state, mspec.mspace)
+        residual = np.linalg.norm(apply_mixture_hamiltonian(mspec, phi).amplitudes - gs.energy * phi.amplitudes)
+        assert residual <= gs.residual + 1e-12
+        rho = one_body_density(gs.state)
+        for part, n_part in zip(mixture_densities(phi), (n_a, n_b)):
+            assert np.abs(part - n_part / (n_a + n_b) * rho).max() <= 1e-13
+        x = mspec.inter.tensor.copy()  # one broken X pair: no longer an eigenvector
+        x[0, 1, 1, 0] += 0.1
+        x[1, 0, 0, 1] += 0.1
+        broken = MixtureHamiltonianSpec(mspec.mspace, mspec.spec_a, mspec.spec_b, InterSpeciesTable(x))
+        assert np.linalg.norm(apply_mixture_hamiltonian(broken, phi).amplitudes - gs.energy * phi.amplitudes) > 1e-3
+
+    def test_propagation_commutes_with_the_lowering(self):
+        """F(3,10)xF(2,10): exp(-iHt) of the lowered state is the lowered exp(-iHt) of the single species."""
+        single, mspec = _su2_mixture("fermion", 3, 2, 10, seed=6)
+        psi0 = random_state(single.space, seed=7)
+        alone = propagate(single, psi0, t_final=0.2, dt=0.1, err_tol=1e-10).final_state
+        mixed = propagate(mspec, _lowered(psi0, mspec.mspace), t_final=0.2, dt=0.1, err_tol=1e-10).final_state
+        assert np.linalg.norm(mixed.amplitudes - _lowered(alone, mspec.mspace).amplitudes) <= 1e-10
 
 
 class TestOrbitalChecks:

@@ -25,7 +25,6 @@ from fockops import (
     mixture_densities,
     mixture_random_state,
     natural_occupations,
-    observables,
     one_body_density,
     product_state,
     random_state,
@@ -426,7 +425,7 @@ def test_densities_build_only_their_ladder_tables(monkeypatch, space):
 @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 7), SpaceDescriptor.boson(4, 4),
                                    SpaceDescriptor.fermion(5, 7)], ids=str)
 def test_an_apply_and_the_densities_build_each_ladder_table_once(monkeypatch, space):
-    """On cold tables, H's pair gathers build the space's ladder table; rho reuses it and rho2 builds only its middle space's."""
+    """On cold tables, H builds the space's ladder table and, for its pair part, its middle space's; rho and rho2 reuse them."""
     psi = random_state(space, seed=32)
     spec = random_hermitian_spec(space, seed=33)
     built = []
@@ -437,14 +436,13 @@ def test_an_apply_and_the_densities_build_each_ladder_table_once(monkeypatch, sp
         return ladder_table(sp)
 
     monkeypatch.setattr(fockspace, "ladder_table", counted)
-    monkeypatch.setattr(observables, "ladder_table", counted)
     apply_hamiltonian(spec, psi)
-    assert built == [space]
-    one_body_density(psi)
-    assert built == [space]
-    two_body_density(psi)
     holes = space.statistics == "fermion" and 2 * space.n > space.m
-    assert built == [space, SpaceDescriptor(space.statistics, space.n + (1 if holes else -1), space.m)]
+    both = [space, SpaceDescriptor(space.statistics, space.n + (1 if holes else -1), space.m)]
+    assert built == both
+    one_body_density(psi)
+    two_body_density(psi)
+    assert built == both
 
 
 def test_site_densities_copy_no_occupation_table():
@@ -472,13 +470,13 @@ def _arrays(obj):
 
 
 def test_a_solved_space_keeps_one_occupation_table():
-    """boson(9,9) Bose-Hubbard after ground_state, rho, rho2 and site_densities: the space's tables keep occ and the ladder table, nothing more."""
+    """boson(9,9) Bose-Hubbard after ground_state, rho, rho2 and site_densities: the space's tables keep occ and the two ladder tables, nothing more."""
     spec = build_bose_hubbard(9, 9, hopping=1.0, interaction=2.0)
     psi = ground_state(spec, tol=1e-8).state
     for density in (one_body_density, two_body_density, site_densities):
         density(psi)
     tb = spec.space.tables()
-    assert set(vars(tb)) == {"space", "occ", "ladder", "_gather_cache"}
+    assert set(vars(tb)) == {"space", "occ", "ladder", "next_ladder", "_gather_cache"}
     assert tb.occ.dtype == np.float64
-    table, weight, _ = tb.ladder
-    assert sum(a.nbytes for a in _arrays(vars(tb))) == tb.occ.nbytes + table.nbytes + weight.nbytes
+    ladders = [a for ladder in (tb.ladder, tb.next_ladder) for a in ladder[:2]]
+    assert sum(a.nbytes for a in _arrays(vars(tb))) == tb.occ.nbytes + sum(a.nbytes for a in ladders)
