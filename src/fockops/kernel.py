@@ -53,7 +53,7 @@ M^2/2 x N_conf(N -/+ 2) entries, where the E_kq E_sl - δ_qs E_kl
 factoring (Knowles & Handy, Chem. Phys. Lett. 111, 315, 1984; Olsen et
 al., J. Chem. Phys. 89, 2185, 1988) formed M^2 x N_conf images: on dense
 boson(8,8) 36 x 1,716 against 64 x 6,435, and a cold one-shot apply
-took 12-14 ms against 20-21 ms on a 2-core x86 VM.
+took 12-14 ms against 20-25 ms on a 2-core x86 VM.
 
 When every kept entry is real, h', Wp, d and the operator's dtype are
 float64, and a float64 vector stays float64 throughout: the apply computes
