@@ -9,10 +9,10 @@ No symmetry is assumed or imposed on the stored tables.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -279,20 +279,21 @@ def load_integrals(path):
     orbitals are integers in ``[1, M]`` of their species; ``re`` and ``im`` are finite.
     ``#`` starts a comment; blank lines are skipped but counted.  Unlisted entries are
     zero, a repeated one-body or ``X`` record replaces the earlier one, and repeated
-    two-body records add up in file order.  Raises :class:`IntegralFormatError` naming
-    the first bad line in file order.
+    two-body records add up in file order; orbitals and coefficients take the spellings of
+    ``int()`` and ``float()``.  Raises :class:`IntegralFormatError` naming the first bad line.
     """
-    from .mixtures import InterSpeciesTable, MixtureHamiltonianSpec, MixtureSpace
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            text = fh.read()  # text mode reads \r\n and \r as \n, so the lines are those of readlines()
     except UnicodeDecodeError:
         raise IntegralFormatError(f"{path} is not UTF-8 text") from None
-    toks = [(no, tok) for no, tok in enumerate((raw.partition("#")[0].split() for raw in lines), start=1) if tok]
-    if not toks:
+    lines = text.split("\n")
+    toks = list(map(str.split, [line.partition("#")[0] for line in lines] if "#" in text else lines))
+    held = (no for no, tok in enumerate(toks, start=1) if tok)  # the numbers of the lines that hold tokens
+    no = next(held, None)
+    if no is None:
         raise IntegralFormatError("empty integral file")
-    no, head = toks[0]
+    head = toks[no - 1]
     if head[0].upper() != "STATISTICS":
         raise IntegralFormatError("first line must declare STATISTICS", no)
     mix = len(head) >= 2 and head[1].upper() == "MIX"
@@ -301,7 +302,8 @@ def load_integrals(path):
         raise IntegralFormatError(f"bad statistics declaration {' '.join(head)!r}", no)
     names = [name for sp in species for name in sp[:2]]
     sizes = {}
-    for no, tok in toks[1:1 + len(names)]:
+    for no in islice(held, len(names)):
+        tok = toks[no - 1]
         missing = [name for name in names if name not in sizes]
         if tok[0].upper() not in missing:
             raise IntegralFormatError(f"expected a size line {'/'.join(missing)}, got {' '.join(tok)!r}", no)
@@ -321,10 +323,12 @@ def load_integrals(path):
         shape = (spaces[0].m,) * 2 + (spaces[1].m,) * 2
         _check_table(math.prod(shape), "inter-species table", path)
         kinds["X"] = (shape, "X record needs k q k' q' re [im]")
-    rec = _records(toks[1 + len(names):], kinds)
+    rec = _records(toks, no, kinds)  # the records follow the last size line
     specs = [_species(space, rec[h], rec[w]) for space, (_, _, h, w) in zip(spaces, species)]
     if not mix:
         return specs[0]
+    from .mixtures import InterSpeciesTable, MixtureHamiltonianSpec, MixtureSpace
+
     return MixtureHamiltonianSpec(MixtureSpace(*spaces), *specs, InterSpeciesTable(_dense(shape, *rec["X"])))
 
 
@@ -358,45 +362,56 @@ _H_USAGE = "H record needs k q re [im]"
 _W_USAGE = "W record needs k s q l re [im]"
 
 
-def _records(body, kinds) -> dict:
-    """Convert the body records in bulk: one ``int`` and one ``float`` pass per (tag, token count) group.
+_PADS, _PAD_AT = ("1", "0"), np.array([-2] * 4 + [-1] * 2)  # read where a record lacks an orbital slot or im
 
-    ``kinds`` maps each tag to (orbital limits, usage message).  Returns, per tag,
-    its records' 0-based indices (one row per index column) and coefficients in
-    file order.  Raises for the first bad line of the file, worded by :func:`_record_error`.
+
+@functools.lru_cache(maxsize=8)
+def _layout(kinds: tuple) -> tuple:
+    """Per kind of record: the places after its tag of 4 orbital slots, re and im (a slot it lacks lies past any
+    record), its orbital limits padded with 1; its code by tag; ``str(i) -> i - 1`` for the orbitals all kinds take."""
+    rows = [[*range(1, n + 1), *[1 << 30] * (4 - n), n + 1, n + 2, *lim, *[1] * (4 - n)]
+            for _, (lim, _) in kinds for n in [len(lim)]]
+    return (np.array(rows, dtype=np.int64), {tag: code for code, (tag, _) in enumerate(kinds)},
+            {str(i + 1): i for i in range(min(min(lim) for _, (lim, _) in kinds))})
+
+
+def _records(toks, first: int, kinds) -> dict:
+    """Convert the records a column at a time: one gather, then one ``int`` and one ``float`` pass.
+
+    The records are the lines of ``toks`` from the 0-based ``first`` on that hold tokens, and ``kinds``
+    maps each tag to (orbital limits, usage message).  Returns, per tag, its 0-based indices (one row per
+    index column) and coefficients in file order.  On any failure it raises for the first bad line.
     """
-    groups = defaultdict(list)
-    for rec in body:
-        groups[rec[1][0], len(rec[1])].append(rec)
-    bad, parts = [], defaultdict(list)
-    for (tag, width), recs in groups.items():
-        limits, _ = kinds.get(tag.upper(), ((), None))  # no limits: an unknown tag
-        n, (nos, rows) = len(limits), zip(*recs)
-        if not limits or width - n not in (2, 3):
-            bad.append(nos[0])
-            continue
-        cols = list(zip(*rows))
-        try:
-            idx = np.fromiter(map(int, chain.from_iterable(cols[1:n + 1])), np.int64, n * len(nos)).reshape(n, -1) - 1
-            values = np.fromiter(map(complex, *[map(float, c) for c in cols[n + 1:]]), np.complex128, len(nos))
-        except (ValueError, OverflowError):  # a token that is no number, or an orbital beyond int64
-            bad.append(next(no for no, tok in recs if _record_error(tok, no, kinds)))
-            continue
-        wrong = idx.view(np.uint64) >= np.array(limits, dtype=np.uint64)[:, None]  # unsigned, -1 is out too
-        if wrong.any() or not np.isfinite(values).all():
-            bad.append(nos[(wrong.any(axis=0) | ~np.isfinite(values)).argmax()])
-        parts[tag.upper()].append((nos, idx, values))
-    if bad:
-        no = min(bad)
-        raise _record_error(next(tok for n, tok in body if n == no), no, kinds)
-    out = {tag: (np.empty((len(limits), 0), dtype=np.int64), np.empty(0))
-           for tag, (limits, _) in kinds.items() if tag not in parts}
-    for tag, got in parts.items():
-        out[tag] = got[0][1:]
-        if len(got) > 1:  # records of more than one width or tag spelling go back into file order
-            order = np.argsort(np.concatenate([g[0] for g in got]))
-            out[tag] = np.concatenate([g[1] for g in got], axis=1)[:, order], np.concatenate([g[2] for g in got])[order]
-    return out
+    width = np.fromiter(map(len, islice(toks, first, None)), np.intp, len(toks) - first)
+    rows = width.nonzero()[0]  # the record lines, from first
+    width = width[rows]
+    flat = np.fromiter(chain(chain.from_iterable(islice(toks, first, None)), _PADS), object, width.sum() + 2)
+    start = np.cumsum(width) - width  # each record's tag in flat
+    tags = flat[start].tolist()
+    layout, code_by_tag, spelled = _layout(tuple(kinds.items()))
+    try:
+        code_of = {spelling: code_by_tag[spelling.upper()] for spelling in set(tags)}
+        code = np.fromiter(map(code_of.__getitem__, tags), np.intp, len(tags))
+        kind = layout[code]
+        if ((width - kind[:, 5]) & -2).any():  # re [im] follow the orbitals: im's place or one more
+            raise ValueError("token count")
+        field = flat[np.where(kind[:, :6] < width[:, None], kind[:, :6] + start[:, None], _PAD_AT).T]  # (6, records)
+        at = field[:4].ravel().tolist()
+        try:  # an orbital every kind takes, so in range
+            idx = np.fromiter(map(spelled.__getitem__, at), np.int64, len(at)).reshape(4, -1)
+        except KeyError:
+            idx = np.fromiter(map(int, at), np.int64, len(at)).reshape(4, -1) - 1
+            if (idx.view(np.uint64) >= kind[:, 6:].T.view(np.uint64)).any():  # unsigned: an orbital 0 is out too
+                raise ValueError("orbital range") from None
+        at = field[4:].T.ravel().tolist()
+        values = np.fromiter(map(float, at), np.float64, len(at)).view(np.complex128)  # (re, im) pairs
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite coefficient")
+    except (KeyError, ValueError, OverflowError):  # also an unknown tag or an orbital beyond int64
+        raise next(e for no in (rows + first + 1).tolist() if (e := _record_error(toks[no - 1], no, kinds))) from None
+    order = np.argsort(code, kind="stable") if (code[1:] < code[:-1]).any() else slice(None)  # tags together
+    idx, values, ends = idx[:, order], values[order], np.bincount(code, minlength=len(kinds)).cumsum().tolist()
+    return {tag: (idx[:len(lim), a:b], values[a:b]) for (tag, (lim, _)), a, b in zip(kinds.items(), [0, *ends], ends)}
 
 
 def _record_error(tok, no: int, kinds) -> Optional[IntegralFormatError]:

@@ -219,6 +219,39 @@ class TestIntegralFile:
         line, message = expected
         assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
 
+    # (file text, expected): the one-body entries (1-based) the file sets, or (line, message)
+    _SPELLINGS = [
+        (f"{_SINGLE}H 01 2 1.0\nH 2 +1 2.0\nH 0_1 1 3.0\n", {(1, 2): 1.0, (2, 1): 2.0, (1, 1): 3.0}),
+        (f"{_SINGLE}H \u0661 2 1.0\nH 2 \uff11 2.0\n", {(1, 2): 1.0, (2, 1): 2.0}),  # Arabic-Indic and fullwidth 1
+        (f"{_SINGLE}H 1.0 2 1.0\n", (4, "expected integer, got '1.0'")),
+        (f"{_SINGLE}H 1 1e0 1.0\n", (4, "expected integer, got '1e0'")),
+        (f"{_SINGLE}H 1 2 1_0.5\n", {(1, 2): 10.5}),
+        (f"{_SINGLE}H 1 2 -0.0 -0.0\nH 2 1 1.0 -0.0\n", {(1, 2): complex(-0.0, -0.0), (2, 1): complex(1.0, -0.0)}),
+        (f"{_SINGLE}H 1 2 inf\n", (4, "non-finite coefficient 'inf'")),
+        (f"{_SINGLE}H\x1c1\x0c2\xa01.0\n", {(1, 2): 1.0}),
+        ("STATISTICS BOSON\rN 2\r\nM 2\nH 1 1 1.0\rH 1 x 1.0\n", (5, "expected integer, got 'x'")),
+        (f"{_SINGLE}H 1 12345678901234567890 1.0\n", (4, "orbital index 12345678901234567890 outside [1, 2]")),
+        (f"{_SINGLE}h 1 2 1.0 0.5\nH 1 2 2.0\nH 2 1 3.0\nh 1 2 4.0 -1.0\nh 2 1 5.0 1.0\nH 2 1 6.0\n",
+         {(1, 2): 4.0 - 1.0j, (2, 1): 6.0}),
+    ]
+
+    @pytest.mark.parametrize("text,expected", _SPELLINGS)
+    def test_token_spellings(self, tmp_path, text, expected):
+        """Orbitals and coefficients take the spellings of ``int()`` and ``float()``, token for token, and
+        whitespace is str.split's; line ends of every kind count one line each."""
+        path = tmp_path / "spell.ints"
+        path.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, dict):
+            want = np.zeros((2, 2), dtype=np.complex128)
+            for (k, q), value in expected.items():
+                want[k - 1, q - 1] = value
+            assert load_integrals(path).one_body.matrix.tobytes() == want.tobytes()  # bitwise: keeps -0.0
+        else:
+            with pytest.raises(IntegralFormatError) as exc:
+                load_integrals(path)
+            line, message = expected
+            assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
     _BAD_HEADERS = [
         ("STATISTICS BOSON\nN 1\nN 2\nM 2\n", (3, "expected a size line M, got 'N 2'")),
         ("STATISTICS MIX BOSON FERMION\nNA 1\nNA 2\nMA 2\nNB 1\nMB 2\n",

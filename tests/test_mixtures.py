@@ -23,6 +23,7 @@ from fockops import (
     apply_intra_b,
     apply_mixture_hamiltonian,
     basis_state,
+    build_bose_hubbard,
     build_dense,
     fermion_sign_count,
     ground_state,
@@ -315,6 +316,27 @@ class TestSU2Multiplets:
         alone = propagate(single, psi0, t_final=0.2, dt=0.1, err_tol=1e-10).final_state
         mixed = propagate(mspec, _lowered(psi0, mspec.mspace), t_final=0.2, dt=0.1, err_tol=1e-10).final_state
         assert np.linalg.norm(mixed.amplitudes - _lowered(alone, mspec.mspace).amplitudes) <= 1e-10
+
+
+class TestEisenbergLieb:
+    """A two-component Bose-Hubbard chain with U_AA = U_BB = U_AB and J > 0 has a fully polarized
+    ground state (Eisenberg & Lieb 2002), so its ground energy is that of the single species of
+    N_A + N_B bosons.  B(4,7)xB(3,7), 17,640 amplitudes, is past the dense cap."""
+
+    @pytest.mark.parametrize("u_ab", [2.5, 1.25])
+    def test_ground_energy_of_the_single_species(self, u_ab):
+        spec_a, spec_b = build_bose_hubbard(4, 7, 1.0, 2.5), build_bose_hubbard(3, 7, 1.0, 2.5)
+        inter = np.zeros((7,) * 4)
+        for k in range(7):
+            inter[k, k, k, k] = u_ab
+        mspec = MixtureHamiltonianSpec(MixtureSpace(spec_a.space, spec_b.space), spec_a, spec_b, InterSpeciesTable(inter))
+        assert mspec.mspace.n_conf_total > DENSE_CAP
+        mixed = ground_state(mspec, tol=1e-10, seed=1).energy
+        single = ground_state(build_bose_hubbard(7, 7, 1.0, 2.5), tol=1e-10, seed=1).energy
+        if u_ab == 2.5:
+            assert abs(mixed - single) <= 1e-10
+        else:  # U_AB below U: the mixture's ground state is no longer the polarized one
+            assert abs(mixed - single) > 1e-3
 
 
 class TestOrbitalChecks:
