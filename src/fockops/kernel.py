@@ -82,22 +82,23 @@ hops and returns one by one instead (:class:`Factored`,
 
 - one-shot applies: a spec given to :func:`apply_hamiltonian` (the CLI's
   ``apply``, ``energy``) and the single terms.  One apply never pays back
-  the stacking: on dense boson(8,8), with the E-pair factoring, building
-  the 418,275 stacked entries took 29-39 ms and the stacked apply 18-31 ms,
-  where one cold per-pair apply took 24-39 ms.  An unsorted
-  ``np.bincount`` scatter, tried in a prototype, built in 4.9 ms and
-  applied in 15.2 ms against the sweeps' 18.9 ms: still no gain for one
-  apply.
+  the stacking: cold calls at 2 workers (medians of 15 alternating calls)
+  took 32 ms prepared and stacked against 18.5 ms swept on dense
+  boson(8,8), and 122 ms against 64 ms on boson(9,9).  An unsorted
+  ``np.bincount`` scatter, tried in a prototype before the pair part, built
+  in 4.9 ms and applied in 15.2 ms against the sweeps' 18.9 ms: no gain
+  for one apply either.
 - matrix-valued operators (mixtures): in a prototype on the 792 x 70
   amplitude matrix of the mixture-prop benchmark, a fully stacked matvec
   took 14.1 ms against the sweeps' 5.5 ms (faster in 0 of 60 calls), and
   stacking in chunks of 2^14, 2^16 and 2^18 amplitudes took 5.8, 6.2 and
   7.3 ms against 4.9, 4.7 and 5.2 ms (faster in 1 of 40 calls each).
 
-The choice follows from what is applied: :func:`apply_hamiltonian` runs a
-:class:`Prepared` single species' stacked parts and sweeps a spec, and
-mixtures always sweep, a species' pair part along its own axis of the
-amplitude matrix.  The per-pair paths keep the gathers of H's hops E_kq
+The choice follows from what is applied: :func:`apply_hamiltonian` runs
+the stacked parts of a :func:`prepare`d single species and sweeps a spec,
+and mixtures always sweep, each species' pair part along its own axis of
+the amplitude matrix and the inter-species pair part across both.  The
+per-pair paths keep the gathers of H's hops E_kq
 with k < q, at most M(M-1)/2 per space, in the space's gather pool under
 the key (k, q) (:meth:`fockspace.SpaceTables.cached_gather`), so each is
 built once per space; E_qk is served as the transpose of the kept E_kq
@@ -374,22 +375,13 @@ def real_linear(f: Callable, *coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-class Contraction(NamedTuple):
-    """sum_r E_r sum_c mat[r, c] E_c C: gathers of the pairs ``cols`` and ``rows``, each along its axis."""
-
-    cols: list
-    col_axis: int
-    mat: np.ndarray
-    rows: list
-    row_axis: int
-
-
 class PairPart(NamedTuple):
-    """sum_r R_r sum_c mat[r, c] T_c C along ``axis``: T_c the :func:`pair_table` rows ``src``, ``weight``, R_r the gathers ``rows``.
+    """sum_r R_r sum_c mat[r, c] T_c C: T_c row c of ``src``, ``weight`` along ``axis``, R_r the gather ``rows[r]`` along ``row_axis``.
 
-    T_c maps C to the space of N -/+ 2 particles and the :func:`pair_returns`
-    R_r map back; a prepared single species keeps ``rows`` in its stacked
-    sums instead.
+    A species' T_c is a :func:`pair_table` row, to N -/+ 2 particles, and its
+    R_r a :func:`pair_returns` gather (in the stacked sums, once prepared);
+    the inter-species T_c is E^B_c over all of B's configurations along
+    axis 1 and R_r is E^A_r along axis 0 (:func:`mixtures.factor_inter`).
     """
 
     src: np.ndarray
@@ -397,17 +389,15 @@ class PairPart(NamedTuple):
     mat: np.ndarray
     rows: list
     axis: int
+    row_axis: int
 
 
 class Factored(NamedTuple):
-    """diag * C + hops (gather, axis, coefficient) + contractions + pair parts on an amplitude matrix C, in ``dtype``.
+    """diag * C + hops (gather, axis, coefficient) + pair parts on an amplitude matrix C over ``space``, in ``dtype``; swept pair by pair."""
 
-    Applied by per-pair sweeps.
-    """
-
+    space: object
     diag: np.ndarray
     hops: list
-    contractions: list[Contraction]
     pairs: list[PairPart]
     dtype: np.dtype
 
@@ -423,25 +413,15 @@ class Sums(NamedTuple):
 
 
 class Stacked(NamedTuple):
-    """H on a vector with its gathers stacked: chi = mat @ (pair images), then the sums over [psi, chi].
+    """H over ``space`` with its gathers stacked: chi = mat @ (pair images), then the sums over [psi, chi].
 
     ``pairs`` is None when H has no pair part left after factoring.
     """
 
+    space: SpaceDescriptor
     pairs: PairPart | None
     sums: list[Sums]
     dtype: np.dtype
-
-
-class Prepared(NamedTuple):
-    """H factored once over ``space``, a snapshot of its tables; the apply entry points take it for a spec."""
-
-    space: object
-    op: Factored | Stacked
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.op.dtype
 
 
 def stack_sums(space: SpaceDescriptor, diag: np.ndarray, hops, returns, dtype) -> list[Sums]:
@@ -580,7 +560,7 @@ def pair_part(space: SpaceDescriptor, co: Coefficients, axis: int = 0) -> PairPa
     src, weight = pair_table(space, both)
     on = lambda a, pairs: a if pairs.size == both.size else a[np.searchsorted(both, pairs)]  # noqa: E731
     return PairPart(on(src, co.cols), on(weight, co.cols), co.mat,
-                    pair_returns(on(src, co.rows), on(weight, co.rows)), axis)
+                    pair_returns(on(src, co.rows), on(weight, co.rows)), axis, axis)
 
 
 def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) -> Factored:
@@ -591,10 +571,10 @@ def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) ->
     co = factor_coefficients(space, one_body, two_body)
     hops = [(g, axis, c) for g, c in zip(pair_gathers(space, co.hop_pairs), co.hop_coeffs)]
     part = pair_part(space, co, axis)
-    return Factored(co.diag, hops, [], [part] if part else [], co.dtype)
+    return Factored(space, co.diag, hops, [part] if part else [], co.dtype)
 
 
-def prepare(spec) -> Prepared:
+def prepare(spec) -> Stacked:
     """``spec``'s Hamiltonian factored once, its gathers stacked, to apply many times.
 
     The hop gathers come from the space's pool (:func:`pair_gathers`), and
@@ -613,13 +593,13 @@ def prepare(spec) -> Prepared:
         part = part._replace(rows=[])
     sums = stack_sums(space, co.diag, list(zip(co.hop_pairs, co.hop_coeffs)), returns, co.dtype)
     space.tables()._gather_cache.clear()
-    return Prepared(space, Stacked(part, sums, co.dtype))
+    return Stacked(space, part, sums, co.dtype)
 
 
 def _pair_blocks(part: PairPart, shape) -> list[tuple[int, int]]:
     """The fixed blocks in which :func:`_contract_pairs` forms ``part``'s images of an amplitude array of ``shape``.
 
-    Along axis 0 they cut the N -/+ 2 space, along axis 1 the rows; a
+    Along axis 0 they cut the table's columns, along axis 1 the rows; a
     block's images hold about :data:`BLOCK_AMPLITUDES` amplitudes.
     """
     n_mid = part.src.shape[1]
@@ -631,8 +611,9 @@ def _pair_blocks(part: PairPart, shape) -> list[tuple[int, int]]:
 def _contract_pairs(part: PairPart, amps: np.ndarray, chi: np.ndarray, lo: int, hi: int) -> None:
     """Block lo..hi-1 of chi = mat @ (``part``'s images of ``amps``): one gather, one multiply and one GEMM.
 
-    chi[r] is shaped like ``amps`` with the N -/+ 2 space along ``part.axis``.
-    Along axis 0 the block cuts the N -/+ 2 space, along axis 1 the rows.
+    chi[r] is shaped like ``amps`` with the table's columns along
+    ``part.axis``.  Along axis 0 the block cuts those columns, along axis 1
+    the rows.
     """
     if part.axis == 0:
         images = amps.take(part.src[:, lo:hi], axis=0)
@@ -674,59 +655,44 @@ def _apply_stacked(op: Stacked, amps: np.ndarray, workers: int) -> np.ndarray:
 def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarray:
     """``op`` applied to the amplitude vector or matrix ``amps`` in fixed blocks, pair by pair.
 
-    First the contractions: the inter-species chi per block of rows
-    (images E_c C and one GEMM) and each pair part's chi per block of its
-    images (:func:`_contract_pairs`).  Then each block of rows writes
-    diag * C, every hop and every return of a chi into its own rows.
-    Every buffer takes the common dtype of ``amps`` and ``op``: a real
-    operator on a real vector computes in float64.
+    First each pair part's chi, per block of its images
+    (:func:`_contract_pairs`).  Then each block of rows writes diag * C,
+    every hop and every return of a chi into its own rows.  Every buffer
+    takes the common dtype of ``amps`` and ``op``: a real operator on a
+    real vector computes in float64.
     """
     diag = np.broadcast_to(op.diag, amps.shape)
     dtype = np.result_type(amps, op.dtype)
-    chis = [np.empty((len(c.rows),) + amps.shape, dtype=dtype) for c in op.contractions]
-    pair_chis = [np.empty((len(p.rows),) + amps.shape[:p.axis] + (p.src.shape[1],) + amps.shape[p.axis + 1:],
-                          dtype=dtype) for p in op.pairs]
+    chis = [np.empty((len(p.rows),) + amps.shape[:p.axis] + (p.src.shape[1],) + amps.shape[p.axis + 1:],
+                     dtype=dtype) for p in op.pairs]
     out = np.empty(amps.shape, dtype=dtype)
-
-    def contract(lo, hi):
-        for c, chi in zip(op.contractions, chis):
-            phi = np.zeros((len(c.cols), hi - lo) + amps.shape[1:], dtype=dtype)
-            for gather, image in zip(c.cols, phi):
-                sweep(gather, c.col_axis, amps, image, lo, hi)
-            chi[:, lo:hi] = (c.mat @ phi.reshape(len(c.cols), -1)).reshape((-1,) + phi.shape[1:])
 
     def assemble(lo, hi):
         block = out[lo:hi]
         np.multiply(diag[lo:hi], amps[lo:hi], out=block)
         for gather, axis, coeff in op.hops:
             sweep(gather, axis, amps, block, lo, hi, coeff)
-        for c, chi in zip(op.contractions, chis):
-            for gather, part in zip(c.rows, chi):
-                sweep(gather, c.row_axis, part, block, lo, hi)
-        for part, chi in zip(op.pairs, pair_chis):
+        for part, chi in zip(op.pairs, chis):
             for gather, image in zip(part.rows, chi):
-                sweep(gather, part.axis, image, block, lo, hi)
+                sweep(gather, part.row_axis, image, block, lo, hi)
 
-    blocks = row_blocks(amps.shape[0], amps.size // amps.shape[0])
-    if chis:
-        run_blocks(lambda block: contract(*block), blocks, workers)
-    for part, chi in zip(op.pairs, pair_chis):
+    for part, chi in zip(op.pairs, chis):
         run_blocks(lambda block: _contract_pairs(part, amps, chi, *block), _pair_blocks(part, amps.shape), workers)
-    run_blocks(lambda block: assemble(*block), blocks, workers)
+    run_blocks(lambda block: assemble(*block), row_blocks(amps.shape[0], amps.size // amps.shape[0]), workers)
     return out
 
 
 def apply_hamiltonian(spec, psi: StateVector, workers: int = 1) -> StateVector:
-    """H|Psi> = sum_kq h_kq |Psi^{kq}> + (1/2) sum_ksql W_ksql |Psi^{kslq}>, H a spec or :class:`Prepared`.
+    """H|Psi> = sum_kq h_kq |Psi^{kq}> + (1/2) sum_ksql W_ksql |Psi^{kslq}>, H a spec or :func:`prepare`d.
 
-    A :class:`Prepared` H runs its stacked parts.  A spec is factored for
+    A prepared H (:class:`Stacked`) runs its stacked parts.  A spec is factored for
     this one call and swept pair by pair: stacking its gathers would cost
     more than the one apply saves.
     """
     if not isinstance(psi, StateVector) or spec.space != psi.space:
         raise SpaceMismatchError("Hamiltonian and state belong to different spaces")
-    if isinstance(spec, Prepared):
-        return StateVector(spec.space, _apply_stacked(spec.op, psi.amplitudes, workers))
+    if isinstance(spec, Stacked):
+        return StateVector(spec.space, _apply_stacked(spec, psi.amplitudes, workers))
     op = factor_species(spec.space, spec.one_body, spec.two_body)
     return StateVector(spec.space, apply_factored(op, psi.amplitudes, workers))
 

@@ -231,17 +231,19 @@ def mixture_terms(mspec: MixtureHamiltonianSpec):
     return terms
 
 
-def _factor_species(spec: HamiltonianSpec, axis: int) -> kernel.Factored:
+def _factor_species(mspace: MixtureSpace, spec: HamiltonianSpec, axis: int) -> kernel.Factored:
     op = kernel.factor_species(spec.space, spec.one_body, spec.two_body, axis)
-    return op._replace(diag=op.diag[:, None] if axis == 0 else op.diag[None, :])
+    return op._replace(space=mspace, diag=op.diag[:, None] if axis == 0 else op.diag[None, :])
 
 
 def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace) -> kernel.Factored:
-    """W^{AB} as a (M_A², M_B²) pair matrix: E^B sweeps, one contraction, then E^A sweeps.
+    """W^{AB} as a (M_A², M_B²) pair matrix in one :class:`kernel.PairPart`: E^B images along J_B, E^A returns along J_A.
 
     The block k = q, k' = q' multiplies n^A_k n^B_k' and becomes the diagonal
-    occ_A @ X_dd @ occ_B^T.  Entries below :data:`kernel.SKIP_THRESHOLD` are
-    dropped; a table whose kept entries are all real gives a float64 operator.
+    occ_A @ X_dd @ occ_B^T; row c of the part's table is E^B_c over all of
+    B's configurations, source 0 and weight 0 where it does not act.
+    Entries below :data:`kernel.SKIP_THRESHOLD` are dropped; a table whose
+    kept entries are all real gives a float64 operator.
     """
     (k, q, kp, qp), v = table.kept(kernel.SKIP_THRESHOLD)
     if kernel.all_real(v):
@@ -254,50 +256,50 @@ def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace) -> kernel.Facto
     space_a, space_b = mspace.space_a, mspace.space_b
     occ_a, occ_b = (s.tables().occ for s in (space_a, space_b))
     diag = kernel.real_linear(lambda x: occ_a @ x @ occ_b.T, xd)
-    contractions = []
+    pairs = []
     if rows.size:
-        contractions.append(kernel.Contraction(kernel.pair_gathers(space_b, cols), 1, xm,
-                                               kernel.pair_gathers(space_a, rows), 0))
-    return kernel.Factored(diag, [], contractions, [], v.dtype)
+        src, weight = np.zeros((cols.size, space_b.n_conf), dtype=np.intp), np.zeros((cols.size, space_b.n_conf))
+        for s, w, (g_src, pref, _, act) in zip(src, weight, kernel.pair_gathers(space_b, cols)):
+            s[act], w[act] = g_src, pref
+        pairs.append(kernel.PairPart(src, weight, xm, kernel.pair_gathers(space_a, rows), 1, 0))
+    return kernel.Factored(mspace, diag, [], pairs, v.dtype)
 
 
-def prepare(mspec: MixtureHamiltonianSpec) -> kernel.Prepared:
+def prepare(mspec: MixtureHamiltonianSpec) -> kernel.Factored:
     """H^{(A)} + H^{(B)} + W^{(AB)} factored once into one operator on the J_A x J_B amplitude matrix."""
-    parts = [_factor_species(mspec.spec_a, 0), _factor_species(mspec.spec_b, 1),
+    parts = [_factor_species(mspec.mspace, mspec.spec_a, 0), _factor_species(mspec.mspace, mspec.spec_b, 1),
              factor_inter(mspec.inter, mspec.mspace)]
-    op = kernel.Factored(sum(p.diag for p in parts), [h for p in parts for h in p.hops],
-                         [c for p in parts for c in p.contractions], [x for p in parts for x in p.pairs],
-                         np.result_type(*[p.dtype for p in parts]))
-    return kernel.Prepared(mspec.mspace, op)
+    return kernel.Factored(mspec.mspace, sum(p.diag for p in parts), [h for p in parts for h in p.hops],
+                           [x for p in parts for x in p.pairs], np.result_type(*[p.dtype for p in parts]))
 
 
 def apply_intra_a(spec_a: HamiltonianSpec, psi: MixtureStateVector) -> MixtureStateVector:
     """Apply the A-species Hamiltonian to the A index for every fixed J_B."""
     if spec_a.space != psi.mspace.space_a:
         raise SpaceMismatchError("A-species spec does not match the mixture space")
-    return apply_mixture_hamiltonian(kernel.Prepared(psi.mspace, _factor_species(spec_a, 0)), psi)
+    return apply_mixture_hamiltonian(_factor_species(psi.mspace, spec_a, 0), psi)
 
 
 def apply_intra_b(spec_b: HamiltonianSpec, psi: MixtureStateVector) -> MixtureStateVector:
     """Mirror of :func:`apply_intra_a` for the B species."""
     if spec_b.space != psi.mspace.space_b:
         raise SpaceMismatchError("B-species spec does not match the mixture space")
-    return apply_mixture_hamiltonian(kernel.Prepared(psi.mspace, _factor_species(spec_b, 1)), psi)
+    return apply_mixture_hamiltonian(_factor_species(psi.mspace, spec_b, 1), psi)
 
 
 def apply_inter(table: InterSpeciesTable, psi: MixtureStateVector) -> MixtureStateVector:
     """sum W^{AB}_{kk'qq'} a†_k a_q b†_{k'} b_{q'} |Psi>."""
     if table.m_a != psi.mspace.space_a.m or table.m_b != psi.mspace.space_b.m:
         raise SpaceMismatchError("inter-species table does not match the mixture space")
-    return apply_mixture_hamiltonian(kernel.Prepared(psi.mspace, factor_inter(table, psi.mspace)), psi)
+    return apply_mixture_hamiltonian(factor_inter(table, psi.mspace), psi)
 
 
 def apply_mixture_hamiltonian(mspec, psi: MixtureStateVector, workers: int = 1) -> MixtureStateVector:
     """H^{(A)}|Psi> + H^{(B)}|Psi> + W^{(AB)}|Psi> in J_A row blocks; ``mspec`` is a spec or :func:`prepare`d."""
     if mspec.space != psi.mspace:
         raise SpaceMismatchError("mixture spec and state live in different spaces")
-    prep = mspec if isinstance(mspec, kernel.Prepared) else prepare(mspec)
-    return MixtureStateVector(psi.mspace, kernel.apply_factored(prep.op, psi.as_matrix(), workers).ravel())
+    op = mspec if isinstance(mspec, kernel.Factored) else prepare(mspec)
+    return MixtureStateVector(psi.mspace, kernel.apply_factored(op, psi.as_matrix(), workers).ravel())
 
 
 # -- serialization -----------------------------------------------------------

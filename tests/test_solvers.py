@@ -380,7 +380,7 @@ class TestRealArithmetic:
         op = kernel.prepare(spec)  # tables and gathers are cached before tracing
         matvec_peak = _peak_bytes(lambda: apply_hamiltonian(op, psi))
         if not real:
-            op = op._replace(op=op.op._replace(dtype=np.dtype(np.complex128)))
+            op = op._replace(dtype=np.dtype(np.complex128))
         monkeypatch.setattr(kernel, "prepare", lambda spec: op)
 
         def solve():
