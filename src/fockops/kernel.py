@@ -98,13 +98,13 @@ The choice follows from what is applied: :func:`apply_hamiltonian` runs
 the stacked parts of a :func:`prepare`d single species and sweeps a spec,
 and mixtures always sweep, each species' pair part along its own axis of
 the amplitude matrix and the inter-species pair part across both.  The
-per-pair paths keep the gathers of H's hops E_kq
-with k < q, at most M(M-1)/2 per space, in the space's gather pool under
-the key (k, q) (:meth:`fockspace.SpaceTables.cached_gather`), so each is
-built once per space; E_qk is served as the transpose of the kept E_kq
-(:func:`transpose`), and single terms reuse a kept gather or build theirs
-per call.  The pair table is built per factoring and kept by a prepared
-operator, not by the pool.
+per-pair paths keep the gathers of H's hops E_kq with k < q, at most
+M(M-1)/2 per space, in the space's gather pool under the key (k, q)
+(:meth:`fockspace.SpaceTables.cached_gather`), so each is built once per
+space; E_qk is served as the transpose of the kept E_kq (:func:`transpose`),
+and single terms reuse a kept gather or build theirs per call.  The pair
+table is built per factoring and kept by a prepared operator, not by the
+pool.
 
 The work is cut into blocks that do not depend on the worker count: a
 per-pair apply uses fixed row blocks, the pair images fixed blocks of
@@ -685,9 +685,9 @@ def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarr
 def apply_hamiltonian(spec, psi: StateVector, workers: int = 1) -> StateVector:
     """H|Psi> = sum_kq h_kq |Psi^{kq}> + (1/2) sum_ksql W_ksql |Psi^{kslq}>, H a spec or :func:`prepare`d.
 
-    A prepared H (:class:`Stacked`) runs its stacked parts.  A spec is factored for
-    this one call and swept pair by pair: stacking its gathers would cost
-    more than the one apply saves.
+    A prepared H (:class:`Stacked`) runs its stacked parts.  A spec is
+    factored for this one call and swept pair by pair: stacking its gathers
+    would cost more than the one apply saves.
     """
     if not isinstance(psi, StateVector) or spec.space != psi.space:
         raise SpaceMismatchError("Hamiltonian and state belong to different spaces")
