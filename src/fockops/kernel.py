@@ -88,23 +88,41 @@ hops and returns one by one instead (:class:`Factored`,
   ``np.bincount`` scatter, tried in a prototype before the pair part, built
   in 4.9 ms and applied in 15.2 ms against the sweeps' 18.9 ms: no gain
   for one apply either.
-- matrix-valued operators (mixtures): in a prototype on the 792 x 70
-  amplitude matrix of the mixture-prop benchmark, a fully stacked matvec
-  took 14.1 ms against the sweeps' 5.5 ms (faster in 0 of 60 calls), and
+- matrix-valued operators (mixtures), but for a small species' dense
+  matrix (below): in a prototype on the 792 x 70 amplitude matrix of the
+  mixture-prop benchmark, before that matrix, a fully stacked matvec took
+  14.1 ms against the sweeps' 5.5 ms (faster in 0 of 60 calls), and
   stacking in chunks of 2^14, 2^16 and 2^18 amplitudes took 5.8, 6.2 and
   7.3 ms against 4.9, 4.7 and 5.2 ms (faster in 1 of 40 calls each).
 
 The choice follows from what is applied: :func:`apply_hamiltonian` runs
-the stacked parts of a :func:`prepare`d single species and sweeps a spec,
-and mixtures always sweep, each species' pair part along its own axis of
-the amplitude matrix and the inter-species pair part across both.  The
-per-pair paths keep the gathers of H's hops E_kq with k < q, at most
-M(M-1)/2 per space, in the space's gather pool under the key (k, q)
-(:meth:`fockspace.SpaceTables.cached_gather`), so each is built once per
-space; E_qk is served as the transpose of the kept E_kq (:func:`transpose`),
-and single terms reuse a kept gather or build theirs per call.  The pair
-table is built per factoring and kept by a prepared operator, not by the
-pool.
+the stacked parts of a :func:`prepare`d single species and sweeps a spec.
+A mixture sweeps its inter-species pair part across both axes of the
+amplitude matrix C, and a species with N_conf^2 > :data:`BLOCK_AMPLITUDES`
+(more than 128 configurations) along its own axis.  A smaller species is
+one dense N_conf x N_conf matrix H, built by these same sweeps applied to
+the identity (:func:`mixtures._factor_species`), and each row block adds
+H[lo:hi] @ C (axis 0) or C[lo:hi] @ H.T (axis 1) with one GEMM
+(:class:`Factored`): direct CI's answer for a small string space (Olsen
+et al. 1988).  One species' H against 792 rows or columns of the other's,
+complex C, took in ms (medians on a 2-core x86 VM with one OpenBLAS
+thread, sweeps -> GEMM):
+
+    species                         axis 1          axis 0
+    F(4,8) chain, 70                1.66 -> 0.66    1.78 -> 1.10
+    F(3,9) dense h, 84              12.1 -> 1.41    10.3 -> 1.61
+    B(3,8) Bose-Hubbard, 120        3.95 -> 2.70    3.18 -> 3.02
+    F(1,128) chain, 128             21.1 -> 3.19    9.44 -> 3.40
+    F(3,12) chain, 220 (above cut)  7.98 -> 8.36    5.32 -> 6.76
+
+so the cut, which reuses the block size and adds no constant, sits at or
+below the crossover on both axes.  The per-pair paths keep the gathers of
+H's hops E_kq with k < q, at most M(M-1)/2 per space, in the space's
+gather pool under the key (k, q) (:meth:`fockspace.SpaceTables.cached_gather`),
+so each is built once per space; E_qk is served as the transpose of the
+kept E_kq (:func:`transpose`), and single terms reuse a kept gather or
+build theirs per call.  The pair table is built per factoring and kept by
+a prepared operator, not by the pool.
 
 The work is cut into blocks that do not depend on the worker count: a
 per-pair apply uses fixed row blocks, the pair images fixed blocks of
@@ -217,7 +235,9 @@ def sweep(gather, axis: int, amps: np.ndarray, out: np.ndarray, lo: int, hi: int
         i, j = act.searchsorted((lo, hi))
         if j > i:
             weight = (coeff * pref[i:j]).reshape((-1,) + (1,) * (amps.ndim - 1))
-            out[act[i:j] - lo] += weight * amps[src[i:j]]
+            vals = amps.take(src[i:j], axis=0).astype(out.dtype, copy=False)
+            np.multiply(weight, vals, out=vals)  # weight first: the product's bits as weight * vals
+            out[act[i:j] - lo] += vals
     elif act.size:
         out[:, act] += (coeff * pref) * amps[lo:hi, src]
 
@@ -259,6 +279,8 @@ def apply_two_body_term(k: int, s: int, l: int, q: int, psi: StateVector) -> Sta
 # rows, 230,230 entries) summing per row block gathered 139,199 entries at
 # once, and the traced peak of a matvec was 1.7 MB above its inputs,
 # against 0.7 MB for the per-pair sweeps and 0.5 MB for blocks of entries.
+# A mixture species whose N_conf x N_conf matrix fits in one block is applied
+# as that dense matrix (module docstring).
 BLOCK_AMPLITUDES = 1 << 14
 
 
@@ -393,13 +415,22 @@ class PairPart(NamedTuple):
 
 
 class Factored(NamedTuple):
-    """diag * C + hops (gather, axis, coefficient) + pair parts on an amplitude matrix C over ``space``, in ``dtype``; swept pair by pair."""
+    """diag * C + hops (gather, axis, coefficient) + pair parts + ``dense`` on an amplitude matrix C over ``space``, in ``dtype``.
+
+    The hops and pair parts are swept pair by pair.  ``dense`` holds
+    (H, axis): a mixture species with N_conf^2 <= :data:`BLOCK_AMPLITUDES`
+    as its whole N_conf x N_conf matrix, diagonal, hops and pair part
+    included, applied along ``axis`` as H[lo:hi] @ C (axis 0) or
+    C[lo:hi] @ H.T (axis 1), one GEMM per row block in place of its sweeps;
+    the module docstring gives the crossover measured against them.
+    """
 
     space: object
     diag: np.ndarray
     hops: list
     pairs: list[PairPart]
     dtype: np.dtype
+    dense: list
 
 
 class Sums(NamedTuple):
@@ -571,7 +602,7 @@ def factor_species(space: SpaceDescriptor, one_body, two_body, axis: int = 0) ->
     co = factor_coefficients(space, one_body, two_body)
     hops = [(g, axis, c) for g, c in zip(pair_gathers(space, co.hop_pairs), co.hop_coeffs)]
     part = pair_part(space, co, axis)
-    return Factored(space, co.diag, hops, [part] if part else [], co.dtype)
+    return Factored(space, co.diag, hops, [part] if part else [], co.dtype, [])
 
 
 def prepare(spec) -> Stacked:
@@ -657,9 +688,9 @@ def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarr
 
     First each pair part's chi, per block of its images
     (:func:`_contract_pairs`).  Then each block of rows writes diag * C,
-    every hop and every return of a chi into its own rows.  Every buffer
-    takes the common dtype of ``amps`` and ``op``: a real operator on a
-    real vector computes in float64.
+    every hop, every return of a chi and every dense part's GEMM into its
+    own rows.  Every buffer takes the common dtype of ``amps`` and ``op``:
+    a real operator on a real vector computes in float64.
     """
     diag = np.broadcast_to(op.diag, amps.shape)
     dtype = np.result_type(amps, op.dtype)
@@ -675,6 +706,8 @@ def apply_factored(op: Factored, amps: np.ndarray, workers: int = 1) -> np.ndarr
         for part, chi in zip(op.pairs, chis):
             for gather, image in zip(part.rows, chi):
                 sweep(gather, part.row_axis, image, block, lo, hi)
+        for mat, axis in op.dense:
+            block += mat[lo:hi] @ amps if axis == 0 else amps[lo:hi] @ mat.T
 
     for part, chi in zip(op.pairs, chis):
         run_blocks(lambda block: _contract_pairs(part, amps, chi, *block), _pair_blocks(part, amps.shape), workers)

@@ -232,8 +232,19 @@ def mixture_terms(mspec: MixtureHamiltonianSpec):
 
 
 def _factor_species(mspace: MixtureSpace, spec: HamiltonianSpec, axis: int) -> kernel.Factored:
-    op = kernel.factor_species(spec.space, spec.one_body, spec.two_body, axis)
-    return op._replace(space=mspace, diag=op.diag[:, None] if axis == 0 else op.diag[None, :])
+    """One species' H along ``axis`` of the amplitude matrix: swept, or one dense matrix if it fits in a block.
+
+    A species with N_conf² <= :data:`kernel.BLOCK_AMPLITUDES` is its own H
+    applied to the identity, by the kernel's sweeps (diagonal, hops, pair
+    part), and acts as one GEMM per row block.
+    """
+    space = spec.space
+    if space.n_conf ** 2 > kernel.BLOCK_AMPLITUDES:
+        op = kernel.factor_species(space, spec.one_body, spec.two_body, axis)
+        return op._replace(space=mspace, diag=op.diag[:, None] if axis == 0 else op.diag[None, :])
+    # the 1-D diagonal d broadcasts along the last axis: on the identity d * I is the same either way
+    mat = kernel.apply_factored(kernel.factor_species(space, spec.one_body, spec.two_body), np.eye(space.n_conf))
+    return kernel.Factored(mspace, np.zeros((1, 1)), [], [], mat.dtype, [(mat, axis)])
 
 
 def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace) -> kernel.Factored:
@@ -262,15 +273,19 @@ def factor_inter(table: InterSpeciesTable, mspace: MixtureSpace) -> kernel.Facto
         for s, w, (g_src, pref, _, act) in zip(src, weight, kernel.pair_gathers(space_b, cols)):
             s[act], w[act] = g_src, pref
         pairs.append(kernel.PairPart(src, weight, xm, kernel.pair_gathers(space_a, rows), 1, 0))
-    return kernel.Factored(mspace, diag, [], pairs, v.dtype)
+    return kernel.Factored(mspace, diag, [], pairs, v.dtype, [])
 
 
 def prepare(mspec: MixtureHamiltonianSpec) -> kernel.Factored:
-    """H^{(A)} + H^{(B)} + W^{(AB)} factored once into one operator on the J_A x J_B amplitude matrix."""
+    """H^{(A)} + H^{(B)} + W^{(AB)} factored once into one operator on the J_A x J_B amplitude matrix.
+
+    A species with at most 128 configurations is one dense matrix (:func:`_factor_species`).
+    """
     parts = [_factor_species(mspec.mspace, mspec.spec_a, 0), _factor_species(mspec.mspace, mspec.spec_b, 1),
              factor_inter(mspec.inter, mspec.mspace)]
     return kernel.Factored(mspec.mspace, sum(p.diag for p in parts), [h for p in parts for h in p.hops],
-                           [x for p in parts for x in p.pairs], np.result_type(*[p.dtype for p in parts]))
+                           [x for p in parts for x in p.pairs], np.result_type(*[p.dtype for p in parts]),
+                           [d for p in parts for d in p.dense])
 
 
 def apply_intra_a(spec_a: HamiltonianSpec, psi: MixtureStateVector) -> MixtureStateVector:

@@ -255,7 +255,11 @@ def test_factored_mixture_apply_matches_oracle(space_a, space_b, data):
     mspec = MixtureHamiltonianSpec(mspace, HamiltonianSpec(space_a, ha, wa),
                                    HamiltonianSpec(space_b, hb, wb), InterSpeciesTable(x))
     psi = mixture_random_state(mspace, seed=data.draw(st.integers(0, 100)))
-    _assert_matches(apply_mixture_hamiltonian(mspec, psi).amplitudes, build_dense(mspec), psi.amplitudes)
+    with pytest.MonkeyPatch.context() as patch:
+        if data.draw(st.booleans()):  # one amplitude per block: every species with N_conf > 1 is swept, not dense
+            patch.setattr(kernel, "BLOCK_AMPLITUDES", 1)
+        got = apply_mixture_hamiltonian(mspec, psi).amplitudes
+    _assert_matches(got, build_dense(mspec), psi.amplitudes)
 
 
 @given(spaces(), st.data())
@@ -479,9 +483,10 @@ class TestRowBlocks:
     def test_prepared_apply_agrees_with_the_spec_apply(self, space, real):
         """H prepared once gives the same bits for 1, 2 and 4 workers and on every call; no two results alias.
 
-        A mixture keeps the per-pair sweeps, so its bits are those of a spec
-        factored per call; a single species sums its stacked parts in
-        another order, within TOL of the spec.
+        A mixture's prepared operator is the one a spec is factored into per
+        call (sweeps, or a species' dense matrix when it fits in a block),
+        so its bits are the spec's; a single species sums its stacked parts
+        in another order, within TOL of the spec.
         """
         mixture = isinstance(space, MixtureSpace)
         if mixture:
@@ -515,6 +520,59 @@ class TestRowBlocks:
         built = _count_builds(monkeypatch)
         parallel_apply(spec, psi, workers=2)
         assert built == []
+
+
+def _sparse_mixture_spec(mspace, seed, real):
+    """Random tables, neither Hermitian, sparse enough for the oracle at M = 129.
+
+    Each species' h keeps about four entries per orbital and its W about
+    20; the inter-species table keeps about 20.  ``real`` keeps real parts.
+    """
+    rng = np.random.default_rng(seed)
+    cast = (lambda a: a.real) if real else (lambda a: a)  # noqa: E731
+
+    def species(space):
+        m = space.m
+        h = _complex(rng, (m, m)) * (rng.random((m, m)) < 4 / m)
+        keys = sorted({tuple(map(int, row)) for row in rng.integers(0, m, size=(20, 4))})
+        w = TwoBodyTable.from_entries(m, [(k + 1, s + 1, q + 1, l + 1, v)
+                                          for (k, s, q, l), v in zip(keys, cast(_complex(rng, len(keys))))])
+        return HamiltonianSpec(space, OneBodyTable(cast(h)), w)
+
+    sa, sb = mspace.space_a, mspace.space_b
+    x = np.zeros((sa.m, sa.m, sb.m, sb.m), dtype=np.complex128)
+    x[tuple(rng.integers(0, x.shape, size=(20, 4)).T)] = _complex(rng, 20)
+    return MixtureHamiltonianSpec(mspace, species(sa), species(sb), InterSpeciesTable(cast(x)))
+
+
+class TestDenseSpecies:
+    """A species with N_conf² <= BLOCK_AMPLITUDES is one dense matrix; a larger one keeps sweeping."""
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("space, dense", [
+        pytest.param(MixtureSpace(SpaceDescriptor.fermion(2, 17), SpaceDescriptor.boson(2, 3)), [(6, 1)],
+                     id="F(2,17)xB(2,3)"),
+        pytest.param(MixtureSpace(SpaceDescriptor.boson(2, 3), SpaceDescriptor.fermion(2, 17)), [(6, 0)],
+                     id="B(2,3)xF(2,17)"),
+        pytest.param(MixtureSpace(SpaceDescriptor.fermion(1, 128), SpaceDescriptor.fermion(1, 2)),
+                     [(128, 0), (2, 1)], id="F(1,128)xF(1,2)"),
+        pytest.param(MixtureSpace(SpaceDescriptor.fermion(1, 129), SpaceDescriptor.fermion(1, 2)), [(2, 1)],
+                     id="F(1,129)xF(1,2)"),
+    ])
+    def test_both_sides_of_the_cut_match_the_oracle(self, space, dense, real):
+        """136 = F(2,17) and 129 configurations sweep; 6, 2 and 128 are dense, in float64 for a real spec."""
+        spec = _sparse_mixture_spec(space, seed=space.n_conf_total, real=real)
+        op = mixtures.prepare(spec)
+        assert [(len(mat), axis) for mat, axis in op.dense] == dense
+        assert all(mat.dtype == (np.float64 if real else np.complex128) for mat, _ in op.dense)
+        psi = mixture_random_state(space, seed=3)
+        if real:
+            psi = type(psi)(space, psi.amplitudes.real.copy())
+        ref = apply_mixture_hamiltonian(op, psi, workers=1).amplitudes
+        assert ref.dtype == psi.amplitudes.dtype
+        for workers in (2, 4):
+            np.testing.assert_array_equal(apply_mixture_hamiltonian(op, psi, workers=workers).amplitudes, ref)
+        _assert_matches(ref, build_dense(spec), psi.amplitudes)
 
 
 def _built_pair_gathers(space, pairs) -> list:
