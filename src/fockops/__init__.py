@@ -68,20 +68,15 @@ from .mixtures import (
     InterSpeciesTable,
     MixtureHamiltonianSpec,
     MixtureSpace,
-    MixtureStateVector,
     apply_inter,
     apply_inter_term,
     apply_intra_a,
     apply_intra_b,
     apply_mixture_hamiltonian,
-    load_mixture_state,
     mixture_address,
     mixture_basis_state,
-    mixture_dot,
     mixture_random_state,
-    mixture_zero_state,
     product_state,
-    save_mixture_state,
 )
 from .observables import (
     energy,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import combinadics as cmb
-from . import executor, mixtures, observables, oracle, solvers
+from . import executor, observables, oracle, solvers
 from .combinadics import BOSON, FERMION
 from .errors import (
     AddressError,
@@ -39,13 +39,7 @@ from .fockspace import (
     save_state,
 )
 from .hamiltonian import HERMITICITY_TOL, load_integrals, validate
-from .mixtures import (
-    MixtureHamiltonianSpec,
-    MixtureStateVector,
-    load_mixture_state,
-    mixture_basis_state,
-    save_mixture_state,
-)
+from .mixtures import MixtureHamiltonianSpec, MixtureSpace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -197,7 +191,7 @@ def _cmd_enum_mix(args) -> int:
         raise InvalidSpaceError("--mix requires -NB and -MB")
     if args.J is not None or not args.all:
         _check_printable_count((stats[0], args.N, args.M), (stats[1], args.NB, args.MB))
-    mspace = mixtures.MixtureSpace(
+    mspace = MixtureSpace(
         SpaceDescriptor(stats[0], args.N, args.M),
         SpaceDescriptor(stats[1], args.NB, args.MB),
     )
@@ -214,7 +208,7 @@ def _cmd_enum_mix(args) -> int:
             for j_b, text_b in enumerate(texts_b, start=1):
                 lines.append(f"{mspace.address(j_a, j_b)} {j_a} {j_b} {text_a} {text_b}")
     if not lines:
-        lines.append(f"N_conf_total {_decimal(mspace.n_conf_total)}")
+        lines.append(f"N_conf_total {_decimal(mspace.n_conf)}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -231,7 +225,7 @@ def _resolve_initial(spec, text: str):
             raise InvalidConfigurationError("mixture literal needs 'A;B'")
         j_a = _literal_to_address(spec.mspace.space_a, parts[0])
         j_b = _literal_to_address(spec.mspace.space_b, parts[1])
-        return mixture_basis_state(spec.mspace, j_a, j_b)
+        return basis_state(spec.mspace, spec.mspace.address(j_a, j_b))
     return basis_state(spec.space, _literal_to_address(spec.space, text))
 
 
@@ -255,15 +249,10 @@ def _rank_occupations(space: SpaceDescriptor, occ) -> int:
 
 def _load_vector(spec, path):
     """A vector file for ``spec``'s space (single species or mixture)."""
-    mix = isinstance(spec, MixtureHamiltonianSpec)
-    psi = load_mixture_state(path) if mix else load_state(path)
+    psi = load_state(path)
     if psi.space != spec.space:
         raise FockError(f"{path}: vector space does not match the integral file")
     return psi
-
-
-def _save_vector(psi, path) -> None:
-    (save_mixture_state if isinstance(psi, MixtureStateVector) else save_state)(psi, path)
 
 
 def _emit(args, text: str) -> None:
@@ -306,18 +295,14 @@ def cmd_gs(args) -> int:
         "seed": args.seed,
         "workers": workers,
     }
-    if isinstance(result.state, MixtureStateVector):
-        rho_a, rho_b = observables.mixture_densities(result.state)
-        report["natural_occupations_a"] = [float(x) for x in observables.natural_occupations(rho_a)]
-        report["natural_occupations_b"] = [float(x) for x in observables.natural_occupations(rho_b)]
-        if args.densities:
-            report["rho_a"] = [[[v.real, v.imag] for v in row] for row in rho_a]
-            report["rho_b"] = [[[v.real, v.imag] for v in row] for row in rho_b]
+    if isinstance(result.state.space, MixtureSpace):
+        rhos = zip(("_a", "_b"), observables.mixture_densities(result.state))
     else:
-        rho = observables.one_body_density(result.state)
-        report["natural_occupations"] = [float(x) for x in observables.natural_occupations(rho)]
+        rhos = [("", observables.one_body_density(result.state))]
+    for suffix, rho in rhos:
+        report["natural_occupations" + suffix] = [float(x) for x in observables.natural_occupations(rho)]
         if args.densities:
-            report["rho"] = [[[v.real, v.imag] for v in row] for row in rho]
+            report["rho" + suffix] = [[[v.real, v.imag] for v in row] for row in rho]
     if args.oracle:
         mat = oracle.build_dense(spec)
         evals, _ = oracle.dense_eig(mat)
@@ -356,7 +341,7 @@ def cmd_prop(args) -> int:
     else:
         solvers.write_series_csv(result, sys.stdout, oracle_deviation=deviation)
     if args.save_state:
-        _save_vector(result.final_state, args.save_state)
+        save_state(result.final_state, args.save_state)
     return EXIT_OK
 
 
@@ -366,7 +351,7 @@ def cmd_apply(args) -> int:
     psi = _load_vector(spec, args.infile)
     hpsi = executor.parallel_apply(spec, psi, workers=workers)
     if args.out:
-        _save_vector(hpsi, args.out)
+        save_state(hpsi, args.out)
     expectation = complex(np.vdot(psi.amplitudes, hpsi.amplitudes))
     report = {
         "format": "fockops-apply/1",

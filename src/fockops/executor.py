@@ -34,11 +34,11 @@ def resolve_workers(workers: int | None = None) -> int:
 def parallel_apply(spec, psi, workers: int | None = None):
     """H|psi> with row blocks spread over ``workers`` threads; bitwise equal to serial.
 
-    The kind of ``psi`` picks the engine, so ``spec`` may be a spec or a
-    prepared operator of either kind; one that does not fit ``psi`` is a
-    SpaceMismatchError.
+    The kind of ``psi``'s space picks the engine, so ``spec`` may be a spec
+    or a prepared operator of either kind; one that does not fit ``psi`` is
+    a SpaceMismatchError.
     """
     workers = resolve_workers(workers)
-    if isinstance(psi, mixtures.MixtureStateVector):
+    if isinstance(psi.space, mixtures.MixtureSpace):
         return mixtures.apply_mixture_hamiltonian(spec, psi, workers=workers)
     return kernel.apply_hamiltonian(spec, psi, workers=workers)

@@ -6,8 +6,9 @@ builds the dense per-configuration tables the operator kernel gathers
 from.  Its ladder table, weights included, re-addresses a space through
 the space of one particle fewer or more: the kernel's pair gathers and
 the densities both read it, and with the next one, two particles fewer
-or more, the kernel's pair part and rho2.  State vectors are dense
-complex arrays indexed by address J (array slot J - 1).
+or more, the kernel's pair part and rho2.  State vectors, over one
+species or a mixture of two, are dense arrays indexed by address J (array
+slot J - 1), and one binary format with a species count stores either.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import combinadics as cmb
 from .combinadics import BOSON, FERMION
 from .errors import AddressError, FockError, InvalidSpaceError, SpaceMismatchError
 
-_VEC_MAGIC = b"FOCKVEC1"
+_VEC_MAGIC = (b"FOCKVEC1", b"FOCKMIX1")  # binary vector magic of one species, and of two
 _STAT_BYTE = {FERMION: 0, BOSON: 1}
 _BYTE_STAT = {0: FERMION, 1: BOSON}
 _COPY_ENTRIES = 1 << 15  # occupation_table gathers the previous level's rows this many entries at a time
@@ -84,6 +85,11 @@ class SpaceDescriptor:
 
     def __hash__(self):
         return hash((self.statistics, self.n, self.m))
+
+    @property
+    def species(self) -> tuple["SpaceDescriptor"]:
+        """``(self,)``: a single-species space is its one species (a mixture space has two)."""
+        return (self,)
 
     # -- addressing ------------------------------------------------------
 
@@ -311,16 +317,17 @@ class SpaceTables:
 
 
 class StateVector:
-    """Dense amplitudes over a complete Fock subspace.
+    """Dense amplitudes over a complete Fock subspace or a mixture of two (:class:`mixtures.MixtureSpace`).
 
-    Slot J - 1 stores the coefficient of the configuration with address J.
-    A float64 array is kept as it is (real arithmetic for real
-    Hamiltonians); anything else becomes complex128.
+    Slot J - 1 stores the coefficient of the configuration with address J;
+    in a mixture J = (J_A - 1) N^B_conf + J_B.  A float64 array is kept as
+    it is (real arithmetic for real Hamiltonians); anything else becomes
+    complex128.
     """
 
     __slots__ = ("space", "amplitudes")
 
-    def __init__(self, space: SpaceDescriptor, amplitudes: np.ndarray):
+    def __init__(self, space, amplitudes: np.ndarray):
         amplitudes = amplitude_array(amplitudes)
         if amplitudes.shape != (space.n_conf,):
             raise FockError(
@@ -346,11 +353,11 @@ def amplitude_array(amplitudes) -> np.ndarray:
     return np.asarray(amplitudes, dtype=np.complex128)
 
 
-def zero_state(space: SpaceDescriptor) -> StateVector:
+def zero_state(space) -> StateVector:
     return StateVector(space, np.zeros(space.n_conf, dtype=np.complex128))
 
 
-def basis_state(space: SpaceDescriptor, j: int) -> StateVector:
+def basis_state(space, j: int) -> StateVector:
     """Unit vector on the configuration with address ``j``."""
     if not 1 <= j <= space.n_conf:
         raise AddressError(f"address {j} outside [1, {space.n_conf}]")
@@ -359,7 +366,7 @@ def basis_state(space: SpaceDescriptor, j: int) -> StateVector:
     return StateVector(space, amps)
 
 
-def random_state(space: SpaceDescriptor, seed: int = 0) -> StateVector:
+def random_state(space, seed: int = 0) -> StateVector:
     """Seeded random normalized vector (reproducible)."""
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(space.n_conf) + 1j * rng.standard_normal(space.n_conf)
@@ -388,13 +395,17 @@ def axpy(alpha: complex, x: StateVector, y: StateVector, in_place: bool = False)
 
 
 def save_state(psi: StateVector, path, fmt: str = "binary") -> None:
-    """Write a state vector; ``fmt`` is "binary" (FOCKVEC1) or "json"."""
+    """Write a state vector; ``fmt`` is "binary" (FOCKVEC1, or FOCKMIX1 for a mixture) or "json" (one species only).
+
+    The binary header is the magic, one statistics byte per species, N and
+    M per species, then N_conf; complex128 amplitudes follow.
+    """
+    species = psi.space.species
     if fmt == "binary":
-        header = _VEC_MAGIC + struct.pack(
-            "<BQQQ",
-            _STAT_BYTE[psi.space.statistics],
-            psi.space.n,
-            psi.space.m,
+        header = _VEC_MAGIC[len(species) - 1] + struct.pack(
+            _header_format(len(species)),
+            *(_STAT_BYTE[s.statistics] for s in species),
+            *(v for s in species for v in (s.n, s.m)),
             psi.space.n_conf,
         )
         payload = np.ascontiguousarray(psi.amplitudes, dtype="<c16").tobytes()
@@ -402,6 +413,8 @@ def save_state(psi: StateVector, path, fmt: str = "binary") -> None:
             fh.write(header)
             fh.write(payload)
     elif fmt == "json":
+        if len(species) != 1:
+            raise ValueError("a mixture vector has no JSON format")
         doc = {
             "format": "fockvec/1",
             "statistics": psi.space.statistics,
@@ -414,6 +427,11 @@ def save_state(psi: StateVector, path, fmt: str = "binary") -> None:
             fh.write("\n")
     else:
         raise ValueError(f"unknown vector format {fmt!r}")
+
+
+def _header_format(count: int) -> str:
+    """struct format of a binary vector header of ``count`` species after its magic."""
+    return "<" + "B" * count + "QQ" * count + "Q"
 
 
 def read_exact(fh, size: int, path) -> bytes:
@@ -429,13 +447,6 @@ def statistics_of_byte(stat_b: int) -> str:
     if stat_b not in _BYTE_STAT:
         raise FockError(f"unknown statistics byte {stat_b}")
     return _BYTE_STAT[stat_b]
-
-
-def check_payload(fh, n_amplitudes: int, path) -> None:
-    """FockError unless exactly ``n_amplitudes`` complex128 values remain in the open file."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if 16 * n_amplitudes != left:
-        raise FockError(f"{path}: header promises {n_amplitudes} amplitudes, file holds {left} bytes")
 
 
 MAX_SPACE_TABLE = 1 << 26  # entries of any table sized by an integral header
@@ -467,16 +478,32 @@ def header_space(statistics, n, m, n_amplitudes, path, exact: bool = True) -> Sp
 
 
 def load_state(path) -> StateVector:
-    """Read a state vector written by :func:`save_state` (either format)."""
+    """Read a state vector written by :func:`save_state` (either format, either kind of space).
+
+    A binary header is checked against the payload's size before any space
+    is built from it; one species must then hold exactly N_conf amplitudes,
+    a mixture the product of its species'.
+    """
     with open(path, "rb") as fh:
         head = fh.read(8)
-        if head == _VEC_MAGIC:
-            stat_b, n, m, n_conf = struct.unpack("<BQQQ", read_exact(fh, 25, path))
-            statistics = statistics_of_byte(stat_b)
-            check_payload(fh, n_conf, path)
-            space = header_space(statistics, n, m, n_conf, path)
-            raw = read_exact(fh, 16 * n_conf, path)
-            amps = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+        if head in _VEC_MAGIC:
+            count = _VEC_MAGIC.index(head) + 1
+            fmt = _header_format(count)
+            fields = struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), path))
+            statistics, n_conf = [statistics_of_byte(b) for b in fields[:count]], fields[-1]
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if 16 * n_conf != left:
+                raise FockError(f"{path}: header promises {n_conf} amplitudes, file holds {left} bytes")
+            spaces = [header_space(stat, n, m, n_conf, path, exact=count == 1)
+                      for stat, n, m in zip(statistics, fields[count:-1:2], fields[count + 1:-1:2])]
+            space = spaces[0]
+            if count == 2:
+                from .mixtures import MixtureSpace
+
+                space = MixtureSpace(*spaces)
+                if space.n_conf != n_conf:
+                    raise FockError("header dimension does not match the space")
+            amps = np.frombuffer(read_exact(fh, 16 * n_conf, path), dtype="<c16").astype(np.complex128)
             return StateVector(space, amps)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -496,3 +523,4 @@ def load_state(path) -> StateVector:
     if pairs is None or pairs.shape != (len(amps), 2):
         raise FockError(f"{path}: amplitudes must be [re, im] number pairs")
     return StateVector(header_space(statistics, n, m, len(amps), path), pairs.view(np.complex128)[:, 0])
+

@@ -722,7 +722,7 @@ def apply_hamiltonian(spec, psi: StateVector, workers: int = 1) -> StateVector:
     factored for this one call and swept pair by pair: stacking its gathers
     would cost more than the one apply saves.
     """
-    if not isinstance(psi, StateVector) or spec.space != psi.space:
+    if not isinstance(psi.space, SpaceDescriptor) or spec.space != psi.space:
         raise SpaceMismatchError("Hamiltonian and state belong to different spaces")
     if isinstance(spec, Stacked):
         return StateVector(spec.space, _apply_stacked(spec, psi.amplitudes, workers))

@@ -1,34 +1,26 @@
 """Two-component Fock spaces and inter-species operator application.
 
 The total space is the tensor product of two complete single-species
-subspaces; amplitudes C_{J_A J_B} are stored flat with J_B fastest, i.e.
-linear index (J_A - 1) * N^B_conf + (J_B - 1) + 1.  Operator strings of the
-two species commute (each species carries its own fermionic phase within
-its own orbital set), so intra-species terms act on one address component
-only and inter-species terms re-address both with a product prefactor.
+subspaces, one more compact enumeration: J = (J_A - 1) N^B_conf + J_B, J_B
+fastest.  A mixture state is a :class:`fockspace.StateVector` whose space
+is a :class:`MixtureSpace`, and :meth:`MixtureSpace.matrix` views its
+amplitudes C_{J_A J_B} as an (N^A_conf, N^B_conf) matrix.  Operator strings
+of the two species commute (each species carries its own fermionic phase
+within its own orbital set), so intra-species terms act on one axis of that
+matrix only and inter-species terms re-address both with a product
+prefactor.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .errors import AddressError, FockError, SpaceMismatchError, ValidationError
-from .fockspace import (
-    _STAT_BYTE,
-    SpaceDescriptor,
-    amplitude_array,
-    check_payload,
-    header_space,
-    read_exact,
-    statistics_of_byte,
-)
+from .errors import AddressError, SpaceMismatchError, ValidationError
+from .fockspace import SpaceDescriptor, StateVector, basis_state, random_state
 from .hamiltonian import HamiltonianSpec, largest_deviation, require_finite
-
-_MIX_MAGIC = b"FOCKMIX1"
 
 
 class MixtureSpace:
@@ -37,7 +29,8 @@ class MixtureSpace:
     def __init__(self, space_a: SpaceDescriptor, space_b: SpaceDescriptor):
         self.space_a = space_a
         self.space_b = space_b
-        self.n_conf_total = space_a.n_conf * space_b.n_conf
+        self.species = (space_a, space_b)
+        self.n_conf = self.n_conf_total = space_a.n_conf * space_b.n_conf  # n_conf_total: the benchmark reads it
 
     def __repr__(self):
         return f"MixtureSpace(A={self.space_a!r}, B={self.space_b!r})"
@@ -52,13 +45,17 @@ class MixtureSpace:
     def __hash__(self):
         return hash((self.space_a, self.space_b))
 
+    def matrix(self, amplitudes: np.ndarray) -> np.ndarray:
+        """(N^A_conf, N^B_conf) view of a vector's amplitudes: J_A along axis 0, J_B along axis 1."""
+        return amplitudes.reshape(self.space_a.n_conf, self.space_b.n_conf)
+
     def address(self, j_a: int, j_b: int) -> int:
         return mixture_address(j_a, j_b, self)
 
     def split(self, j: int) -> tuple[int, int]:
         """Inverse of :func:`mixture_address`."""
-        if not 1 <= j <= self.n_conf_total:
-            raise AddressError(f"address {j} outside [1, {self.n_conf_total}]")
+        if not 1 <= j <= self.n_conf:
+            raise AddressError(f"address {j} outside [1, {self.n_conf}]")
         j_a, j_b = divmod(j - 1, self.space_b.n_conf)
         return j_a + 1, j_b + 1
 
@@ -133,88 +130,40 @@ class MixtureHamiltonianSpec:
         return self.mspace
 
 
-class MixtureStateVector:
-    """Dense amplitudes C_{J_A J_B} over a mixture space (J_B fastest), float64 or complex128 as in :class:`StateVector`."""
-
-    __slots__ = ("mspace", "amplitudes")
-
-    def __init__(self, mspace: MixtureSpace, amplitudes):
-        amplitudes = amplitude_array(amplitudes)
-        if amplitudes.shape != (mspace.n_conf_total,):
-            raise FockError(
-                f"amplitude array of shape {amplitudes.shape} does not match "
-                f"N_conf_total={mspace.n_conf_total}"
-            )
-        self.mspace = mspace
-        self.amplitudes = amplitudes
-
-    @property
-    def space(self) -> MixtureSpace:
-        return self.mspace
-
-    def as_matrix(self) -> np.ndarray:
-        """(N^A_conf, N^B_conf) view of the amplitudes."""
-        return self.amplitudes.reshape(self.mspace.space_a.n_conf, self.mspace.space_b.n_conf)
-
-    def copy(self) -> "MixtureStateVector":
-        return MixtureStateVector(self.mspace, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def __len__(self):
-        return self.mspace.n_conf_total
+def mixture_basis_state(mspace: MixtureSpace, j_a: int, j_b: int) -> StateVector:
+    return basis_state(mspace, mixture_address(j_a, j_b, mspace))
 
 
-def mixture_zero_state(mspace: MixtureSpace) -> MixtureStateVector:
-    return MixtureStateVector(mspace, np.zeros(mspace.n_conf_total, dtype=np.complex128))
+def mixture_random_state(mspace: MixtureSpace, seed: int = 0) -> StateVector:
+    """:func:`fockspace.random_state` of ``mspace``, bit for bit."""
+    return random_state(mspace, seed)
 
 
-def mixture_basis_state(mspace: MixtureSpace, j_a: int, j_b: int) -> MixtureStateVector:
-    amps = np.zeros(mspace.n_conf_total, dtype=np.complex128)
-    amps[mixture_address(j_a, j_b, mspace) - 1] = 1.0
-    return MixtureStateVector(mspace, amps)
-
-
-def mixture_random_state(mspace: MixtureSpace, seed: int = 0) -> MixtureStateVector:
-    rng = np.random.default_rng(seed)
-    n = mspace.n_conf_total
-    amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    amps /= np.linalg.norm(amps)
-    return MixtureStateVector(mspace, amps)
-
-
-def product_state(u, v, mspace: MixtureSpace) -> MixtureStateVector:
+def product_state(u, v, mspace: MixtureSpace) -> StateVector:
     """u_A (x) v_B as a mixture vector."""
     if u.space != mspace.space_a or v.space != mspace.space_b:
         raise SpaceMismatchError("factors do not match the mixture space")
-    return MixtureStateVector(mspace, np.outer(u.amplitudes, v.amplitudes).ravel())
-
-
-def mixture_dot(u: MixtureStateVector, v: MixtureStateVector) -> complex:
-    if u.mspace != v.mspace:
-        raise SpaceMismatchError("dot of vectors from different mixture spaces")
-    return complex(np.vdot(u.amplitudes, v.amplitudes))
+    return StateVector(mspace, np.outer(u.amplitudes, v.amplitudes).ravel())
 
 
 # -- term application --------------------------------------------------------
 
 
-def _species_pair(psi: MixtureStateVector, side: str, k: int, q: int, mat=None) -> np.ndarray:
+def _species_pair(psi: StateVector, side: str, k: int, q: int, mat=None) -> np.ndarray:
     """E_kq of species ``side`` ("A" acts along axis 0, "B" along axis 1) on the amplitude matrix."""
-    space, axis = (psi.mspace.space_a, 0) if side == "A" else (psi.mspace.space_b, 1)
-    return kernel.apply_pair(space, k, q, psi.as_matrix() if mat is None else mat, axis=axis)
+    space, axis = (psi.space.space_a, 0) if side == "A" else (psi.space.space_b, 1)
+    return kernel.apply_pair(space, k, q, psi.space.matrix(psi.amplitudes) if mat is None else mat, axis=axis)
 
 
-def apply_one_body_term_a(k: int, q: int, psi: MixtureStateVector) -> MixtureStateVector:
+def apply_one_body_term_a(k: int, q: int, psi: StateVector) -> StateVector:
     """a†_k a_q |Psi>; orbitals outside [1, M_A] raise :class:`FockError`."""
-    return MixtureStateVector(psi.mspace, _species_pair(psi, "A", k, q).ravel())
+    return StateVector(psi.space, _species_pair(psi, "A", k, q).ravel())
 
 
-def apply_inter_term(k: int, q: int, kp: int, qp: int, psi: MixtureStateVector) -> MixtureStateVector:
+def apply_inter_term(k: int, q: int, kp: int, qp: int, psi: StateVector) -> StateVector:
     """a†_k a_q b†_{k'} b_{q'} |Psi>; k, q outside [1, M_A] or k', q' outside [1, M_B] raise :class:`FockError`."""
     mat = _species_pair(psi, "B", kp, qp)
-    return MixtureStateVector(psi.mspace, _species_pair(psi, "A", k, q, mat).ravel())
+    return StateVector(psi.space, _species_pair(psi, "A", k, q, mat).ravel())
 
 
 def mixture_terms(mspec: MixtureHamiltonianSpec):
@@ -288,66 +237,34 @@ def prepare(mspec: MixtureHamiltonianSpec) -> kernel.Factored:
                            [d for p in parts for d in p.dense])
 
 
-def apply_intra_a(spec_a: HamiltonianSpec, psi: MixtureStateVector) -> MixtureStateVector:
+def apply_intra_a(spec_a: HamiltonianSpec, psi: StateVector) -> StateVector:
     """Apply the A-species Hamiltonian to the A index for every fixed J_B."""
-    if spec_a.space != psi.mspace.space_a:
+    if spec_a.space != psi.space.space_a:
         raise SpaceMismatchError("A-species spec does not match the mixture space")
-    return apply_mixture_hamiltonian(_factor_species(psi.mspace, spec_a, 0), psi)
+    return apply_mixture_hamiltonian(_factor_species(psi.space, spec_a, 0), psi)
 
 
-def apply_intra_b(spec_b: HamiltonianSpec, psi: MixtureStateVector) -> MixtureStateVector:
+def apply_intra_b(spec_b: HamiltonianSpec, psi: StateVector) -> StateVector:
     """Mirror of :func:`apply_intra_a` for the B species."""
-    if spec_b.space != psi.mspace.space_b:
+    if spec_b.space != psi.space.space_b:
         raise SpaceMismatchError("B-species spec does not match the mixture space")
-    return apply_mixture_hamiltonian(_factor_species(psi.mspace, spec_b, 1), psi)
+    return apply_mixture_hamiltonian(_factor_species(psi.space, spec_b, 1), psi)
 
 
-def apply_inter(table: InterSpeciesTable, psi: MixtureStateVector) -> MixtureStateVector:
+def apply_inter(table: InterSpeciesTable, psi: StateVector) -> StateVector:
     """sum W^{AB}_{kk'qq'} a†_k a_q b†_{k'} b_{q'} |Psi>."""
-    if table.m_a != psi.mspace.space_a.m or table.m_b != psi.mspace.space_b.m:
+    if table.m_a != psi.space.space_a.m or table.m_b != psi.space.space_b.m:
         raise SpaceMismatchError("inter-species table does not match the mixture space")
-    return apply_mixture_hamiltonian(factor_inter(table, psi.mspace), psi)
+    return apply_mixture_hamiltonian(factor_inter(table, psi.space), psi)
 
 
-def apply_mixture_hamiltonian(mspec, psi: MixtureStateVector, workers: int = 1) -> MixtureStateVector:
-    """H^{(A)}|Psi> + H^{(B)}|Psi> + W^{(AB)}|Psi> in J_A row blocks; ``mspec`` is a spec or :func:`prepare`d."""
-    if mspec.space != psi.mspace:
+def apply_mixture_hamiltonian(mspec, psi: StateVector, workers: int = 1) -> StateVector:
+    """H^{(A)}|Psi> + H^{(B)}|Psi> + W^{(AB)}|Psi> in J_A row blocks; ``mspec`` is a spec or :func:`prepare`d.
+
+    A state over a single-species space is refused, as a state of another
+    mixture space is, with :class:`SpaceMismatchError`.
+    """
+    if not isinstance(psi.space, MixtureSpace) or mspec.space != psi.space:
         raise SpaceMismatchError("mixture spec and state live in different spaces")
     op = mspec if isinstance(mspec, kernel.Factored) else prepare(mspec)
-    return MixtureStateVector(psi.mspace, kernel.apply_factored(op, psi.as_matrix(), workers).ravel())
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def save_mixture_state(psi: MixtureStateVector, path) -> None:
-    """Binary mixture vector: FOCKMIX1, statistics bytes, NA MA NB MB, N_conf."""
-    sa, sb = psi.mspace.space_a, psi.mspace.space_b
-    header = _MIX_MAGIC + struct.pack(
-        "<BBQQQQQ",
-        _STAT_BYTE[sa.statistics],
-        _STAT_BYTE[sb.statistics],
-        sa.n,
-        sa.m,
-        sb.n,
-        sb.m,
-        psi.mspace.n_conf_total,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(psi.amplitudes, dtype="<c16").tobytes())
-
-
-def load_mixture_state(path) -> MixtureStateVector:
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MIX_MAGIC:
-            raise FockError(f"{path} is not a mixture vector file")
-        sa_b, sb_b, na, ma, nb, mb, total = struct.unpack("<BBQQQQQ", read_exact(fh, 42, path))
-        stat_a, stat_b = statistics_of_byte(sa_b), statistics_of_byte(sb_b)
-        check_payload(fh, total, path)
-        mspace = MixtureSpace(header_space(stat_a, na, ma, total, path, exact=False),
-                              header_space(stat_b, nb, mb, total, path, exact=False))
-        if mspace.n_conf_total != total:
-            raise FockError("header dimension does not match the space")
-        amps = np.frombuffer(read_exact(fh, 16 * total, path), dtype="<c16").astype(np.complex128)
-    return MixtureStateVector(mspace, amps)
+    return StateVector(psi.space, kernel.apply_factored(op, psi.space.matrix(psi.amplitudes), workers).ravel())

@@ -153,27 +153,25 @@ def natural_occupations(rho: np.ndarray) -> np.ndarray:
 
 def energy(spec, psi) -> complex:
     """<Psi|H|Psi> as a dot-product with the kernel-applied vector."""
-    if isinstance(psi, mixtures.MixtureStateVector):
-        hpsi = mixtures.apply_mixture_hamiltonian(spec, psi)
-        return mixtures.mixture_dot(psi, hpsi)
+    if isinstance(psi.space, mixtures.MixtureSpace):
+        return dot(psi, mixtures.apply_mixture_hamiltonian(spec, psi))
     if spec.space != psi.space:
         raise SpaceMismatchError("energy of a state from a different space")
     return dot(psi, kernel.apply_hamiltonian(spec, psi))
 
 
-def mixture_densities(psi: mixtures.MixtureStateVector) -> tuple[np.ndarray, np.ndarray]:
-    """Species-resolved one-body densities (rho_A, rho_B); traces N_A and N_B."""
+def mixture_densities(psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """Species-resolved one-body densities (rho_A, rho_B) of a mixture state; traces N_A and N_B."""
     _warn_if_unnormalized(psi)
-    mat = psi.as_matrix()
-    return tuple(_one_body(space, mat, axis) for axis, space in enumerate((psi.mspace.space_a, psi.mspace.space_b)))
+    mat = psi.space.matrix(psi.amplitudes)
+    return tuple(_one_body(space, mat, axis) for axis, space in enumerate(psi.space.species))
 
 
-def site_densities(psi) -> np.ndarray:
-    """Diagonal occupations <n_k> straight from the configuration table."""
-    if isinstance(psi, mixtures.MixtureStateVector):
-        mat = psi.as_matrix()
-        return np.concatenate([_occupations(psi.mspace.space_a, mat, 0), _occupations(psi.mspace.space_b, mat, 1)])
-    return _occupations(psi.space, psi.amplitudes, 0)
+def site_densities(psi: StateVector) -> np.ndarray:
+    """Diagonal occupations <n_k> straight from the configuration table, species A's first in a mixture."""
+    species = psi.space.species
+    mat = psi.amplitudes.reshape([space.n_conf for space in species])  # a mixture's J_A x J_B matrix
+    return np.concatenate([_occupations(space, mat, axis) for axis, space in enumerate(species)])
 
 
 # -- emission ----------------------------------------------------------------

@@ -17,7 +17,7 @@ from .combinadics import FERMION
 from .errors import SizeError, ValidationError
 from .fockspace import StateVector
 from .hamiltonian import HamiltonianSpec
-from .mixtures import MixtureHamiltonianSpec, MixtureStateVector
+from .mixtures import MixtureHamiltonianSpec
 
 DENSE_CAP = 5000  # keeps an N_conf^2 complex matrix under ~400 MB
 
@@ -107,7 +107,7 @@ def build_dense(obj, space=None, cap: int = DENSE_CAP) -> np.ndarray:
 
 def _build_dense_mixture(mspec: MixtureHamiltonianSpec, cap: int) -> np.ndarray:
     mspace = mspec.mspace
-    _check_cap(mspace.n_conf_total, cap)
+    _check_cap(mspace.n_conf, cap)
     sa, sb = mspace.space_a, mspace.space_b
     mat_a = build_dense(mspec.spec_a, cap=cap)
     mat_b = build_dense(mspec.spec_b, cap=cap)
@@ -139,6 +139,4 @@ def dense_expm_apply(op: np.ndarray, psi, t: float, cap: int = DENSE_CAP):
     out = u @ (phases * (u.conj().T @ amps))
     if isinstance(psi, StateVector):
         return StateVector(psi.space, out)
-    if isinstance(psi, MixtureStateVector):
-        return MixtureStateVector(psi.mspace, out)
     return out

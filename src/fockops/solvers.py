@@ -42,7 +42,7 @@ import numpy as np
 from . import kernel, mixtures, observables
 from .errors import ConvergenceError, SolverArgumentError, StepFailureError
 from .fockspace import StateVector
-from .mixtures import MixtureHamiltonianSpec, MixtureStateVector
+from .mixtures import MixtureHamiltonianSpec
 
 _BREAKDOWN_TOL = 1e-13
 _DGKS_RATIO = 2**-0.5  # a pass that keeps less than this share of ||w|| is repeated
@@ -67,16 +67,15 @@ def _operator(spec, workers: int = 1):
     """
     mix = isinstance(spec, MixtureHamiltonianSpec)
     op = (mixtures if mix else kernel).prepare(spec)
-    state = MixtureStateVector if mix else StateVector
 
     def wrap(arr):
-        return state(op.space, arr)
+        return StateVector(op.space, arr)
 
     def matvec(arr):  # looked up per call, so a wrapper set on the module attribute sees every matvec
         apply = mixtures.apply_mixture_hamiltonian if mix else kernel.apply_hamiltonian
         return apply(op, wrap(arr), workers=workers).amplitudes
 
-    return matvec, wrap, op.space.n_conf_total if mix else op.space.n_conf, op.dtype
+    return matvec, wrap, op.space.n_conf, op.dtype
 
 
 class _Lanczos:
@@ -196,7 +195,7 @@ class GroundStateResult(NamedTuple):
     """``iterations`` counts recurrence steps; ``matvecs`` every product with H, residual checks included."""
 
     energy: float
-    state: StateVector | MixtureStateVector
+    state: StateVector
     residual: float
     iterations: int
     matvecs: int = 0
@@ -285,7 +284,7 @@ class PropagationResult:
     energies: np.ndarray
     site_densities: np.ndarray
     error_estimates: np.ndarray
-    final_state: StateVector | MixtureStateVector
+    final_state: StateVector
     states: list | None = None
     substeps: np.ndarray | None = None
     rejections: np.ndarray | None = None

@@ -523,6 +523,18 @@ class TestVectorFileBoundary:
         assert code == EXIT_PARSE
         assert _one_line_error(err)
 
+    @pytest.mark.parametrize("ints_text,vec_bytes", [
+        (_MIX_INTS, b"FOCKVEC1" + struct.pack("<BQQQ", 1, 1, 4, 4) + b"\0" * 64),
+        ("STATISTICS BOSON\nN 2\nM 2\n", b"FOCKMIX1" + struct.pack("<BBQQQQQ", 0, 1, 1, 2, 1, 2, 4) + b"\0" * 64),
+    ], ids=["single-vector-for-a-mixture", "mixture-vector-for-a-single-species"])
+    def test_vector_of_the_other_kind(self, capsys, tmp_path, ints_text, vec_bytes):
+        """Each file reads, as boson(1,4) or F(1,2) x B(1,2) with 4 amplitudes, but not for this integral file."""
+        code, out, err = self._apply(capsys, tmp_path, ints_text, vec_bytes)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert _one_line_error(err)
+        assert "vector space does not match the integral file" in err
+
     def test_unknown_mixture_statistics_byte(self, capsys, tmp_path):
         header = b"FOCKMIX1" + struct.pack("<BBQQQQQ", 0, 7, 1, 2, 1, 2, 4)
         code, _, err = self._apply(capsys, tmp_path, _MIX_INTS, header + b"\0" * 64)

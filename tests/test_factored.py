@@ -682,12 +682,21 @@ def test_parallel_apply_takes_a_prepared_operator_of_either_kind(workers):
 
 
 def test_single_species_apply_refuses_a_mixture_state():
-    """A prepared mixture operator and a mixture state share a space, but the single-species engine takes neither."""
-    mspace = suite_mixture_spaces()[2]
+    """An operator and a state share a space, but the engine of the other kind takes neither.
+
+    A mixture spec, prepared or not, and a mixture state go to the
+    single-species engine; a single-species spec, prepared or not, and a
+    single-species state go to the mixture engine.
+    """
+    mspace, space = suite_mixture_spaces()[2], SpaceDescriptor.fermion(3, 6)
     mspec, mpsi = random_mixture_spec(mspace, seed=2), mixture_random_state(mspace, seed=4)
-    for op in (mixtures.prepare(mspec), mspec):
-        with pytest.raises(SpaceMismatchError):
-            apply_hamiltonian(op, mpsi)
+    spec, psi = random_hermitian_spec(space, seed=1), random_state(space, seed=3)
+    for engine, spec_, prepare, state in ((apply_hamiltonian, mspec, mixtures.prepare, mpsi),
+                                          (apply_mixture_hamiltonian, spec, kernel.prepare, psi)):
+        for op in (prepare(spec_), spec_):
+            assert op.space == state.space
+            with pytest.raises(SpaceMismatchError):
+                engine(op, state)
 
 
 def test_prepared_operator_is_a_snapshot_of_the_tables():

@@ -30,7 +30,6 @@ from fockops import (
     save_state,
 )
 from fockops.cli import EXIT_OK, EXIT_PARSE
-from fockops.mixtures import save_mixture_state
 from conftest import random_hermitian_spec, random_mixture_spec
 
 HEADER_VALUES = (0, -1, 10**11, 10**30)
@@ -77,7 +76,7 @@ def files(tmp_path_factory):
     save_state(random_state(dense.space, seed=6), root / "dense.vec")
     save_state(random_state(space, seed=3), root / "single.vec")
     save_state(random_state(space, seed=3), root / "single.json", fmt="json")
-    save_mixture_state(mixture_random_state(mspace, seed=4), root / "mix.vec")
+    save_state(mixture_random_state(mspace, seed=4), root / "mix.vec")
     return root, {path.name: path.read_bytes() for path in root.iterdir()}
 
 

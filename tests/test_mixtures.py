@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fockops import (
     MixtureSpace,
     OneBodyTable,
     SpaceDescriptor,
+    StateVector,
     TwoBodyTable,
     apply_hamiltonian,
     apply_inter,
@@ -25,23 +27,23 @@ from fockops import (
     basis_state,
     build_bose_hubbard,
     build_dense,
+    dot,
     fermion_sign_count,
     ground_state,
-    load_mixture_state,
+    load_state,
     mixture_address,
     mixture_basis_state,
     mixture_densities,
-    mixture_dot,
     mixture_random_state,
     one_body_density,
     product_state,
     propagate,
     random_state,
-    save_mixture_state,
+    save_state,
 )
 from fockops.fockspace import occupation_table
 from fockops.oracle import DENSE_CAP
-from fockops.mixtures import MixtureStateVector, apply_one_body_term_a
+from fockops.mixtures import apply_one_body_term_a
 from conftest import random_hermitian_spec, random_mixture_spec, suite_mixture_spaces
 
 
@@ -121,7 +123,7 @@ class TestIntraSpecies:
         psi = product_state(u, v, mspace)
         out = apply_intra_a(spec_a, psi)
         nrm = out.norm()
-        out = MixtureStateVector(mspace, out.amplitudes / nrm)
+        out = StateVector(mspace, out.amplitudes / nrm)
         _, rho_b_before = mixture_densities(psi)
         _, rho_b_after = mixture_densities(out)
         np.testing.assert_allclose(rho_b_after, rho_b_before, atol=1e-12)
@@ -211,8 +213,8 @@ class TestFullMixtureHamiltonian:
         mspec = random_mixture_spec(mspace, seed=30)
         u = mixture_random_state(mspace, seed=31)
         v = mixture_random_state(mspace, seed=32)
-        lhs = mixture_dot(u, apply_mixture_hamiltonian(mspec, v))
-        rhs = np.conj(mixture_dot(v, apply_mixture_hamiltonian(mspec, u)))
+        lhs = dot(u, apply_mixture_hamiltonian(mspec, v))
+        rhs = np.conj(dot(v, apply_mixture_hamiltonian(mspec, u)))
         assert abs(lhs - rhs) <= 1e-12
 
 
@@ -275,7 +277,7 @@ def _lowered(psi, mspace):
         else:
             factor = np.prod([np.sqrt(math.comb(x, y)) for x, y in zip(n, row_b)])
         out[i, j] = psi.amplitudes[index[n]] * factor
-    return MixtureStateVector(mspace, (out / np.linalg.norm(out)).ravel())
+    return StateVector(mspace, (out / np.linalg.norm(out)).ravel())
 
 
 class TestSU2Multiplets:
@@ -388,10 +390,15 @@ class TestTensorConsistency:
 
 
 def test_mixture_vector_serialization_roundtrip(tmp_path):
-    mspace = suite_mixture_spaces()[2]
+    """FOCKMIX1, the statistics bytes (fermion 0, boson 1), NA MA NB MB and N_conf, then the amplitudes; no JSON form."""
+    mspace = suite_mixture_spaces()[2]  # fermion(2,4) x boson(2,3): 6 x 6 configurations
     psi = mixture_random_state(mspace, seed=40)
     path = tmp_path / "mix.fvec"
-    save_mixture_state(psi, path)
-    back = load_mixture_state(path)
-    assert back.mspace == mspace
+    save_state(psi, path)
+    header = b"FOCKMIX1" + struct.pack("<BBQQQQQ", 0, 1, 2, 4, 2, 3, 36)
+    assert path.read_bytes() == header + psi.amplitudes.astype("<c16").tobytes()
+    back = load_state(path)
+    assert back.space == mspace
     np.testing.assert_array_equal(back.amplitudes, psi.amplitudes)
+    with pytest.raises(ValueError, match="mixture"):
+        save_state(psi, tmp_path / "mix.json", fmt="json")

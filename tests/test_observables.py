@@ -217,7 +217,7 @@ def test_one_body_density_is_exactly_hermitian(space, real):
         amps = psi.amplitudes.real
         psi = type(psi)(space, amps / np.linalg.norm(amps))
     rhos = mixture_densities(psi) if len(parts) == 2 else [one_body_density(psi)]
-    mat = psi.as_matrix() if len(parts) == 2 else psi.amplitudes
+    mat = space.matrix(psi.amplitudes) if len(parts) == 2 else psi.amplitudes
     for (species, axis), rho in zip(parts, rhos):
         assert np.array_equal(rho, rho.conj().T)
         assert np.abs(rho - _full_one_body(species, mat, axis)).max() <= 1e-12
@@ -408,7 +408,7 @@ def test_densities_build_only_their_ladder_tables(monkeypatch, space):
     psi = random_state(space, seed=30)
     space.tables()
     mpsi = mixture_random_state(MixtureSpace(space, SpaceDescriptor.boson(2, 3)), seed=31)
-    for s in (mpsi.mspace.space_a, mpsi.mspace.space_b):
+    for s in (mpsi.space.space_a, mpsi.space.space_b):
         s.tables()
     occupation_tables, space_tables = [], []
     occupation_table = fockspace.occupation_table
