@@ -523,4 +523,3 @@ def load_state(path) -> StateVector:
     if pairs is None or pairs.shape != (len(amps), 2):
         raise FockError(f"{path}: amplitudes must be [re, im] number pairs")
     return StateVector(header_space(statistics, n, m, len(amps), path), pairs.view(np.complex128)[:, 0])
-
