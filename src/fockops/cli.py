@@ -8,6 +8,7 @@ worker count produce byte-identical outputs (no timestamps anywhere).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -152,18 +153,32 @@ def _check_printable_count(*spaces: tuple[str, int, int]) -> None:
 
 
 def cmd_enum(args) -> int:
+    """One species, or with ``--mix`` a mixture whose addresses J list (J_A, J_B), J_B fastest."""
     if args.mix:
-        return _cmd_enum_mix(args)
-    statistics = FERMION if args.fermion else BOSON
+        if any(v is not None for v in (args.holes, args.occ, args.bits)):
+            raise InvalidConfigurationError("--holes, --occ and --bits rank one species' configuration; with --mix use -J")
+        stats = [s.strip().lower() for s in args.mix_stats.split(",")]
+        if len(stats) != 2 or any(s not in (FERMION, BOSON) for s in stats):
+            raise InvalidSpaceError(f"bad --mix-stats {args.mix_stats!r}")
+        if args.NB is None or args.MB is None:
+            raise InvalidSpaceError("--mix requires -NB and -MB")
+        counts = list(zip(stats, (args.N, args.NB), (args.M, args.MB)))
+    else:
+        counts = [(FERMION if args.fermion else BOSON, args.N, args.M)]
     if args.J is not None or (all(v is None for v in (args.holes, args.occ, args.bits)) and not args.all):
-        _check_printable_count((statistics, args.N, args.M))
-    space = SpaceDescriptor(statistics, args.N, args.M)
+        _check_printable_count(*counts)
+    species = [SpaceDescriptor(*c) for c in counts]
+    space = MixtureSpace(*species) if args.mix else species[0]
+
+    def line(j, picks):  # J, then each species' address if there are two, then each configuration
+        addresses = [str(j_s) for j_s, _ in picks] if args.mix else []
+        return " ".join([str(j), *addresses, *(text for _, text in picks)])
+
     lines = []
     if args.holes is not None:
-        if statistics != FERMION:
+        if space.statistics != FERMION:
             raise InvalidConfigurationError("--holes labels fermionic configurations only")
-        holes = _parse_csv_ints(args.holes)
-        lines.append(_decimal(cmb.fermion_rank(holes, space)))
+        lines.append(_decimal(cmb.fermion_rank(_parse_csv_ints(args.holes), space)))
     if args.occ is not None:
         lines.append(_decimal(_rank_occupations(space, _parse_csv_ints(args.occ))))
     if args.bits is not None:
@@ -171,44 +186,14 @@ def cmd_enum(args) -> int:
             raise InvalidConfigurationError(f"bit string must be 0/1, got {args.bits!r}")
         lines.append(_decimal(_rank_occupations(space, [int(c) for c in args.bits])))
     if args.J is not None:
-        lines.append(f"{args.J} {_config_string(space, space.occupations_at(args.J))}")
+        js = space.split(args.J) if args.mix else (args.J,)
+        lines.append(line(args.J, [(j, _config_string(s, s.occupations_at(j))) for s, j in zip(species, js)]))
     if args.all:
-        _check_listing(space)
-        lines += [f"{j} {text}" for j, text in enumerate(_config_strings(space), start=1)]
+        _check_listing(*species)
+        listings = [list(enumerate(_config_strings(s), start=1)) for s in species]
+        lines += [line(j, picks) for j, picks in enumerate(itertools.product(*listings), start=1)]
     if not lines:
-        lines.append(f"N_conf {_decimal(space.n_conf)}")
-    print("\n".join(lines))
-    return EXIT_OK
-
-
-def _cmd_enum_mix(args) -> int:
-    if any(v is not None for v in (args.holes, args.occ, args.bits)):
-        raise InvalidConfigurationError("--holes, --occ and --bits rank one species' configuration; with --mix use -J")
-    stats = [s.strip().lower() for s in args.mix_stats.split(",")]
-    if len(stats) != 2 or any(s not in (FERMION, BOSON) for s in stats):
-        raise InvalidSpaceError(f"bad --mix-stats {args.mix_stats!r}")
-    if args.NB is None or args.MB is None:
-        raise InvalidSpaceError("--mix requires -NB and -MB")
-    if args.J is not None or not args.all:
-        _check_printable_count((stats[0], args.N, args.M), (stats[1], args.NB, args.MB))
-    mspace = MixtureSpace(
-        SpaceDescriptor(stats[0], args.N, args.M),
-        SpaceDescriptor(stats[1], args.NB, args.MB),
-    )
-    lines = []
-    if args.J is not None:
-        j_a, j_b = mspace.split(args.J)
-        text_a = _config_string(mspace.space_a, mspace.space_a.occupations_at(j_a))
-        text_b = _config_string(mspace.space_b, mspace.space_b.occupations_at(j_b))
-        lines.append(f"{args.J} {j_a} {j_b} {text_a} {text_b}")
-    if args.all:
-        _check_listing(mspace.space_a, mspace.space_b)
-        texts_b = _config_strings(mspace.space_b)
-        for j_a, text_a in enumerate(_config_strings(mspace.space_a), start=1):
-            for j_b, text_b in enumerate(texts_b, start=1):
-                lines.append(f"{mspace.address(j_a, j_b)} {j_a} {j_b} {text_a} {text_b}")
-    if not lines:
-        lines.append(f"N_conf_total {_decimal(mspace.n_conf)}")
+        lines.append(f"N_conf{'_total' if args.mix else ''} {_decimal(space.n_conf)}")
     print("\n".join(lines))
     return EXIT_OK
 

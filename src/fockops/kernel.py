@@ -167,6 +167,8 @@ def fermion_sign_count(config, k: int, q: int) -> int:
 
 
 def _check_orbitals(space: SpaceDescriptor, orbitals: Iterable[int]) -> None:
+    if not isinstance(space, SpaceDescriptor):
+        raise SpaceMismatchError("a single-species operator applied to a state of another kind of space")
     for p in orbitals:
         if not 1 <= p <= space.m:
             raise FockError(f"orbital {p} outside [1, {space.m}]")
@@ -733,7 +735,7 @@ def apply_hamiltonian(spec, psi: StateVector, workers: int = 1) -> StateVector:
 def apply_one_body_operator(h, psi: StateVector) -> StateVector:
     """Total action of all one-body terms, sum_kq h_kq b†_k b_q |Psi>."""
     space = psi.space
-    if h.m != space.m:
-        raise SpaceMismatchError(f"one-body table for M={h.m} applied in M={space.m} space")
+    if not isinstance(space, SpaceDescriptor) or h.m != space.m:
+        raise SpaceMismatchError(f"one-body table for M={h.m} applied to a state over {space!r}")
     op = factor_species(space, h, TwoBodyTable.zeros(h.m))
     return StateVector(space, apply_factored(op, psi.amplitudes))

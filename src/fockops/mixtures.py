@@ -151,6 +151,8 @@ def product_state(u, v, mspace: MixtureSpace) -> StateVector:
 
 def _species_pair(psi: StateVector, side: str, k: int, q: int, mat=None) -> np.ndarray:
     """E_kq of species ``side`` ("A" acts along axis 0, "B" along axis 1) on the amplitude matrix."""
+    if not isinstance(psi.space, MixtureSpace):
+        raise SpaceMismatchError("a mixture operator applied to a single-species state")
     space, axis = (psi.space.space_a, 0) if side == "A" else (psi.space.space_b, 1)
     return kernel.apply_pair(space, k, q, psi.space.matrix(psi.amplitudes) if mat is None else mat, axis=axis)
 
@@ -239,21 +241,21 @@ def prepare(mspec: MixtureHamiltonianSpec) -> kernel.Factored:
 
 def apply_intra_a(spec_a: HamiltonianSpec, psi: StateVector) -> StateVector:
     """Apply the A-species Hamiltonian to the A index for every fixed J_B."""
-    if spec_a.space != psi.space.space_a:
+    if not isinstance(psi.space, MixtureSpace) or spec_a.space != psi.space.space_a:
         raise SpaceMismatchError("A-species spec does not match the mixture space")
     return apply_mixture_hamiltonian(_factor_species(psi.space, spec_a, 0), psi)
 
 
 def apply_intra_b(spec_b: HamiltonianSpec, psi: StateVector) -> StateVector:
     """Mirror of :func:`apply_intra_a` for the B species."""
-    if spec_b.space != psi.space.space_b:
+    if not isinstance(psi.space, MixtureSpace) or spec_b.space != psi.space.space_b:
         raise SpaceMismatchError("B-species spec does not match the mixture space")
     return apply_mixture_hamiltonian(_factor_species(psi.space, spec_b, 1), psi)
 
 
 def apply_inter(table: InterSpeciesTable, psi: StateVector) -> StateVector:
     """sum W^{AB}_{kk'qq'} a†_k a_q b†_{k'} b_{q'} |Psi>."""
-    if table.m_a != psi.space.space_a.m or table.m_b != psi.space.space_b.m:
+    if not isinstance(psi.space, MixtureSpace) or (table.m_a, table.m_b) != (psi.space.space_a.m, psi.space.space_b.m):
         raise SpaceMismatchError("inter-species table does not match the mixture space")
     return apply_mixture_hamiltonian(factor_inter(table, psi.space), psi)
 

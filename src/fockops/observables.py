@@ -38,14 +38,17 @@ import warnings
 
 import numpy as np
 
-from . import kernel, mixtures
+from . import executor, kernel
 from .errors import SpaceMismatchError
 from .fockspace import StateVector, dot, has_pair_space
 
 NORM_WARN_TOL = 1e-8
 
 
-def _warn_if_unnormalized(psi) -> None:
+def _check_state(psi, species: int) -> None:
+    """Refuse a state of another number of species; warn if it is not normalized."""
+    if len(psi.space.species) != species:
+        raise SpaceMismatchError(f"a state of {len(psi.space.species)} species where {species} is expected")
     nrm = psi.norm()
     if abs(nrm - 1.0) > NORM_WARN_TOL:
         warnings.warn(f"state norm {nrm:.3e} differs from 1; densities scale with it")
@@ -98,7 +101,7 @@ def _one_body(space, mat: np.ndarray, axis: int) -> np.ndarray:
 
 def one_body_density(psi: StateVector) -> np.ndarray:
     """rho[k-1, q-1] = <Psi| b†_k b_q |Psi> (M x M complex)."""
-    _warn_if_unnormalized(psi)
+    _check_state(psi, 1)
     return _one_body(psi.space, psi.amplitudes, 0)
 
 
@@ -110,7 +113,7 @@ def two_body_density(psi: StateVector) -> np.ndarray:
     are formed from the M states of N -/+ 1 particles, held whole, in
     blocks of the configurations of N -/+ 2 (:func:`_gram`).
     """
-    _warn_if_unnormalized(psi)
+    _check_state(psi, 1)
     space, m, amps = psi.space, psi.space.m, psi.amplitudes
     table, weight, holes = space.tables().ladder
     if has_pair_space(space):
@@ -152,17 +155,13 @@ def natural_occupations(rho: np.ndarray) -> np.ndarray:
 
 
 def energy(spec, psi) -> complex:
-    """<Psi|H|Psi> as a dot-product with the kernel-applied vector."""
-    if isinstance(psi.space, mixtures.MixtureSpace):
-        return dot(psi, mixtures.apply_mixture_hamiltonian(spec, psi))
-    if spec.space != psi.space:
-        raise SpaceMismatchError("energy of a state from a different space")
-    return dot(psi, kernel.apply_hamiltonian(spec, psi))
+    """<Psi|H|Psi> as a dot-product with the vector :func:`executor.parallel_apply` gives on one worker."""
+    return dot(psi, executor.parallel_apply(spec, psi, 1))
 
 
 def mixture_densities(psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """Species-resolved one-body densities (rho_A, rho_B) of a mixture state; traces N_A and N_B."""
-    _warn_if_unnormalized(psi)
+    _check_state(psi, 2)
     mat = psi.space.matrix(psi.amplitudes)
     return tuple(_one_body(space, mat, axis) for axis, space in enumerate(psi.space.species))
 

@@ -22,12 +22,12 @@ same space, and only an accepted one forms its state.  The matvec that
 gives each grid point's energy is also the first Krylov product of the next
 step.
 
-Each solve factors H once (:func:`kernel.prepare`, :func:`mixtures.prepare`)
-and passes the prepared operator to every matvec.  When its dtype is
-float64 (every coefficient the kernel keeps is real), H maps real vectors
-to real vectors, so ``ground_state`` runs in float64: start vector, basis
-and matvecs, at half the memory traffic of complex128.  ``propagate`` is
-always complex.
+Each solve factors H once (:func:`executor.prepare` picks the engine) and
+passes the prepared operator to :func:`executor.parallel_apply` in every
+matvec.  When its dtype is float64 (every coefficient kept is real), H maps
+real vectors to real vectors, so ``ground_state`` runs in float64: start
+vector, basis and matvecs, at half the memory traffic of complex128.
+``propagate`` is always complex.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernel, mixtures, observables
-from .errors import ConvergenceError, SolverArgumentError, StepFailureError
+from . import executor, observables
+from .errors import ConvergenceError, SolverArgumentError, SpaceMismatchError, StepFailureError
 from .fockspace import StateVector
-from .mixtures import MixtureHamiltonianSpec
 
 _BREAKDOWN_TOL = 1e-13
 _DGKS_RATIO = 2**-0.5  # a pass that keeps less than this share of ||w|| is repeated
@@ -59,21 +58,16 @@ def _check_arguments(*rules) -> None:
             raise SolverArgumentError(f"{name} must be {requirement}, got {value!r}")
 
 
-def _operator(spec, workers: int = 1):
-    """(matvec on raw arrays, wrap array -> state, dimension, dtype) of H prepared once, for either spec kind.
-
-    The matvec passes the prepared operator to the module's apply entry
-    point; ``dtype`` is float64 when every coefficient the kernel keeps is real.
-    """
-    mix = isinstance(spec, MixtureHamiltonianSpec)
-    op = (mixtures if mix else kernel).prepare(spec)
+def _operator(spec, workers: int | None = 1):
+    """(matvec on raw arrays, wrap array -> state, dimension, dtype) of H prepared once; ``workers`` checked here."""
+    workers = executor.resolve_workers(workers)
+    op = executor.prepare(spec)
 
     def wrap(arr):
         return StateVector(op.space, arr)
 
     def matvec(arr):  # looked up per call, so a wrapper set on the module attribute sees every matvec
-        apply = mixtures.apply_mixture_hamiltonian if mix else kernel.apply_hamiltonian
-        return apply(op, wrap(arr), workers=workers).amplitudes
+        return executor.parallel_apply(op, wrap(arr), workers).amplitudes
 
     return matvec, wrap, op.space.n_conf, op.dtype
 
@@ -202,7 +196,7 @@ class GroundStateResult(NamedTuple):
 
 
 def ground_state(
-    spec, tol: float = 1e-10, max_iter: int = 300, seed: int = 0, workers: int = 1
+    spec, tol: float = 1e-10, max_iter: int = 300, seed: int = 0, workers: int | None = 1
 ) -> GroundStateResult:
     """Lowest eigenpair of H with residual ||H psi - E psi|| <= tol.
 
@@ -215,7 +209,8 @@ def ground_state(
     every kept coefficient is real; the state is returned as complex128
     either way.  A ``tol`` that is negative or not finite, a ``max_iter``
     below 1, or a ``seed`` that is not an integer >= 0 raises
-    :class:`SolverArgumentError`.
+    :class:`SolverArgumentError`; ``workers`` is read as
+    :func:`executor.resolve_workers` reads it.
     """
     _check_arguments(
         ("tol", tol, math.isfinite(tol) and tol >= 0, "finite and >= 0"),
@@ -358,7 +353,7 @@ def propagate(
     krylov_dim: int = 15,
     err_tol: float = 1e-9,
     store_states: bool = False,
-    workers: int = 1,
+    workers: int | None = 1,
 ) -> PropagationResult:
     """Propagate psi(t) = exp(-i H t) psi0 on the grid t = 0, dt, 2 dt, ..., ending at t_final.
 
@@ -372,8 +367,12 @@ def propagate(
     space.  If halving reaches dt / 2^30 a :class:`StepFailureError` is
     raised.  ``dt`` must be finite and > 0, ``t_final`` and ``err_tol``
     finite and >= 0, ``t_final / dt`` finite, and ``krylov_dim`` >= 1, or
-    :class:`SolverArgumentError` is raised.
+    :class:`SolverArgumentError` is raised.  A ``psi0`` of another space
+    raises :class:`SpaceMismatchError`, and ``workers`` is read as
+    :func:`executor.resolve_workers` reads it.
     """
+    if psi0.space != spec.space:
+        raise SpaceMismatchError("initial state and Hamiltonian belong to different spaces")
     _check_arguments(
         ("dt", dt, math.isfinite(dt) and dt > 0, "finite and > 0"),
         ("t_final", t_final, math.isfinite(t_final) and t_final >= 0, "finite and >= 0"),

@@ -2,6 +2,7 @@
 
 import json
 import resource
+import shlex
 import struct
 import subprocess
 import sys
@@ -18,6 +19,48 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# `fockops enum` calls with their stdout, stderr and exit code: one species
+# (each literal, -J, --all, the default count and each refusal) and a mixture
+# (-J, --all, the default N_conf_total and each refusal).  "{digits}" stands
+# for Python's integer-to-string digit limit.
+ENUM_MATRIX = [
+    ('--fermion -N 7 -M 10 --holes 2,6,8', 0, '65\n', ''),
+    ('--fermion -N 2 -M 4 --occ 0,1,1,0', 0, '4\n', ''),
+    ('--fermion -N 2 -M 4 --bits 0110', 0, '4\n', ''),
+    ('--boson -N 3 -M 3 --occ 1,0,2', 0, '6\n', ''),
+    ('--fermion -N 7 -M 10 -J 65', 0, '65 |1011101011>\n', ''),
+    ('--boson -N 2 -M 3 --all', 0, '1 |2,0,0>\n2 |1,1,0>\n3 |1,0,1>\n4 |0,2,0>\n5 |0,1,1>\n6 |0,0,2>\n', ''),
+    ('--fermion -N 2 -M 4 --all', 0, '1 |1100>\n2 |1010>\n3 |1001>\n4 |0110>\n5 |0101>\n6 |0011>\n', ''),
+    ('--boson -N 3 -M 4', 0, 'N_conf 20\n', ''),
+    ('--fermion -N 2 -M 4 --holes 1,3 --occ 1,0,1,0 --bits 1010 -J 2 --all', 0, '5\n2\n2\n2 |1010>\n1 |1100>\n2 |1010>\n3 |1001>\n4 |0110>\n5 |0101>\n6 |0011>\n', ''),
+    ('--boson -N 2 -M 2 --holes 1', 1, '', 'fockops: --holes labels fermionic configurations only\n'),
+    ('--fermion -N 2 -M 4 --bits 01a0', 1, '', "fockops: bit string must be 0/1, got '01a0'\n"),
+    ('--fermion -N 2 -M 4 --occ 1,x', 1, '', "fockops: bad integer list '1,x'\n"),
+    ('--fermion -N 2 -M 4 --occ 1,1,1,0', 1, '', 'fockops: occupations sum to 3, expected N=2\n'),
+    ('--fermion -N 2 -M 4 -J 7', 1, '', 'fockops: address 7 outside [1, 6]\n'),
+    ('--fermion -N 5 -M 3', 1, '', 'fockops: fermionic space needs M >= N, got N=5, M=3\n'),
+    ('--fermion -N 10000 -M 20000', 1, '', 'fockops: a number of more than {digits} decimal digits cannot be printed\n'),
+    ('--fermion -N 20 -M 40 --all', 1, '', 'fockops: --all would list 137846528820 configurations: the listing is too large\n'),
+    ('--mix -N 1 -M 2 -NB 2 -MB 3 --mix-stats boson,fermion -J 5', 0, '5 2 2 |0,1> |101>\n', ''),
+    ('--mix -N 1 -M 2 -NB 2 -MB 3 --mix-stats boson,fermion --all', 0, '1 1 1 |1,0> |110>\n2 1 2 |1,0> |101>\n3 1 3 |1,0> |011>\n4 2 1 |0,1> |110>\n5 2 2 |0,1> |101>\n6 2 3 |0,1> |011>\n', ''),
+    ('--mix -N 1 -M 2 -NB 2 -MB 3 --mix-stats boson,fermion', 0, 'N_conf_total 6\n', ''),
+    ('--mix -N 1 -M 2 -NB 2 -MB 3 --mix-stats boson,fermion -J 5 --all', 0, '5 2 2 |0,1> |101>\n1 1 1 |1,0> |110>\n2 1 2 |1,0> |101>\n3 1 3 |1,0> |011>\n4 2 1 |0,1> |110>\n5 2 2 |0,1> |101>\n6 2 3 |0,1> |011>\n', ''),
+    ('--mix -N 1 -M 2 -NB 2 -MB 3 --mix-stats boson,fermion -J 0', 1, '', 'fockops: address 0 outside [1, 6]\n'),
+    ('--mix -N 1 -M 2 -NB 2 -MB 3 --mix-stats boson,fermion -J 7', 1, '', 'fockops: address 7 outside [1, 6]\n'),
+    ('--mix -N 1 -M 2 -NB 2 -MB 3 --mix-stats boson,fermion --occ 1,0', 1, '', "fockops: --holes, --occ and --bits rank one species' configuration; with --mix use -J\n"),
+    ('--mix -N 1 -M 2 -NB 2 -MB 3 --mix-stats boson,fermion --holes 2', 1, '', "fockops: --holes, --occ and --bits rank one species' configuration; with --mix use -J\n"),
+    ('--mix -N 1 -M 2 -NB 2 -MB 3 --mix-stats boson,fermion --bits 10', 1, '', "fockops: --holes, --occ and --bits rank one species' configuration; with --mix use -J\n"),
+    ('--mix -N 1 -M 2 -NB 1 -MB 2 --mix-stats fermion', 1, '', "fockops: bad --mix-stats 'fermion'\n"),
+    ('--mix -N 1 -M 2 -NB 1 -MB 2 --mix-stats fermion,quark', 1, '', "fockops: bad --mix-stats 'fermion,quark'\n"),
+    ('--mix -N 1 -M 2 --mix-stats fermion,boson', 1, '', 'fockops: --mix requires -NB and -MB\n'),
+    ("--mix -N 1 -M 2 -NB 1 -MB 2 --mix-stats ' Fermion , BOSON '", 0, 'N_conf_total 4\n', ''),
+    ('--mix -N 1 -M 2 -NB 1 -MB 2', 0, 'N_conf_total 4\n', ''),
+    ('--mix -N 3 -M 2 -NB 1 -MB 2 --mix-stats fermion,fermion', 1, '', 'fockops: fermionic space needs M >= N, got N=3, M=2\n'),
+    ('--mix -N 10 -M 20 -NB 10 -MB 20 --mix-stats fermion,fermion --all', 1, '', 'fockops: --all would list 34134779536 configurations: the listing is too large\n'),
+    ('--mix -N 10000 -M 20000 -NB 1 -MB 2 --mix-stats fermion,boson', 1, '', 'fockops: a number of more than {digits} decimal digits cannot be printed\n'),
+]
 
 
 class TestEnum:
@@ -158,6 +201,12 @@ class TestEnum:
         assert code == EXIT_USAGE
         assert out == ""
         assert _one_line_error(err) and flag in err
+
+    @pytest.mark.parametrize("argv,code,out,err", ENUM_MATRIX, ids=[row[0] for row in ENUM_MATRIX])
+    def test_output_matrix(self, capsys, argv, code, out, err):
+        """One code path for one species and for two prints exactly what each path printed on its own."""
+        assert run_cli(capsys, "enum", *shlex.split(argv)) == (
+            code, out, err.format(digits=sys.get_int_max_str_digits()))
 
 
 class TestGs:

@@ -16,9 +16,13 @@ from fockops import (
     MixtureSpace,
     OneBodyTable,
     SpaceDescriptor,
+    SpaceMismatchError,
     StateVector,
     TwoBodyTable,
     apply_hamiltonian,
+    apply_one_body_operator,
+    apply_one_body_term,
+    apply_two_body_term,
     apply_inter,
     apply_inter_term,
     apply_intra_a,
@@ -40,9 +44,10 @@ from fockops import (
     propagate,
     random_state,
     save_state,
+    two_body_density,
 )
 from fockops.fockspace import occupation_table
-from fockops.oracle import DENSE_CAP
+from fockops.oracle import DENSE_CAP, dense_eig
 from fockops.mixtures import apply_one_body_term_a
 from conftest import random_hermitian_spec, random_mixture_spec, suite_mixture_spaces
 
@@ -341,6 +346,63 @@ class TestEisenbergLieb:
             assert abs(mixed - single) > 1e-3
 
 
+def _pairing(levels, pairs, g):
+    """Reduced BCS (Richardson) model on F(pairs, levels)²: h = diag(ε) for both species, X[k,q,k,q] = −g.
+
+    Returns the mixture spec, the Hamiltonian on its seniority-zero sector
+    (both species occupy the same subset S of the levels) and the amplitude
+    index of each |S>|S>, with the subsets in combinations order.  On that
+    sector the diagonal is 2 Σ_{k∈S} ε_k − gN and two subsets that differ
+    by one level are coupled by −g: in |S>|S> both species' fermionic
+    signs are the same, so they cancel.
+    """
+    eps = 0.5 * np.arange(levels) + 0.1 * np.sin(np.arange(levels))  # no two level spacings alike
+    space = SpaceDescriptor.fermion(pairs, levels)
+    species = HamiltonianSpec(space, OneBodyTable(np.diag(eps)), TwoBodyTable.zeros(levels))
+    x = np.zeros((levels,) * 4)
+    k, q = np.indices((levels, levels))
+    x[k, q, k, q] = -g
+    mspec = MixtureHamiltonianSpec(MixtureSpace(space, space), species, species, InterSpeciesTable(x))
+    subsets = list(itertools.combinations(range(levels), pairs))
+    occ = np.zeros((len(subsets), levels))
+    for row, subset in zip(occ, subsets):
+        row[list(subset)] = 1
+    reduced = -g * (occ @ occ.T == pairs - 1) + np.diag(2 * occ @ eps - g * pairs)
+    address = {tuple(np.flatnonzero(row)): j for j, row in enumerate(occupation_table("fermion", pairs, levels)[0])}
+    index = np.array([address[subset] * (space.n_conf + 1) for subset in subsets])  # (J_A - 1) N^B_conf + J_B - 1
+    return mspec, reduced, index
+
+
+class TestPairingModel:
+    """The reduced BCS Hamiltonian is all inter-species hops a†_k a_q b†_k b_q, none derived from a W.
+
+    For g > 0 its ground state has seniority zero, and the seniority-zero
+    sector is a C(L, N) matrix built from combinations (Richardson, Phys.
+    Lett. 3, 277, 1963), so it is an exact reference past the dense cap.
+    """
+
+    @pytest.mark.parametrize("levels,pairs,g", [(4, 2, 1.0), (6, 3, 0.3), (10, 5, 1.0)])
+    def test_ground_energy(self, levels, pairs, g):
+        mspec, reduced, _ = _pairing(levels, pairs, g)
+        exact = np.linalg.eigvalsh(reduced)[0]
+        if mspec.mspace.n_conf <= DENSE_CAP:
+            assert abs(dense_eig(build_dense(mspec))[0][0] - exact) <= 1e-12 * max(1.0, abs(exact))
+        assert abs(ground_state(mspec, tol=1e-10, seed=1).energy - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    def test_propagation_stays_in_the_sector(self):
+        """psi(t) from a seniority-zero state equals the reduced expm, and nothing leaks out of the sector."""
+        mspec, reduced, index = _pairing(8, 4, 0.7)
+        c0 = np.random.default_rng(3).standard_normal(len(index)) + 0j
+        c0 /= np.linalg.norm(c0)
+        amps = np.zeros(mspec.mspace.n_conf, dtype=np.complex128)
+        amps[index] = c0
+        result = propagate(mspec, StateVector(mspec.mspace, amps), t_final=1.0, dt=0.25)
+        w, v = np.linalg.eigh(reduced)
+        exact = np.zeros_like(amps)
+        exact[index] = v @ (np.exp(-1j * w * 1.0) * (v.conj().T @ c0))
+        assert np.linalg.norm(result.final_state.amplitudes - exact) <= 1e-8
+
+
 class TestOrbitalChecks:
     """Each helper checks a species' orbitals against that species' M (3 for A, 4 for B), as apply_one_body_term does."""
 
@@ -402,3 +464,32 @@ def test_mixture_vector_serialization_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.amplitudes, psi.amplitudes)
     with pytest.raises(ValueError, match="mixture"):
         save_state(psi, tmp_path / "mix.json", fmt="json")
+
+
+class TestStateOfTheWrongKind:
+    """Every entry point refuses a state of the other kind of space, or of another space, with SpaceMismatchError."""
+
+    single = SpaceDescriptor.fermion(2, 4)
+    mspace = MixtureSpace(SpaceDescriptor.fermion(2, 4), SpaceDescriptor.boson(1, 3))
+    spec, mspec = random_hermitian_spec(single, seed=1), random_mixture_spec(mspace, seed=2)
+    mixed, alone = random_state(mspace, seed=3), random_state(single, seed=4)
+    calls = {
+        "one_body_density": lambda t: one_body_density(t.mixed),
+        "two_body_density": lambda t: two_body_density(t.mixed),
+        "apply_one_body_term": lambda t: apply_one_body_term(1, 2, t.mixed),
+        "apply_two_body_term": lambda t: apply_two_body_term(1, 2, 2, 1, t.mixed),
+        "apply_one_body_operator": lambda t: apply_one_body_operator(t.spec.one_body, t.mixed),
+        "mixture_densities": lambda t: mixture_densities(t.alone),
+        "apply_inter_term": lambda t: apply_inter_term(1, 2, 1, 2, t.alone),
+        "apply_one_body_term_a": lambda t: apply_one_body_term_a(1, 2, t.alone),
+        "apply_intra_a": lambda t: apply_intra_a(t.mspec.spec_a, t.alone),
+        "apply_intra_b": lambda t: apply_intra_b(t.mspec.spec_b, t.alone),
+        "apply_inter": lambda t: apply_inter(t.mspec.inter, t.alone),
+        # boson(1, 6) has the 6 configurations of fermion(2, 4)
+        "propagate": lambda t: propagate(t.spec, random_state(SpaceDescriptor.boson(1, 6), seed=5), t_final=0.1, dt=0.05),
+    }
+
+    @pytest.mark.parametrize("call", calls)
+    def test_refused(self, call):
+        with pytest.raises(SpaceMismatchError):
+            self.calls[call](self)

@@ -12,6 +12,7 @@ from fockops import (
     MixtureSpace,
     OneBodyTable,
     SpaceDescriptor,
+    SpaceMismatchError,
     StateVector,
     TwoBodyTable,
     apply_hamiltonian,
@@ -162,6 +163,16 @@ class TestEnergy:
         psi = random_state(space, seed=11)
         e = energy(spec, psi)
         assert abs(e.imag) <= 1e-12 * max(1.0, abs(e))
+
+    @pytest.mark.parametrize("other,message", [
+        (SpaceDescriptor.boson(1, 6), "Hamiltonian and state belong to different spaces"),
+        (suite_mixture_spaces()[0], "mixture spec and state live in different spaces"),
+    ], ids=["single", "mixture"])
+    def test_state_of_another_space(self, other, message):
+        """energy goes through the executor, so a state that does not fit H gets its engine's refusal."""
+        spec = random_hermitian_spec(SpaceDescriptor.fermion(2, 4), seed=10)
+        with pytest.raises(SpaceMismatchError, match=message):
+            energy(spec, random_state(other, seed=11))
 
 
 class TestMixtureDensities:

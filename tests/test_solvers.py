@@ -17,6 +17,7 @@ from fockops import (
     SolverArgumentError,
     StepFailureError,
     TwoBodyTable,
+    WorkerCountError,
     apply_hamiltonian,
     basis_state,
     boson_rank,
@@ -512,6 +513,23 @@ def test_factoring_runs_once_per_solve(mixture, monkeypatch):
     calls.clear()
     assert propagate(spec, psi0, t_final=1.0, dt=0.5, krylov_dim=6).substeps.sum() >= 2
     assert calls == once
+
+
+@pytest.mark.parametrize("solve", [
+    lambda spec, workers: ground_state(spec, workers=workers),
+    lambda spec, workers: propagate(spec, basis_state(spec.space, 1), t_final=0.2, dt=0.1, workers=workers),
+], ids=["ground_state", "propagate"])
+def test_worker_count_is_checked_at_entry(solve, monkeypatch):
+    """A count below 1 is refused before any work; None reads FOCK_WORKERS, as parallel_apply does."""
+    spec = build_bose_hubbard(2, 3, hopping=1.0, interaction=2.0)
+    for bad in (0, -1):
+        with pytest.raises(WorkerCountError):
+            solve(spec, bad)
+    monkeypatch.delenv("FOCK_WORKERS", raising=False)
+    solve(spec, None)
+    monkeypatch.setenv("FOCK_WORKERS", "0")
+    with pytest.raises(WorkerCountError):
+        solve(spec, None)
 
 
 class TestPropagation:
