@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from . import kernel, mixtures
 from .errors import WorkerCountError
 
@@ -21,16 +23,22 @@ WORKERS_ENV = "FOCK_WORKERS"
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument wins over FOCK_WORKERS; default 1."""
+    """Explicit argument wins over FOCK_WORKERS; default 1.
+
+    A count that is not an ``int`` or ``np.integer`` (a ``bool`` included),
+    or is below 1, raises :class:`WorkerCountError`.
+    """
     if workers is None:
         env = os.environ.get(WORKERS_ENV)
         try:
             workers = int(env) if env else 1
         except ValueError:
             raise WorkerCountError(f"{WORKERS_ENV}={env!r} is not an integer") from None
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise WorkerCountError(f"worker count must be an integer, got {workers!r}")
     if workers < 1:
         raise WorkerCountError(f"worker count must be >= 1, got {workers}")
-    return workers
+    return int(workers)
 
 
 def prepare(spec):

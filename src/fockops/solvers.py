@@ -1,13 +1,19 @@
 """Krylov solvers built solely on the matrix-free apply.
 
-Ground states come from a Lanczos iteration with full reorthogonalization;
+Ground states come from a Lanczos iteration with partial reorthogonalization;
 time propagation uses short iterative Lanczos (SIL): each step spans a fresh
 Krylov subspace of the current state and applies exp(-i T dt) in it, so loss
 of orthogonality cannot accumulate across steps.  The basis is kept as rows
 of contiguous blocks, so each reorthogonalization pass (classical
 Gram-Schmidt), Ritz vector and SIL result is one BLAS-2 call per block.
-Lanczos runs a second pass only when the first one cancels most of the new
-vector (the DGKS criterion); SIL runs one.  Lanczos grows the basis by
+A step runs a pass only when Simon's recurrence (Math. Comp. 42, 1984)
+estimates that the new vector has drifted from orthogonality with some row
+by more than a limit set by the solve's tolerance, and then on the next
+step too; it always runs one on the first step of a space, on the step
+whose vector a restart keeps, and on every step in a space of at most
+:data:`RESTART_MIN_DIM` configurations.  Lanczos follows a pass with a
+second one only when the first cancels most of the new vector (the DGKS
+criterion); SIL runs one.  Lanczos grows the basis by
 :data:`BASIS_BLOCK_ROWS` rows up to :data:`BASIS_MAX_ROWS`; a full basis is
 thick-restarted (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000) from its
 :data:`BASIS_KEEP_ROWS` lowest Ritz vectors and the residual direction, so
@@ -44,6 +50,7 @@ from .errors import ConvergenceError, SolverArgumentError, SpaceMismatchError, S
 from .fockspace import StateVector
 
 _BREAKDOWN_TOL = 1e-13
+_EPS = float(np.finfo(np.float64).eps)
 _DGKS_RATIO = 2**-0.5  # a pass that keeps less than this share of ||w|| is repeated
 BASIS_BLOCK_ROWS = 16  # rows per block of a growing Lanczos basis
 BASIS_MAX_ROWS = 2 * BASIS_BLOCK_ROWS  # ground_state's basis is restarted when it holds this many rows
@@ -73,7 +80,7 @@ def _operator(spec, workers: int | None = 1):
 
 
 class _Lanczos:
-    """Lanczos recurrence whose orthonormal basis rows live in contiguous blocks.
+    """Lanczos recurrence whose basis rows live in contiguous blocks.
 
     Blocks of ``block_rows`` rows of ``dtype`` are allocated as the basis
     grows and reused by :meth:`start` and :meth:`restart`; rows beyond
@@ -81,6 +88,9 @@ class _Lanczos:
     with values ``ritz`` followed by a Lanczos recurrence (``alphas``,
     ``betas``) whose first row couples to them by ``arrow``: the projected
     matrix V^H H V is that arrowhead-plus-tridiagonal (:meth:`projected`).
+    ``omega`` and ``omega_prev`` estimate |v_i^H v_j| of the last two rows
+    j against every row i, with 1 for i = j; :meth:`step` keeps them within
+    the limit it is given.
     """
 
     def __init__(self, matvec, dim: int, block_rows: int, dtype=np.complex128):
@@ -91,16 +101,21 @@ class _Lanczos:
         self.size, self.alphas, self.betas = 0, [], []
         self.ritz = self.arrow = np.zeros(0)
         self._append(v, nrm)
+        self.omega, self.omega_prev, self.owed = np.ones(1), np.zeros(0), 1
 
     def row(self, i: int) -> np.ndarray:
         return self.blocks[i // self.block_rows][i % self.block_rows]
 
-    def step(self, dgks: bool, hv: np.ndarray | None = None):
-        """(w, ||w||) for w = H times the last row, orthogonalized against every row; appends alpha.
+    def step(self, limit: float, dgks: bool = False, hv: np.ndarray | None = None):
+        """(w, ||w||) for w = H times the last row, less its recurrence terms; appends alpha.
 
         ``hv``, if given, is that product already computed; it becomes w and
-        is modified in place.  One classical Gram-Schmidt pass always runs.
-        With ``dgks`` a second one follows when the first shrinks ||w||
+        is modified in place.  A classical Gram-Schmidt pass against every
+        row runs when a pass is owed (the first step of a space, or the step
+        after a pass the estimate asked for), when ``limit`` is 0, or when
+        the estimate of w's drift from orthogonality (:meth:`_drift`) passes
+        ``limit``; the last also owes one on the next step (Simon's rule).
+        With ``dgks`` a second pass follows when the first shrinks ||w||
         below ||w|| / sqrt(2) (Daniel, Gragg, Kaufman & Stewart, Math.
         Comp. 30, 1976): only then has cancellation left w far from
         orthogonal to the basis.
@@ -111,13 +126,44 @@ class _Lanczos:
         w -= self.alphas[-1] * v
         if self.betas:
             w -= self.betas[-1] * self.row(self.size - 2)
-        before = np.linalg.norm(w) if dgks else 0.0
-        self._orthogonalize(w)
         nrm = float(np.linalg.norm(w))
-        if dgks and nrm < _DGKS_RATIO * before:
+        omega = None if self.owed or limit <= 0 or nrm == 0 else self._drift(nrm)
+        if omega is None or omega[:-1].max() > limit:
+            self.owed = 0 if omega is None else 1
+            before = nrm
             self._orthogonalize(w)
             nrm = float(np.linalg.norm(w))
+            if dgks and nrm < _DGKS_RATIO * before:
+                self._orthogonalize(w)
+                nrm = float(np.linalg.norm(w))
+            omega = _orthogonalized(self.size + 1)
+        self.omega_prev, self.omega = self.omega, omega
         return w, nrm
+
+    def _drift(self, beta: float) -> np.ndarray:
+        """Simon's estimate of |v_i^H w| / beta for every row i, from the projected matrix P; 1 for w itself.
+
+        For i below the last row j it is (|(omega P)_i - alpha omega_i -
+        beta_j omega_prev_i| + eps (|alpha| + beta)) / beta, and eps for i = j,
+        with alpha and beta_j the recurrence's last terms.  A Ritz row i reads
+        (omega P)_i = ritz_i omega_i + arrow_i omega_k, k the first Lanczos row.
+        """
+        k, n, o = self.ritz.size, self.size, self.omega
+        po = np.empty(n)
+        po[:k] = self.ritz * o[:k] + self.arrow * o[k]
+        x, b = o[k:], np.asarray(self.betas)
+        t = po[k:]
+        np.multiply(self.alphas, x, out=t)
+        t[:-1] += b * x[1:]
+        t[1:] += b * x[:-1]
+        t[0] += self.arrow @ o[:k]
+        alpha = self.alphas[-1]
+        new = np.empty(n + 1)
+        new[: n - 1] = np.abs(po[:-1] - alpha * o[:-1] - self.betas[-1] * self.omega_prev)
+        new[: n - 1] += _EPS * (abs(alpha) + beta)
+        new[: n - 1] /= beta
+        new[n - 1 :] = _EPS, 1.0
+        return new
 
     def _orthogonalize(self, w: np.ndarray) -> None:
         """One classical Gram-Schmidt pass in place, w -= V (V^H w): two GEMVs per block."""
@@ -153,6 +199,7 @@ class _Lanczos:
         self.size, self.alphas, self.betas = k, [], []
         self.ritz, self.arrow = ritz, beta * y[-1]
         self._append(w, beta)
+        self.omega, self.owed = _orthogonalized(k + 1), 1  # the arrow couplings are removed by a pass
 
     def projected(self) -> np.ndarray:
         """V^H H V: diag(ritz) bordered by ``arrow`` on the first row of the tridiagonal (alphas, betas)."""
@@ -169,12 +216,33 @@ class _Lanczos:
     def _append(self, w, scale) -> None:
         if self.size == len(self.blocks) * self.block_rows:
             self.blocks.append(np.empty((self.block_rows, self.dim), dtype=self.dtype))
-        np.divide(w, scale, out=self.row(self.size))
+        np.multiply(w, 1.0 / scale, out=self.row(self.size))
         self.size += 1
 
     def _filled(self) -> list[np.ndarray]:
         k = self.block_rows
         return [blk[: self.size - b * k] for b, blk in enumerate(self.blocks[: -(-self.size // k)])]
+
+
+def _orthogonalized(n: int) -> np.ndarray:
+    """The drift estimate of a row just orthogonalized against the n - 1 before it: eps, then 1 for itself."""
+    omega = np.full(n, _EPS)
+    omega[-1] = 1.0
+    return omega
+
+
+def _pass_limit(dim: int, tol: float, scale: float) -> float:
+    """The drift a step allows before it reorthogonalizes: min(sqrt(eps), 0.1 tol / scale), 0 for a small space.
+
+    A restart keeps V^H H V as diag(ritz) plus the arrow and drops the
+    O(||H|| omega) couplings that a basis omega from orthogonal carries, so
+    ``scale`` is ||H|| or what multiplies the error.  A space of at most
+    :data:`RESTART_MIN_DIM` configurations reorthogonalizes every step: its
+    basis is cheap, and the test for an exhausted space assumes it orthonormal.
+    """
+    if dim <= RESTART_MIN_DIM:
+        return 0.0
+    return min(_EPS**0.5, 0.1 * tol / scale) if scale > 0 else _EPS**0.5
 
 
 def _tridiagonal(alphas, betas) -> np.ndarray:
@@ -227,9 +295,12 @@ def ground_state(
     best_res = np.inf
     best_est = np.inf
     checks = 0
+    norm_t = 0.0  # the largest |Ritz value| so far, for ||H||
     for it in range(1, max_iter + 1):
-        w, beta = lz.step(dgks=True)  # full reorthogonalization
+        keep = lz.size >= BASIS_MAX_ROWS and dim > RESTART_MIN_DIM  # a restart keeps w: orthogonalize it
+        w, beta = lz.step(0.0 if keep else _pass_limit(dim, tol, norm_t), dgks=True)
         evals, evecs = np.linalg.eigh(lz.projected())
+        norm_t = max(norm_t, abs(evals[0]), abs(evals[-1]))
         theta, y = float(evals[0]), evecs[:, 0]
         res_est = beta * abs(y[-1])
         best_est = min(best_est, res_est)
@@ -253,10 +324,10 @@ def ground_state(
                 return GroundStateResult(energy, state, res, it, it + checks)
         if it == max_iter:
             break
-        if lz.size < BASIS_MAX_ROWS or dim <= RESTART_MIN_DIM:  # non-breakdown: beta well above zero here
-            lz.push(w, beta)
-        else:
+        if keep:
             lz.restart(evals[:BASIS_KEEP_ROWS], evecs[:, :BASIS_KEEP_ROWS], w, beta)
+        else:  # non-breakdown: beta well above zero here
+            lz.push(w, beta)
     best = best_res if np.isfinite(best_res) else best_est
     raise ConvergenceError(
         f"no convergence to {tol:.1e} within {max_iter} iterations; best residual {best:.3e}",
@@ -313,8 +384,8 @@ def _sil_space(lz: _Lanczos, y: np.ndarray, m_max: int, hy: np.ndarray | None = 
     if nrm == 0.0:
         return lambda dt, budget: (y.copy, 0.0, 0)
     lz.start(y, nrm)
-    # one Gram-Schmidt pass: the space is rebuilt every step
-    w, beta = lz.step(dgks=False, hv=None if hy is None else hy / nrm)
+    # no second pass: the space is rebuilt every step; the first step always runs one
+    w, beta = lz.step(0.0, hv=None if hy is None else hy / nrm)
 
     def step(dt, budget):
         nonlocal w, beta
@@ -334,7 +405,7 @@ def _sil_space(lz: _Lanczos, y: np.ndarray, m_max: int, hy: np.ndarray | None = 
             if err <= budget or m == m_max:
                 return (lambda: nrm * lz.combine(u)), err, m
             lz.push(w, beta)
-            w, beta = lz.step(dgks=False)
+            w, beta = lz.step(_pass_limit(lz.dim, budget, nrm))
             u_small = u
 
     return step

@@ -10,9 +10,12 @@ import pytest
 from fockops import (
     MixtureSpace,
     SpaceDescriptor,
+    WorkerCountError,
     apply_hamiltonian,
+    build_bose_hubbard,
     build_dense,
     fockspace,
+    ground_state,
     kernel,
     load_integrals,
     mixture_random_state,
@@ -46,6 +49,22 @@ class TestWorkerResolution:
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(0)
+
+    def test_numpy_integer_accepted(self):
+        assert type(resolve_workers(np.int64(2))) is int
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "2", np.float64(2.0), np.bool_(True)],
+                             ids=repr)
+    @pytest.mark.parametrize("entry", ["resolve_workers", "parallel_apply", "ground_state"])
+    def test_a_count_that_is_not_an_integer_is_refused(self, entry, bad):
+        spec = build_bose_hubbard(2, 3, hopping=1.0, interaction=2.0)
+        call = {
+            "resolve_workers": lambda: resolve_workers(bad),
+            "parallel_apply": lambda: parallel_apply(spec, random_state(spec.space, seed=1), bad),
+            "ground_state": lambda: ground_state(spec, workers=bad),
+        }[entry]
+        with pytest.raises(WorkerCountError, match="must be an integer"):
+            call()
 
 
 class TestBitwiseDeterminism:

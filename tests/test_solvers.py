@@ -485,6 +485,77 @@ class TestThickRestart:
             assert (result.iterations, result.matvecs) == (4, 5)
 
 
+def _count_passes(monkeypatch) -> list:
+    """One entry per Gram-Schmidt pass of every _Lanczos the solvers create."""
+    passes = []
+    orthogonalize = solvers._Lanczos._orthogonalize
+    monkeypatch.setattr(solvers._Lanczos, "_orthogonalize",
+                        lambda self, w: passes.append(1) or orthogonalize(self, w))
+    return passes
+
+
+class TestPartialReorthogonalization:
+    """A step runs a Gram-Schmidt pass only when the estimated drift from orthogonality passes its limit.
+
+    The limit scales with the solve's tolerance; a space of at most
+    RESTART_MIN_DIM configurations runs a pass on every step.  Skipping the
+    passes without the estimate (one on the first step of each space only)
+    fails the ground-state tests here against the oracle.
+    """
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_a_restarted_solve_runs_a_pass_on_fewer_than_half_its_steps(self, real, monkeypatch):
+        spec = _restart_spec(real)
+        passes = _count_passes(monkeypatch)
+        result = ground_state(spec, tol=1e-9, seed=1)
+        assert result.iterations > BASIS_MAX_ROWS
+        assert len(passes) < result.iterations / 2
+        assert abs(result.energy - dense_eig(build_dense(spec))[0][0]) <= 1e-10
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_the_limit_follows_a_tight_tol(self, real):
+        """Three fermions on 12 levels up to 100: dimension 220, ||H|| about 300, run to tol 1e-11.
+
+        A restart drops the O(||H|| omega) couplings of a basis omega from
+        orthogonal, so a limit of sqrt(eps) that ignores tol leaves the
+        residual near 1e-7 at max_iter.
+        """
+        spec = _spectrum_spec(_gapped_levels(12), seed=12, real=real, particles=3)
+        assert spec.space.n_conf > RESTART_MIN_DIM
+        tol = 1e-11
+        result = ground_state(spec, tol=tol, seed=1)
+        assert result.iterations > BASIS_MAX_ROWS
+        assert abs(result.energy - dense_eig(build_dense(spec))[0][0]) <= 1e-12
+        hpsi = apply_hamiltonian(spec, result.state).amplitudes
+        assert np.linalg.norm(hpsi - result.energy * result.state.amplitudes) <= tol
+
+    def test_a_small_space_runs_a_pass_on_every_step_to_exhaustion(self, monkeypatch):
+        """One fermion on 100 levels, a cluster 3e-3 wide under levels up to 1000: the whole Krylov space."""
+        lam = np.concatenate([[0.0, 1e-3, 2e-3, 3e-3], np.geomspace(1.0, 1000.0, 96)])
+        spec = _spectrum_spec(lam, seed=100)
+        assert BASIS_MAX_ROWS < spec.space.n_conf <= RESTART_MIN_DIM
+        passes = _count_passes(monkeypatch)
+        result = ground_state(spec, tol=1e-10, seed=1)
+        assert result.iterations == spec.space.n_conf
+        assert len(passes) >= result.iterations
+        assert abs(result.energy - dense_eig(build_dense(spec))[0][0]) <= 1e-10
+        hpsi = apply_hamiltonian(spec, result.state).amplitudes
+        assert np.linalg.norm(hpsi - result.energy * result.state.amplitudes) <= 1e-10
+
+    def test_propagation_matches_the_dense_exponential_with_fewer_passes_than_vectors(self, monkeypatch):
+        space = SpaceDescriptor.fermion(3, 11)
+        assert space.n_conf > RESTART_MIN_DIM
+        spec = random_hermitian_spec(space, seed=7)
+        psi0 = random_state(space, seed=8)
+        passes = _count_passes(monkeypatch)
+        result = propagate(spec, psi0, t_final=2.0, dt=0.25, krylov_dim=14, store_states=True)
+        assert len(passes) < result.krylov_dims.sum()
+        mat = build_dense(spec)
+        for t, state in zip(result.times, result.states):
+            exact = dense_expm_apply(mat, psi0, float(t))
+            assert np.linalg.norm(state.amplitudes - exact.amplitudes) <= 1e-8
+
+
 def test_readme_library_example_runs(capsys):
     """The README's library example runs as written, reading GroundStateResult by attribute."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
