@@ -159,9 +159,8 @@ class _Lanczos:
         t[0] += self.arrow @ o[:k]
         alpha = self.alphas[-1]
         new = np.empty(n + 1)
-        new[: n - 1] = np.abs(po[:-1] - alpha * o[:-1] - self.betas[-1] * self.omega_prev)
-        new[: n - 1] += _EPS * (abs(alpha) + beta)
-        new[: n - 1] /= beta
+        new[: n - 1] = (np.abs(po[:-1] - alpha * o[:-1] - self.betas[-1] * self.omega_prev)
+                        + _EPS * (abs(alpha) + beta)) / beta
         new[n - 1 :] = _EPS, 1.0
         return new
 
