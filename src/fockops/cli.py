@@ -319,7 +319,7 @@ def cmd_prop(args) -> int:
         mat = oracle.build_dense(spec)
         deviation = []
         for t, state in zip(result.times, result.states):
-            exact = oracle.dense_expm_apply(mat, psi0, float(t))
+            exact = oracle.dense_expm_apply(mat, psi0, float(t), space=spec.space)
             deviation.append(float(np.linalg.norm(state.amplitudes - exact.amplitudes)))
     if args.out:
         solvers.write_series_csv(result, args.out, oracle_deviation=deviation)

@@ -68,15 +68,23 @@ per-pair sweeps per matvec.  The stacked operator has two parts:
 - pair images: per block of the N -/+ 2 space, one gather through the
   pair table and one GEMM give that block of X;
 - sums: the diagonal, the hops and the returns read the stacked sources
-  [psi, X_0, ..., X_{R-1}] in one gather, one multiply by their weights
-  and one ``np.add.reduceat`` over segments sorted by output row
-  (:func:`stack_sums`), which writes each output row once.
+  [psi, X_0, ..., X_{R-1}].  The rows are grouped by their number of
+  entries, widest first, and each group is cut into blocks stored
+  column-major, the jagged-diagonal layout (Saad, SIAM J. Sci. Stat.
+  Comput. 10, 1200, 1989) in the blocks of SELL-C-sigma (Kreutzer et al.,
+  SIAM J. Sci. Comput. 36, C401, 2014) without padding.  A block is one
+  gather, one multiply by its weights and one ``np.add.reduce`` along
+  axis 0 (:func:`stack_sums`), which writes each of its rows once.
 
 On a 2-core x86 VM the stacking took one dense fermion(4,8) matvec from
-2.0 to 0.11 ms.  The entries are placed by a counting sort over the rows,
-one unordered pair's gather at a time, with no sorted or permuted copy.
-The hop gathers pass through the space's pool and leave it once placed,
-so the pool keeps no second copy of H's gathers.  Two paths sweep the
+2.0 to 0.11 ms, and the blocks of equal width took a hubbard-gs benchmark
+matvec (boson(9,9), 230,230 entries, float64) from 0.67-0.71 ms, summed
+by ``np.add.reduceat`` over 24,310 segments of 9.5 entries on average,
+to 0.51-0.54 ms (medians of 200 matvecs).  The entries are placed by a
+counting sort over the rows, one unordered pair's gather at a time, with
+no sorted or permuted copy.  The hop gathers pass through the space's
+pool and leave it once placed, so the pool keeps no second copy of H's
+gathers.  Two paths sweep the
 hops and returns one by one instead (:class:`Factored`,
 :func:`apply_factored`):
 
@@ -127,11 +135,11 @@ a prepared operator, not by the pool.
 The work is cut into blocks that do not depend on the worker count: a
 per-pair apply uses fixed row blocks, the pair images fixed blocks of
 about :data:`BLOCK_AMPLITUDES` image entries, and the stacked sums blocks
-of whole rows holding about as many entries.  All of X is formed before
-any row is summed, and each block sums into its own rows.  No amplitude
-is summed across blocks, so a worker count only decides which thread
-computes which whole blocks, and every amplitude is summed in the same
-order for any worker count (bitwise identical results).
+of rows of one width holding at most as many entries.  All of X is
+formed before any row is summed, and each block sums into its own rows.
+No amplitude is summed across blocks, so a worker count only decides
+which thread computes which whole blocks, and every amplitude is summed
+in the same order for any worker count (bitwise identical results).
 """
 
 from __future__ import annotations
@@ -276,11 +284,12 @@ def apply_two_body_term(k: int, s: int, l: int, q: int, psi: StateVector) -> Sta
 # the smallest size without that cost, so vectors above 16k amplitudes still
 # split into blocks that workers can share.  Pair images are formed in
 # blocks of about this many image entries, and a prepared operator's
-# stacked sums run in blocks of whole rows holding about this many
-# gathered entries, so their temporaries stay near one block of amplitudes.  On the hubbard-gs benchmark input (24,310
-# rows, 230,230 entries) summing per row block gathered 139,199 entries at
-# once, and the traced peak of a matvec was 1.7 MB above its inputs,
-# against 0.7 MB for the per-pair sweeps and 0.5 MB for blocks of entries.
+# stacked sums in blocks of rows of one width holding at most this many
+# entries (or one row), so their temporaries stay near one block of
+# amplitudes.  On the hubbard-gs benchmark input (24,310 rows, 230,230
+# entries) summing per row block gathered 139,199 entries at once, and the
+# traced peak of a matvec was 1.7 MB above its inputs, against 0.7 MB for
+# the per-pair sweeps and 0.5 MB for blocks of entries.
 # A mixture species whose N_conf x N_conf matrix fits in one block is applied
 # as that dense matrix (module docstring).
 BLOCK_AMPLITUDES = 1 << 14
@@ -436,13 +445,16 @@ class Factored(NamedTuple):
 
 
 class Sums(NamedTuple):
-    """Rows lo..hi-1 of stacked sums: ``out[lo:hi] = add.reduceat(sources.flat[src] * weight, starts)``."""
+    """A block of stacked sums over rows of one width: ``out[rows] = add.reduce(sources.flat[src] * weight, axis=0)``.
 
-    lo: int
-    hi: int
+    ``src`` and ``weight`` have shape (width, len(rows)), views into the one
+    pair of arrays of all blocks: column i holds the entries of row
+    ``rows[i]`` in the order they were placed, its diagonal first.
+    """
+
+    rows: np.ndarray
     src: np.ndarray
     weight: np.ndarray
-    starts: np.ndarray
 
 
 class Stacked(NamedTuple):
@@ -458,58 +470,71 @@ class Stacked(NamedTuple):
 
 
 def stack_sums(space: SpaceDescriptor, diag: np.ndarray, hops, returns, dtype) -> list[Sums]:
-    """diag + sum_p coeff_p E_p + the returns over the rows of ``space``, in blocks of whole rows for one segmented sum each.
+    """diag + sum_p coeff_p E_p + the returns over the rows of ``space``, in blocks of rows of one width.
 
     ``hops`` holds (pair, coeff) for flat 0-based pairs k * M + q: E_kq
     reads psi, the first N_conf stacked sources.  ``returns`` holds
     (gather, offset): a gather of coefficient 1 whose sources are the
     stacked sources from ``offset`` on.  The diagonal is every row's first
-    entry, so no row is without one.  A counting sort over the rows, sized
-    from the acting rows alone, places each part's entries after those
-    placed before it, so the build makes no sorted or permuted copy.  The
-    hops of one unordered pair are placed together, from its gather in the
-    space's pool (:func:`pair_gathers`), which is then dropped from the
-    pool.  A block holds about :data:`BLOCK_AMPLITUDES` entries (at least
-    one row), so a sum's temporaries do not grow with the vector.  Sources
-    are int32 when that reaches them all: half the bytes of intp, for a
-    gather about 5% slower on the hubbard-gs benchmark input.
+    entry, so no row is without one.  A row's width is its number of
+    entries, counted from the acting rows alone.  The rows are grouped by
+    width, widest first and in address order within a width (one
+    ``np.flatnonzero`` per width), and each group is cut into
+    :func:`row_blocks` of at most :data:`BLOCK_AMPLITUDES` entries (or one
+    row), so a sum's temporaries do not grow with the vector and the
+    blocks do not depend on the worker count.  A block of L rows is stored
+    column-major, a row's j-th entry L places after its (j-1)-th, so a
+    counting sort places each part's entries after those placed before
+    it, with no sorted or permuted copy.  The hops of one unordered pair
+    are placed together, from its gather in the space's pool
+    (:func:`pair_gathers`), which is then dropped from the pool.  The
+    kept row lists are allocated after ``src`` and ``weight``: one
+    ``np.argsort`` permutation made before them pinned glibc's heap 0.2 MB
+    higher at the peak of a hubbard-gs operation.  Sources are int32 when
+    that reaches them all: half the bytes of intp, for a matvec about 10%
+    slower on the hubbard-gs benchmark input.
     """
     tb, n, m = space.tables(), space.n_conf, space.m
-    count = np.ones(n + 1, dtype=np.intp)
-    count[0] = 0
+    count = np.ones(n, dtype=np.intp)
     by_key: dict = {}
     for pair, coeff in hops:
         k, q = divmod(int(pair), m)
         # E_kq acts where n_k >= 1 (fermions: n_k = 1, and n_q = 0 unless k = q)
-        count[1:] += tb.occ[:, k] > (tb.occ[:, q] if space.statistics == FERMION and k != q else 0)
+        count += tb.occ[:, k] > (tb.occ[:, q] if space.statistics == FERMION and k != q else 0)
         by_key.setdefault((min(k, q), max(k, q)), []).append((pair, coeff))
     for (g_src, _, _, act), _ in returns:
-        count[1:] += np.bincount(act, minlength=n)
-    first = np.cumsum(count)  # first[t]: row t's first entry; first[-1] entries in all
+        count += np.bincount(act, minlength=n)
     reach = max([n] + [offset + int(g[0][-1]) + 1 for g, offset in returns if g[0].size])
-    src = np.empty(first[-1], dtype=np.int32 if reach <= 2**31 else np.intp)
-    weight = np.empty(first[-1], dtype=dtype)
-    src[first[:-1]] = np.arange(n)
-    weight[first[:-1]] = diag
-    slot = first[:-1] + 1
+    src = np.empty(int(count.sum()), dtype=np.int32 if reach <= 2**31 else np.intp)
+    weight = np.empty(src.size, dtype=dtype)
+    groups = [(width, np.flatnonzero(count == width))  # widest rows first, in address order within a width
+              for width in np.flatnonzero(np.bincount(count))[::-1].tolist()]
+    stride = count  # the counts are dead: stride[r] is the length of row r's block
+    slot = np.empty(n, dtype=np.intp)  # slot[r]: where row r's next entry goes
+    sums, base = [], 0
+    for width, group in groups:
+        for lo, hi in row_blocks(group.size, width):
+            rows, end = group[lo:hi], base + width * (hi - lo)
+            slot[rows] = np.arange(base, base + rows.size)
+            stride[rows] = rows.size
+            sums.append(Sums(rows, src[base:end].reshape(width, -1), weight[base:end].reshape(width, -1)))
+            base = end
 
     def place(gather, offset, coeff):
         g_src, pref, _, act = gather
         at = slot[act]
         src[at] = g_src + offset
         weight[at] = coeff * pref
-        slot[act] = at + 1
+        slot[act] = at + stride[act]
 
+    place((np.arange(n), diag, None, slice(None)), 0, 1.0)
     for (k, q), uses in by_key.items():
         for gather, (_, coeff) in zip(pair_gathers(space, [p for p, _ in uses]), uses):
             place(gather, 0, coeff)
         tb._gather_cache.pop((k + 1, q + 1), None)
     for gather, offset in returns:
         place(gather, offset, 1.0)
-    cuts = [0, *(np.flatnonzero(np.diff(first[:-1] // BLOCK_AMPLITUDES)) + 1), n]  # rows that open a block
-    return [Sums(lo, hi, src[first[lo]:first[hi]], weight[first[lo]:first[hi]],
-                 first[lo:hi] - first[lo])
-            for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return sums
 
 
 class Coefficients(NamedTuple):
@@ -659,11 +684,13 @@ def _contract_pairs(part: PairPart, amps: np.ndarray, chi: np.ndarray, lo: int, 
 
 
 def _apply_stacked(op: Stacked, amps: np.ndarray, workers: int) -> np.ndarray:
-    """``op`` on the vector ``amps``: per block of the N -/+ 2 space the pair images and a GEMM, then per block a segmented sum.
+    """``op`` on the vector ``amps``: per block of the N -/+ 2 space the pair images and a GEMM, then the sums.
 
-    The sources [psi, chi_0, ..., chi_{R-1}] are one flat array, so the
-    diagonal, every hop and every return read them in one gather, and each
-    row of the result is written once.
+    The sources [psi, chi_0, ..., chi_{R-1}] are one flat array, so a block
+    of sums reads the diagonal, the hops and the returns of its rows in one
+    gather, multiplies them by their weights and adds them up along axis 0
+    (its entries' order, the same for any worker count), and each row of
+    the result is written once.
     """
     dtype = np.result_type(amps, op.dtype)
     part = op.pairs
@@ -679,7 +706,7 @@ def _apply_stacked(op: Stacked, amps: np.ndarray, workers: int) -> np.ndarray:
     def assemble(sums):
         vals = np.take(flat, sums.src)  # casts int32 indices at once: flat[sums.src] was 38% slower through them
         vals *= sums.weight
-        np.add.reduceat(vals, sums.starts, out=out[sums.lo:sums.hi])
+        out[sums.rows] = np.add.reduce(vals, axis=0)
 
     run_blocks(assemble, op.sums, workers)
     return out

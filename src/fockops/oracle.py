@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .combinadics import FERMION
-from .errors import SizeError, ValidationError
+from .errors import SizeError, SpaceMismatchError, ValidationError
 from .fockspace import StateVector
 from .hamiltonian import HamiltonianSpec
 from .mixtures import MixtureHamiltonianSpec
@@ -130,8 +130,14 @@ def dense_eig(op: np.ndarray, tol: float = 1e-10):
     return np.linalg.eigh(op)
 
 
-def dense_expm_apply(op: np.ndarray, psi, t: float, cap: int = DENSE_CAP):
-    """exp(-i op t) psi via the spectral decomposition of a Hermitian op."""
+def dense_expm_apply(op: np.ndarray, psi, t: float, cap: int = DENSE_CAP, *, space=None):
+    """exp(-i op t) psi via the spectral decomposition of a Hermitian op.
+
+    ``space``, when given, is the space ``op`` was built over: a
+    :class:`StateVector` of another space raises :class:`SpaceMismatchError`.
+    """
+    if space is not None and isinstance(psi, StateVector) and psi.space != space:
+        raise SpaceMismatchError("dense operator and state belong to different spaces")
     amps = psi.amplitudes if hasattr(psi, "amplitudes") else np.asarray(psi)
     _check_cap(amps.shape[0], cap)
     w, u = dense_eig(op)

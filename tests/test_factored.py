@@ -377,11 +377,56 @@ class TestStackedParts:
         acting = sum(kernel.term_gather(space, p // 24 + 1, p % 24 + 1)[3].size for p in co.hop_pairs)
         acting += sum(g[3].size for g in kernel.pair_returns(*kernel.pair_table(space, co.rows)))
         assert sum(s.src.size for s in op.sums) == space.n_conf + acting
-        stacked = sum(s.src.nbytes + s.weight.nbytes + s.starts.nbytes for s in op.sums)
+        stacked = sum(s.src.nbytes + s.weight.nbytes + s.rows.nbytes for s in op.sums)
         if two_body:
             assert op.pairs.rows == [] and op.pairs.src.shape == (co.cols.size, math.comb(24, 2))
             stacked += op.pairs.src.nbytes + op.pairs.weight.nbytes
         assert peak <= 1.5 * stacked
+
+    @pytest.mark.parametrize("case", ["hubbard-chain", "hole-picture"])
+    def test_blocks_hold_each_row_once_at_its_width(self, case):
+        """The sums are blocks of rows of one width, each entry stored once, summed alike for any worker count.
+
+        The disordered Bose-Hubbard chain of the hubbard-gs benchmark,
+        boson(9,9), has one-body hops alone, and its widest groups are cut
+        into several blocks; fermion(7,12) with sparse h and W runs in the
+        hole picture, through a pair part, and its rows have 18 widths.
+        """
+        rng = np.random.default_rng(11)
+        if case == "hubbard-chain":
+            spec = build_bose_hubbard(9, 9, 1.0, 2.0)
+            spec.one_body.matrix[np.diag_indices(9)] = rng.uniform(-0.5, 0.5, 9)
+        else:
+            space = SpaceDescriptor.fermion(7, 12)
+            a = _complex(rng, (12, 12)) * (rng.random((12, 12)) < 0.2)
+            t = _complex(rng, (12,) * 4) * (rng.random((12,) * 4) < 0.002)
+            spec = HamiltonianSpec(space, OneBodyTable(a + a.conj().T),
+                                   TwoBodyTable.from_dense(t + np.conj(np.transpose(t, (2, 3, 0, 1)))))
+            assert kernel.hole_picture(space)
+        space, n = spec.space, spec.space.n_conf
+        op = kernel.prepare(spec)
+        co = kernel.factor_coefficients(space, spec.one_body, spec.two_body)
+        width = np.ones(n, dtype=np.intp)  # the diagonal, then every hop and return acting on the row
+        for p in co.hop_pairs:
+            width += np.bincount(kernel.term_gather(space, p // space.m + 1, p % space.m + 1)[3], minlength=n)
+        if op.pairs is not None:
+            for g in kernel.pair_returns(*kernel.pair_table(space, co.rows)):
+                width += np.bincount(g[3], minlength=n)
+        assert (op.pairs is None) == (case == "hubbard-chain")
+        rows = np.concatenate([s.rows for s in op.sums])
+        np.testing.assert_array_equal(np.sort(rows), np.arange(n))
+        for s in op.sums:
+            assert s.src.shape == s.weight.shape == (s.src.shape[0], s.rows.size)
+            assert (width[s.rows] == s.src.shape[0]).all() and (np.diff(s.rows) > 0).all()
+            assert s.src.size <= kernel.BLOCK_AMPLITUDES or s.rows.size == 1
+        assert sum(s.src.size for s in op.sums) == width.sum()  # N_conf + the acting rows: each entry once
+        widths = [s.src.shape[0] for s in op.sums]
+        assert widths == sorted(widths, reverse=True) and len(set(widths)) > 10
+        assert (len(widths) > len(set(widths))) == (case == "hubbard-chain")  # groups cut into blocks
+        psi = random_state(space, seed=12)
+        serial = _assert_stacked_matches_sweeps(spec, psi)
+        for workers in (1, 2, 4, 8):
+            np.testing.assert_array_equal(apply_hamiltonian(op, psi, workers=workers).amplitudes, serial)
 
     def test_two_row_blocks_give_the_same_bits_for_any_worker_count(self):
         """boson(9,9): 24,310 amplitudes, more than one row block and many blocks of sums."""

@@ -8,6 +8,7 @@ from fockops import (
     OneBodyTable,
     SizeError,
     SpaceDescriptor,
+    SpaceMismatchError,
     TwoBodyTable,
     ValidationError,
     basis_state,
@@ -114,3 +115,15 @@ class TestDenseExpm:
         psi = basis_state(space, 1)
         out = dense_expm_apply(op, psi, 0.5)
         assert out.amplitudes[0] == pytest.approx(np.exp(-1j * 2 * 0.5))
+
+    def test_state_of_another_space_is_refused(self):
+        """fermion(2,4) and boson(1,6) both have 6 configurations: only ``space`` tells them apart."""
+        spec = random_hermitian_spec(SpaceDescriptor.fermion(2, 4), seed=31)
+        op = build_dense(spec)
+        other = random_state(SpaceDescriptor.boson(1, 6), seed=5)
+        assert other.amplitudes.shape[0] == op.shape[0]
+        with pytest.raises(SpaceMismatchError):
+            dense_expm_apply(op, other, 0.1, space=spec.space)
+        psi = random_state(spec.space, seed=5)
+        np.testing.assert_array_equal(dense_expm_apply(op, psi, 0.1, space=spec.space).amplitudes,
+                                      dense_expm_apply(op, psi, 0.1).amplitudes)

@@ -83,6 +83,7 @@ def test_pairs_alternate_and_summarize(tmp_path):
     proc = _pairs(str(parent), str(change), "--workload", "hubbard-gs", "--pairs", "4", "--seed", "5",
                   "--seconds", "2")
     assert proc.returncode == 0, proc.stderr
+    assert "warning" not in proc.stderr  # "par" and "chg": paths of one length
     order = (tmp_path / "order.log").read_text(encoding="utf-8").split("\n")[:-1]
     assert order == [f"{side} hubbard-gs {seed} 2 0" for seed, sides in
                      ((5, "par chg"), (6, "chg par"), (7, "par chg"), (8, "chg par")) for side in sides.split()]
@@ -91,13 +92,16 @@ def test_pairs_alternate_and_summarize(tmp_path):
         "pair 1 seed 5 parent first", "pair 2 seed 6 change first",
         "pair 3 seed 7 parent first", "pair 4 seed 8 change first"]
     assert "parent: op_s 0.2 ratio 0.4 correct True" in lines[0]
-    rows = {tuple(line.split()[:2]): line.split() for line in lines[5:9]}
+    rows = {tuple(line.split()[:2]): line.split() for line in lines[5:11]}
     # op_s, lower is better: the change wins seeds 5 and 7, loses 6, ties 8
     assert rows["op_s", "parent"][2:7] == ["0.25", "0.175", "0.325", "0.15", "4"]
     assert rows["op_s", "change"][2:] == ["0.2", "0.1425", "0.2875", "0.145", "4", "2/4"]
     # ratio, higher is better: the change wins seed 6 alone
     assert rows["ratio", "change"][-1] == "1/4"
-    assert lines[9:] == ["parent: correct 4/4 runs, failed 0 of 16 operations",
+    # each metric's change of median, in % and in units of the parent's IQR (0.15 and 0.3)
+    assert lines[7].split() == ["op_s", "shift", "-20.0%", "-0.33", "parent", "IQR"]
+    assert lines[10].split() == ["ratio", "shift", "-20.0%", "-0.33", "parent", "IQR"]
+    assert lines[11:] == ["parent: correct 4/4 runs, failed 0 of 16 operations",
                          "change: correct 4/4 runs, failed 4 of 16 operations"]
 
 
@@ -111,3 +115,15 @@ def test_pairs_report_a_run_without_a_result(tmp_path):
     assert lines[0].endswith("change: no result")
     assert lines[-2:] == ["parent: correct 1/1 runs, failed 0 of 4 operations",
                           "change: correct 0/1 runs, failed 0 of 0 operations"]
+
+
+def test_pairs_warn_when_the_checkout_paths_differ_in_length(tmp_path):
+    parent = _stub_checkout(tmp_path, "par", {1: 0.2})
+    change = _stub_checkout(tmp_path, "change", {1: 0.1})
+    proc = _pairs(str(parent), str(change), "--workload", "hubbard-gs", "--pairs", "1")
+    assert proc.returncode == 0, proc.stderr
+    warning = proc.stderr.strip()
+    assert warning.startswith("pairs.py: warning: the checkout paths differ in length")
+    assert f"({len(str(parent))} and {len(str(change))} characters)" in warning
+    assert proc.stdout.splitlines()[-2:] == ["parent: correct 1/1 runs, failed 0 of 4 operations",
+                                             "change: correct 1/1 runs, failed 0 of 4 operations"]

@@ -9,8 +9,12 @@ parent first, even-numbered ones the change.  Each pair is printed as it
 ends; then, for every metric, each side's median and quartiles and the
 number of pairs the change won (ties count for neither side; a metric's
 direction is read from the change's ``BENCHMARK.json``, lower is better
-where it names none), and per side the runs that read ``correct`` and the
-operations that failed.  A run that exits nonzero, prints no result line
+where it names none), then the change's median against the parent's, in %
+and in units of the parent's IQR, and per side the runs that read
+``correct`` and the operations that failed.  Two checkout paths of
+different lengths draw a warning on stderr: the hubbard-gs ``peak_rss_mb``
+has been seen to step by about 1.5 MB with the length of the directory
+name, with no code change.  A run that exits nonzero, prints no result line
 or outlives ten times ``--seconds`` plus ten minutes counts as incorrect,
 and the exit status is then 1.  Standard library only.
 """
@@ -73,11 +77,12 @@ def summarize(pairs: list[dict], better: dict) -> list[str]:
     lines = [f"{'metric':<14} {'side':<7} {'median':>12} {'q1':>12} {'q3':>12} {'iqr':>12}  n  change won"]
     for metric in metrics:
         higher = better.get(metric, "lower") == "higher"
+        spread = {}
         for side in SIDES:
             values = [v for p in pairs if (v := _value(p[side], metric)) is not None]
             if not values:
                 continue
-            q1, med, q3 = quartiles(values)
+            q1, med, q3 = spread[side] = quartiles(values)
             row = f"{metric:<14} {side:<7} {med:>12.6g} {q1:>12.6g} {q3:>12.6g} {q3 - q1:>12.6g} {len(values):>2}"
             if side == "change":
                 both = [(a, b) for p in pairs
@@ -86,6 +91,8 @@ def summarize(pairs: list[dict], better: dict) -> list[str]:
                 won = sum((b > a) if higher else (b < a) for a, b in both)
                 row += f"  {won}/{len(both)}"
             lines.append(row)
+        if len(spread) == 2:
+            lines.append(_shift_line(metric, spread["parent"], spread["change"][1]))
     for side in SIDES:
         results = [p[side] for p in pairs]
         correct = sum(bool(r and r.get("correct")) for r in results)
@@ -93,6 +100,14 @@ def summarize(pairs: list[dict], better: dict) -> list[str]:
         attempted = sum(int(r.get("attempted", 0)) for r in results if r)
         lines.append(f"{side}: correct {correct}/{len(results)} runs, failed {failed} of {attempted} operations")
     return lines
+
+
+def _shift_line(metric: str, parent_quartiles: tuple[float, float, float], change: float) -> str:
+    """The change of the median from the parent's to ``change``, in % and in units of the parent's IQR."""
+    q1, parent, q3 = parent_quartiles
+    pct = f"{100 * (change - parent) / abs(parent):+.1f}%" if parent else "n/a"
+    iqrs = f"{(change - parent) / (q3 - q1):+.2f}" if q3 > q1 else "n/a"
+    return f"{metric:<14} {'shift':<7} {pct:>12} {iqrs:>12} parent IQR"
 
 
 def _pair_line(i: int, seed: int, first: str, pair: dict) -> str:
@@ -119,6 +134,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
     checkouts = {"parent": args.parent, "change": args.change}
+    lengths = [len(str(path.resolve())) for path in checkouts.values()]
+    if lengths[0] != lengths[1]:
+        print(f"pairs.py: warning: the checkout paths differ in length ({lengths[0]} and {lengths[1]} "
+              "characters); hubbard-gs peak_rss_mb has been seen to step by about 1.5 MB with it",
+              file=sys.stderr)
     pairs = []
     for i in range(1, args.pairs + 1):
         seed = args.seed + i - 1
