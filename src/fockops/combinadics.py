@@ -7,13 +7,12 @@ and ranked by
     J(i_1, ..., i_{M_v}) = 1 + sum_k C(N + M_v - i_k, M_v + 1 - k),
 
 which is a bijection onto [1, N_conf] with N_conf = C(M, N).  Bosonic
-configurations (occupation vectors n_1..n_M summing to N) are ranked through
-the isomorphism with N fermions in N + M - 1 orbitals, which collapses to
-
-    J(n_1, ..., n_M) = 1 + sum_{k=1}^{M-1} C(N + M - 1 - k - S_k, M - k),
-
-with S_k the cumulative occupation.  Hole positions are counted from the
-left; J = 1 is the all-particles-leftmost configuration.  This is the
+configurations (occupation vectors n_1..n_M summing to N) are addressed as
+their isomorph, N fermions in N + M - 1 orbitals whose holes sit at
+i_k = S_k + k, S_k the cumulative occupation (:func:`boson_to_fermion`),
+so every closed form below reads one fermion space (:func:`_fermion_form`).
+Hole positions are counted from the left; J = 1 is the
+all-particles-leftmost configuration.  This is the
 lexical addressing of Knowles & Handy.  Every binomial is an exact Python
 integer from ``math.comb``, so addresses have no width limit; the
 occupation and ladder tables of :mod:`fockspace`, which the kernel and
@@ -31,15 +30,19 @@ FERMION = "fermion"
 BOSON = "boson"
 
 
+def _fermion_form(statistics: str, n: int, m: int) -> tuple[int, int]:
+    """(particles, orbitals) of the fermion space that addresses the space: (n, m), or (n, n + m - 1) for bosons."""
+    return (n, m) if statistics == FERMION else (n, n + m - 1)
+
+
 def space_dimension(statistics: str, n: int, m: int) -> int:
     """Number of configurations of n particles in m orbitals.
 
     C(m, n) for fermions, C(n + m - 1, n) for bosons.
     """
     _check_space(statistics, n, m)
-    if statistics == FERMION:
-        return math.comb(m, n)
-    return math.comb(n + m - 1, n)
+    n_f, m_f = _fermion_form(statistics, n, m)
+    return math.comb(m_f, n_f)
 
 
 def capped_dimension(statistics: str, n: int, m: int, cap: int) -> int:
@@ -50,7 +53,7 @@ def capped_dimension(statistics: str, n: int, m: int, cap: int) -> int:
     C(a - b + i, i) >= 2^i, so after at most log2(cap) + 1 steps, and
     without forming a large integer.
     """
-    a, b = (m, n) if statistics == FERMION else (n + m - 1, n)
+    b, a = _fermion_form(statistics, n, m)
     b = min(b, a - b)
     count = 1
     for i in range(1, b + 1):
@@ -111,11 +114,15 @@ def occupations_to_holes(occ: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i, v in enumerate(occ) if v == 0)
 
 
+def _rank_holes(holes: tuple[int, ...], n: int, m: int) -> int:
+    """Address J of the valid hole vector of n fermions in m orbitals (module docstring)."""
+    m_v = m - n
+    return 1 + sum(math.comb(m - i, m_v + 1 - k) for k, i in enumerate(holes, start=1))
+
+
 def fermion_rank(holes: Sequence[int], space) -> int:
     """Address J of the fermionic configuration with the given hole positions."""
-    holes = validate_holes(holes, space.n, space.m)
-    m, m_v = space.m, space.m - space.n
-    return 1 + sum(math.comb(m - i, m_v + 1 - k) for k, i in enumerate(holes, start=1))
+    return _rank_holes(validate_holes(holes, space.n, space.m), space.n, space.m)
 
 
 def _unrank_holes(j: int, n_conf: int, n: int, m: int) -> tuple[int, ...]:
@@ -146,15 +153,9 @@ def fermion_unrank(j: int, space) -> tuple[int, ...]:
 
 
 def boson_rank(occ: Sequence[int], space) -> int:
-    """Address J of the bosonic configuration with the given occupations."""
+    """Address J of the bosonic configuration with the given occupations: its isomorph's."""
     occ = validate_occupations(occ, space.n, space.m)
-    n, m = space.n, space.m
-    j = 1
-    s = 0
-    for k in range(1, m):
-        s += occ[k - 1]
-        j += math.comb(n + m - 1 - k - s, m - k)
-    return j
+    return _rank_holes(boson_to_fermion(occ), *_fermion_form(BOSON, space.n, space.m))
 
 
 def boson_unrank(j: int, space) -> tuple[int, ...]:
@@ -163,8 +164,7 @@ def boson_unrank(j: int, space) -> tuple[int, ...]:
     Inverts the rank through the isomorphic fermion space of N particles
     in N + M - 1 orbitals.
     """
-    n = space.n
-    return fermion_to_boson(_unrank_holes(j, space.n_conf, n, n + space.m - 1), n)
+    return fermion_to_boson(_unrank_holes(j, space.n_conf, *_fermion_form(BOSON, space.n, space.m)), space.n)
 
 
 def boson_to_fermion(occ: Sequence[int]) -> tuple[int, ...]:

@@ -51,9 +51,8 @@ terms are hops, which fold into h'.  A space with N < 2, or with N + 2 > M
 in the hole picture, has no pair part.  The intermediate is about
 M^2/2 x N_conf(N -/+ 2) entries, where the E_kq E_sl - δ_qs E_kl
 factoring (Knowles & Handy, Chem. Phys. Lett. 111, 315, 1984; Olsen et
-al., J. Chem. Phys. 89, 2185, 1988) formed M^2 x N_conf images: on dense
-boson(8,8) 36 x 1,716 against 64 x 6,435, and a cold one-shot apply
-took 12-14 ms against 20-25 ms on a 2-core x86 VM.
+al., J. Chem. Phys. 89, 2185, 1988) forms M^2 x N_conf images: on dense
+boson(8,8) 36 x 1,716 against 64 x 6,435.
 
 When every kept entry is real, h', Wp, d and the operator's dtype are
 float64, and a float64 vector stays float64 throughout: the apply computes
@@ -77,14 +76,10 @@ per-pair sweeps per matvec.  The stacked operator has two parts:
   axis 0 (:func:`stack_sums`), which writes each of its rows once.
 
 On a 2-core x86 VM the stacking took one dense fermion(4,8) matvec from
-2.0 to 0.11 ms, and the blocks of equal width took a hubbard-gs benchmark
-matvec (boson(9,9), 230,230 entries, float64) from 0.67-0.71 ms, summed
-by ``np.add.reduceat`` over 24,310 segments of 9.5 entries on average,
-to 0.51-0.54 ms (medians of 200 matvecs).  The entries are placed by a
-counting sort over the rows, one unordered pair's gather at a time, with
-no sorted or permuted copy.  The hop gathers pass through the space's
-pool and leave it once placed, so the pool keeps no second copy of H's
-gathers.  Two paths sweep the
+2.0 to 0.11 ms.  The entries are placed by a counting sort over the rows,
+one unordered pair's gather at a time, with no sorted or permuted copy.
+The hop gathers pass through the space's pool and leave it once placed,
+so the pool keeps no second copy of H's gathers.  Two paths sweep the
 hops and returns one by one instead (:class:`Factored`,
 :func:`apply_factored`):
 
@@ -92,10 +87,7 @@ hops and returns one by one instead (:class:`Factored`,
   ``apply``, ``energy``) and the single terms.  One apply never pays back
   the stacking: cold calls at 2 workers (medians of 15 alternating calls)
   took 32 ms prepared and stacked against 18.5 ms swept on dense
-  boson(8,8), and 122 ms against 64 ms on boson(9,9).  An unsorted
-  ``np.bincount`` scatter, tried in a prototype before the pair part, built
-  in 4.9 ms and applied in 15.2 ms against the sweeps' 18.9 ms: no gain
-  for one apply either.
+  boson(8,8), and 122 ms against 64 ms on boson(9,9).
 - matrix-valued operators (mixtures), but for a small species' dense
   matrix (below): in a prototype on the 792 x 70 amplitude matrix of the
   mixture-prop benchmark, before that matrix, a fully stacked matvec took
@@ -128,9 +120,9 @@ below the crossover on both axes.  The per-pair paths keep the gathers of
 H's hops E_kq with k < q, at most M(M-1)/2 per space, in the space's
 gather pool under the key (k, q) (:meth:`fockspace.SpaceTables.cached_gather`),
 so each is built once per space; E_qk is served as the transpose of the
-kept E_kq (:func:`transpose`), and single terms reuse a kept gather or
-build theirs per call.  The pair table is built per factoring and kept by
-a prepared operator, not by the pool.
+kept E_kq (:func:`transpose`).  A single term builds its gather per call
+(:func:`apply_pair`) and leaves the pool as it was.  The pair table is
+built per factoring and kept by a prepared operator, not by the pool.
 
 The work is cut into blocks that do not depend on the worker count: a
 per-pair apply uses fixed row blocks, the pair images fixed blocks of
@@ -182,24 +174,6 @@ def _check_orbitals(space: SpaceDescriptor, orbitals: Iterable[int]) -> None:
             raise FockError(f"orbital {p} outside [1, {space.m}]")
 
 
-def term_gather(space: SpaceDescriptor, k: int, q: int):
-    """(source rows, prefactors, None, acting rows) of E_kq, 1-based orbitals.
-
-    ``act`` lists the 0-based output rows on which E_kq acts; ``src`` and
-    ``pref`` hold the source row and the prefactor of each of them, in the
-    order of ``act``.  The third slot is None; the tuple keeps four slots
-    because callers read ``act`` at index 3.  The space's pool is read under
-    the key (min(k, q), max(k, q)), E_qk's kept gather served by its
-    :func:`transpose`; a gather the pool does not hold is built for this
-    call and not kept (only :func:`pair_gathers` fills the pool).
-    """
-    tb = space.tables()
-    kept = tb._gather_cache.get((min(k, q), max(k, q)))
-    if kept is None:
-        return _build_gather(space, tb, k, q)
-    return kept if k <= q else transpose(kept)
-
-
 def transpose(gather):
     """E_qk's gather from E_kq's: the same rows and prefactors with ``act`` and ``src`` swapped.
 
@@ -212,7 +186,14 @@ def transpose(gather):
 
 
 def _build_gather(space, tb, k, q):
-    """E_kq's gather: for k != q, rows k and q of the space's ladder table (module docstring)."""
+    """(source rows, prefactors, None, acting rows) of E_kq, 1-based orbitals, from the space's tables ``tb``.
+
+    ``act`` lists the 0-based output rows on which E_kq acts; ``src`` and
+    ``pref`` hold the source row and the prefactor of each of them, in the
+    order of ``act``.  For k != q they come from rows k and q of the
+    space's ladder table (module docstring).  The third slot is None; the
+    tuple keeps four slots because callers read ``act`` at index 3.
+    """
     if k == q:
         act = src = np.flatnonzero(tb.occ[:, k - 1])
         pref = tb.occ[act, k - 1]  # E_kk = n_k: 1 for fermions
@@ -236,7 +217,7 @@ def sweep(gather, axis: int, amps: np.ndarray, out: np.ndarray, lo: int, hi: int
     """Add coeff * (term acting on ``amps``) rows lo..hi-1 into ``out``, which holds only those rows.
 
     ``amps`` is an amplitude vector or matrix and ``gather`` a
-    :func:`term_gather` tuple acting along ``axis``: along axis 0 the term
+    :func:`_build_gather` tuple acting along ``axis``: along axis 0 the term
     reads source rows anywhere in ``amps``; along axis 1 (matrices only) it
     re-addresses columns within the same rows.
     """
@@ -256,7 +237,7 @@ def apply_pair(space: SpaceDescriptor, k: int, q: int, amps: np.ndarray, axis: i
     """E_kq = b†_k b_q (orbitals of ``space``, 1-based) acting on ``amps`` along ``axis``, as a new complex array."""
     _check_orbitals(space, (k, q))
     out = np.zeros_like(amps, dtype=np.complex128)
-    sweep(term_gather(space, k, q), axis % amps.ndim, amps, out, 0, amps.shape[0])
+    sweep(_build_gather(space, space.tables(), k, q), axis % amps.ndim, amps, out, 0, amps.shape[0])
     return out
 
 
@@ -499,8 +480,8 @@ def stack_sums(space: SpaceDescriptor, diag: np.ndarray, hops, returns, dtype) -
     by_key: dict = {}
     for pair, coeff in hops:
         k, q = divmod(int(pair), m)
-        # E_kq acts where n_k >= 1 (fermions: n_k = 1, and n_q = 0 unless k = q)
-        count += tb.occ[:, k] > (tb.occ[:, q] if space.statistics == FERMION and k != q else 0)
+        # E_kq, k != q, acts where n_k >= 1 (fermions: n_k = 1 and n_q = 0)
+        count += tb.occ[:, k] > (tb.occ[:, q] if space.statistics == FERMION else 0)
         by_key.setdefault((min(k, q), max(k, q)), []).append((pair, coeff))
     for (g_src, _, _, act), _ in returns:
         count += np.bincount(act, minlength=n)

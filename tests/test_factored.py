@@ -136,7 +136,7 @@ def test_gathers_equal_the_forward_algebra(space):
                     coeff = np.sqrt(float(round(coeff ** 2)))
                 ref[row_of[tuple(tgt)]] = (row, coeff)
         act = sorted(ref)
-        src, pref, empty, got_act = kernel.term_gather(space, k, q)
+        src, pref, empty, got_act = kernel._build_gather(space, space.tables(), k, q)
         np.testing.assert_array_equal(got_act, act)
         assert empty is None
         np.testing.assert_array_equal(src, [ref[row][0] for row in act])
@@ -374,7 +374,8 @@ class TestStackedParts:
         assert space.tables()._gather_cache == {}
         assert (op.pairs is not None) == two_body
         co = kernel.factor_coefficients(space, spec.one_body, spec.two_body)
-        acting = sum(kernel.term_gather(space, p // 24 + 1, p % 24 + 1)[3].size for p in co.hop_pairs)
+        acting = sum(kernel._build_gather(space, space.tables(), p // 24 + 1, p % 24 + 1)[3].size
+                     for p in co.hop_pairs)
         acting += sum(g[3].size for g in kernel.pair_returns(*kernel.pair_table(space, co.rows)))
         assert sum(s.src.size for s in op.sums) == space.n_conf + acting
         stacked = sum(s.src.nbytes + s.weight.nbytes + s.rows.nbytes for s in op.sums)
@@ -408,7 +409,8 @@ class TestStackedParts:
         co = kernel.factor_coefficients(space, spec.one_body, spec.two_body)
         width = np.ones(n, dtype=np.intp)  # the diagonal, then every hop and return acting on the row
         for p in co.hop_pairs:
-            width += np.bincount(kernel.term_gather(space, p // space.m + 1, p % space.m + 1)[3], minlength=n)
+            gather = kernel._build_gather(space, space.tables(), p // space.m + 1, p % space.m + 1)
+            width += np.bincount(gather[3], minlength=n)
         if op.pairs is not None:
             for g in kernel.pair_returns(*kernel.pair_table(space, co.rows)):
                 width += np.bincount(g[3], minlength=n)
@@ -656,10 +658,11 @@ class TestTransposedPool:
 
     @pytest.mark.parametrize("space", [SpaceDescriptor.fermion(3, 6), SpaceDescriptor.boson(3, 4)], ids=str)
     def test_pool_holds_half_and_a_warm_space_builds_none(self, monkeypatch, space):
-        """A dense H applied once keeps its hops E_kq for k < q only; single terms on it then build nothing, densities neither.
+        """A dense H applied once keeps its hops E_kq for k < q only; densities on it then build nothing.
 
         Its diagonal is read off the occupation table and W goes through the
-        pair table, so no E_kk is built.
+        pair table, so no E_kk is built.  A single term builds its own
+        gather and leaves the pool's keys and objects as they were.
         """
         apply_hamiltonian(random_hermitian_spec(space, seed=17), random_state(space, seed=16))
         m, pool = space.m, space.tables()._gather_cache
@@ -670,8 +673,9 @@ class TestTransposedPool:
         psi = random_state(space, seed=18)
         one_body_density(psi)
         two_body_density(psi)
-        apply_one_body_term(m, 1, psi)
         assert built == []
+        apply_one_body_term(m, 1, psi)
+        assert built == [(space, (m, 1))]
         assert pool.keys() == kept.keys() and all(pool[key] is kept[key] for key in kept)
 
     def test_density_after_a_chain_builds_no_pair(self, monkeypatch):

@@ -433,6 +433,31 @@ class TestThickRestart:
         assert (result.iterations, result.matvecs, lz.size, lz.ritz.size) == (40, 41, 40, 0)
         assert abs(result.energy - dense_eig(build_dense(spec))[0][0]) <= 1e-10
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_a_step_without_a_pass_keeps_its_drift_within_the_limit(self, real, monkeypatch):
+        """On every step that ran no Gram-Schmidt pass, max_i |v_i^H w| / ||w|| <= the limit it was given.
+
+        Simon's estimate is not a bound: here the true drift exceeds it on
+        a fifth (real) to two fifths (complex) of those steps, near
+        restarts, yet stays about 3x below the limit at worst.
+        """
+        passes, checked = [], []
+        step, orthogonalize = solvers._Lanczos.step, solvers._Lanczos._orthogonalize
+
+        def recorded_step(self, limit, *args, **kwargs):
+            before = len(passes)
+            w, nrm = step(self, limit, *args, **kwargs)
+            if len(passes) == before:
+                v = np.array([self.row(i) for i in range(self.size)])
+                checked.append((np.abs(v.conj() @ w).max() / nrm, limit))
+            return w, nrm
+
+        monkeypatch.setattr(solvers._Lanczos, "_orthogonalize", lambda self, w: passes.append(1) or orthogonalize(self, w))
+        monkeypatch.setattr(solvers._Lanczos, "step", recorded_step)
+        ground_state(_restart_spec(real), tol=1e-9, seed=1)
+        assert len(checked) > BASIS_MAX_ROWS
+        assert all(drift <= limit for drift, limit in checked), max(d / lim for d, lim in checked)
+
     def test_basis_is_orthonormal_after_every_restart(self, monkeypatch):
         errors = []
         restart = solvers._Lanczos.restart
