@@ -36,6 +36,7 @@ from .errors import (
 from .executor import parallel_apply, resolve_workers
 from .fockspace import (
     FermionConfig,
+    MixtureSpace,
     SpaceDescriptor,
     StateVector,
     axpy,
@@ -43,12 +44,15 @@ from .fockspace import (
     dot,
     iterate_configurations,
     load_state,
+    mixture_address,
     random_state,
     save_state,
     zero_state,
 )
 from .hamiltonian import (
     HamiltonianSpec,
+    InterSpeciesTable,
+    MixtureHamiltonianSpec,
     OneBodyTable,
     TwoBodyTable,
     build_bose_hubbard,
@@ -65,15 +69,11 @@ from .kernel import (
     fermion_sign_count,
 )
 from .mixtures import (
-    InterSpeciesTable,
-    MixtureHamiltonianSpec,
-    MixtureSpace,
     apply_inter,
     apply_inter_term,
     apply_intra_a,
     apply_intra_b,
     apply_mixture_hamiltonian,
-    mixture_address,
     mixture_basis_state,
     mixture_random_state,
     product_state,

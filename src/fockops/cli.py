@@ -33,14 +33,14 @@ from .errors import (
 )
 from .fockspace import (
     MAX_SPACE_TABLE,
+    MixtureSpace,
     SpaceDescriptor,
     basis_state,
     load_state,
     occupation_table,
     save_state,
 )
-from .hamiltonian import HERMITICITY_TOL, load_integrals, validate
-from .mixtures import MixtureHamiltonianSpec, MixtureSpace
+from .hamiltonian import HERMITICITY_TOL, MixtureHamiltonianSpec, load_integrals, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1

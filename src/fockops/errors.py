@@ -43,7 +43,10 @@ class WorkerCountError(FockError, ValueError):
 
 
 class SolverArgumentError(FockError, ValueError):
-    """A solver argument (tolerance, step, iteration or Krylov bound) is out of range or not finite."""
+    """A solver argument (tolerance, step, iteration or Krylov bound, seed) is out of range or not finite.
+
+    An argument of the wrong type (a string, a float where an integer belongs, a bool) raises it too.
+    """
 
 
 class SizeError(FockError):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import kernel, mixtures
 from .errors import WorkerCountError
+from .fockspace import MixtureSpace
 
 WORKERS_ENV = "FOCK_WORKERS"
 
@@ -43,7 +44,7 @@ def resolve_workers(workers: int | None = None) -> int:
 
 def prepare(spec):
     """``spec``'s H factored once by the engine of its kind of space, to pass to :func:`parallel_apply`."""
-    return (mixtures if isinstance(spec.space, mixtures.MixtureSpace) else kernel).prepare(spec)
+    return (mixtures if isinstance(spec.space, MixtureSpace) else kernel).prepare(spec)
 
 
 def parallel_apply(spec, psi, workers: int | None = None):
@@ -54,6 +55,6 @@ def parallel_apply(spec, psi, workers: int | None = None):
     a SpaceMismatchError.  The engine's apply is read off its module per call.
     """
     workers = resolve_workers(workers)
-    if isinstance(psi.space, mixtures.MixtureSpace):
+    if isinstance(psi.space, MixtureSpace):
         return mixtures.apply_mixture_hamiltonian(spec, psi, workers=workers)
     return kernel.apply_hamiltonian(spec, psi, workers=workers)

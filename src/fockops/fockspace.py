@@ -3,12 +3,17 @@
 A :class:`SpaceDescriptor` fixes (statistics, N, M), ranks and unranks
 configurations by the exact closed forms of :mod:`combinadics`, and lazily
 builds the dense per-configuration tables the operator kernel gathers
-from.  Its ladder table, weights included, re-addresses a space through
-the space of one particle fewer or more: the kernel's pair gathers and
-the densities both read it, and with the next one, two particles fewer
-or more, the kernel's pair part and rho2.  State vectors, over one
-species or a mixture of two, are dense arrays indexed by address J (array
-slot J - 1), and one binary format with a species count stores either.
+from.  The tables hold no reference back to the descriptor that built
+them, so they are freed with its last reference, not by the cyclic
+collector.  A space's ladder table, weights included, re-addresses it
+through the space of one particle fewer or more: the kernel's pair
+gathers and the densities both read it, and with the next one, two
+particles fewer or more, the kernel's pair part and rho2.  A
+:class:`MixtureSpace` is the tensor product of two complete subspaces,
+addressed J = (J_A - 1) N^B_conf + J_B, J_B fastest.  State vectors, over
+one species or a mixture of two, are dense arrays indexed by address J
+(array slot J - 1), and one binary format with a species count stores
+either.
 """
 
 from __future__ import annotations
@@ -119,6 +124,52 @@ class SpaceDescriptor:
         if self._tables is None:
             self._tables = SpaceTables(self)
         return self._tables
+
+
+class MixtureSpace:
+    """Tensor product of two complete single-species subspaces."""
+
+    def __init__(self, space_a: SpaceDescriptor, space_b: SpaceDescriptor):
+        self.space_a = space_a
+        self.space_b = space_b
+        self.species = (space_a, space_b)
+        self.n_conf = self.n_conf_total = space_a.n_conf * space_b.n_conf  # n_conf_total: the benchmark reads it
+
+    def __repr__(self):
+        return f"MixtureSpace(A={self.space_a!r}, B={self.space_b!r})"
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, MixtureSpace)
+            and self.space_a == other.space_a
+            and self.space_b == other.space_b
+        )
+
+    def __hash__(self):
+        return hash((self.space_a, self.space_b))
+
+    def matrix(self, amplitudes: np.ndarray) -> np.ndarray:
+        """(N^A_conf, N^B_conf) view of a vector's amplitudes: J_A along axis 0, J_B along axis 1."""
+        return amplitudes.reshape(self.space_a.n_conf, self.space_b.n_conf)
+
+    def address(self, j_a: int, j_b: int) -> int:
+        return mixture_address(j_a, j_b, self)
+
+    def split(self, j: int) -> tuple[int, int]:
+        """Inverse of :func:`mixture_address`."""
+        if not 1 <= j <= self.n_conf:
+            raise AddressError(f"address {j} outside [1, {self.n_conf}]")
+        j_a, j_b = divmod(j - 1, self.space_b.n_conf)
+        return j_a + 1, j_b + 1
+
+
+def mixture_address(j_a: int, j_b: int, mspace: MixtureSpace) -> int:
+    """Row-major flattening of the two-component address, J_B fastest."""
+    if not 1 <= j_a <= mspace.space_a.n_conf:
+        raise AddressError(f"J_A={j_a} outside [1, {mspace.space_a.n_conf}]")
+    if not 1 <= j_b <= mspace.space_b.n_conf:
+        raise AddressError(f"J_B={j_b} outside [1, {mspace.space_b.n_conf}]")
+    return (j_a - 1) * mspace.space_b.n_conf + (j_b - 1) + 1
 
 
 def occupation_table(statistics: str, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,6 +325,7 @@ def iterate_configurations(space: SpaceDescriptor) -> Iterator[tuple]:
 class SpaceTables:
     """Arrays over all configurations, in J order, and the ladder table that re-addresses them.
 
+    space                      a copy of the descriptor, without tables, so the descriptor that owns them holds no cycle
     occ          (N_conf, M)   occupation numbers, float64 (small integers, held exactly)
     ladder                     :func:`ladder_table` of the space, built on first use
     next_ladder                :func:`ladder_table` of the space ``ladder`` leads to, built on first use
@@ -282,7 +334,7 @@ class SpaceTables:
     """
 
     def __init__(self, space: SpaceDescriptor):
-        self.space = space
+        self.space = SpaceDescriptor(space.statistics, space.n, space.m)
         self.occ = occupation_table(space.statistics, space.n, space.m)[0].astype(np.float64)
         self._gather_cache: dict = {}
 
@@ -317,7 +369,7 @@ class SpaceTables:
 
 
 class StateVector:
-    """Dense amplitudes over a complete Fock subspace or a mixture of two (:class:`mixtures.MixtureSpace`).
+    """Dense amplitudes over a complete Fock subspace or a mixture of two (:class:`MixtureSpace`).
 
     Slot J - 1 stores the coefficient of the configuration with address J;
     in a mixture J = (J_A - 1) N^B_conf + J_B.  A float64 array is kept as
@@ -496,13 +548,9 @@ def load_state(path) -> StateVector:
                 raise FockError(f"{path}: header promises {n_conf} amplitudes, file holds {left} bytes")
             spaces = [header_space(stat, n, m, n_conf, path, exact=count == 1)
                       for stat, n, m in zip(statistics, fields[count:-1:2], fields[count + 1:-1:2])]
-            space = spaces[0]
-            if count == 2:
-                from .mixtures import MixtureSpace
-
-                space = MixtureSpace(*spaces)
-                if space.n_conf != n_conf:
-                    raise FockError("header dimension does not match the space")
+            space = spaces[0] if count == 1 else MixtureSpace(*spaces)
+            if space.n_conf != n_conf:
+                raise FockError("header dimension does not match the space")
             amps = np.frombuffer(read_exact(fh, 16 * n_conf, path), dtype="<c16").astype(np.complex128)
             return StateVector(space, amps)
     try:

@@ -1,10 +1,13 @@
-"""Second-quantized coefficient tables and their file format.
+"""Second-quantized coefficient tables, the specs that pair them with a space, and their file format.
 
 Index conventions (locked throughout the package): the one-body coefficient
 h[k, q] multiplies b†_k b_q; the two-body coefficient W[k, s, q, l] (storage
 subscript order k s q l) multiplies b†_k b†_s b_l b_q, carrying a global 1/2
 prefactor in the Hamiltonian sum.  The pairing is (k <-> q) and (s <-> l).
-No symmetry is assumed or imposed on the stored tables.
+No symmetry is assumed or imposed on the stored tables.  A mixture's
+inter-species W^{AB}[k, q, k', q'] multiplies a†_k a_q b†_{k'} b_{q'}
+(:class:`InterSpeciesTable`); a :class:`MixtureHamiltonianSpec` holds it
+beside the two species' specs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .combinadics import BOSON, FERMION
 from .errors import FockError, IntegralFormatError, ValidationError
-from .fockspace import MAX_SPACE_TABLE, SpaceDescriptor, header_space
+from .fockspace import MAX_SPACE_TABLE, MixtureSpace, SpaceDescriptor, header_space
 
 HERMITICITY_TOL = 1e-12
 _LEXICOGRAPHIC = np.array([8, 4, 2, 1])  # sign(b - a) @ this is > 0, 0, < 0 as coordinate b follows, equals, precedes a
@@ -148,6 +151,43 @@ class TwoBodyTable:
         return out
 
 
+class InterSpeciesTable:
+    """W^{AB} tensor of shape (M_A, M_A, M_B, M_B).
+
+    tensor[k-1, q-1, k'-1, q'-1] multiplies a†_k a_q b†_{k'} b_{q'}.
+    """
+
+    __slots__ = ("tensor",)
+
+    def __init__(self, tensor):
+        tensor = np.asarray(tensor, dtype=np.complex128)
+        if tensor.ndim != 4 or tensor.shape[0] != tensor.shape[1] or tensor.shape[2] != tensor.shape[3]:
+            raise ValidationError(f"inter-species table must be (MA,MA,MB,MB), got {tensor.shape}")
+        require_finite(tensor, "inter-species")
+        self.tensor = tensor
+
+    @property
+    def m_a(self) -> int:
+        return self.tensor.shape[0]
+
+    @property
+    def m_b(self) -> int:
+        return self.tensor.shape[2]
+
+    def kept(self, threshold: float = 0.0):
+        """0-based index arrays (k, q, k', q') and values of the nonzero entries with |value| >= threshold."""
+        keep = (self.tensor != 0) & (np.abs(self.tensor) >= threshold)
+        return np.nonzero(keep), self.tensor[keep]
+
+    entries = TwoBodyTable.entries  # the same walk over kept(): (k, q, k', q', value), 1-based
+
+    def hermiticity(self) -> tuple[float, tuple | None]:
+        """Largest |X[k,q,k',q'] - conj(X[q,k,q',k'])| and its 1-based index (k, q, k', q')."""
+        x = self.tensor
+        dev = np.abs(x - np.conj(np.transpose(x, (1, 0, 3, 2))))
+        return largest_deviation(dev.ravel(), np.indices(x.shape).reshape(4, -1))
+
+
 @dataclass
 class HamiltonianSpec:
     """Space plus coefficient tables; the two-body sum carries a fixed 1/2."""
@@ -161,6 +201,26 @@ class HamiltonianSpec:
             raise ValidationError(
                 f"table size ({self.one_body.m}, {self.two_body.m}) does not match M={self.space.m}"
             )
+
+
+@dataclass
+class MixtureHamiltonianSpec:
+    """H^{(AB)} = H^{(A)} + H^{(B)} + W^{(AB)} over a mixture space."""
+
+    mspace: MixtureSpace
+    spec_a: HamiltonianSpec
+    spec_b: HamiltonianSpec
+    inter: InterSpeciesTable
+
+    def __post_init__(self):
+        if self.spec_a.space != self.mspace.space_a or self.spec_b.space != self.mspace.space_b:
+            raise ValidationError("species specs do not match the mixture space")
+        if self.inter.m_a != self.mspace.space_a.m or self.inter.m_b != self.mspace.space_b.m:
+            raise ValidationError("inter-species table does not match the mixture space")
+
+    @property
+    def space(self) -> MixtureSpace:
+        return self.mspace
 
 
 @dataclass
@@ -327,15 +387,11 @@ def load_integrals(path):
     specs = [_species(space, rec[h], rec[w]) for space, (_, _, h, w) in zip(spaces, species)]
     if not mix:
         return specs[0]
-    from .mixtures import InterSpeciesTable, MixtureHamiltonianSpec, MixtureSpace
-
     return MixtureHamiltonianSpec(MixtureSpace(*spaces), *specs, InterSpeciesTable(_dense(shape, *rec["X"])))
 
 
 def save_integrals(spec, path) -> None:
     """Write a spec in the integral text format (lossless, load_integrals-inverse)."""
-    from .mixtures import MixtureHamiltonianSpec
-
     mix = isinstance(spec, MixtureHamiltonianSpec)
     specs = [spec.spec_a, spec.spec_b] if mix else [spec]
     lines = [" ".join(["STATISTICS", *["MIX"] * mix, *(s.space.statistics.upper() for s in specs)])]

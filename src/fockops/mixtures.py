@@ -1,133 +1,27 @@
-"""Two-component Fock spaces and inter-species operator application.
+"""The mixture engine: H^{(A)} + H^{(B)} + W^{(AB)} factored and applied on two-component states.
 
-The total space is the tensor product of two complete single-species
-subspaces, one more compact enumeration: J = (J_A - 1) N^B_conf + J_B, J_B
-fastest.  A mixture state is a :class:`fockspace.StateVector` whose space
-is a :class:`MixtureSpace`, and :meth:`MixtureSpace.matrix` views its
-amplitudes C_{J_A J_B} as an (N^A_conf, N^B_conf) matrix.  Operator strings
-of the two species commute (each species carries its own fermionic phase
-within its own orbital set), so intra-species terms act on one axis of that
-matrix only and inter-species terms re-address both with a product
-prefactor.
+The data types live beside their single-species kin and are imported
+here under their old names: :class:`fockspace.MixtureSpace`, the tensor
+product of two complete single-species subspaces, one more compact
+enumeration J = (J_A - 1) N^B_conf + J_B, J_B fastest, with
+:func:`fockspace.mixture_address`; :class:`hamiltonian.InterSpeciesTable`
+and :class:`hamiltonian.MixtureHamiltonianSpec`.  A mixture state is a
+:class:`fockspace.StateVector` whose space is a :class:`MixtureSpace`, and
+:meth:`MixtureSpace.matrix` views its amplitudes C_{J_A J_B} as an
+(N^A_conf, N^B_conf) matrix.  Operator strings of the two species commute
+(each species carries its own fermionic phase within its own orbital
+set), so intra-species terms act on one axis of that matrix only and
+inter-species terms re-address both with a product prefactor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernel
-from .errors import AddressError, SpaceMismatchError, ValidationError
-from .fockspace import SpaceDescriptor, StateVector, basis_state, random_state
-from .hamiltonian import HamiltonianSpec, largest_deviation, require_finite
-
-
-class MixtureSpace:
-    """Tensor product of two complete single-species subspaces."""
-
-    def __init__(self, space_a: SpaceDescriptor, space_b: SpaceDescriptor):
-        self.space_a = space_a
-        self.space_b = space_b
-        self.species = (space_a, space_b)
-        self.n_conf = self.n_conf_total = space_a.n_conf * space_b.n_conf  # n_conf_total: the benchmark reads it
-
-    def __repr__(self):
-        return f"MixtureSpace(A={self.space_a!r}, B={self.space_b!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MixtureSpace)
-            and self.space_a == other.space_a
-            and self.space_b == other.space_b
-        )
-
-    def __hash__(self):
-        return hash((self.space_a, self.space_b))
-
-    def matrix(self, amplitudes: np.ndarray) -> np.ndarray:
-        """(N^A_conf, N^B_conf) view of a vector's amplitudes: J_A along axis 0, J_B along axis 1."""
-        return amplitudes.reshape(self.space_a.n_conf, self.space_b.n_conf)
-
-    def address(self, j_a: int, j_b: int) -> int:
-        return mixture_address(j_a, j_b, self)
-
-    def split(self, j: int) -> tuple[int, int]:
-        """Inverse of :func:`mixture_address`."""
-        if not 1 <= j <= self.n_conf:
-            raise AddressError(f"address {j} outside [1, {self.n_conf}]")
-        j_a, j_b = divmod(j - 1, self.space_b.n_conf)
-        return j_a + 1, j_b + 1
-
-
-def mixture_address(j_a: int, j_b: int, mspace: MixtureSpace) -> int:
-    """Row-major flattening of the two-component address, J_B fastest."""
-    if not 1 <= j_a <= mspace.space_a.n_conf:
-        raise AddressError(f"J_A={j_a} outside [1, {mspace.space_a.n_conf}]")
-    if not 1 <= j_b <= mspace.space_b.n_conf:
-        raise AddressError(f"J_B={j_b} outside [1, {mspace.space_b.n_conf}]")
-    return (j_a - 1) * mspace.space_b.n_conf + (j_b - 1) + 1
-
-
-class InterSpeciesTable:
-    """W^{AB} tensor of shape (M_A, M_A, M_B, M_B).
-
-    tensor[k-1, q-1, k'-1, q'-1] multiplies a†_k a_q b†_{k'} b_{q'}.
-    """
-
-    __slots__ = ("tensor",)
-
-    def __init__(self, tensor):
-        tensor = np.asarray(tensor, dtype=np.complex128)
-        if tensor.ndim != 4 or tensor.shape[0] != tensor.shape[1] or tensor.shape[2] != tensor.shape[3]:
-            raise ValidationError(f"inter-species table must be (MA,MA,MB,MB), got {tensor.shape}")
-        require_finite(tensor, "inter-species")
-        self.tensor = tensor
-
-    @property
-    def m_a(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def m_b(self) -> int:
-        return self.tensor.shape[2]
-
-    def kept(self, threshold: float = 0.0):
-        """0-based index arrays (k, q, k', q') and values of the nonzero entries with |value| >= threshold."""
-        keep = (self.tensor != 0) & (np.abs(self.tensor) >= threshold)
-        return np.nonzero(keep), self.tensor[keep]
-
-    def entries(self, threshold: float = 0.0):
-        """(k, q, k', q', value) in storage order, nonzero with |value| >= threshold."""
-        idx, values = self.kept(threshold)
-        for k0, q0, kp0, qp0, v in zip(*idx, values):
-            yield int(k0) + 1, int(q0) + 1, int(kp0) + 1, int(qp0) + 1, complex(v)
-
-    def hermiticity(self) -> tuple[float, tuple | None]:
-        """Largest |X[k,q,k',q'] - conj(X[q,k,q',k'])| and its 1-based index (k, q, k', q')."""
-        x = self.tensor
-        dev = np.abs(x - np.conj(np.transpose(x, (1, 0, 3, 2))))
-        return largest_deviation(dev.ravel(), np.indices(x.shape).reshape(4, -1))
-
-
-@dataclass
-class MixtureHamiltonianSpec:
-    """H^{(AB)} = H^{(A)} + H^{(B)} + W^{(AB)} over a mixture space."""
-
-    mspace: MixtureSpace
-    spec_a: HamiltonianSpec
-    spec_b: HamiltonianSpec
-    inter: InterSpeciesTable
-
-    def __post_init__(self):
-        if self.spec_a.space != self.mspace.space_a or self.spec_b.space != self.mspace.space_b:
-            raise ValidationError("species specs do not match the mixture space")
-        if self.inter.m_a != self.mspace.space_a.m or self.inter.m_b != self.mspace.space_b.m:
-            raise ValidationError("inter-species table does not match the mixture space")
-
-    @property
-    def space(self) -> MixtureSpace:
-        return self.mspace
+from .errors import SpaceMismatchError
+from .fockspace import MixtureSpace, StateVector, basis_state, mixture_address, random_state
+from .hamiltonian import HamiltonianSpec, InterSpeciesTable, MixtureHamiltonianSpec
 
 
 def mixture_basis_state(mspace: MixtureSpace, j_a: int, j_b: int) -> StateVector:

@@ -16,8 +16,7 @@ import numpy as np
 from .combinadics import FERMION
 from .errors import SizeError, SpaceMismatchError, ValidationError
 from .fockspace import StateVector
-from .hamiltonian import HamiltonianSpec
-from .mixtures import MixtureHamiltonianSpec
+from .hamiltonian import HamiltonianSpec, MixtureHamiltonianSpec
 
 DENSE_CAP = 5000  # keeps an N_conf^2 complex matrix under ~400 MB
 

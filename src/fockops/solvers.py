@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,10 +59,17 @@ BASIS_KEEP_ROWS = 12  # Ritz vectors a restart keeps; at most BASIS_BLOCK_ROWS, 
 RESTART_MIN_DIM = 4 * BASIS_MAX_ROWS  # a smaller space keeps its whole basis (at most 256 KB) and never restarts
 
 
+_INTEGER, _REAL = (int, np.integer), numbers.Real
+
+
 def _check_arguments(*rules) -> None:
-    """Raise :class:`SolverArgumentError` for the first (name, value, holds, requirement) that does not hold."""
-    for name, value, holds, requirement in rules:
-        if not holds:
+    """Raise :class:`SolverArgumentError` for the first (name, value, kind, holds, requirement) that does not hold.
+
+    A value must be of ``kind`` (:data:`_INTEGER` or :data:`_REAL`) and not
+    a bool before ``holds(value)`` is asked, so no comparison meets a string.
+    """
+    for name, value, kind, holds, requirement in rules:
+        if isinstance(value, bool) or not isinstance(value, kind) or not holds(value):
             raise SolverArgumentError(f"{name} must be {requirement}, got {value!r}")
 
 
@@ -274,15 +282,16 @@ def ground_state(
     thick-restarted when full, unless the space has at most
     :data:`RESTART_MIN_DIM` configurations.  The solve runs in float64 when
     every kept coefficient is real; the state is returned as complex128
-    either way.  A ``tol`` that is negative or not finite, a ``max_iter``
-    below 1, or a ``seed`` that is not an integer >= 0 raises
+    either way.  A ``tol`` that is not a finite real number >= 0, or a
+    ``max_iter`` or ``seed`` that is not an integer (an ``int`` or
+    ``np.integer``, not a ``bool``) >= 1 or >= 0, raises
     :class:`SolverArgumentError`; ``workers`` is read as
     :func:`executor.resolve_workers` reads it.
     """
     _check_arguments(
-        ("tol", tol, math.isfinite(tol) and tol >= 0, "finite and >= 0"),
-        ("max_iter", max_iter, max_iter >= 1, ">= 1"),
-        ("seed", seed, isinstance(seed, (int, np.integer)) and seed >= 0, "an integer >= 0"),
+        ("tol", tol, _REAL, lambda x: math.isfinite(x) and x >= 0, "a finite real number >= 0"),
+        ("max_iter", max_iter, _INTEGER, lambda x: x >= 1, "an integer >= 1"),
+        ("seed", seed, _INTEGER, lambda x: x >= 0, "an integer >= 0"),
     )
     matvec, wrap, dim, dtype = _operator(spec, workers)
     real = dtype == np.float64
@@ -435,8 +444,9 @@ def propagate(
     share of ``err_tol``.  A grid step is subdivided whenever the full space
     still exceeds it; a rejected substep is retried on the same Krylov
     space.  If halving reaches dt / 2^30 a :class:`StepFailureError` is
-    raised.  ``dt`` must be finite and > 0, ``t_final`` and ``err_tol``
-    finite and >= 0, ``t_final / dt`` finite, and ``krylov_dim`` >= 1, or
+    raised.  ``dt`` must be a finite real number > 0, ``t_final`` and
+    ``err_tol`` finite real numbers >= 0, ``t_final / dt`` finite, and
+    ``krylov_dim`` an integer (not a ``bool``) >= 1, or
     :class:`SolverArgumentError` is raised.  A ``psi0`` of another space
     raises :class:`SpaceMismatchError`, and ``workers`` is read as
     :func:`executor.resolve_workers` reads it.
@@ -444,13 +454,13 @@ def propagate(
     if psi0.space != spec.space:
         raise SpaceMismatchError("initial state and Hamiltonian belong to different spaces")
     _check_arguments(
-        ("dt", dt, math.isfinite(dt) and dt > 0, "finite and > 0"),
-        ("t_final", t_final, math.isfinite(t_final) and t_final >= 0, "finite and >= 0"),
-        ("krylov_dim", krylov_dim, krylov_dim >= 1, ">= 1"),
-        ("err_tol", err_tol, math.isfinite(err_tol) and err_tol >= 0, "finite and >= 0"),
+        ("dt", dt, _REAL, lambda x: math.isfinite(x) and x > 0, "a finite real number > 0"),
+        ("t_final", t_final, _REAL, lambda x: math.isfinite(x) and x >= 0, "a finite real number >= 0"),
+        ("krylov_dim", krylov_dim, _INTEGER, lambda x: x >= 1, "an integer >= 1"),
+        ("err_tol", err_tol, _REAL, lambda x: math.isfinite(x) and x >= 0, "a finite real number >= 0"),
     )
     ratio = t_final / dt
-    _check_arguments(("t_final / dt", ratio, math.isfinite(ratio), "finite"))
+    _check_arguments(("t_final / dt", ratio, _REAL, math.isfinite, "finite"))
     n_steps, last = round(ratio), dt  # the grid's steps and the length of the last
     if abs(ratio - n_steps) > 1e-9 * ratio:  # off the grid: one last, shorter step ends at t_final
         n_steps = math.floor(ratio) + 1

@@ -9,9 +9,11 @@ import pytest
 
 from fockops import (
     MixtureSpace,
+    SolverArgumentError,
     SpaceDescriptor,
     WorkerCountError,
     apply_hamiltonian,
+    basis_state,
     build_bose_hubbard,
     build_dense,
     fockspace,
@@ -20,6 +22,7 @@ from fockops import (
     load_integrals,
     mixture_random_state,
     parallel_apply,
+    propagate,
     random_state,
     resolve_workers,
     save_integrals,
@@ -65,6 +68,34 @@ class TestWorkerResolution:
         }[entry]
         with pytest.raises(WorkerCountError, match="must be an integer"):
             call()
+
+    @pytest.mark.parametrize("entry,name,bad", [
+        ("ground_state", "max_iter", 2.5), ("ground_state", "max_iter", "5"), ("ground_state", "max_iter", True),
+        ("ground_state", "tol", "1e-8"), ("ground_state", "seed", True), ("ground_state", "seed", np.bool_(True)),
+        ("propagate", "krylov_dim", 2.5), ("propagate", "krylov_dim", True), ("propagate", "krylov_dim", "3"),
+        ("propagate", "dt", "0.1"), ("propagate", "t_final", "1"), ("propagate", "err_tol", "1e-9"),
+    ], ids=repr)
+    def test_a_solver_argument_of_the_wrong_type_is_refused(self, entry, name, bad):
+        """As for worker counts: an iteration or Krylov bound or a seed is an int or np.integer, not a bool, and a
+        tolerance, step or end time a real number; anything else is a SolverArgumentError, not a TypeError."""
+        spec = build_bose_hubbard(2, 3, hopping=1.0, interaction=2.0)
+        call = {
+            "ground_state": lambda: ground_state(spec, **{name: bad}),
+            "propagate": lambda: propagate(spec, basis_state(spec.space, 1), **{"t_final": 1.0, "dt": 0.5, name: bad}),
+        }[entry]
+        with pytest.raises(SolverArgumentError, match=f"^{name} must be "):
+            call()
+
+    def test_numpy_solver_arguments_are_accepted(self):
+        spec = build_bose_hubbard(2, 3, hopping=1.0, interaction=2.0)
+        ref = ground_state(spec, tol=1e-9, max_iter=50, seed=3)
+        got = ground_state(spec, tol=np.float64(1e-9), max_iter=np.int64(50), seed=np.int32(3))
+        np.testing.assert_array_equal(got.state.amplitudes, ref.state.amplitudes)
+        psi0 = basis_state(spec.space, 1)
+        ref = propagate(spec, psi0, t_final=1.0, dt=0.5, krylov_dim=4, err_tol=1e-9)
+        got = propagate(spec, psi0, t_final=np.float64(1.0), dt=np.float64(0.5), krylov_dim=np.int64(4),
+                        err_tol=np.float64(1e-9))
+        np.testing.assert_array_equal(got.final_state.amplitudes, ref.final_state.amplitudes)
 
 
 class TestBitwiseDeterminism:

@@ -5,8 +5,10 @@ Spin up and down are two fermion species F(N_up, L) x F(N_down, L): the hop
 intra-species W, and the on-site U n_{k,up} n_{k,down} as the
 inter-species diagonal X[k,k,k,k].  Its ground energy solves the Bethe
 equations of Lieb & Wu (Phys. Rev. Lett. 20, 1445, 1968), so an exact
-reference reaches spaces no dense matrix does.  The counts are odd, closed
-shells, and N_down <= N_up.
+reference reaches spaces no dense matrix does.  The Bethe checks take odd
+counts, closed shells, and N_down <= N_up.  With odd counts the seam hop's
+fermion sign, (-1)^(N - 1), is +1, so the even-count rings, checked
+against the dense oracle only, are the ones that guard that sign.
 """
 
 import functools
@@ -107,3 +109,11 @@ def test_ground_state_past_the_dense_cap_matches_the_bethe_energy(n_up, n_down, 
     assert spec.space.n_conf > DENSE_CAP and spec.space.space_a.n_conf ** 2 > BLOCK_AMPLITUDES
     energy = bethe_energies(n_up, n_down, 10)[INTERACTIONS.index(interaction)]
     assert abs(ground_state(spec, tol=1e-9, seed=1).energy - energy) <= TOL
+
+
+@pytest.mark.parametrize("n_up,n_down,sites", [(2, 2, 4), (2, 2, 6), (4, 2, 8)])
+def test_even_counts_match_the_dense_oracle(n_up, n_down, sites):
+    """Open shells at U = 4: a seam hop crosses N - 1 particles of its species, an odd number, so its sign is -1."""
+    spec = hubbard_ring(n_up, n_down, sites, 4.0)
+    energy = dense_eig(build_dense(spec))[0][0]
+    assert abs(ground_state(spec, tol=1e-10, seed=1).energy - energy) <= TOL
